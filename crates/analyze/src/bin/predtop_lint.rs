@@ -5,16 +5,16 @@
 //! predtop-lint [--format text|json] [--models both|gpt3|moe|none]
 //!              [--plan FILE]... [--fix] [--stack]
 //!              [--inject-fault] [--inject-plan-fault]
-//!              [--inject-stack-fault] [FILE...]
+//!              [--inject-stack-fault]
 //! ```
 //!
-//! With no `FILE` arguments the built-in benchmark models (GPT-3 1.3B
+//! With no `--plan` files the built-in benchmark models (GPT-3 1.3B
 //! and MoE 2.6B at batch 8) are linted, including the plan passes over
-//! each model's trivial single-device plan; `FILE` arguments are parsed
-//! as persisted `Graph` JSON and graph-passes linted. `--plan FILE`
-//! arguments are parsed as persisted `PipelinePlan` JSON (e.g. written
-//! by `predtop search --plan-out`) and plan-passes linted against the
-//! model embedded in the plan's stages.
+//! each model's trivial single-device plan. `--plan FILE` arguments are
+//! decoded as plan files (the versioned byte format of
+//! `predtop_service::api::encode_plan`, written by `predtop search
+//! --plan-out`) and plan-passes linted against the model embedded in
+//! the plan's stages.
 //!
 //! `--fix` applies every machine-applicable fix attached to plan
 //! findings, re-analyzing to a fixpoint: plan files are rewritten in
@@ -47,6 +47,7 @@ use predtop_analyze::{
 use predtop_ir::{DType, Graph, GraphBuilder, OpKind, Shape};
 use predtop_models::{ModelSpec, StageSpec};
 use predtop_parallel::{MeshShape, ParallelConfig, PipelinePlan, PlannedStage};
+use predtop_service::api::{decode_plan, encode_plan};
 use predtop_service::{LayerTag, StackSpec};
 
 #[derive(Clone, Copy, PartialEq)]
@@ -71,15 +72,13 @@ struct Args {
     inject_fault: bool,
     inject_plan_fault: bool,
     inject_stack_fault: bool,
-    files: Vec<String>,
     plans: Vec<String>,
 }
 
 const USAGE: &str = "usage: predtop-lint [--format text|json] \
                      [--models both|gpt3|moe|none] [--plan FILE]... \
                      [--fix] [--stack] [--inject-fault] \
-                     [--inject-plan-fault] [--inject-stack-fault] \
-                     [FILE...]";
+                     [--inject-plan-fault] [--inject-stack-fault]";
 
 /// The structured usage diagnostic for a bad `--models` value: the
 /// same renderer and code-table discipline as every analysis finding
@@ -105,7 +104,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         inject_fault: false,
         inject_plan_fault: false,
         inject_stack_fault: false,
-        files: Vec::new(),
         plans: Vec::new(),
     };
     let mut it = argv.iter();
@@ -138,7 +136,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--inject-stack-fault" => args.inject_stack_fault = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             f if f.starts_with('-') => return Err(format!("unknown flag {f}\n{USAGE}")),
-            f => args.files.push(f.to_string()),
+            f => {
+                return Err(format!(
+                    "unexpected argument {f} (plan files go after --plan)\n{USAGE}"
+                ))
+            }
         }
     }
     Ok(args)
@@ -241,40 +243,6 @@ fn lint_model(cache: &GraphLintCache, model: ModelSpec, name: &str) -> Report {
     }
 }
 
-/// Whether `path`'s contents are the offline `serde_json` stub's
-/// serialization placeholder. The stub writes `"{}"` for every value
-/// and cannot deserialize anything back, so a placeholder file is a
-/// legitimately persisted artifact that this environment simply cannot
-/// reload; the lint degrades to an explicit skip (exit 0 with a note)
-/// instead of a spurious parse error — the same leg the workspace
-/// tests take via their `json_roundtrip_supported` probes. Any other
-/// unparsable body is still a hard error.
-fn stub_placeholder(body: &str) -> bool {
-    serde_json::from_str::<u32>("1").is_err() && body.trim() == "{}"
-}
-
-fn skipped_report(path: &str, what: &str) -> Report {
-    eprintln!("note: {path}: offline serde_json stub cannot load a persisted {what}; skipping");
-    Report {
-        subject: format!("{path} ({what}, skipped: offline serde_json stub)"),
-        diags: Vec::new(),
-    }
-}
-
-fn lint_file(cache: &GraphLintCache, path: &str) -> Result<Report, String> {
-    let body =
-        std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read file: {e}"))?;
-    if stub_placeholder(&body) {
-        return Ok(skipped_report(path, "graph"));
-    }
-    let graph: Graph =
-        serde_json::from_str(&body).map_err(|e| format!("{path}: not a persisted graph: {e}"))?;
-    Ok(Report {
-        subject: path.to_string(),
-        diags: cache.analyze(&graph).as_ref().clone(),
-    })
-}
-
 /// Fix `plan` to a fixpoint and verify idempotence: re-fixing the
 /// output must apply zero edits (fix edits are absolute, DESIGN.md
 /// §12). Returns the fixed plan and the findings that remain.
@@ -300,13 +268,8 @@ fn fix_and_verify(
 }
 
 fn lint_plan_file(path: &str, fix: bool) -> Result<Report, String> {
-    let body =
-        std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read file: {e}"))?;
-    if stub_placeholder(&body) {
-        return Ok(skipped_report(path, "plan"));
-    }
-    let plan: PipelinePlan =
-        serde_json::from_str(&body).map_err(|e| format!("{path}: not a persisted plan: {e}"))?;
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: cannot read file: {e}"))?;
+    let plan = decode_plan(&bytes).map_err(|e| format!("{path}: not a plan file: {e}"))?;
     // every stage is sliced from the same model; the first one carries it
     let model = plan
         .stages
@@ -317,9 +280,7 @@ fn lint_plan_file(path: &str, fix: bool) -> Result<Report, String> {
     if fix {
         let (fixed, remaining) = fix_and_verify(&plan, &model, path);
         if fixed != plan {
-            let body = serde_json::to_string(&fixed)
-                .map_err(|e| format!("{path}: cannot serialize fixed plan: {e}"))?;
-            std::fs::write(path, body)
+            std::fs::write(path, encode_plan(&fixed))
                 .map_err(|e| format!("{path}: cannot write fixed plan: {e}"))?;
             eprintln!("fix: {path}: rewrote plan file");
         }
@@ -379,15 +340,15 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // default: lint the benchmark models, unless files were given or
-    // the run only targets the service stacks
-    let models = args.models.unwrap_or(
-        if args.files.is_empty() && args.plans.is_empty() && !args.stack {
+    // default: lint the benchmark models, unless plan files were given
+    // or the run only targets the service stacks
+    let models = args
+        .models
+        .unwrap_or(if args.plans.is_empty() && !args.stack {
             Models::Both
         } else {
             Models::None
-        },
-    );
+        });
 
     let cache = GraphLintCache::new();
     let mut reports = Vec::new();
@@ -396,15 +357,6 @@ fn main() -> ExitCode {
     }
     if matches!(models, Models::Both | Models::Moe) {
         reports.push(lint_model(&cache, ModelSpec::moe_2p6b(8), "moe-2.6b"));
-    }
-    for f in &args.files {
-        match lint_file(&cache, f) {
-            Ok(r) => reports.push(r),
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(2);
-            }
-        }
     }
     for f in &args.plans {
         match lint_plan_file(f, args.fix) {

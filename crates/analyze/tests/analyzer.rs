@@ -1,7 +1,7 @@
 //! Integration tests: builder-valid graphs lint clean (property), the
 //! JSON renderer's schema is frozen (golden file), the benchmark models
 //! are clean at every thread count, and the `predtop-lint` CLI's exit
-//! codes hold.
+//! codes and plan-file fixes hold.
 
 use proptest::prelude::*;
 
@@ -14,6 +14,7 @@ use predtop_cluster::GpuSpec;
 use predtop_ir::{DType, Graph, GraphBuilder, OpKind, Shape};
 use predtop_models::{ModelSpec, StageSpec};
 use predtop_parallel::{MeshShape, ParallelConfig, PipelinePlan, PlannedStage};
+use predtop_service::api::{decode_plan, encode_plan};
 use predtop_sim::memory::fits_on;
 
 // ---- property: valid builder graphs have zero Error findings --------
@@ -457,6 +458,51 @@ fn cli_injected_plan_fault_exits_one_and_fix_repairs_it() {
 }
 
 #[test]
+fn cli_fix_rewrites_a_plan_file_once() {
+    // the micro-batch count does not divide the batch (P1301)
+    let mut m = ModelSpec::gpt3_1p3b(8);
+    m.num_layers = 4;
+    let broken = PipelinePlan {
+        stages: vec![PlannedStage {
+            stage: StageSpec::new(m, 0, m.num_layers),
+            mesh: MeshShape::new(1, 1),
+            config: ParallelConfig::SERIAL,
+        }],
+        microbatches: 3,
+    };
+    let path = std::env::temp_dir().join("predtop-lint-fix-test.plan");
+    std::fs::write(&path, encode_plan(&broken)).unwrap();
+
+    let out = lint_cmd().arg("--plan").arg(&path).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("error[P1301]"), "{stdout}");
+
+    let out = lint_cmd()
+        .arg("--fix")
+        .arg("--plan")
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "{:?}", out.stderr);
+    let once = std::fs::read(&path).unwrap();
+    let fixed = decode_plan(&once).expect("the fixed file is a plan file");
+    assert_eq!(fixed.stages, broken.stages);
+    assert!(m.batch.is_multiple_of(fixed.microbatches));
+
+    // a second --fix applies nothing and leaves the bytes alone
+    let out = lint_cmd()
+        .arg("--fix")
+        .arg("--plan")
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(std::fs::read(&path).unwrap(), once);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn cli_bad_models_value_is_a_structured_diagnostic() {
     let out = lint_cmd().args(["--models", "gpt5"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
@@ -480,15 +526,22 @@ fn cli_bad_input_exits_two() {
     assert_eq!(out.status.code(), Some(2));
 
     let dir = std::env::temp_dir();
-    let path = dir.join("predtop-lint-malformed-test.json");
-    std::fs::write(&path, "this is not a graph").unwrap();
-    let out = lint_cmd().arg(&path).output().unwrap();
+    let path = dir.join("predtop-lint-malformed-test.plan");
+    std::fs::write(&path, "this is not a plan").unwrap();
+    let out = lint_cmd().arg("--plan").arg(&path).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("not a plan file"), "{stderr}");
     std::fs::remove_file(&path).ok();
 
     let out = lint_cmd()
+        .arg("--plan")
         .arg(dir.join("predtop-lint-no-such-file"))
         .output()
         .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+
+    // a bare file argument is a usage error, not a lint subject
+    let out = lint_cmd().arg("plan.plan").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
 }

@@ -1,32 +1,21 @@
 //! Fig. 8 & Fig. 9 — mean and standard deviation of the per-scenario
 //! MREs, aggregated per (platform, benchmark, architecture).
 //!
-//! Consumes the raw grids written by `table5_mre_platform1` and
-//! `table6_mre_platform2` (`results/table{5,6}_*_raw.json`); any grid
-//! that has not been generated yet is computed fresh with the current
-//! protocol flags.
+//! Runs the four Table V/VI grids with the current protocol flags (the
+//! same grids `table5_mre_platform1` and `table6_mre_platform2` print)
+//! and reduces each architecture's cells to a mean and a spread.
 
 use predtop_bench::grid::{run_grid, GridResult, ARCHES};
-use predtop_bench::table::results_dir;
 use predtop_bench::{platform_scenarios, Protocol, TableWriter};
 use predtop_cluster::Platform;
 use predtop_gnn::metrics::mean_std;
 
-fn load_or_run(
-    name: &str,
+fn grid(
     platform: &Platform,
     platform_label: &'static str,
     model: predtop_models::ModelSpec,
     proto: &Protocol,
 ) -> GridResult {
-    let path = results_dir().join(format!("{name}_raw.json"));
-    if let Ok(body) = std::fs::read_to_string(&path) {
-        if let Ok(grid) = serde_json::from_str::<GridResult>(&body) {
-            eprintln!("[fig8/9] loaded {}", path.display());
-            return grid;
-        }
-    }
-    eprintln!("[fig8/9] {} missing; computing fresh", path.display());
     let scenarios = platform_scenarios(platform);
     run_grid(
         platform,
@@ -44,10 +33,10 @@ fn main() {
     let p2 = Platform::platform2();
 
     let grids = vec![
-        load_or_run("table5_gpt3", &p1, "Platform 1", proto.gpt3(), &proto),
-        load_or_run("table5_moe", &p1, "Platform 1", proto.moe(), &proto),
-        load_or_run("table6_gpt3", &p2, "Platform 2", proto.gpt3(), &proto),
-        load_or_run("table6_moe", &p2, "Platform 2", proto.moe(), &proto),
+        grid(&p1, "Platform 1", proto.gpt3(), &proto),
+        grid(&p1, "Platform 1", proto.moe(), &proto),
+        grid(&p2, "Platform 2", proto.gpt3(), &proto),
+        grid(&p2, "Platform 2", proto.moe(), &proto),
     ];
 
     let mut fig8 = TableWriter::new(

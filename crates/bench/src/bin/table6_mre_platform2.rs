@@ -5,6 +5,8 @@
 //! inter-node link dominates communication.
 
 use predtop_bench::grid::{render_table, run_grid};
+use predtop_bench::jsonout::write_json_file;
+use predtop_bench::table::results_dir;
 use predtop_bench::{platform_scenarios, Protocol};
 use predtop_cluster::Platform;
 
@@ -29,9 +31,9 @@ fn main() {
             model.kind.name().to_lowercase().replace('-', "")
         );
         let path = table.save_json(&name);
-        let raw = serde_json::to_string_pretty(&result).expect("serialize grid");
-        let raw_path = predtop_bench::table::results_dir().join(format!("{name}_raw.json"));
-        std::fs::write(&raw_path, raw).expect("write raw grid");
+        // the raw grid keeps the per-cell epochs and training seconds
+        let raw_path = results_dir().join(format!("{name}_raw.json"));
+        write_json_file(&raw_path, &result.to_json());
         println!("saved {} and {}", path.display(), raw_path.display());
     }
 }

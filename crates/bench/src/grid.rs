@@ -15,13 +15,13 @@ use predtop_gnn::{Dataset, GraphSample, ModelKind};
 use predtop_models::{sample_stages, ModelSpec, StageSpec};
 use predtop_parallel::StageLatencyProvider;
 use predtop_sim::SimProfiler;
-use serde::{Deserialize, Serialize};
 
+use crate::jsonout::Json;
 use crate::protocol::Protocol;
 use crate::scenario::Scenario;
 
 /// One grid cell result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridCell {
     /// Scenario id, e.g. `"(2,1)"`.
     pub scenario: String,
@@ -38,7 +38,7 @@ pub struct GridCell {
 }
 
 /// Full grid output for one (platform, benchmark).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridResult {
     /// Platform name.
     pub platform: String,
@@ -59,6 +59,26 @@ impl GridResult {
     /// MREs of one architecture across all scenarios and fractions.
     pub fn mres_for(&self, model: &str) -> Vec<f64> {
         self.cells_for(model).map(|c| c.mre).collect()
+    }
+
+    /// The raw grid as JSON (the `results/table{5,6}_*_raw.json`
+    /// files): the header fields, then one object per cell, every key
+    /// named after its struct field.
+    pub fn to_json(&self) -> Json {
+        let cells = self.cells.iter().map(|c| {
+            Json::obj()
+                .field("scenario", c.scenario.as_str())
+                .field("fraction", c.fraction)
+                .field("model", c.model.as_str())
+                .field("mre", c.mre)
+                .field("epochs_run", c.epochs_run)
+                .field("train_seconds", c.train_seconds)
+        });
+        Json::obj()
+            .field("platform", self.platform.as_str())
+            .field("benchmark", self.benchmark.as_str())
+            .field("num_stages", self.num_stages)
+            .field("cells", cells.collect::<Vec<_>>())
     }
 }
 

@@ -3,11 +3,10 @@
 
 use predtop_cluster::Platform;
 use predtop_parallel::{table3_configs, MeshShape, ParallelConfig};
-use serde::Serialize;
 
 /// One table column: a mesh (Table II) and an intra-stage configuration
 /// (Table III) on a platform.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Table II mesh index (1-based).
     pub mesh_index: usize,

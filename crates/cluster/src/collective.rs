@@ -6,13 +6,11 @@
 //! simulator and the intra-stage optimizer both price resharding and
 //! gradient synchronization through this module.
 
-use serde::{Deserialize, Serialize};
-
 use crate::interconnect::Link;
 use crate::mesh::Mesh;
 
 /// Which collective operation to price.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Collective {
     /// Ring all-reduce (gradient sync, TP partial-sum combination).
     AllReduce,

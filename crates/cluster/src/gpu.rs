@@ -1,10 +1,8 @@
 //! GPU device specifications.
 
-use serde::Serialize;
-
 /// Specification of one GPU device — the knobs the roofline cost model
 /// reads.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, e.g. `"NVIDIA A40"`.
     pub name: &'static str,

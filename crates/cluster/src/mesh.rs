@@ -1,7 +1,5 @@
 //! Device meshes (Table II) and the two experimental platforms (§VII-A).
 
-use serde::Serialize;
-
 use crate::gpu::GpuSpec;
 use crate::interconnect::Link;
 
@@ -11,7 +9,7 @@ use crate::interconnect::Link;
 /// The paper restricts itself to homogeneous meshes because "DP and TP
 /// across heterogeneous devices are suboptimal, with one device
 /// inevitably becoming a bottleneck".
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mesh {
     /// Number of host nodes.
     pub num_nodes: usize,
@@ -69,7 +67,7 @@ impl Mesh {
 
 /// One of the paper's two experimental platforms: a GPU model plus the
 /// set of Table II meshes realizable on it.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// Platform name for reports ("Platform 1" / "Platform 2").
     pub name: &'static str,

@@ -32,20 +32,30 @@ use predtop_service::api::{decode_plan_body, encode_plan_body};
 use predtop_store::{ByteReader, ByteWriter, DecodeError};
 use predtop_tensor::Matrix;
 
-// The model layout is shared with the wire protocol's request encoding
-// and now lives in `predtop_service::api`; re-exported here so store
-// payloads keep their historical import path. The bytes are identical.
-pub use predtop_service::api::{decode_model, encode_model};
+// The model and plan layouts are shared with the wire protocol (and
+// with `predtop-lint`, which sits below this crate) and live in
+// `predtop_service::api`; re-exported here so store payloads keep their
+// historical import path. The bytes are identical.
+pub use predtop_service::api::{
+    decode_model, decode_plan, encode_model, encode_plan, PLAN_ENCODING_VERSION,
+};
 
 use crate::predictor::ArchConfig;
 use crate::search::SearchOutcome;
 
-/// Version byte heading every plan encoding.
-pub const PLAN_ENCODING_VERSION: u8 = 1;
 /// Version byte heading every search-snapshot encoding.
 pub const OUTCOME_ENCODING_VERSION: u8 = 1;
 /// Version byte heading every predictor-snapshot encoding.
 pub const PREDICTOR_ENCODING_VERSION: u8 = 1;
+
+/// Largest layer count [`decode_arch`] accepts (the paper's deepest
+/// predictor has 6).
+pub const MAX_ARCH_LAYERS: usize = 16;
+/// Largest hidden width [`decode_arch`] accepts (the paper's widest
+/// predictor has 256). With [`MAX_ARCH_LAYERS`] this caps the weights a
+/// decoded architecture can allocate at about 34M floats, whatever a
+/// model file claims.
+pub const MAX_ARCH_HIDDEN: usize = 512;
 
 /// Failure decoding a typed artifact from store bytes.
 #[derive(Debug)]
@@ -114,30 +124,6 @@ impl From<DecodeError> for ArtifactError {
     fn from(e: DecodeError) -> Self {
         ArtifactError::Decode(e)
     }
-}
-
-/// Encode a plan as a self-contained store payload.
-pub fn encode_plan(plan: &PipelinePlan) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u8(PLAN_ENCODING_VERSION);
-    encode_plan_body(&mut w, plan);
-    w.into_bytes()
-}
-
-/// Decode a payload written by [`encode_plan`]. The round trip is
-/// exact: `decode_plan(&encode_plan(p)) == p` for every plan.
-pub fn decode_plan(bytes: &[u8]) -> Result<PipelinePlan, DecodeError> {
-    let mut r = ByteReader::new(bytes);
-    let version = r.u8("plan version")?;
-    if version != PLAN_ENCODING_VERSION {
-        return Err(DecodeError::UnsupportedVersion {
-            what: "plan",
-            version: version as u64,
-        });
-    }
-    let plan = decode_plan_body(&mut r)?;
-    r.finish()?;
-    Ok(plan)
 }
 
 /// The deterministic slice of a [`SearchOutcome`]: everything that is a
@@ -240,6 +226,12 @@ pub fn encode_arch(w: &mut ByteWriter, arch: &ArchConfig) {
 }
 
 /// Decode an architecture written by [`encode_arch`].
+///
+/// Model files are outside input, so every field [`ArchConfig::build`]
+/// would assert on is checked here instead: `layers` in
+/// `1..=MAX_ARCH_LAYERS`, `hidden` in `1..=MAX_ARCH_HIDDEN`, and for the
+/// DAG Transformer a nonzero `heads` that divides `hidden`. A value
+/// outside its range is a [`DecodeError::BadTag`].
 pub fn decode_arch(r: &mut ByteReader<'_>) -> Result<ArchConfig, DecodeError> {
     let kind = match r.u8("arch kind")? {
         1 => PredictorKind::Gcn,
@@ -252,11 +244,27 @@ pub fn decode_arch(r: &mut ByteReader<'_>) -> Result<ArchConfig, DecodeError> {
             })
         }
     };
+    let bad = |what, value: usize| DecodeError::BadTag {
+        what,
+        tag: value as u64,
+    };
+    let layers = r.usize("arch layers")?;
+    if !(1..=MAX_ARCH_LAYERS).contains(&layers) {
+        return Err(bad("arch layers", layers));
+    }
+    let hidden = r.usize("arch hidden")?;
+    if !(1..=MAX_ARCH_HIDDEN).contains(&hidden) {
+        return Err(bad("arch hidden", hidden));
+    }
+    let heads = r.usize("arch heads")?;
+    if kind == PredictorKind::DagTransformer && (heads == 0 || !hidden.is_multiple_of(heads)) {
+        return Err(bad("arch heads", heads));
+    }
     Ok(ArchConfig {
         kind,
-        layers: r.usize("arch layers")?,
-        hidden: r.usize("arch hidden")?,
-        heads: r.usize("arch heads")?,
+        layers,
+        hidden,
+        heads,
         use_dagra: r.bool("arch use_dagra")?,
         use_dagpe: r.bool("arch use_dagpe")?,
     })
@@ -266,15 +274,31 @@ pub fn decode_arch(r: &mut ByteReader<'_>) -> Result<ArchConfig, DecodeError> {
 /// and the [`ParamStore`](predtop_tensor::ParamStore) fingerprint that
 /// [`decode_predictor`] re-verifies.
 pub fn encode_predictor(arch: &ArchConfig, predictor: &TrainedPredictor) -> Vec<u8> {
+    let store = predictor.model.store();
+    encode_predictor_parts(
+        arch,
+        &predictor.scaler,
+        store.fingerprint(),
+        &store.snapshot(),
+    )
+}
+
+/// The [`encode_predictor`] layout over explicit parts, which need not
+/// agree with each other (the tests build inconsistent payloads).
+fn encode_predictor_parts(
+    arch: &ArchConfig,
+    scaler: &TargetScaler,
+    fingerprint: u64,
+    params: &[Matrix],
+) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u8(PREDICTOR_ENCODING_VERSION);
     encode_arch(&mut w, arch);
-    w.f64_bits(predictor.scaler.mean);
-    w.f64_bits(predictor.scaler.std);
-    w.u64(predictor.model.store().fingerprint());
-    let params = predictor.model.store().snapshot();
+    w.f64_bits(scaler.mean);
+    w.f64_bits(scaler.std);
+    w.u64(fingerprint);
     w.usize(params.len());
-    for m in &params {
+    for m in params {
         w.usize(m.rows());
         w.usize(m.cols());
         for &x in m.data() {
@@ -362,6 +386,8 @@ mod tests {
     use predtop_ir::{DType, GraphBuilder, OpKind};
     use predtop_models::{ModelSpec, StageSpec};
     use predtop_parallel::{MeshShape, ParallelConfig, PlannedStage};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn tiny_model() -> ModelSpec {
         let mut s = ModelSpec::gpt3_1p3b(2);
@@ -458,21 +484,24 @@ mod tests {
         ));
     }
 
+    /// A chain of `len` elementwise ops with latency `len` ms.
+    fn chain_sample(len: usize, pe_dim: usize) -> GraphSample {
+        let mut b = GraphBuilder::new();
+        let mut x = b.input([4, 4], DType::F32);
+        for _ in 0..len {
+            x = b.unary(OpKind::Exp, x);
+        }
+        let g = b.finish(&[x]).unwrap();
+        GraphSample::new(&g, 1e-3 * len as f64, pe_dim)
+    }
+
     fn trained_predictor() -> (ArchConfig, TrainedPredictor) {
         let mut arch = ArchConfig::scaled(PredictorKind::DagTransformer);
         arch.layers = 1;
         arch.hidden = 16;
         arch.heads = 2;
         let samples: Vec<GraphSample> = (1..=12)
-            .map(|len| {
-                let mut b = GraphBuilder::new();
-                let mut x = b.input([4, 4], DType::F32);
-                for _ in 0..len {
-                    x = b.unary(OpKind::Exp, x);
-                }
-                let g = b.finish(&[x]).unwrap();
-                GraphSample::new(&g, 1e-3 * len as f64, arch.pe_dim())
-            })
+            .map(|len| chain_sample(len, arch.pe_dim()))
             .collect();
         let ds = Dataset::new(samples);
         let split = ds.split(0.6, 1);
@@ -491,11 +520,7 @@ mod tests {
             restored.model.store().fingerprint(),
             predictor.model.store().fingerprint()
         );
-        let mut b = GraphBuilder::new();
-        let x = b.input([4, 4], DType::F32);
-        let y = b.unary(OpKind::Exp, x);
-        let g = b.finish(&[y]).unwrap();
-        let sample = GraphSample::new(&g, 1.0, arch.pe_dim());
+        let sample = chain_sample(1, arch.pe_dim());
         assert_eq!(
             predictor.predict(&sample).to_bits(),
             restored.predict(&sample).to_bits()
@@ -517,6 +542,163 @@ mod tests {
             }
             Err(e) => panic!("expected fingerprint mismatch, got {e:?}"),
             Ok(_) => panic!("expected fingerprint mismatch, got a decoded predictor"),
+        }
+    }
+
+    #[test]
+    fn predictor_with_a_foreign_version_byte_is_unsupported() {
+        let (arch, predictor) = trained_predictor();
+        let mut bytes = encode_predictor(&arch, &predictor);
+        bytes[0] = 99;
+        assert!(matches!(
+            decode_predictor(&bytes),
+            Err(ArtifactError::Decode(DecodeError::UnsupportedVersion {
+                what: "predictor",
+                version: 99
+            }))
+        ));
+    }
+
+    #[test]
+    fn predictor_missing_a_parameter_is_a_shape_mismatch() {
+        let (arch, predictor) = trained_predictor();
+        let store = predictor.model.store();
+        let mut params = store.snapshot();
+        params.pop();
+        let bytes = encode_predictor_parts(&arch, &predictor.scaler, store.fingerprint(), &params);
+        match decode_predictor(&bytes) {
+            Err(ArtifactError::ShapeMismatch {
+                what: "param count",
+                expected,
+                found,
+            }) => assert_eq!(found + 1, expected),
+            Err(e) => panic!("expected a shape mismatch, got {e:?}"),
+            Ok(_) => panic!("expected a shape mismatch, got a decoded predictor"),
+        }
+    }
+
+    #[test]
+    fn out_of_range_arch_fields_are_decode_errors() {
+        let base = ArchConfig::scaled(PredictorKind::DagTransformer);
+        let decode = |arch: ArchConfig| {
+            let mut w = ByteWriter::new();
+            encode_arch(&mut w, &arch);
+            decode_arch(&mut ByteReader::new(&w.into_bytes()))
+        };
+        let with = |edit: fn(&mut ArchConfig)| {
+            let mut arch = base;
+            edit(&mut arch);
+            arch
+        };
+        let cases = [
+            ("arch layers", with(|a| a.layers = 0)),
+            ("arch layers", with(|a| a.layers = MAX_ARCH_LAYERS + 1)),
+            ("arch hidden", with(|a| a.hidden = 0)),
+            ("arch hidden", with(|a| a.hidden = MAX_ARCH_HIDDEN + 1)),
+            ("arch heads", with(|a| a.heads = 0)),
+            ("arch heads", with(|a| a.heads = 3)),
+        ];
+        for (field, arch) in cases {
+            match decode(arch) {
+                Err(DecodeError::BadTag { what, .. }) => assert_eq!(what, field, "{arch:?}"),
+                other => panic!("{arch:?}: expected a bad {field}, got {other:?}"),
+            }
+        }
+        // heads only constrain the DAG Transformer
+        let gcn = ArchConfig {
+            kind: PredictorKind::Gcn,
+            heads: 0,
+            ..base
+        };
+        assert_eq!(decode(gcn), Ok(gcn));
+    }
+
+    /// One sealed predictor payload shared by the property tests below.
+    fn sealed_predictor() -> &'static (ArchConfig, Vec<u8>) {
+        static SEALED: OnceLock<(ArchConfig, Vec<u8>)> = OnceLock::new();
+        SEALED.get_or_init(|| {
+            let (arch, predictor) = trained_predictor();
+            (arch, encode_predictor(&arch, &predictor))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        /// encode → decode is exact for any target scaler the training
+        /// could have produced (the scaler is the only state outside
+        /// the fingerprinted weight matrices).
+        #[test]
+        fn prop_any_scaler_round_trips_to_identical_predictions(
+            mean in -10.0f64..10.0,
+            std in 1e-6f64..100.0,
+        ) {
+            let (arch, mut predictor) = trained_predictor();
+            predictor.scaler = TargetScaler { mean, std };
+            let (_, restored) = decode_predictor(&encode_predictor(&arch, &predictor)).unwrap();
+            prop_assert_eq!(restored.scaler.mean.to_bits(), mean.to_bits());
+            prop_assert_eq!(restored.scaler.std.to_bits(), std.to_bits());
+            for len in 1..=4 {
+                let sample = chain_sample(len, arch.pe_dim());
+                prop_assert_eq!(
+                    predictor.predict(&sample).to_bits(),
+                    restored.predict(&sample).to_bits()
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Arbitrary bytes never decode and never panic, also behind a
+        /// valid version byte so the body decoders run.
+        #[test]
+        fn prop_random_bytes_are_rejected(
+            mut bytes in proptest::collection::vec(any::<u8>(), 0..256),
+            versioned in any::<bool>(),
+        ) {
+            if versioned && !bytes.is_empty() {
+                bytes[0] = PLAN_ENCODING_VERSION;
+            }
+            prop_assert!(decode_plan(&bytes).is_err());
+            if versioned && !bytes.is_empty() {
+                bytes[0] = PREDICTOR_ENCODING_VERSION;
+            }
+            prop_assert!(decode_predictor(&bytes).is_err());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// A sealed payload whose architecture fields are replaced never
+        /// decodes and never panics: out-of-range fields are decode
+        /// errors, in-range ones build a network the stored weights do
+        /// not fit. (A DAG Transformer with the same depth and width but
+        /// other heads or mask flags has the same weight shapes, so it is
+        /// left out.)
+        #[test]
+        fn prop_foreign_arch_fields_are_rejected(
+            kind in 0u8..5,
+            layers in 0usize..=2 * MAX_ARCH_LAYERS,
+            hidden in 0usize..=2 * MAX_ARCH_HIDDEN,
+            heads in 0usize..=64,
+            flags in (0u8..3, 0u8..3),
+        ) {
+            let (arch, bytes) = sealed_predictor();
+            prop_assume!(!(kind == 3 && layers == arch.layers && hidden == arch.hidden));
+            let mut header = ByteWriter::new();
+            header.u8(PREDICTOR_ENCODING_VERSION);
+            encode_arch(&mut header, arch);
+            let body = &bytes[header.len()..];
+            let mut w = ByteWriter::new();
+            w.u8(PREDICTOR_ENCODING_VERSION);
+            w.u8(kind);
+            w.usize(layers);
+            w.usize(hidden);
+            w.usize(heads);
+            w.u8(flags.0);
+            w.u8(flags.1);
+            w.raw(body);
+            prop_assert!(decode_predictor(&w.into_bytes()).is_err());
         }
     }
 

@@ -38,12 +38,11 @@ use predtop_service::{
     ServiceStack, Unavailable,
 };
 use predtop_sim::SimProfiler;
-use predtop_store::hash::digest_bytes;
+use predtop_store::hash::{digest_bytes, Digest};
 use predtop_store::{ObjectKind, Store};
 
 use crate::analytic::AnalyticBaseline;
 use crate::artifacts;
-use crate::persist;
 use crate::search::{search_legality, search_plan_service, search_snapshot_key};
 
 /// Everything that shapes one serving engine: the platform and seed the
@@ -80,8 +79,10 @@ pub struct EngineConfig {
     pub deadline: Option<f64>,
     /// Admission-control breaker configuration.
     pub breaker: BreakerConfig,
-    /// Optional saved-predictor file backing the `Predict` path; absent,
-    /// predictions degrade to the analytic baseline.
+    /// Optional saved-predictor file (written by `predtop fit`, in the
+    /// [`artifacts::encode_predictor`] format) backing the `Predict`
+    /// path; absent or unloadable, predictions degrade to the analytic
+    /// baseline.
     pub model_path: Option<String>,
 }
 
@@ -136,25 +137,28 @@ impl LatencyService for SavedModelService {
     }
 }
 
-/// Load a saved predictor as a service, or a named [`Unavailable`] that
-/// carries the load failure into the fallback chain (the analytic
-/// baseline answers instead of the command aborting).
-pub fn load_model_service(path: &str) -> Box<dyn LatencyService + Send + Sync> {
-    let attempt = || -> Result<SavedModelService, String> {
-        let body = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        let saved: persist::SavedPredictor =
-            serde_json::from_str(&body).map_err(|e| e.to_string())?;
-        let pe_dim = saved.arch.pe_dim();
-        let predictor = persist::restore(&saved).map_err(|e| e.to_string())?;
-        Ok(SavedModelService { predictor, pe_dim })
+/// Load a saved predictor file as a service, or a named [`Unavailable`]
+/// that carries the load failure into the fallback chain (the analytic
+/// baseline answers instead of the command aborting). Also returns the
+/// digest of the bytes read, `None` when the file could not be read.
+pub fn load_model_service(path: &str) -> (Box<dyn LatencyService + Send + Sync>, Option<Digest>) {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) => return (model_load_failed(format!("{path}: {e}")), None),
     };
-    match attempt() {
-        Ok(svc) => Box::new(svc),
-        Err(reason) => {
-            eprintln!("model load failed ({reason}); degrading to the analytic baseline");
-            Box::new(Unavailable::new("predictor", reason))
-        }
-    }
+    let service: Box<dyn LatencyService + Send + Sync> = match artifacts::decode_predictor(&bytes) {
+        Ok((arch, predictor)) => Box::new(SavedModelService {
+            predictor,
+            pe_dim: arch.pe_dim(),
+        }),
+        Err(e) => model_load_failed(format!("{path}: {e}")),
+    };
+    (service, Some(digest_bytes(&bytes)))
+}
+
+fn model_load_failed(reason: String) -> Box<dyn LatencyService + Send + Sync> {
+    eprintln!("model load failed ({reason}); degrading to the analytic baseline");
+    Box::new(Unavailable::new("predictor", reason))
 }
 
 /// The type-erased stacks a long-lived engine holds.
@@ -219,9 +223,12 @@ impl ServeEngine {
 
         // predictor → analytic fallback chain: a missing or undecodable
         // model file degrades the answer instead of failing the request
-        let base: Box<dyn LatencyService + Send + Sync> = match &config.model_path {
+        let (base, model_digest) = match &config.model_path {
             Some(path) => load_model_service(path),
-            None => Box::new(Unavailable::new("predictor", "no model configured")),
+            None => (
+                Box::new(Unavailable::new("predictor", "no model configured")) as Box<_>,
+                None,
+            ),
         };
         let predict_builder = ServiceBuilder::new(base)
             .or_fallback_to(AnalyticBaseline::new(config.platform.clone()));
@@ -231,10 +238,7 @@ impl ServeEngine {
                 // model weights (file digest) and fallback platform, so
                 // swapping the model file can never serve stale
                 // predictions
-                let weights = match config.model_path.as_deref().map(std::fs::read) {
-                    Some(Ok(bytes)) => digest_bytes(&bytes).to_hex(),
-                    _ => "unloadable".to_string(),
-                };
+                let weights = model_digest.map_or_else(|| "unloadable".to_string(), Digest::to_hex);
                 let ns = format!("predict:{}:{}", config.platform_id, weights);
                 predict_builder.persist(Arc::clone(store), ns).boxed()
             }
@@ -477,6 +481,7 @@ fn error_body(e: &ServiceError) -> ErrorBody {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ArchConfig;
     use predtop_models::ModelSpec;
     use predtop_parallel::ParallelConfig;
     use predtop_service::api;
@@ -646,6 +651,82 @@ mod tests {
             Response::Stats(s) => assert!(s.draining),
             other => panic!("expected stats, got {other:?}"),
         }
+    }
+
+    fn predict_spec() -> api::ProfileSpec {
+        api::ProfileSpec {
+            model: tiny_model(),
+            start: 0,
+            end: 3,
+            mesh: MeshShape::new(1, 1),
+            config: ParallelConfig::SERIAL,
+        }
+    }
+
+    /// Serve one `Predict` through an engine backed by the model file
+    /// at `path`; returns the reply's seconds and source.
+    fn predict_with_model_file(path: &std::path::Path) -> (f64, String) {
+        let mut config = EngineConfig::new(Platform::platform1(), "1", 7);
+        config.model_path = Some(path.to_str().unwrap().to_string());
+        let engine = ServeEngine::new(config).unwrap();
+        match engine.handle(&Request::Predict(predict_spec())) {
+            Response::Latency { seconds, source } => (seconds, source),
+            other => panic!("expected latency, got {other:?}"),
+        }
+    }
+
+    /// An untrained but well-formed predictor and its model-file bytes.
+    fn model_file_bytes() -> (ArchConfig, TrainedPredictor, Vec<u8>) {
+        let mut arch = ArchConfig::scaled(predtop_gnn::ModelKind::DagTransformer);
+        arch.layers = 1;
+        arch.hidden = 16;
+        arch.heads = 2;
+        let predictor = TrainedPredictor {
+            model: arch.build(3),
+            scaler: predtop_gnn::TargetScaler {
+                mean: -5.0,
+                std: 0.5,
+            },
+        };
+        let bytes = artifacts::encode_predictor(&arch, &predictor);
+        (arch, predictor, bytes)
+    }
+
+    #[test]
+    fn a_saved_model_file_answers_predict() {
+        let (arch, predictor, bytes) = model_file_bytes();
+        let path = std::env::temp_dir().join(format!("predtop-serve-{}.bin", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let (seconds, source) = predict_with_model_file(&path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(source, "predictor");
+        let sample = GraphSample::new(&predict_spec().stage().build_graph(), 1.0, arch.pe_dim());
+        assert_eq!(seconds.to_bits(), predictor.predict(&sample).to_bits());
+    }
+
+    #[test]
+    fn unloadable_model_files_degrade_predict_to_the_analytic_baseline() {
+        let (_, _, bytes) = model_file_bytes();
+        let mut foreign_version = bytes.clone();
+        foreign_version[0] = 99;
+        let dir = std::env::temp_dir().join(format!("predtop-serve-bad-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let garbage = dir.join("garbage.bin");
+        std::fs::write(&garbage, b"not a model file").unwrap();
+        let foreign = dir.join("foreign.bin");
+        std::fs::write(&foreign, &foreign_version).unwrap();
+
+        let spec = predict_spec();
+        let analytic = AnalyticBaseline::new(Platform::platform1())
+            .query(&LatencyQuery::new(spec.stage(), spec.mesh, spec.config))
+            .unwrap()
+            .seconds;
+        for path in [dir.join("missing.bin"), garbage, foreign] {
+            let (seconds, source) = predict_with_model_file(&path);
+            assert_eq!(source, "analytic", "{}", path.display());
+            assert_eq!(seconds.to_bits(), analytic.to_bits(), "{}", path.display());
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! The lib tests already prove this for explicit thread counts passed
 //! to `train_with_threads`; this test exercises the environment-variable
-//! path the CLI and experiment binaries actually use, and compares the
-//! serialized parameter stores as well as their fingerprints.
+//! path the CLI and experiment binaries actually use, and compares every
+//! parameter's bit pattern as well as the fingerprints.
 
 use predtop_gnn::dag_transformer::{DagTransformer, TransformerConfig};
 use predtop_gnn::train::{train, TrainConfig};
@@ -74,7 +74,7 @@ fn env_thread_count_does_not_change_trained_weights() {
     );
 
     // Belt and braces beyond the fingerprint: compare every parameter's
-    // exact bit pattern, then the serialized forms byte for byte.
+    // exact bit pattern.
     let (a, b) = (serial.store(), parallel.store());
     assert_eq!(a.len(), b.len());
     for pid in 0..a.len() {
@@ -88,7 +88,4 @@ fn env_thread_count_does_not_change_trained_weights() {
             );
         }
     }
-    let ser_a = serde_json::to_string(a).expect("serialize store");
-    let ser_b = serde_json::to_string(b).expect("serialize store");
-    assert_eq!(ser_a, ser_b, "serialized parameter stores differ");
 }

@@ -4,15 +4,13 @@
 //! one-hot vector; [`DType::one_hot_index`] provides the stable index used
 //! by `features`.
 
-use serde::{Deserialize, Serialize};
-
 /// Element type of a tensor value.
 ///
 /// The set mirrors the dtypes that actually show up in jaxpr dumps of the
 /// two benchmarks (GPT-3 and GShard MoE trained in mixed precision):
 /// 16/32-bit floats for activations and parameters, integers for token ids
 /// and routing indices, and booleans for masks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DType {
     /// 16-bit IEEE float (activation/weight storage under mixed precision).
     F16,

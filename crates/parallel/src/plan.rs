@@ -2,7 +2,6 @@
 
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use predtop_models::{ModelSpec, StageSpec};
 
@@ -28,7 +27,7 @@ pub fn pipeline_latency(stage_latencies: &[f64], microbatches: usize) -> f64 {
 
 /// One stage of a pipeline plan: which layers, on what sub-mesh, under
 /// which intra-stage configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannedStage {
     /// Layer range of the stage.
     pub stage: StageSpec,
@@ -41,7 +40,7 @@ pub struct PlannedStage {
 /// A complete parallelization plan: an ordered partition of the model's
 /// layers into stages with device assignments, plus the micro-batch
 /// count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelinePlan {
     /// Stages in pipeline order.
     pub stages: Vec<PlannedStage>,

@@ -28,6 +28,8 @@ use predtop_store::{ByteReader, ByteWriter, DecodeError};
 pub const REQUEST_ENCODING_VERSION: u8 = 1;
 /// Version byte heading every encoded [`Response`].
 pub const RESPONSE_ENCODING_VERSION: u8 = 1;
+/// Version byte heading every encoded plan file ([`encode_plan`]).
+pub const PLAN_ENCODING_VERSION: u8 = 1;
 
 /// Append `m`'s canonical encoding to `w`. Stable across runs: a pure
 /// function of the spec's fields. This is the one model layout in the
@@ -139,6 +141,33 @@ pub fn decode_plan_body(r: &mut ByteReader<'_>) -> Result<PipelinePlan, DecodeEr
         stages,
         microbatches,
     })
+}
+
+/// Encode a plan as a self-contained payload: the version byte, then
+/// the [`encode_plan_body`] layout. This is the format of the store's
+/// plan objects, of `predtop search --plan-out`, and of the plan files
+/// `predtop-lint --plan` reads and `--fix` rewrites.
+pub fn encode_plan(plan: &PipelinePlan) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u8(PLAN_ENCODING_VERSION);
+    encode_plan_body(&mut w, plan);
+    w.into_bytes()
+}
+
+/// Decode a payload written by [`encode_plan`]. The round trip is
+/// exact: `decode_plan(&encode_plan(p)) == p` for every plan.
+pub fn decode_plan(bytes: &[u8]) -> Result<PipelinePlan, DecodeError> {
+    let mut r = ByteReader::new(bytes);
+    let version = r.u8("plan version")?;
+    if version != PLAN_ENCODING_VERSION {
+        return Err(DecodeError::UnsupportedVersion {
+            what: "plan",
+            version: version as u64,
+        });
+    }
+    let plan = decode_plan_body(&mut r)?;
+    r.finish()?;
+    Ok(plan)
 }
 
 /// One stage-latency question: a layer window of a model on a mesh

@@ -379,7 +379,9 @@ impl Server {
 /// poll timeout never loses partial frame bytes; complete frames are
 /// decoded, handled, and answered in arrival order. After drain begins
 /// the connection is closed after at most one further response (or
-/// after `grace` idle polls if the peer sends nothing).
+/// after `grace` idle polls if the peer sends nothing): the drain flag
+/// is read when a frame is taken off the buffer, so a reply to a frame
+/// taken before drain began never counts as that one response.
 fn serve_connection<S, H>(mut stream: S, handler: &H, drain: &AtomicBool, grace: u32)
 where
     S: Read + Write,
@@ -420,6 +422,7 @@ where
             }
             let payload: Vec<u8> = acc[4..4 + len].to_vec();
             acc.drain(..4 + len);
+            let post_drain = drain.load(Ordering::SeqCst);
 
             let resp = match decode_request(&payload) {
                 Ok(req) => handler(&req),
@@ -447,7 +450,7 @@ where
                 drain.store(true, Ordering::SeqCst);
                 return;
             }
-            if drain.load(Ordering::SeqCst) {
+            if post_drain {
                 // one post-drain response, then a deterministic close
                 return;
             }
@@ -596,6 +599,63 @@ mod tests {
             Response::Bye
         ));
         assert_eq!(read_frame(&mut out).unwrap(), None, "no reply after Bye");
+    }
+
+    /// A [`Script`] whose `flush` begins drain: the peer of a real
+    /// socket can read the reply and trigger drain before the server
+    /// loop takes its next step.
+    struct DrainOnFlush<'a> {
+        script: Script,
+        drain: &'a AtomicBool,
+    }
+
+    impl Read for DrainOnFlush<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.script.read(buf)
+        }
+    }
+
+    impl Write for DrainOnFlush<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.script.write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.drain.store(true, Ordering::SeqCst);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn drain_during_a_reply_still_allows_one_post_drain_response() {
+        let mut input = Vec::new();
+        for _ in 0..3 {
+            write_frame(&mut input, &encode_request(&Request::Stats)).unwrap();
+        }
+        let drain = AtomicBool::new(false);
+        let mut stream = DrainOnFlush {
+            script: Script {
+                input: io::Cursor::new(input),
+                output: Vec::new(),
+            },
+            drain: &drain,
+        };
+        serve_connection(
+            &mut stream,
+            &|_req: &Request| Response::Stats(Default::default()),
+            &drain,
+            4,
+        );
+        // the first reply predates drain; the second frame is the one
+        // post-drain response; the third is never answered
+        let mut out = io::Cursor::new(stream.script.output);
+        for _ in 0..2 {
+            let frame = read_frame(&mut out).unwrap().expect("a reply");
+            assert!(matches!(
+                crate::api::decode_response(&frame).unwrap(),
+                Response::Stats(_)
+            ));
+        }
+        assert_eq!(read_frame(&mut out).unwrap(), None, "exactly two replies");
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! a parameter transfer at PCIe speed, and a handful of timed iterations.
 
 use parking_lot::Mutex;
-use serde::Serialize;
 
 /// Tunable cost constants for one profiling task.
 #[derive(Debug, Clone, Copy)]
@@ -57,7 +56,7 @@ impl CostingModel {
 }
 
 /// Aggregated cost totals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostTotals {
     /// Number of stage-profiling tasks executed.
     pub stages_profiled: usize,

@@ -24,10 +24,9 @@ use predtop_cluster::GpuSpec;
 use predtop_ir::{Graph, NodeKind, OpKind};
 use predtop_parallel::intra::IntraPlan;
 use predtop_parallel::sharding::Sharding;
-use serde::Serialize;
 
 /// Byte breakdown of one device's memory for a stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryEstimate {
     /// Parameter bytes resident per device.
     pub params: u64,

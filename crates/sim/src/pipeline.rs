@@ -11,10 +11,8 @@
 //! communication it quantifies when the Eqn. 4 assumption breaks — the
 //! stress test in `bench/eqn4_validation`.
 
-use serde::Serialize;
-
 /// Result of one pipeline simulation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineSim {
     /// Completion time of each (stage, micro-batch) pair, row-major
     /// `[stage][microbatch]`.

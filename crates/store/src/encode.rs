@@ -1,9 +1,8 @@
 //! Canonical little-endian byte encodings.
 //!
-//! The vendored `serde_json` stand-in cannot round-trip data offline,
-//! and JSON would not give byte-stable payloads anyway (float
-//! formatting, key order). Store keys and payloads therefore use a
-//! tiny hand-rolled binary format: fixed-width little-endian integers,
+//! Store keys and payloads must be byte-stable, which JSON is not
+//! (float formatting, key order), so they use a tiny hand-rolled
+//! binary format: fixed-width little-endian integers,
 //! IEEE-754 bit patterns for floats, `u64` length prefixes for
 //! variable-size data, and one-byte tags for options/enums. Writers
 //! and readers in the owning crates compose these primitives; the

@@ -288,8 +288,13 @@ pub struct GcReport {
 pub struct Store {
     root: PathBuf,
     packs: Mutex<Vec<Pack>>,
-    tmp_counter: AtomicU64,
 }
+
+/// Sequence number of staged object files. Process-wide, not per
+/// [`Store`]: two handles on one directory in one process would
+/// otherwise stage the same key under the same `tmp/` name, and one
+/// writer's rename would take the other's file.
+static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl Store {
     /// Open (creating if necessary) the store at `root`.
@@ -303,7 +308,6 @@ impl Store {
         Ok(Store {
             root,
             packs: Mutex::new(packs),
-            tmp_counter: AtomicU64::new(0),
         })
     }
 
@@ -348,7 +352,7 @@ impl Store {
         let tmp = self.root.join("tmp").join(format!(
             "{}-{}-{}",
             std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed),
+            TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
             &digest.to_hex()[..12],
         ));
         fs::write(&tmp, &file).map_err(|e| StoreError::io("stage object", &tmp, e))?;

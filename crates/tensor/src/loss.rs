@@ -2,10 +2,8 @@
 //! "the MAE loss function always outperformed the MSE loss" — and mean
 //! squared error as the ablation baseline.
 
-use serde::{Deserialize, Serialize};
-
 /// Loss function selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Loss {
     /// Mean absolute error (eqn. 3) — PredTOP's choice.
     Mae,

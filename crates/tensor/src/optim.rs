@@ -2,10 +2,9 @@
 //! β₁ = 0.9, β₂ = 0.999).
 
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Flat store of trainable parameter matrices and their gradients.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ParamStore {
     pub(crate) values: Vec<Matrix>,
     pub(crate) grads: Vec<Matrix>,

@@ -35,7 +35,7 @@ use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
 
-use predtop::core::persist;
+use predtop::core::encode_predictor;
 use predtop::prelude::*;
 
 /// The complete help text. `predtop help` / `--help` print it verbatim
@@ -47,7 +47,7 @@ commands:
   info                       list platforms, meshes, and benchmarks
   profile                    simulate one stage's training latency
   search                     optimize a full pipeline plan
-  fit -o FILE                fit a DAG-Transformer predictor, save JSON
+  fit -o FILE                fit a DAG-Transformer predictor and save it
   predict -m FILE            predict a stage latency with a saved model
                              (falls back to the analytic baseline if the
                              model cannot be loaded; see `source = ...`)
@@ -68,7 +68,8 @@ options:
   --microbatches B           pipeline micro-batches (default 8)
   --threads T                (search/serve) evaluation worker threads
   --format text|json         output format (default text)
-  --plan-out FILE            (search) write the chosen plan as JSON
+  --plan-out FILE            (search) write the chosen plan file
+                             (predtop-lint --plan reads it)
   --store DIR                persist latency replies and plan/outcome
                              snapshots in a content-addressed object
                              store at DIR, so a second identical run
@@ -628,11 +629,7 @@ fn cmd_search(args: &Args) {
         }
     }
     if let Some(path) = args.flags.get("plan-out") {
-        let json = serde_json::to_string(&out.plan).unwrap_or_else(|e| {
-            eprintln!("plan serialization failed: {e}");
-            exit(1);
-        });
-        if let Err(e) = std::fs::write(path, json) {
+        if let Err(e) = std::fs::write(path, encode_plan(&out.plan)) {
             eprintln!("could not write plan to {path}: {e}");
             exit(1);
         }
@@ -685,7 +682,7 @@ fn cmd_fit(args: &Args) {
     );
     let mre = predtop::gnn::train::eval_mre(net.as_ref(), &scaler, &ds, &split.test);
     let predictor = TrainedPredictor { model: net, scaler };
-    persist::save_to_file(out_path, arch, &predictor).unwrap_or_else(|e| {
+    std::fs::write(out_path, encode_predictor(&arch, &predictor)).unwrap_or_else(|e| {
         eprintln!("save failed: {e}");
         exit(1);
     });

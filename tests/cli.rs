@@ -6,14 +6,6 @@ fn predtop() -> Command {
     Command::new(env!("CARGO_BIN_EXE_predtop"))
 }
 
-/// Whether the ambient `serde_json` can actually deserialize. Under the
-/// offline stub (sandboxed builds) every saved model file is a
-/// placeholder that cannot be loaded back, so `predict` legitimately
-/// degrades to the analytic fallback.
-fn json_roundtrip_supported() -> bool {
-    serde_json::from_str::<u32>("1").is_ok()
-}
-
 #[test]
 fn info_lists_platforms_and_benchmarks() {
     let out = predtop().arg("info").output().expect("run predtop info");
@@ -71,7 +63,7 @@ commands:
   info                       list platforms, meshes, and benchmarks
   profile                    simulate one stage's training latency
   search                     optimize a full pipeline plan
-  fit -o FILE                fit a DAG-Transformer predictor, save JSON
+  fit -o FILE                fit a DAG-Transformer predictor and save it
   predict -m FILE            predict a stage latency with a saved model
                              (falls back to the analytic baseline if the
                              model cannot be loaded; see `source = ...`)
@@ -92,7 +84,8 @@ options:
   --microbatches B           pipeline micro-batches (default 8)
   --threads T                (search/serve) evaluation worker threads
   --format text|json         output format (default text)
-  --plan-out FILE            (search) write the chosen plan as JSON
+  --plan-out FILE            (search) write the chosen plan file
+                             (predtop-lint --plan reads it)
   --store DIR                persist latency replies and plan/outcome
                              snapshots in a content-addressed object
                              store at DIR, so a second identical run
@@ -161,7 +154,7 @@ fn every_subcommand_answers_help_with_exit_zero() {
 
 #[test]
 fn fit_then_predict_roundtrip() {
-    let model_path = std::env::temp_dir().join("predtop_cli_test_model.json");
+    let model_path = std::env::temp_dir().join("predtop_cli_test_model.bin");
     let _ = std::fs::remove_file(&model_path);
     let out = predtop()
         .args([
@@ -203,14 +196,10 @@ fn fit_then_predict_roundtrip() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("predicted latency"), "{text}");
-    // fallback attribution: a loadable model answers as the predictor;
-    // when the environment cannot round-trip JSON the chain degrades to
-    // the analytic baseline — and says so
-    if json_roundtrip_supported() {
-        assert!(text.contains("source = predictor"), "{text}");
-    } else {
-        assert!(text.contains("source = analytic"), "{text}");
-    }
+    // the saved model loads back and answers, not the analytic fallback
+    assert!(text.contains("source = predictor"), "{text}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("model load failed"), "{stderr}");
     std::fs::remove_file(model_path).ok();
 }
 
@@ -685,7 +674,7 @@ fn store_command_requires_an_action_and_a_directory() {
 
 #[test]
 fn search_plan_out_writes_a_plan_file() {
-    let plan_path = std::env::temp_dir().join("predtop_cli_test_plan.json");
+    let plan_path = std::env::temp_dir().join("predtop_cli_test.plan");
     let _ = std::fs::remove_file(&plan_path);
     let out = predtop()
         .args([
@@ -705,12 +694,23 @@ fn search_plan_out_writes_a_plan_file() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let body = std::fs::read_to_string(&plan_path).expect("plan file written");
-    assert!(!body.is_empty());
-    if json_roundtrip_supported() {
-        let plan: predtop::parallel::PipelinePlan =
-            serde_json::from_str(&body).expect("plan file parses back");
-        assert!(!plan.stages.is_empty());
+    let bytes = std::fs::read(&plan_path).expect("plan file written");
+    let plan = predtop::core::decode_plan(&bytes).expect("plan file decodes");
+    assert!(!plan.stages.is_empty());
+    assert_eq!(plan.microbatches, 4);
+    // the stages tile the model's layers in order
+    let model = plan.stages[0].stage.model;
+    let mut next = 0;
+    for ps in &plan.stages {
+        assert_eq!(ps.stage.model, model);
+        assert_eq!(ps.stage.start, next);
+        next = ps.stage.end;
+    }
+    assert_eq!(next, model.num_layers);
+    // and they agree with the stage lines the search printed
+    let text = String::from_utf8_lossy(&out.stdout);
+    for ps in &plan.stages {
+        assert!(text.contains(&ps.stage.label()), "{text}");
     }
     std::fs::remove_file(plan_path).ok();
 }
