@@ -62,8 +62,7 @@ fn main() {
             .iter()
             .map(|s| {
                 let n = s.num_nodes();
-                let allowed = s.dag_mask.data().iter().filter(|&&m| m == 0.0).count();
-                allowed as f64 / (n * n) as f64
+                s.dag_allowed.count() as f64 / (n * n) as f64
             })
             .sum::<f64>()
             / samples.len() as f64;

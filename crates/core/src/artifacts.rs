@@ -14,21 +14,25 @@
 //!   and storing them would make byte-identity across runs impossible;
 //! * **predictor snapshots** ([`encode_predictor`] /
 //!   [`decode_predictor`]) — architecture, target scaler, and every
-//!   weight matrix, sealed with the [`ParamStore`
+//!   weight matrix, sealed with a hash of the encoded architecture and
+//!   the [`ParamStore`
 //!   fingerprint](predtop_tensor::ParamStore::fingerprint) that decode
-//!   re-verifies against the rebuilt weights.
+//!   re-verifies against the rebuilt network.
 //!
 //! Decoding never panics on arbitrary bytes: malformed input surfaces
-//! as [`DecodeError`]; a predictor whose restored weights do not hash
-//! back to the stored fingerprint surfaces as
+//! as [`DecodeError`]; a predictor whose architecture or restored
+//! weights do not hash back to the stored seal surfaces as
 //! [`ArtifactError::FingerprintMismatch`]. In store-backed flows the
-//! payload digest already guards integrity, so the fingerprint is a
-//! second, semantic seal: it fails if the *encoding itself* ever drifts
-//! from the weights it claims to carry.
+//! payload digest already guards integrity, so the seal is a second,
+//! semantic check: it fails if the *encoding itself* ever drifts from
+//! the network it claims to carry. It covers the architecture because
+//! some architecture fields (the DAG Transformer's heads and mask
+//! switches) change predictions without changing any weight shape.
 
 use predtop_gnn::{ModelKind as PredictorKind, TargetScaler, TrainedPredictor};
 use predtop_parallel::PipelinePlan;
 use predtop_service::api::{decode_plan_body, encode_plan_body};
+use predtop_store::hash::Fnv1a64;
 use predtop_store::{ByteReader, ByteWriter, DecodeError};
 use predtop_tensor::Matrix;
 
@@ -45,8 +49,9 @@ use crate::search::SearchOutcome;
 
 /// Version byte heading every search-snapshot encoding.
 pub const OUTCOME_ENCODING_VERSION: u8 = 1;
-/// Version byte heading every predictor-snapshot encoding.
-pub const PREDICTOR_ENCODING_VERSION: u8 = 1;
+/// Version byte heading every predictor-snapshot encoding. Version 2
+/// seals the architecture together with the weights.
+pub const PREDICTOR_ENCODING_VERSION: u8 = 2;
 
 /// Largest layer count [`decode_arch`] accepts (the paper's deepest
 /// predictor has 6).
@@ -63,12 +68,13 @@ pub enum ArtifactError {
     /// The byte layout itself is malformed (truncated, bad tag, wrong
     /// version, trailing garbage).
     Decode(DecodeError),
-    /// The restored weights do not hash back to the fingerprint sealed
-    /// into the snapshot — the encoding and the weights disagree.
+    /// The decoded architecture and restored weights do not hash back
+    /// to the seal recorded in the snapshot — the encoding and the
+    /// network disagree.
     FingerprintMismatch {
-        /// Fingerprint recorded in the snapshot.
+        /// Seal recorded in the snapshot.
         expected: u64,
-        /// Fingerprint of the weights actually restored.
+        /// Seal of the architecture and weights actually restored.
         found: u64,
     },
     /// The snapshot's parameter matrices do not match the shapes the
@@ -92,8 +98,8 @@ impl std::fmt::Display for ArtifactError {
             ArtifactError::Decode(e) => write!(f, "artifact decode: {e}"),
             ArtifactError::FingerprintMismatch { expected, found } => write!(
                 f,
-                "predictor fingerprint mismatch: snapshot says {expected:#018x}, \
-                 restored weights hash to {found:#018x}"
+                "predictor seal mismatch: snapshot says {expected:#018x}, \
+                 restored architecture and weights hash to {found:#018x}"
             ),
             ArtifactError::ShapeMismatch {
                 what,
@@ -270,8 +276,20 @@ pub fn decode_arch(r: &mut ByteReader<'_>) -> Result<ArchConfig, DecodeError> {
     })
 }
 
+/// The seal of a predictor snapshot: FNV-1a over `arch`'s encoding,
+/// then the weights' [`ParamStore`](predtop_tensor::ParamStore)
+/// fingerprint.
+fn predictor_seal(arch: &ArchConfig, fingerprint: u64) -> u64 {
+    let mut w = ByteWriter::new();
+    encode_arch(&mut w, arch);
+    let mut h = Fnv1a64::new();
+    h.write_bytes(&w.into_bytes());
+    h.write_word(fingerprint);
+    h.finish()
+}
+
 /// Encode a trained predictor: architecture, scaler, weight matrices,
-/// and the [`ParamStore`](predtop_tensor::ParamStore) fingerprint that
+/// and the seal over architecture and weights that
 /// [`decode_predictor`] re-verifies.
 pub fn encode_predictor(arch: &ArchConfig, predictor: &TrainedPredictor) -> Vec<u8> {
     let store = predictor.model.store();
@@ -296,7 +314,7 @@ fn encode_predictor_parts(
     encode_arch(&mut w, arch);
     w.f64_bits(scaler.mean);
     w.f64_bits(scaler.std);
-    w.u64(fingerprint);
+    w.u64(predictor_seal(arch, fingerprint));
     w.usize(params.len());
     for m in params {
         w.usize(m.rows());
@@ -311,9 +329,10 @@ fn encode_predictor_parts(
 /// Rebuild a predictor from a payload written by [`encode_predictor`].
 ///
 /// The architecture is re-instantiated, the weights restored, and the
-/// restored [`ParamStore`](predtop_tensor::ParamStore)'s fingerprint
-/// checked against the one sealed into the snapshot — a mismatch means
-/// the bytes decode but do not carry the weights they claim to.
+/// seal of the decoded architecture and the restored
+/// [`ParamStore`](predtop_tensor::ParamStore)'s fingerprint checked
+/// against the one in the snapshot — a mismatch means the bytes decode
+/// but do not carry the network they claim to.
 pub fn decode_predictor(bytes: &[u8]) -> Result<(ArchConfig, TrainedPredictor), ArtifactError> {
     let mut r = ByteReader::new(bytes);
     let version = r.u8("predictor version")?;
@@ -327,7 +346,7 @@ pub fn decode_predictor(bytes: &[u8]) -> Result<(ArchConfig, TrainedPredictor), 
     let arch = decode_arch(&mut r)?;
     let mean = r.f64_bits("scaler mean")?;
     let std = r.f64_bits("scaler std")?;
-    let fingerprint = r.u64("predictor fingerprint")?;
+    let seal = r.u64("predictor seal")?;
     let num_params = r.usize("param count")?;
 
     // rebuild the architecture first so shape validation has a ground
@@ -362,10 +381,10 @@ pub fn decode_predictor(bytes: &[u8]) -> Result<(ArchConfig, TrainedPredictor), 
     r.finish().map_err(ArtifactError::Decode)?;
 
     model.store_mut().restore(&params);
-    let found = model.store().fingerprint();
-    if found != fingerprint {
+    let found = predictor_seal(&arch, model.store().fingerprint());
+    if found != seal {
         return Err(ArtifactError::FingerprintMismatch {
-            expected: fingerprint,
+            expected: seal,
             found,
         });
     }
@@ -667,14 +686,55 @@ mod tests {
         }
     }
 
+    /// `bytes` with its architecture header replaced by `arch`'s.
+    fn with_arch_header(
+        bytes: &[u8],
+        arch: &ArchConfig,
+        edit: impl Fn(&mut ByteWriter),
+    ) -> Vec<u8> {
+        let mut header = ByteWriter::new();
+        header.u8(PREDICTOR_ENCODING_VERSION);
+        encode_arch(&mut header, arch);
+        let mut w = ByteWriter::new();
+        w.u8(PREDICTOR_ENCODING_VERSION);
+        edit(&mut w);
+        w.raw(&bytes[header.len()..]);
+        w.into_bytes()
+    }
+
+    /// Heads and the two mask switches change what a DAG Transformer
+    /// predicts but no weight shape; the seal still rejects a file whose
+    /// header was edited to claim other values.
+    #[test]
+    fn edited_heads_or_mask_switches_fail_the_seal() {
+        let (arch, bytes) = sealed_predictor();
+        let edits: [fn(&mut ArchConfig); 4] = [
+            |a| a.heads = 4,
+            |a| a.heads = 1,
+            |a| a.use_dagra = !a.use_dagra,
+            |a| a.use_dagpe = !a.use_dagpe,
+        ];
+        for edit in edits {
+            let mut edited = *arch;
+            edit(&mut edited);
+            let evil = with_arch_header(bytes, arch, |w| encode_arch(w, &edited));
+            match decode_predictor(&evil) {
+                Err(ArtifactError::FingerprintMismatch { expected, found }) => {
+                    assert_ne!(expected, found)
+                }
+                Err(e) => panic!("{edited:?}: expected a seal mismatch, got {e:?}"),
+                Ok(_) => panic!("{edited:?}: an edited architecture decoded"),
+            }
+        }
+        assert!(decode_predictor(bytes).is_ok(), "the unedited file decodes");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// A sealed payload whose architecture fields are replaced never
         /// decodes and never panics: out-of-range fields are decode
         /// errors, in-range ones build a network the stored weights do
-        /// not fit. (A DAG Transformer with the same depth and width but
-        /// other heads or mask flags has the same weight shapes, so it is
-        /// left out.)
+        /// not fit or fail the seal.
         #[test]
         fn prop_foreign_arch_fields_are_rejected(
             kind in 0u8..5,
@@ -684,21 +744,22 @@ mod tests {
             flags in (0u8..3, 0u8..3),
         ) {
             let (arch, bytes) = sealed_predictor();
-            prop_assume!(!(kind == 3 && layers == arch.layers && hidden == arch.hidden));
-            let mut header = ByteWriter::new();
-            header.u8(PREDICTOR_ENCODING_VERSION);
-            encode_arch(&mut header, arch);
-            let body = &bytes[header.len()..];
-            let mut w = ByteWriter::new();
-            w.u8(PREDICTOR_ENCODING_VERSION);
-            w.u8(kind);
-            w.usize(layers);
-            w.usize(hidden);
-            w.usize(heads);
-            w.u8(flags.0);
-            w.u8(flags.1);
-            w.raw(body);
-            prop_assert!(decode_predictor(&w.into_bytes()).is_err());
+            prop_assume!(
+                !(kind == 3
+                    && layers == arch.layers
+                    && hidden == arch.hidden
+                    && heads == arch.heads
+                    && flags == (arch.use_dagra as u8, arch.use_dagpe as u8))
+            );
+            let evil = with_arch_header(bytes, arch, |w| {
+                w.u8(kind);
+                w.usize(layers);
+                w.usize(hidden);
+                w.usize(heads);
+                w.u8(flags.0);
+                w.u8(flags.1);
+            });
+            prop_assert!(decode_predictor(&evil).is_err());
         }
     }
 

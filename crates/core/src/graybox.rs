@@ -2,6 +2,8 @@
 //! predictors → predict everything (§VI, Fig. 7).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -10,8 +12,11 @@ use predtop_gnn::train::{train_with_threads, TrainConfig, TrainReport};
 use predtop_gnn::{Dataset, GraphSample, Split, TrainedPredictor};
 use predtop_models::{sample_stages, ModelSpec, StageSpec};
 use predtop_parallel::interstage::candidate_submeshes;
-use predtop_parallel::{table3_configs, MeshShape, ParallelConfig, StageLatencyProvider};
+use predtop_parallel::{
+    table3_configs, MeshShape, ParallelConfig, StageLatencyProvider, StructuralDescriptor,
+};
 use predtop_runtime::par_map;
+use predtop_service::api::{decode_config, decode_mesh};
 use predtop_service::{LatencyQuery, LatencyReply, LatencyService, ServiceError};
 use predtop_sim::SimProfiler;
 use predtop_store::{ByteReader, ByteWriter, DecodeError, ObjectKind, Store};
@@ -51,17 +56,32 @@ impl GrayBoxConfig {
     }
 }
 
+/// Every scenario's prediction for one stage structure.
+type ScenarioPredictions = HashMap<(MeshShape, ParallelConfig), f64>;
+
 /// A fitted PredTOP instance: one trained predictor per (sub-mesh,
 /// configuration) scenario, usable as a drop-in
 /// [`StageLatencyProvider`] for the inter-stage optimizer.
+///
+/// Predictions are cached per stage *structure*: the key is the stage
+/// part of the [`StructuralDescriptor`], which is equal exactly when
+/// two stages build the same graph (`[1, 3)` and `[2, 4)` of a dense
+/// decoder), so such stages share one inference. Each key owns a
+/// single-flight cell holding every scenario's prediction: the first
+/// query builds the sample once and runs every scenario's forward pass
+/// into the cell, concurrent queries for the same structure wait for
+/// it, and queries for other structures run their own forwards in
+/// parallel. The map lock is held only to fetch or insert a cell.
 pub struct PredTop {
     predictors: HashMap<(MeshShape, ParallelConfig), TrainedPredictor>,
-    prediction_cache: Mutex<HashMap<(StageSpec, MeshShape, ParallelConfig), f64>>,
+    predictions: Mutex<HashMap<StructuralDescriptor, Arc<OnceLock<ScenarioPredictions>>>>,
     pe_dim: usize,
     /// Wall-clock seconds spent training all scenario predictors.
     pub training_seconds: f64,
-    /// Wall-clock seconds spent on inference so far.
+    /// Inference seconds so far, summed over the threads that ran it.
     inference_seconds: Mutex<f64>,
+    /// Stage structures whose forward passes have run.
+    inferred_stages: AtomicUsize,
     /// Number of stages profiled during the fitting phase.
     pub profiled_stage_count: usize,
     /// Per-scenario training reports.
@@ -92,11 +112,30 @@ impl PredTop {
         let pe_dim = cfg.arch.pe_dim();
 
         // Build the (latency-independent) sample matrices once per stage.
-        let base_samples: Vec<(StageSpec, GraphSample)> = stages
+        let base_samples: Vec<GraphSample> = stages
             .iter()
-            .map(|s| {
-                let g = profiler.stage_graph(s);
-                (*s, GraphSample::new(&g, 1.0, pe_dim))
+            .map(|s| GraphSample::new(&profiler.stage_graph(s), 1.0, pe_dim))
+            .collect();
+
+        let scenarios: Vec<(u64, MeshShape, ParallelConfig)> = candidate_submeshes(cluster)
+            .into_iter()
+            .flat_map(|mesh| table3_configs(mesh).into_iter().map(move |c| (mesh, c)))
+            .enumerate()
+            .map(|(i, (mesh, config))| (i as u64, mesh, config))
+            .collect();
+
+        // Profiling phase, serial in scenario order: the profiler's cost
+        // ledger sums each profile's simulated seconds as it is taken,
+        // so a fixed order keeps the profiling bill's floating-point
+        // total independent of thread timing.
+        let profiled: Vec<_> = scenarios
+            .into_iter()
+            .map(|scenario @ (_, mesh, config)| {
+                let latencies: Vec<f64> = stages
+                    .iter()
+                    .map(|s| profiler.stage_latency(s, mesh, config))
+                    .collect();
+                (scenario, latencies)
             })
             .collect();
 
@@ -106,19 +145,13 @@ impl PredTop {
         // thread oversubscription, and each cell's weights stay
         // bit-identical to a fully serial fit because its init seed and
         // data order depend only on its enumeration index).
-        let scenarios: Vec<(u64, MeshShape, ParallelConfig)> = candidate_submeshes(cluster)
-            .into_iter()
-            .flat_map(|mesh| table3_configs(mesh).into_iter().map(move |c| (mesh, c)))
-            .enumerate()
-            .map(|(i, (mesh, config))| (i as u64, mesh, config))
-            .collect();
-        let fitted = par_map(scenarios, |(scenario_idx, mesh, config)| {
-            // profiling phase for this scenario
+        let fitted = par_map(profiled, |((scenario_idx, mesh, config), latencies)| {
             let samples: Vec<GraphSample> = base_samples
                 .iter()
-                .map(|(spec, base)| {
+                .zip(latencies)
+                .map(|(base, latency)| {
                     let mut s = base.clone();
-                    s.latency = profiler.stage_latency(spec, mesh, config);
+                    s.latency = latency;
                     s
                 })
                 .collect();
@@ -144,14 +177,28 @@ impl PredTop {
             predictors.insert((mesh, config), predictor);
         }
 
+        let mut pt = PredTop::new(predictors, pe_dim, stages.len());
+        pt.training_seconds = training_seconds;
+        pt.reports = reports;
+        pt
+    }
+
+    /// An instance over fitted `predictors` with an empty prediction
+    /// cache and no training facts.
+    fn new(
+        predictors: HashMap<(MeshShape, ParallelConfig), TrainedPredictor>,
+        pe_dim: usize,
+        profiled_stage_count: usize,
+    ) -> PredTop {
         PredTop {
             predictors,
-            prediction_cache: Mutex::new(HashMap::new()),
+            predictions: Mutex::new(HashMap::new()),
             pe_dim,
-            training_seconds,
+            training_seconds: 0.0,
             inference_seconds: Mutex::new(0.0),
-            profiled_stage_count: stages.len(),
-            reports,
+            inferred_stages: AtomicUsize::new(0),
+            profiled_stage_count,
+            reports: Vec::new(),
         }
     }
 
@@ -193,23 +240,33 @@ impl PredTop {
         self.predictors.keys()
     }
 
-    /// Wall-clock seconds spent on inference so far.
+    /// Seconds spent on inference so far (graph and sample build plus
+    /// every scenario's forward pass), summed over the threads that ran
+    /// it: queries from parallel search workers each add their own time,
+    /// so the sum can exceed the elapsed wall time.
     pub fn inference_seconds(&self) -> f64 {
         *self.inference_seconds.lock()
     }
 
+    /// Distinct stage structures whose forward passes have run so far.
+    /// Structurally equal stages count once.
+    pub fn inferred_stages(&self) -> usize {
+        self.inferred_stages.load(Ordering::Relaxed)
+    }
+
     /// Predict latencies of `stage` for every scenario at once (one
-    /// sample construction amortized over all predictors) and memoize.
-    fn predict_all_scenarios(&self, stage: &StageSpec) {
+    /// sample construction amortized over all predictors).
+    fn predict_all_scenarios(&self, stage: &StageSpec) -> ScenarioPredictions {
         let started = Instant::now();
         let sample = GraphSample::new(&stage.build_graph(), 1.0, self.pe_dim);
-        let mut cache = self.prediction_cache.lock();
-        for (&(mesh, config), predictor) in &self.predictors {
-            let pred = predictor.predict(&sample).max(1e-9);
-            cache.insert((*stage, mesh, config), pred);
-        }
-        drop(cache);
+        let preds = self
+            .predictors
+            .iter()
+            .map(|(&scenario, predictor)| (scenario, predictor.predict(&sample).max(1e-9)))
+            .collect();
         *self.inference_seconds.lock() += started.elapsed().as_secs_f64();
+        self.inferred_stages.fetch_add(1, Ordering::Relaxed);
+        preds
     }
 }
 
@@ -299,8 +356,8 @@ pub fn decode_graybox(bytes: &[u8], cfg: &GrayBoxConfig) -> Result<PredTop, Arti
     let count = r.usize("graybox scenario count")?;
     let mut predictors = HashMap::new();
     for _ in 0..count {
-        let mesh = MeshShape::new(r.usize("scenario nodes")?, r.usize("scenario gpus")?);
-        let config = ParallelConfig::new(r.usize("scenario dp")?, r.usize("scenario mp")?);
+        let mesh = decode_mesh(&mut r)?;
+        let config = decode_config(&mut r)?;
         let blob = r.bytes("scenario predictor")?;
         let (arch, predictor) = artifacts::decode_predictor(blob)?;
         if arch != cfg.arch {
@@ -309,15 +366,11 @@ pub fn decode_graybox(bytes: &[u8], cfg: &GrayBoxConfig) -> Result<PredTop, Arti
         predictors.insert((mesh, config), predictor);
     }
     r.finish().map_err(ArtifactError::Decode)?;
-    Ok(PredTop {
+    Ok(PredTop::new(
         predictors,
-        prediction_cache: Mutex::new(HashMap::new()),
-        pe_dim: cfg.arch.pe_dim(),
-        training_seconds: 0.0,
-        inference_seconds: Mutex::new(0.0),
+        cfg.arch.pe_dim(),
         profiled_stage_count,
-        reports: Vec::new(),
-    })
+    ))
 }
 
 /// 90/10 train/validation split over `n` fitted samples (no test part:
@@ -334,20 +387,15 @@ fn fit_split(n: usize) -> Split {
 
 impl StageLatencyProvider for PredTop {
     fn stage_latency(&self, stage: &StageSpec, mesh: MeshShape, config: ParallelConfig) -> f64 {
-        let key = (*stage, mesh, config);
-        if let Some(&t) = self.prediction_cache.lock().get(&key) {
-            return t;
-        }
         assert!(
             self.predictors.contains_key(&(mesh, config)),
             "no predictor trained for scenario ({mesh:?}, {config:?})"
         );
-        self.predict_all_scenarios(stage);
-        *self
-            .prediction_cache
-            .lock()
-            .get(&key)
-            .expect("just inserted")
+        // the stage part of the structural descriptor: one cell holds
+        // every placement, so the placement is fixed
+        let key = StructuralDescriptor::of(stage, MeshShape::new(1, 1), ParallelConfig::SERIAL);
+        let cell = self.predictions.lock().entry(key).or_default().clone();
+        cell.get_or_init(|| self.predict_all_scenarios(stage))[&(mesh, config)]
     }
 }
 
@@ -424,6 +472,213 @@ mod tests {
         let t2 = pt.stage_latency(&stage, MeshShape::new(1, 2), ParallelConfig::new(2, 1));
         assert_eq!(t, t2);
         assert_eq!(pt.inference_seconds(), before);
+    }
+
+    /// A fixed-seed fit's weight fingerprints and prediction bits,
+    /// recorded on the code before structural sharing, the nested-inline
+    /// rule and the fused attention op: all three must leave every bit
+    /// where it was.
+    #[test]
+    fn fixed_seed_fit_reproduces_pinned_weights_and_predictions() {
+        let profiler = SimProfiler::new(Platform::platform1(), 7);
+        let pt = PredTop::fit(tiny_model(), MeshShape::new(1, 2), &profiler, &tiny_cfg());
+        let serial = (MeshShape::new(1, 1), ParallelConfig::SERIAL);
+        let mp = (MeshShape::new(1, 2), ParallelConfig::new(1, 2));
+        let dp = (MeshShape::new(1, 2), ParallelConfig::new(2, 1));
+        for (scenario, fingerprint) in [
+            (serial, 0x0d85_8767_690a_a3be_u64),
+            (mp, 0x4e5a_ff82_f424_2a76),
+            (dp, 0x6c75_a369_eb55_25dc),
+        ] {
+            let found = pt.predictors[&scenario].model.store().fingerprint();
+            assert_eq!(found, fingerprint, "{scenario:?} weights moved");
+        }
+        let pinned: [((usize, usize), [u64; 3]); 5] = [
+            (
+                (0, 5),
+                [
+                    0x3f72_12ae_4a09_ae7f,
+                    0x3f91_297f_207e_9899,
+                    0x3f27_eb2b_3aac_0317,
+                ],
+            ),
+            (
+                (1, 3),
+                [
+                    0x3f68_13d7_efeb_35b1,
+                    0x3f68_12b2_2d3f_e76f,
+                    0x3f50_2289_a379_0a7f,
+                ],
+            ),
+            (
+                (2, 4),
+                [
+                    0x3f68_13d7_efeb_35b1,
+                    0x3f68_12b2_2d3f_e76f,
+                    0x3f50_2289_a379_0a7f,
+                ],
+            ),
+            (
+                (0, 6),
+                [
+                    0x3f72_b449_b03c_f334,
+                    0x3f98_c6b7_5733_529a,
+                    0x3f1d_d999_cf8b_1b6a,
+                ],
+            ),
+            (
+                (5, 6),
+                [
+                    0x3f64_9e4a_54e6_a9f1,
+                    0x3f66_2658_28a3_6dd8,
+                    0x3f4a_8dee_fb2a_ed4f,
+                ],
+            ),
+        ];
+        for ((start, end), bits) in pinned {
+            let stage = StageSpec::new(tiny_model(), start, end);
+            for ((mesh, config), want) in [serial, mp, dp].into_iter().zip(bits) {
+                let got = pt.stage_latency(&stage, mesh, config).to_bits();
+                assert_eq!(got, want, "[{start}, {end}) on ({mesh:?}, {config:?})");
+            }
+        }
+        // [1, 3) and [2, 4) are one structure: four stages, one shared
+        assert_eq!(pt.inferred_stages(), 4);
+    }
+
+    /// The fit's profiling bill is the ledger's float sum, so it is
+    /// taken in one fixed order (scenario by scenario, each over the
+    /// sampled stages), never in the order worker threads happen to
+    /// reach the profiler.
+    #[test]
+    fn fit_bills_profiling_scenario_by_scenario() {
+        let cluster = MeshShape::new(1, 2);
+        let cfg = tiny_cfg();
+        let profiler = SimProfiler::new(Platform::platform1(), 7);
+        let _ = PredTop::fit(tiny_model(), cluster, &profiler, &cfg);
+        let serial = SimProfiler::new(Platform::platform1(), 7);
+        let stages = sample_stages(
+            tiny_model(),
+            cfg.num_profile_stages,
+            cfg.max_stage_layers,
+            cfg.seed,
+        );
+        for mesh in candidate_submeshes(cluster) {
+            for config in table3_configs(mesh) {
+                for s in &stages {
+                    serial.stage_latency(s, mesh, config);
+                }
+            }
+        }
+        let (fit, want) = (profiler.ledger().totals(), serial.ledger().totals());
+        assert_eq!(fit.stages_profiled, want.stages_profiled);
+        assert_eq!(fit.profiling_s.to_bits(), want.profiling_s.to_bits());
+    }
+
+    #[test]
+    fn concurrent_queries_for_one_new_stage_run_its_forwards_once() {
+        let profiler = SimProfiler::new(Platform::platform1(), 7);
+        let pt = PredTop::fit(tiny_model(), MeshShape::new(1, 2), &profiler, &tiny_cfg());
+        let scenarios: Vec<_> = pt.scenarios().copied().collect();
+        let stage = StageSpec::new(tiny_model(), 1, 4);
+        let threads = 8;
+        let barrier = std::sync::Barrier::new(threads);
+        let answers: Vec<(MeshShape, ParallelConfig, u64)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (mesh, config) = scenarios[t % scenarios.len()];
+                    let (pt, barrier) = (&pt, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let secs = pt.stage_latency(&stage, mesh, config);
+                        (mesh, config, secs.to_bits())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(pt.inferred_stages(), 1, "one stage, one round of forwards");
+        // every thread saw the value a lone query computes
+        let fresh = PredTop::fit(tiny_model(), MeshShape::new(1, 2), &profiler, &tiny_cfg());
+        for (mesh, config, bits) in answers {
+            assert_eq!(bits, fresh.stage_latency(&stage, mesh, config).to_bits());
+        }
+        // a structurally equal window is answered from the same cell
+        let shifted = StageSpec::new(tiny_model(), 2, 5);
+        let (mesh, config) = scenarios[0];
+        assert_eq!(
+            pt.stage_latency(&shifted, mesh, config).to_bits(),
+            pt.stage_latency(&stage, mesh, config).to_bits()
+        );
+        assert_eq!(pt.inferred_stages(), 1);
+    }
+
+    /// Field-by-field bit equality of two samples.
+    fn same_sample(a: &GraphSample, b: &GraphSample) -> bool {
+        let bits = |m: &predtop_tensor::Matrix| -> Vec<u32> {
+            m.data().iter().map(|x| x.to_bits()).collect()
+        };
+        let matrices = |s: &GraphSample| {
+            [&s.features, &s.adj_norm, &s.adj_mask, &s.dagpe].map(|m| (m.rows(), m.cols(), bits(m)))
+        };
+        matrices(a) == matrices(b)
+            && a.dag_allowed == b.dag_allowed
+            && a.latency.to_bits() == b.latency.to_bits()
+    }
+
+    /// The prediction cache's key is exact for the predictor's input:
+    /// stages with equal structural keys build bit-equal samples, for
+    /// GPT-3 and MoE at the scaled and the paper sizes. Windows are
+    /// capped at eight layers (every window of the scaled models) to keep
+    /// the paper-size samples small.
+    #[test]
+    fn structurally_equal_stages_build_bit_equal_samples() {
+        let scaled = |mut m: ModelSpec| {
+            m.seq_len = 128;
+            m.hidden = 128;
+            m.num_heads = 8;
+            m.vocab = 2048;
+            m.num_layers = 8;
+            if let Some(moe) = m.moe.as_mut() {
+                moe.num_experts = 8;
+                moe.expert_hidden = 256;
+            }
+            m
+        };
+        let models = [
+            scaled(ModelSpec::gpt3_1p3b(2)),
+            scaled(ModelSpec::moe_2p6b(2)),
+            ModelSpec::gpt3_1p3b(8),
+            ModelSpec::moe_2p6b(8),
+        ];
+        for model in models {
+            let mut classes: HashMap<StructuralDescriptor, Vec<StageSpec>> = HashMap::new();
+            for stage in predtop_models::enumerate_stages(model) {
+                if stage.num_layers() <= 8 {
+                    let key = StructuralDescriptor::of(
+                        &stage,
+                        MeshShape::new(1, 1),
+                        ParallelConfig::SERIAL,
+                    );
+                    classes.entry(key).or_default().push(stage);
+                }
+            }
+            let mut shared = 0;
+            for members in classes.values().filter(|m| m.len() > 1) {
+                let first = GraphSample::new(&members[0].build_graph(), 1.0, 16);
+                for other in &members[1..] {
+                    let sample = GraphSample::new(&other.build_graph(), 1.0, 16);
+                    assert!(
+                        same_sample(&first, &sample),
+                        "{} and {} share a key but not a sample",
+                        members[0].label(),
+                        other.label()
+                    );
+                    shared += 1;
+                }
+            }
+            assert!(shared > 0, "{:?}: no structurally equal stages", model.kind);
+        }
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //!    plus **DAGPE** — the sinusoidal encoding of each node's DAG depth;
 //! 2. four transformer layers whose multi-head attention is masked by
 //!    **DAGRA** (eqn. 1): node `u` attends to node `v` only if a directed
-//!    path connects them (`k = ∞`, the paper's setting), implemented by
-//!    adding the precomputed 0/−inf reachability mask to the logits;
+//!    path connects them (`k = ∞`, the paper's setting). Each head is one
+//!    fused [`Tape::masked_attention`] that visits only the reachable
+//!    entries of each row, bit-identical to adding a 0/−inf mask to the
+//!    logits;
 //! 3. residual connections around attention and the position-wise FFN;
 //! 4. global add pool (eqn. 2) and the shared regression head.
 
@@ -131,11 +133,7 @@ impl GnnModel for DagTransformer {
         let dh = dim / heads;
         let scale = 1.0 / (dh as f32).sqrt();
 
-        let mask = if self.config.use_dagra {
-            tape.constant_ref(&sample.dag_mask)
-        } else {
-            tape.constant_full(n, n, 0.0)
-        };
+        let allowed = self.config.use_dagra.then_some(&sample.dag_allowed);
 
         // input projection + DAGPE
         let feats = tape.constant_ref(&sample.features);
@@ -162,10 +160,7 @@ impl GnnModel for DagTransformer {
                 let qh = tape.col_slice(q, c0, c1);
                 let kh = tape.col_slice(k, c0, c1);
                 let vh = tape.col_slice(v, c0, c1);
-                let logits = tape.matmul_nt(qh, kh);
-                let logits = tape.scale(logits, scale);
-                let attn = tape.masked_softmax_rows(logits, mask);
-                ctxs.push(tape.matmul(attn, vh));
+                ctxs.push(tape.masked_attention(qh, kh, vh, allowed, scale));
             }
             let ctx = tape.concat_cols(&ctxs);
             let attn_out = layer.wo.forward(tape, &self.store, ctx);

@@ -10,7 +10,7 @@ use predtop_ir::features::{graph_features, FEATURE_DIM};
 use predtop_ir::prune::prune;
 use predtop_ir::reach::{depths, Reachability};
 use predtop_ir::{Graph, NodeId};
-use predtop_tensor::Matrix;
+use predtop_tensor::{AllowedColumns, Matrix};
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -26,8 +26,10 @@ pub struct GraphSample {
     /// `N × N` neighbourhood mask (0 allowed / −inf masked) over the
     /// undirected adjacency plus self-loops (GAT attention support).
     pub adj_mask: Matrix,
-    /// `N × N` DAGRA reachability mask (eqn. 1's `M`).
-    pub dag_mask: Matrix,
+    /// DAGRA reachability (eqn. 1's `M`): row `u` lists the nodes `u`
+    /// may attend to, as ascending column runs. The DAG Transformer's
+    /// attention visits only these entries.
+    pub dag_allowed: AllowedColumns,
     /// `N × pe_dim` sinusoidal encoding of each node's DAG depth (DAGPE).
     pub dagpe: Matrix,
     /// Ground-truth stage latency in seconds.
@@ -90,7 +92,7 @@ impl GraphSample {
         }
 
         let adj_mask = attention_mask_matrix(n, |i, j| adj.get(i, j) != 0.0);
-        let dag_mask = attention_mask_matrix(n, |i, j| {
+        let dag_allowed = AllowedColumns::from_fn(n, n, |i, j| {
             reach.connected(NodeId(i as u32), NodeId(j as u32))
         });
 
@@ -101,7 +103,7 @@ impl GraphSample {
             features,
             adj_norm,
             adj_mask,
-            dag_mask,
+            dag_allowed,
             dagpe,
             latency,
         }
@@ -114,8 +116,7 @@ impl GraphSample {
 }
 
 /// `n × n` attention mask (0 allowed / −inf masked) built row-wise from
-/// an `allowed(i, j)` predicate — the one constructor behind both the
-/// GAT neighbourhood mask and the DAGRA reachability mask.
+/// an `allowed(i, j)` predicate (the GAT neighbourhood mask).
 fn attention_mask_matrix(n: usize, allowed: impl Fn(usize, usize) -> bool) -> Matrix {
     let mut mask = Matrix::zeros(n, n);
     for i in 0..n {
@@ -276,7 +277,7 @@ mod tests {
         assert_eq!(s.num_nodes(), 5);
         assert_eq!(s.features.cols(), FEATURE_DIM);
         assert_eq!(s.adj_norm.rows(), 5);
-        assert_eq!(s.dag_mask.cols(), 5);
+        assert_eq!(s.dag_allowed.cols(), 5);
         assert_eq!(s.dagpe.cols(), 16);
     }
 
@@ -300,8 +301,8 @@ mod tests {
         let g = sample_graph();
         let s = GraphSample::new(&g, 0.01, 8);
         // after pruning: 0=input, 1=exp, 2=tanh, 3=add, 4=output
-        assert_eq!(s.dag_mask.get(1, 2), f32::NEG_INFINITY, "siblings masked");
-        assert_eq!(s.dag_mask.get(0, 3), 0.0, "ancestors attend");
+        assert!(!s.dag_allowed.contains(1, 2), "siblings masked");
+        assert!(s.dag_allowed.contains(0, 3), "ancestors attend");
         // but GAT's adjacency mask allows only direct neighbours
         assert_eq!(s.adj_mask.get(0, 3), f32::NEG_INFINITY);
         assert_eq!(s.adj_mask.get(0, 1), 0.0);
@@ -366,19 +367,18 @@ mod tests {
         let g = b.finish(&[x]).unwrap();
         let full = GraphSample::new(&g, 0.01, 8);
         let k1 = GraphSample::with_attention_range(&g, 0.01, 8, 1);
-        let allowed = |s: &GraphSample| s.dag_mask.data().iter().filter(|&&m| m == 0.0).count();
-        assert!(allowed(&k1) < allowed(&full));
+        assert!(k1.dag_allowed.count() < full.dag_allowed.count());
         // k=1: node 0 may attend to node 1 but not node 2
-        assert_eq!(k1.dag_mask.get(0, 1), 0.0);
-        assert_eq!(k1.dag_mask.get(0, 2), f32::NEG_INFINITY);
-        assert_eq!(full.dag_mask.get(0, 2), 0.0);
+        assert!(k1.dag_allowed.contains(0, 1));
+        assert!(!k1.dag_allowed.contains(0, 2));
+        assert!(full.dag_allowed.contains(0, 2));
         // diagonal always allowed
         for i in 0..k1.num_nodes() {
-            assert_eq!(k1.dag_mask.get(i, i), 0.0);
+            assert!(k1.dag_allowed.contains(i, i));
         }
         // a huge k equals the closure
         let k_big = GraphSample::with_attention_range(&g, 0.01, 8, 1000);
-        assert_eq!(k_big.dag_mask, full.dag_mask);
+        assert_eq!(k_big.dag_allowed, full.dag_allowed);
     }
     proptest! {
         #[test]

@@ -13,7 +13,21 @@
 //! parallelism), clamped to the item count. An unparsable
 //! `PREDTOP_THREADS` value warns once on stderr and falls back to the
 //! default rather than silently ignoring the operator's intent.
+//!
+//! # Nested calls run inline
+//!
+//! A `par_map` called from inside a pool worker (a training cell that
+//! runs a large matmul, a plan-search worker that runs a predictor
+//! forward) maps its items inline on that worker instead of spawning a
+//! second level of threads: the outer level already occupies the
+//! cores, and a nested fan-out would only oversubscribe them. The rule
+//! keys on a thread-local flag set only in spawned workers, so a
+//! serial outer level (one item, or one thread, both mapped on the
+//! caller's thread) still lets the inner level fan out. Results cannot
+//! change: every map lands results at their input indices, identical
+//! at any thread count.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once};
 
@@ -50,9 +64,22 @@ pub fn configured_threads() -> usize {
         .unwrap_or(1)
 }
 
+std::thread_local! {
+    /// Set for the lifetime of every worker [`par_map_with`] spawns.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// True on a thread spawned as a [`par_map_with`] pool worker. Every
+/// map called there runs inline (see the module docs); kernels that
+/// size their own fan-out read this to stay on one thread.
+pub fn in_worker() -> bool {
+    IN_WORKER.with(Cell::get)
+}
+
 /// Map `f` over `items` on up to `threads` workers, preserving input
-/// order in the output. Panics in `f` propagate after all workers stop
-/// claiming new work.
+/// order in the output. Called from inside a pool worker, the map runs
+/// inline on that worker. Panics in `f` propagate after all workers
+/// stop claiming new work.
 pub fn par_map_with<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -64,7 +91,7 @@ where
         return Vec::new();
     }
     let threads = threads.clamp(1, n);
-    if threads == 1 {
+    if threads == 1 || in_worker() {
         return items.into_iter().map(f).collect();
     }
 
@@ -76,20 +103,23 @@ where
     let panicked = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+                scope.spawn(|| {
+                    IN_WORKER.with(|w| w.set(true));
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let item = slots[i]
+                            .lock()
+                            .expect("slot lock never poisoned: f runs outside it")
+                            .take()
+                            .expect("each index claimed once");
+                        let r = f(item);
+                        *results[i]
+                            .lock()
+                            .expect("result lock never poisoned: f runs outside it") = Some(r);
                     }
-                    let item = slots[i]
-                        .lock()
-                        .expect("slot lock never poisoned: f runs outside it")
-                        .take()
-                        .expect("each index claimed once");
-                    let r = f(item);
-                    *results[i]
-                        .lock()
-                        .expect("result lock never poisoned: f runs outside it") = Some(r);
                 })
             })
             .collect();
@@ -175,8 +205,9 @@ pub fn chunk_size_for(len: usize, threads: usize, oversubscription: usize) -> us
 /// chunks (see [`chunk_size_for`]) and the *chunks* are the pool's work
 /// items — each worker claims a chunk and maps it serially, so per-item
 /// pool overhead is paid once per chunk instead of once per item.
-/// Batches of at most `serial_threshold` items (and all single-thread
-/// calls) skip dispatch entirely and map inline.
+/// Batches of at most `serial_threshold` items, single-thread calls and
+/// calls from inside a pool worker skip dispatch entirely and map
+/// inline, reporting [`ChunkDispatch::INLINE`].
 ///
 /// Determinism: chunks are contiguous input slices evaluated
 /// left-to-right within a worker and re-flattened in chunk order, so the
@@ -195,7 +226,7 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = items.len();
-    if threads.max(1) == 1 || n <= serial_threshold {
+    if threads.max(1) == 1 || n <= serial_threshold || in_worker() {
         return (items.into_iter().map(f).collect(), ChunkDispatch::INLINE);
     }
     let chunk_size = chunk_size_for(n, threads, oversubscription);
@@ -280,6 +311,52 @@ mod tests {
         assert_eq!(configured_threads(), fallback, "stays on fallback");
         std::env::remove_var("PREDTOP_THREADS");
         assert!(configured_threads() >= 1);
+    }
+
+    #[test]
+    fn nested_maps_run_inline_on_the_worker_thread() {
+        assert!(!in_worker(), "a test thread is not a pool worker");
+        let outer = par_map_with((0..6u64).collect(), 3, |x| {
+            let me = std::thread::current().id();
+            let inner = par_map_with((0..50u64).collect(), 4, |y| {
+                (x * 100 + y, std::thread::current().id())
+            });
+            let (chunked, dispatch) = par_map_chunked((0..100u64).collect(), 4, 4, 0, |y| {
+                (y + x, std::thread::current().id())
+            });
+            let on_me = inner.iter().chain(&chunked).all(|&(_, t)| t == me);
+            let inner: Vec<u64> = inner.into_iter().map(|(v, _)| v).collect();
+            let chunked: Vec<u64> = chunked.into_iter().map(|(v, _)| v).collect();
+            (in_worker(), on_me, inner, chunked, dispatch)
+        });
+        for (x, (flag, on_me, inner, chunked, dispatch)) in (0u64..).zip(outer) {
+            assert!(flag, "outer items run on spawned workers");
+            assert!(on_me, "nested maps must stay on the worker's thread");
+            assert_eq!(inner, (0..50).map(|y| x * 100 + y).collect::<Vec<_>>());
+            assert_eq!(chunked, (0..100).map(|y| y + x).collect::<Vec<_>>());
+            assert_eq!(
+                dispatch,
+                ChunkDispatch::INLINE,
+                "inline batches report INLINE"
+            );
+        }
+        assert!(!in_worker(), "the flag never leaks to the caller");
+    }
+
+    #[test]
+    fn a_serial_outer_level_lets_the_inner_level_fan_out() {
+        // one item or one thread: the outer map runs on the caller, so
+        // the inner map is the only level and may use the pool
+        for (items, threads) in [(1usize, 4usize), (3, 1)] {
+            let out = par_map_with(vec![(); items], threads, |()| {
+                let (_, d) = par_map_chunked((0..100usize).collect(), 4, 4, 0, |y| y);
+                (in_worker(), d.dispatched)
+            });
+            assert!(
+                out.iter().all(|&o| o == (false, true)),
+                "{items} x {threads}: {out:?}"
+            );
+        }
     }
 
     #[test]

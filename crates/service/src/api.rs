@@ -103,6 +103,33 @@ pub fn decode_model(r: &mut ByteReader<'_>) -> Result<ModelSpec, DecodeError> {
     })
 }
 
+/// Decode a mesh written as its node count then its GPUs per node.
+/// Both must be at least one ([`MeshShape::new`] asserts it), so a zero
+/// is a [`DecodeError::BadTag`], not a panic.
+pub fn decode_mesh(r: &mut ByteReader<'_>) -> Result<MeshShape, DecodeError> {
+    Ok(MeshShape::new(
+        degree(r, "mesh nodes")?,
+        degree(r, "mesh gpus per node")?,
+    ))
+}
+
+/// Decode a configuration written as its data- then model-parallel
+/// degree, each at least one like [`decode_mesh`]'s fields.
+pub fn decode_config(r: &mut ByteReader<'_>) -> Result<ParallelConfig, DecodeError> {
+    Ok(ParallelConfig::new(
+        degree(r, "parallel dp")?,
+        degree(r, "parallel mp")?,
+    ))
+}
+
+/// A mesh or parallelism degree: a nonzero `usize`.
+fn degree(r: &mut ByteReader<'_>, what: &'static str) -> Result<usize, DecodeError> {
+    match r.usize(what)? {
+        0 => Err(DecodeError::BadTag { what, tag: 0 }),
+        d => Ok(d),
+    }
+}
+
 /// Append `plan`'s canonical (unversioned) body to `w` — the shared
 /// layout behind both the store's plan artifact and the wire's search
 /// reply.
@@ -129,8 +156,8 @@ pub fn decode_plan_body(r: &mut ByteReader<'_>) -> Result<PipelinePlan, DecodeEr
         let model = decode_model(r)?;
         let start = r.usize("stage start")?;
         let end = r.usize("stage end")?;
-        let mesh = MeshShape::new(r.usize("stage mesh nodes")?, r.usize("stage mesh gpus")?);
-        let config = ParallelConfig::new(r.usize("stage dp")?, r.usize("stage mp")?);
+        let mesh = decode_mesh(r)?;
+        let config = decode_config(r)?;
         stages.push(PlannedStage {
             stage: StageSpec { model, start, end },
             mesh,
@@ -359,11 +386,8 @@ fn decode_profile_spec(r: &mut ByteReader<'_>) -> Result<ProfileSpec, DecodeErro
     let model = decode_model(r)?;
     let start = r.usize("profile start")?;
     let end = r.usize("profile end")?;
-    let mesh = MeshShape::new(
-        r.usize("profile mesh nodes")?,
-        r.usize("profile mesh gpus")?,
-    );
-    let config = ParallelConfig::new(r.usize("profile dp")?, r.usize("profile mp")?);
+    let mesh = decode_mesh(r)?;
+    let config = decode_config(r)?;
     Ok(ProfileSpec {
         model,
         start,
@@ -596,6 +620,7 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny_model() -> ModelSpec {
         let mut s = ModelSpec::gpt3_1p3b(2);
@@ -777,5 +802,123 @@ mod tests {
             decode_request(&trailing),
             Err(DecodeError::TrailingBytes(1))
         ));
+    }
+
+    /// Totality: `decode` either errs or returns a value whose encoding
+    /// is exactly `bytes` (the layouts are canonical), and never panics.
+    fn decodes_canonically_or_errs<T>(
+        bytes: &[u8],
+        decode: fn(&[u8]) -> Result<T, DecodeError>,
+        encode: fn(&T) -> Vec<u8>,
+    ) -> bool {
+        match decode(bytes) {
+            Ok(value) => encode(&value) == bytes,
+            Err(_) => true,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Arbitrary bytes, also behind a valid version byte and a valid
+        /// tag so every body decoder runs.
+        #[test]
+        fn prop_arbitrary_bytes_never_panic(
+            mut bytes in proptest::collection::vec(any::<u8>(), 0..192),
+            header in 0u8..3,
+            tag in 1u8..=5,
+        ) {
+            if header > 0 && !bytes.is_empty() {
+                bytes[0] = REQUEST_ENCODING_VERSION;
+            }
+            if header > 1 && bytes.len() > 1 {
+                bytes[1] = tag;
+            }
+            prop_assert!(decodes_canonically_or_errs(&bytes, decode_request, encode_request));
+            prop_assert!(decodes_canonically_or_errs(&bytes, decode_response, encode_response));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Valid frames with a few bytes overwritten (zeros and ones
+        /// favoured, since they reach the edge values of every field) or
+        /// cut short.
+        #[test]
+        fn prop_mutated_frames_never_panic(
+            which in 0usize..10,
+            edits in proptest::collection::vec((any::<u16>(), 0u8..4, any::<u8>()), 1..5),
+            cut in any::<u16>(),
+            truncate in any::<bool>(),
+        ) {
+            let mut bytes = if which < 5 {
+                encode_request(&sample_requests()[which])
+            } else {
+                encode_response(&sample_responses()[which - 5])
+            };
+            for (at, kind, byte) in edits {
+                let at = at as usize % bytes.len();
+                bytes[at] = match kind {
+                    0 => 0,
+                    1 => 1,
+                    _ => byte,
+                };
+            }
+            if truncate {
+                bytes.truncate(cut as usize % (bytes.len() + 1));
+            }
+            prop_assert!(decodes_canonically_or_errs(&bytes, decode_request, encode_request));
+            prop_assert!(decodes_canonically_or_errs(&bytes, decode_response, encode_response));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// A profile request whose window, mesh and degrees take edge
+        /// values decodes exactly when every mesh and parallelism field
+        /// is nonzero; a zero is an error, not a panic.
+        #[test]
+        fn prop_profile_fields_at_edge_values(
+            predict in any::<bool>(),
+            fields in proptest::collection::vec(0usize..5, 6),
+        ) {
+            let edge = [0u64, 1, 2, 7, u64::MAX];
+            let mut w = ByteWriter::new();
+            w.u8(REQUEST_ENCODING_VERSION);
+            w.u8(if predict { 3 } else { 1 });
+            encode_model(&mut w, &tiny_model());
+            for &f in &fields {
+                w.u64(edge[f]);
+            }
+            let bytes = w.into_bytes();
+            let degrees_valid = fields[2..].iter().all(|&f| edge[f] != 0);
+            let decoded = decode_request(&bytes);
+            prop_assert_eq!(decoded.is_ok(), degrees_valid, "{:?}", decoded);
+            prop_assert!(decodes_canonically_or_errs(&bytes, decode_request, encode_request));
+        }
+    }
+
+    #[test]
+    fn zero_mesh_and_degree_fields_are_bad_tags() {
+        let plan = sample_plan();
+        let good = encode_plan(&plan);
+        // the last stage ends with nodes, gpus, dp, mp (8 bytes each)
+        for (field, what) in [
+            "mesh nodes",
+            "mesh gpus per node",
+            "parallel dp",
+            "parallel mp",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let at = good.len() - 8 * (4 - field);
+            let mut bytes = good.clone();
+            bytes[at..at + 8].fill(0);
+            assert_eq!(
+                decode_plan(&bytes),
+                Err(DecodeError::BadTag { what, tag: 0 }),
+                "{what}"
+            );
+        }
     }
 }

@@ -284,6 +284,28 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_inside_a_pool_worker_runs_inline_and_counts_as_inline() {
+        let qs = queries(8); // 36 queries: above the default threshold
+        let (svc, _) = counting_service();
+        let serial: Vec<u64> = qs
+            .iter()
+            .map(|q| svc.query(q).unwrap().seconds.to_bits())
+            .collect();
+        let (svc, _) = counting_service();
+        let batched = Batched::new(svc, 4);
+        let nested = predtop_runtime::par_map_with(vec![(); 2], 2, |()| {
+            batched
+                .query_batch(&qs)
+                .into_iter()
+                .map(|r| r.unwrap().seconds.to_bits())
+                .collect::<Vec<_>>()
+        });
+        assert!(nested.iter().all(|bits| *bits == serial));
+        let s = batched.stats();
+        assert_eq!((s.batches, s.dispatched, s.inline, s.chunks), (2, 0, 2, 0));
+    }
+
+    #[test]
     fn empty_batch_is_fine() {
         let (svc, _) = counting_service();
         let batched = Batched::new(svc, 4);

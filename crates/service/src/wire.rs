@@ -686,4 +686,145 @@ mod tests {
         // the connection closed before the well-formed follow-up frame
         assert_eq!(read_frame(&mut out).unwrap(), None);
     }
+
+    #[test]
+    fn zero_length_frame_gets_a_bad_request_and_a_close() {
+        let mut input = Vec::new();
+        write_frame(&mut input, &[]).unwrap();
+        write_frame(&mut input, &encode_request(&Request::Stats)).unwrap();
+        let mut stream = Script {
+            input: io::Cursor::new(input),
+            output: Vec::new(),
+        };
+        let drain = AtomicBool::new(false);
+        serve_connection(
+            &mut stream,
+            &|_req: &Request| Response::Stats(Default::default()),
+            &drain,
+            4,
+        );
+        let mut out = io::Cursor::new(stream.output);
+        let first = read_frame(&mut out).unwrap().unwrap();
+        assert!(matches!(
+            crate::api::decode_response(&first).unwrap(),
+            Response::Error(ErrorBody {
+                kind: ErrorKind::BadRequest,
+                ..
+            })
+        ));
+        assert_eq!(read_frame(&mut out).unwrap(), None);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+        /// `read_frame` is total: a length prefix that is exact, zero,
+        /// short, past the end of the stream or above `MAX_FRAME_LEN`
+        /// (or raw bytes with no prefix at all) yields frames no larger
+        /// than the limit, a clean end, or an `UnexpectedEof` /
+        /// `InvalidData` error — never a panic.
+        #[test]
+        fn prop_read_frame_is_total(
+            prefix in 0u8..7,
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+        ) {
+            let len = body.len() as u32;
+            let announced = match prefix {
+                0 => Some(len),
+                1 => Some(0),
+                2 => Some(len / 2),
+                3 => Some(len + 1),
+                4 => Some(MAX_FRAME_LEN as u32 + 1),
+                5 => Some(u32::MAX),
+                _ => None,
+            };
+            let mut stream = Vec::new();
+            if let Some(n) = announced {
+                stream.extend_from_slice(&n.to_le_bytes());
+            }
+            stream.extend_from_slice(&body);
+            let mut r = io::Cursor::new(stream);
+            let first = read_frame(&mut r);
+            match announced {
+                Some(0) => proptest::prop_assert_eq!(first.as_ref().unwrap(), &Some(Vec::new())),
+                Some(n) if n as usize > MAX_FRAME_LEN => proptest::prop_assert_eq!(
+                    first.as_ref().unwrap_err().kind(),
+                    io::ErrorKind::InvalidData
+                ),
+                Some(n) if n > len => proptest::prop_assert_eq!(
+                    first.as_ref().unwrap_err().kind(),
+                    io::ErrorKind::UnexpectedEof
+                ),
+                Some(n) => proptest::prop_assert_eq!(
+                    first.as_ref().unwrap(),
+                    &Some(body[..n as usize].to_vec())
+                ),
+                None => {}
+            }
+            let mut next = first;
+            loop {
+                match next {
+                    Ok(None) => break,
+                    Ok(Some(frame)) => proptest::prop_assert!(frame.len() <= MAX_FRAME_LEN),
+                    Err(e) => {
+                        proptest::prop_assert!(matches!(
+                            e.kind(),
+                            io::ErrorKind::UnexpectedEof | io::ErrorKind::InvalidData
+                        ));
+                        break;
+                    }
+                }
+                next = read_frame(&mut r);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+        /// The connection loop survives arbitrary frame sequences (valid
+        /// requests, garbage payloads, zero-length frames, oversized
+        /// prefixes, stray bytes): every reply decodes, at most one is a
+        /// `BadRequest` and it is the last, and no frame gets two
+        /// replies.
+        #[test]
+        fn prop_connection_loop_survives_arbitrary_frames(
+            frames in proptest::collection::vec(
+                (0u8..5, proptest::collection::vec(proptest::prelude::any::<u8>(), 0..24)),
+                0..6,
+            ),
+        ) {
+            let mut input = Vec::new();
+            for (kind, bytes) in &frames {
+                match kind {
+                    0 => write_frame(&mut input, &encode_request(&Request::Stats)).unwrap(),
+                    1 => write_frame(&mut input, bytes).unwrap(),
+                    2 => write_frame(&mut input, &[]).unwrap(),
+                    3 => input.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes()),
+                    _ => input.extend_from_slice(&bytes[..bytes.len().min(3)]),
+                }
+            }
+            let mut stream = Script {
+                input: io::Cursor::new(input),
+                output: Vec::new(),
+            };
+            let drain = AtomicBool::new(false);
+            serve_connection(
+                &mut stream,
+                &|_req: &Request| Response::Stats(Default::default()),
+                &drain,
+                4,
+            );
+            let mut out = io::Cursor::new(stream.output);
+            let mut replies = Vec::new();
+            while let Some(frame) = read_frame(&mut out).unwrap() {
+                replies.push(crate::api::decode_response(&frame).unwrap());
+            }
+            proptest::prop_assert!(replies.len() <= frames.len());
+            let bad = replies
+                .iter()
+                .position(|r| matches!(r, Response::Error(_)));
+            if let Some(i) = bad {
+                proptest::prop_assert_eq!(i, replies.len() - 1, "a reply followed a BadRequest");
+            }
+        }
+    }
 }

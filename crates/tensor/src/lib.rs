@@ -25,6 +25,7 @@
 
 #![warn(missing_docs)]
 
+pub mod attention;
 pub mod init;
 pub mod kernel;
 pub mod loss;
@@ -34,6 +35,7 @@ pub mod pool;
 pub mod schedule;
 pub mod tape;
 
+pub use attention::AllowedColumns;
 pub use init::xavier_uniform;
 pub use kernel::{
     active_isa, available_isas, kernel_stats, reset_kernel_stats, KernelIsa, KernelStats,

@@ -23,7 +23,8 @@
 //! Above `PAR_MIN_MULADDS` multiply-adds the kernels fan the 2-D tile
 //! grid out over `predtop_runtime::par_tiles`; each tile is computed by
 //! the same serial driver, so results stay bit-identical at any thread
-//! count.
+//! count. A kernel called from inside a pool worker runs on that worker
+//! alone (one untiled region), like every nested map.
 
 use crate::kernel::{self, Variant};
 
@@ -418,10 +419,14 @@ impl Matrix {
 }
 
 /// Worker count for an `m·k·n` multiply-add kernel: 1 below the
-/// parallelism threshold, else the configured thread count capped at the
+/// parallelism threshold or inside a pool worker (whose pool already
+/// occupies the cores), else the configured thread count capped at the
 /// output row count.
 fn par_threads(m: usize, k: usize, n: usize) -> usize {
-    if m.saturating_mul(k).saturating_mul(n) < PAR_MIN_MULADDS || m < 2 {
+    if m.saturating_mul(k).saturating_mul(n) < PAR_MIN_MULADDS
+        || m < 2
+        || predtop_runtime::in_worker()
+    {
         return 1;
     }
     predtop_runtime::configured_threads().min(m)

@@ -6,8 +6,9 @@
 //! into any [`GradSink`] (a [`ParamStore`] in the serial loop, a
 //! per-sample `GradSet` in the data-parallel one). The operator set is
 //! exactly what the three predictors need — dense affine maps, (masked)
-//! row softmax for attention, (leaky-)ReLU, column slicing/concatenation
-//! for multi-head attention, and the global-add-pool row sum.
+//! row softmax for attention, the fused masked attention head of the
+//! DAG Transformer, (leaky-)ReLU, column slicing/concatenation for
+//! multi-head attention, and the global-add-pool row sum.
 //!
 //! Every value and adjoint the tape materializes comes from an internal
 //! [`BufferPool`]: calling [`Tape::reset`] between samples retires all
@@ -19,6 +20,7 @@
 //! Every backward rule is validated against central finite differences in
 //! the tests at the bottom of this file.
 
+use crate::attention::{self, AllowedColumns};
 use crate::matrix::Matrix;
 use crate::optim::{GradSink, ParamStore};
 use crate::pool::{BufferPool, PoolStats};
@@ -52,6 +54,21 @@ enum Op {
     /// Row-wise `softmax(A + mask)`; the mask is a constant and gets no
     /// gradient.
     MaskedSoftmaxRows(Var, Var),
+    /// `softmax(scale · Q·Kᵀ + mask) · V` over allowed columns. Keeps the
+    /// dense `n × m` probabilities (a pooled buffer, recycled on
+    /// [`Tape::reset`]) for the backward pass.
+    MaskedAttention {
+        /// Queries `Q`.
+        q: Var,
+        /// Keys `K`.
+        k: Var,
+        /// Values `V`.
+        v: Var,
+        /// Logit scale.
+        scale: f32,
+        /// The softmax output.
+        probs: Matrix,
+    },
     /// Column-sum to a `1 × d` row (global add pool).
     SumRows(Var),
     /// Columns `[c0, c1)` of the input.
@@ -104,8 +121,11 @@ impl Tape {
         for op in ops.drain(..) {
             // ops that own auxiliary buffers retire them too, keeping
             // the serve path allocation-free in steady state
-            if let Op::NormalizeRows(_, inv_sigma) = op {
-                pool.recycle(inv_sigma);
+            match op {
+                Op::NormalizeRows(_, aux) | Op::MaskedAttention { probs: aux, .. } => {
+                    pool.recycle(aux)
+                }
+                _ => {}
             }
         }
         for v in values.drain(..) {
@@ -246,30 +266,58 @@ impl Tape {
         assert_eq!((av.rows(), av.cols()), (mv.rows(), mv.cols()));
         let mut out = pool.alloc(av.rows(), av.cols());
         for r in 0..av.rows() {
-            let arow = av.row(r);
-            let mrow = mv.row(r);
-            let mut mx = f32::NEG_INFINITY;
-            for (x, m) in arow.iter().zip(mrow) {
-                let s = x + m;
-                if s > mx {
-                    mx = s;
-                }
-            }
-            if mx == f32::NEG_INFINITY {
-                continue; // fully masked row stays zero
-            }
-            let orow = out.row_mut(r);
-            let mut denom = 0.0f32;
-            for ((o, x), m) in orow.iter_mut().zip(arow).zip(mrow) {
-                let e = (x + m - mx).exp();
-                *o = e;
-                denom += e;
-            }
-            for o in orow.iter_mut() {
-                *o /= denom;
-            }
+            attention::masked_softmax_row(av.row(r), mv.row(r), out.row_mut(r));
         }
         self.push(Op::MaskedSoftmaxRows(a, mask), out)
+    }
+
+    /// One masked attention head, `softmax(scale · q·kᵀ + mask) · v`,
+    /// where row `i` of the mask allows exactly `allowed`'s row `i`
+    /// (every column when `allowed` is `None`). Rows with no allowed
+    /// column produce zero probabilities, as in
+    /// [`Tape::masked_softmax_rows`].
+    ///
+    /// The value and the gradients of `q`, `k` and `v` are bit-identical
+    /// to the chain `matmul_nt(q, k) → scale → masked_softmax_rows(·,
+    /// allowed's dense mask) → matmul(·, v)`, but the softmax and the
+    /// `attn · v` product visit only the allowed entries (see
+    /// [`crate::attention`] for why that changes no bit). The backward
+    /// pass runs the chain's four rules in the chain's order.
+    ///
+    /// # Panics
+    /// Panics if the shapes disagree: `q : n × d`, `k : m × d`,
+    /// `v : m × dv`, `allowed : n × m`.
+    pub fn masked_attention(
+        &mut self,
+        q: Var,
+        k: Var,
+        v: Var,
+        allowed: Option<&AllowedColumns>,
+        scale: f32,
+    ) -> Var {
+        let Tape { values, pool, .. } = self;
+        let (qv, kv, vv) = (&values[q.0], &values[k.0], &values[v.0]);
+        let (n, m) = (qv.rows(), kv.rows());
+        assert_eq!(vv.rows(), m, "masked_attention: one value row per key");
+        if let Some(a) = allowed {
+            assert_eq!((a.rows(), a.cols()), (n, m), "masked_attention mask shape");
+        }
+        let mut logits = pool.scratch(n * m);
+        qv.matmul_nt_into(kv, &mut logits);
+        let mut probs = pool.alloc(n, m);
+        let mut ctx = pool.alloc(n, vv.cols());
+        attention::attend(&mut logits, scale, allowed, vv, &mut probs, &mut ctx);
+        pool.recycle(logits);
+        self.push(
+            Op::MaskedAttention {
+                q,
+                k,
+                v,
+                scale,
+                probs,
+            },
+            ctx,
+        )
     }
 
     /// Global add pool: sum all rows into a `1 × d` row.
@@ -442,19 +490,35 @@ impl Tape {
                     accumulate(&mut grads, *a, da, pool);
                 }
                 Op::MaskedSoftmaxRows(a, _mask) => {
-                    // dA_rc = y_rc * (g_rc - Σ_k g_rk y_rk)
-                    let y = &values[idx];
-                    let mut da = pool.alloc(y.rows(), y.cols());
-                    for r in 0..y.rows() {
-                        let yrow = y.row(r);
-                        let grow = g.row(r);
-                        let dot: f32 = yrow.iter().zip(grow).map(|(a, b)| a * b).sum();
-                        for ((d, &yv), &gv) in da.row_mut(r).iter_mut().zip(yrow).zip(grow) {
-                            *d = yv * (gv - dot);
-                        }
-                    }
+                    let da = softmax_backward(&values[idx], &g, pool);
                     accumulate(&mut grads, *a, da, pool);
                     pool.recycle(g);
+                }
+                Op::MaskedAttention {
+                    q,
+                    k,
+                    v,
+                    scale,
+                    probs,
+                } => {
+                    // the chain's rules, last op first: matmul(probs, v),
+                    // masked softmax, scale, then matmul_nt(q, k)
+                    let mut dprobs = pool.scratch(probs.data().len());
+                    g.matmul_nt_into(&values[v.0], &mut dprobs);
+                    let mut dv = pool.scratch(values[v.0].data().len());
+                    probs.matmul_tn_into(&g, &mut dv);
+                    accumulate(&mut grads, *v, dv, pool);
+                    pool.recycle(g);
+                    let mut dlogits = softmax_backward(probs, &dprobs, pool);
+                    pool.recycle(dprobs);
+                    dlogits.scale_assign(*scale);
+                    let mut dq = pool.scratch(values[q.0].data().len());
+                    dlogits.matmul_into(&values[k.0], &mut dq);
+                    let mut dk = pool.scratch(values[k.0].data().len());
+                    dlogits.matmul_tn_into(&values[q.0], &mut dk);
+                    accumulate(&mut grads, *q, dq, pool);
+                    accumulate(&mut grads, *k, dk, pool);
+                    pool.recycle(dlogits);
                 }
                 Op::SumRows(a) => {
                     let av = &values[a.0];
@@ -528,6 +592,21 @@ impl Tape {
             }
         }
     }
+}
+
+/// Row-softmax backward: `dA_rc = y_rc · (g_rc − Σ_k g_rk y_rk)` for the
+/// softmax output `y` and its adjoint `g`.
+fn softmax_backward(y: &Matrix, g: &Matrix, pool: &mut BufferPool) -> Matrix {
+    let mut da = pool.alloc(y.rows(), y.cols());
+    for r in 0..y.rows() {
+        let yrow = y.row(r);
+        let grow = g.row(r);
+        let dot: f32 = yrow.iter().zip(grow).map(|(a, b)| a * b).sum();
+        for ((d, &yv), &gv) in da.row_mut(r).iter_mut().zip(yrow).zip(grow) {
+            *d = yv * (gv - dot);
+        }
+    }
+    da
 }
 
 /// Merge adjoint `g` into slot `v`, retiring `g`'s buffer when the slot
@@ -779,6 +858,166 @@ mod tests {
 
     fn tape_const(t: &mut Tape, m: Matrix) -> Var {
         t.constant(m)
+    }
+
+    /// Equal bit patterns, with any NaN matching any NaN: the compiler
+    /// may commute an addition, and IEEE-754 leaves which NaN payload
+    /// survives to the operand order.
+    fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+        (a.rows(), a.cols()) == (b.rows(), b.cols())
+            && a.data()
+                .iter()
+                .zip(b.data())
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    /// Value and `(dq, dk, dv)` of one attention head, either through
+    /// the fused op or through the four-op chain it replaces. With
+    /// `shared`, one parameter plays `q`, `k` and `v` (self-attention),
+    /// so the three gradients accumulate into one slot in the chain's
+    /// order.
+    fn attention_head(
+        fused: bool,
+        shared: bool,
+        (q, k, v): (&Matrix, &Matrix, &Matrix),
+        allowed: Option<&AllowedColumns>,
+        scale: f32,
+        seed: &Matrix,
+    ) -> [Matrix; 4] {
+        let mut store = ParamStore::new();
+        let pq = store.add(q.clone());
+        let (pk, pv) = if shared {
+            (pq, pq)
+        } else {
+            (store.add(k.clone()), store.add(v.clone()))
+        };
+        let mut tape = Tape::new();
+        let qv = tape.param(&store, pq);
+        let (kv, vv) = if shared {
+            (qv, qv)
+        } else {
+            (tape.param(&store, pk), tape.param(&store, pv))
+        };
+        let out = if fused {
+            tape.masked_attention(qv, kv, vv, allowed, scale)
+        } else {
+            let logits = tape.matmul_nt(qv, kv);
+            let logits = tape.scale(logits, scale);
+            let mut mask = Matrix::zeros(q.rows(), k.rows());
+            if let Some(a) = allowed {
+                for i in 0..q.rows() {
+                    for j in 0..k.rows() {
+                        if !a.contains(i, j) {
+                            mask.set(i, j, f32::NEG_INFINITY);
+                        }
+                    }
+                }
+            }
+            let mask = tape.constant(mask);
+            let attn = tape.masked_softmax_rows(logits, mask);
+            tape.matmul(attn, vv)
+        };
+        let value = tape.value(out).clone();
+        tape.backward(out, seed.clone(), &mut store);
+        [
+            value,
+            store.grad(pq).clone(),
+            store.grad(pk).clone(),
+            store.grad(pv).clone(),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// The fused head equals the four-op chain bit for bit, value
+        /// and gradients, on random shapes and masks with empty, full
+        /// and random rows, and on inputs holding ±inf, NaN, signed
+        /// zeros and overflowing magnitudes.
+        #[test]
+        fn prop_masked_attention_matches_the_four_op_chain(
+            n in 1usize..14,
+            m in 1usize..14,
+            d in 1usize..9,
+            dv in 1usize..9,
+            seed in proptest::prelude::any::<u64>(),
+            special in 0usize..3,
+            masked in proptest::prelude::any::<bool>(),
+            shared in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let special_pct = [0u32, 2, 10][special];
+            let specials = [
+                f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 0.0, -0.0, 1e30, -1e30,
+            ];
+            let draw = |rng: &mut StdRng| {
+                if rng.gen_range(0u32..100) < special_pct {
+                    specials[rng.gen_range(0..specials.len())]
+                } else {
+                    rng.gen_range(-3.0f32..3.0)
+                }
+            };
+            let (m, dv) = if shared { (n, d) } else { (m, dv) };
+            let mat = |r: usize, c: usize, rng: &mut StdRng| {
+                Matrix::from_vec(r, c, (0..r * c).map(|_| draw(rng)).collect())
+            };
+            let q = mat(n, d, &mut rng);
+            let k = mat(m, d, &mut rng);
+            let v = mat(m, dv, &mut rng);
+            let g = rand_matrix(&mut rng, n, dv);
+            let pattern: Vec<bool> = (0..n)
+                .flat_map(|_| {
+                    let mode = rng.gen_range(0u32..10);
+                    let density = rng.gen_range(0.0f64..1.0);
+                    (0..m)
+                        .map(|_| match mode {
+                            0 => false,
+                            1 => true,
+                            _ => rng.gen_bool(density),
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            let allowed = AllowedColumns::from_fn(n, m, |i, j| pattern[i * m + j]);
+            let allowed = masked.then_some(&allowed);
+            let scale = 1.0 / (d as f32).sqrt();
+            let inputs = (&q, &k, &v);
+            let fused = attention_head(true, shared, inputs, allowed, scale, &g);
+            let chain = attention_head(false, shared, inputs, allowed, scale, &g);
+            for (what, (a, b)) in ["value", "dq", "dk", "dv"].iter().zip(fused.iter().zip(&chain)) {
+                proptest::prop_assert!(same_bits(a, b), "{} differs:\nfused {:?}\nchain {:?}", what, a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn masked_attention_rows_with_non_finite_logits_follow_the_chain() {
+        // row 0: finite; row 1: a masked logit overflowing to +inf (a
+        // NaN row in the chain); row 2: only masked columns; row 3: the
+        // one allowed logit overflows to −inf (a zero row)
+        let q = Matrix::from_vec(4, 1, vec![1.0, 1e10, 1.0, -1e10]);
+        let k = Matrix::from_vec(3, 1, vec![0.5, 1e30, -0.25]);
+        let v = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let pattern = [
+            [true, false, true],
+            [true, false, true],
+            [false; 3],
+            [false, true, false],
+        ];
+        let allowed = AllowedColumns::from_fn(4, 3, |i, j| pattern[i][j]);
+        let g = Matrix::full(4, 2, 1.0);
+        let fused = attention_head(true, false, (&q, &k, &v), Some(&allowed), 1.0, &g);
+        let chain = attention_head(false, false, (&q, &k, &v), Some(&allowed), 1.0, &g);
+        for (a, b) in fused.iter().zip(&chain) {
+            assert!(same_bits(a, b), "fused {a:?}\nchain {b:?}");
+        }
+        let ctx = &fused[0];
+        assert!(ctx.row(0).iter().all(|x| x.is_finite()));
+        assert!(
+            ctx.row(1).iter().all(|x| x.is_nan()),
+            "masked +inf poisons the row"
+        );
+        assert_eq!(ctx.row(2), &[0.0, 0.0]);
+        assert_eq!(ctx.row(3), &[0.0, 0.0]);
     }
 
     /// A reused (reset) tape computes bit-identical forwards/backwards
