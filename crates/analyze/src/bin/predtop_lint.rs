@@ -1,11 +1,10 @@
 //! `predtop-lint` — run every static-analysis pass over the benchmark
-//! model graphs, persisted artifacts, and the search service stack.
+//! model graphs and persisted plan files.
 //!
 //! ```text
 //! predtop-lint [--format text|json] [--models both|gpt3|moe|none]
-//!              [--plan FILE]... [--fix] [--stack]
+//!              [--plan FILE]... [--fix]
 //!              [--inject-fault] [--inject-plan-fault]
-//!              [--inject-stack-fault]
 //! ```
 //!
 //! With no `--plan` files the built-in benchmark models (GPT-3 1.3B
@@ -22,15 +21,10 @@
 //! so a second `--fix` run applies nothing — the binary verifies this
 //! after every fix and CI diffs the twice-fixed file to pin it.
 //!
-//! `--stack` lints the layer ordering of the canonical search service
-//! stacks (the same `P2xxx` rules `predtop search` asserts on the
-//! stack it actually builds; see DESIGN.md §10 and §12).
-//!
-//! The three `--inject-*` flags append deliberately broken subjects so
+//! The two `--inject-*` flags append deliberately broken subjects so
 //! CI can verify each error path without fixture files: a graph with a
-//! shape error (`--inject-fault`), a plan with divisibility errors
-//! that `--fix` can repair (`--inject-plan-fault`), and a misordered
-//! service stack (`--inject-stack-fault`).
+//! shape error (`--inject-fault`) and a plan with divisibility errors
+//! that `--fix` can repair (`--inject-plan-fault`).
 //!
 //! Graph-pass results are memoized on `Graph::structural_hash()`; the
 //! cache's hit/miss accounting is printed to stderr after the reports.
@@ -41,14 +35,13 @@
 use std::process::ExitCode;
 
 use predtop_analyze::{
-    analyze_plan, analyze_stack, fix_plan, has_errors, render_json, render_text, Diagnostic,
-    GraphLintCache, PlanCheckOptions, Severity, Span,
+    analyze_plan, fix_plan, has_errors, render_json, render_text, Diagnostic, GraphLintCache,
+    PlanCheckOptions, Severity, Span,
 };
 use predtop_ir::{DType, Graph, GraphBuilder, OpKind, Shape};
 use predtop_models::{ModelSpec, StageSpec};
 use predtop_parallel::{MeshShape, ParallelConfig, PipelinePlan, PlannedStage};
 use predtop_service::api::{decode_plan, encode_plan};
-use predtop_service::{LayerTag, StackSpec};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
@@ -68,17 +61,14 @@ struct Args {
     format: Format,
     models: Option<Models>,
     fix: bool,
-    stack: bool,
     inject_fault: bool,
     inject_plan_fault: bool,
-    inject_stack_fault: bool,
     plans: Vec<String>,
 }
 
 const USAGE: &str = "usage: predtop-lint [--format text|json] \
                      [--models both|gpt3|moe|none] [--plan FILE]... \
-                     [--fix] [--stack] [--inject-fault] \
-                     [--inject-plan-fault] [--inject-stack-fault]";
+                     [--fix] [--inject-fault] [--inject-plan-fault]";
 
 /// The structured usage diagnostic for a bad `--models` value: the
 /// same renderer and code-table discipline as every analysis finding
@@ -100,10 +90,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         format: Format::Text,
         models: None,
         fix: false,
-        stack: false,
         inject_fault: false,
         inject_plan_fault: false,
-        inject_stack_fault: false,
         plans: Vec::new(),
     };
     let mut it = argv.iter();
@@ -130,10 +118,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 })
             }
             "--fix" => args.fix = true,
-            "--stack" => args.stack = true,
             "--inject-fault" => args.inject_fault = true,
             "--inject-plan-fault" => args.inject_plan_fault = true,
-            "--inject-stack-fault" => args.inject_stack_fault = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             f if f.starts_with('-') => return Err(format!("unknown flag {f}\n{USAGE}")),
             f => {
@@ -187,40 +173,6 @@ fn faulty_plan() -> (PipelinePlan, ModelSpec) {
         microbatches: 3,
     };
     (plan, m)
-}
-
-/// The layer ordering `predtop search` installs (see `cmd_search`):
-/// faults innermost, deadline policing each attempt, retry absorbing
-/// transient failures, then (with `--store`) the disk tier, then
-/// memoization, fan-out, instrumentation. `predtop search` asserts its
-/// *actual* built stack through the same `analyze_stack` rules, so this
-/// mirror cannot silently drift into legality.
-fn search_stack_spec(raw_cache: bool, store: bool) -> StackSpec {
-    let mut layers = vec![LayerTag::FaultInject, LayerTag::Deadline, LayerTag::Retry];
-    if store {
-        layers.push(LayerTag::Persist);
-    }
-    layers.push(if raw_cache {
-        LayerTag::Memoize
-    } else {
-        LayerTag::MemoizeStructural
-    });
-    layers.push(LayerTag::Batched);
-    layers.push(LayerTag::Instrumented);
-    StackSpec::from_layers(layers)
-}
-
-/// A deliberately misordered stack — retry trapped inside the fault
-/// injector and the deadline outside the batcher — so CI can assert
-/// the `P2xxx` error path.
-fn misordered_stack_spec() -> StackSpec {
-    StackSpec::from_layers([
-        LayerTag::Retry,
-        LayerTag::FaultInject,
-        LayerTag::Batched,
-        LayerTag::Deadline,
-        LayerTag::Instrumented,
-    ])
 }
 
 /// One linted subject: its display name and merged, sorted findings.
@@ -341,14 +293,11 @@ fn main() -> ExitCode {
         }
     };
     // default: lint the benchmark models, unless plan files were given
-    // or the run only targets the service stacks
-    let models = args
-        .models
-        .unwrap_or(if args.plans.is_empty() && !args.stack {
-            Models::Both
-        } else {
-            Models::None
-        });
+    let models = args.models.unwrap_or(if args.plans.is_empty() {
+        Models::Both
+    } else {
+        Models::None
+    });
 
     let cache = GraphLintCache::new();
     let mut reports = Vec::new();
@@ -365,20 +314,6 @@ fn main() -> ExitCode {
                 eprintln!("error: {msg}");
                 return ExitCode::from(2);
             }
-        }
-    }
-    if args.stack {
-        for (name, raw_cache, store) in [
-            ("stack:default-search", false, false),
-            ("stack:raw-cache", true, false),
-            ("stack:store-search", false, true),
-        ] {
-            let spec = search_stack_spec(raw_cache, store);
-            eprintln!("stack: {name}: {}", spec.label());
-            reports.push(Report {
-                subject: name.to_string(),
-                diags: analyze_stack(&spec),
-            });
         }
     }
     if args.inject_fault {
@@ -400,14 +335,6 @@ fn main() -> ExitCode {
                 subject: "plan-fault-injection".to_string(),
                 diags: analyze_plan(&plan, &model, &PlanCheckOptions::default()),
             }
-        });
-    }
-    if args.inject_stack_fault {
-        let spec = misordered_stack_spec();
-        eprintln!("stack: stack-fault-injection: {}", spec.label());
-        reports.push(Report {
-            subject: "stack-fault-injection".to_string(),
-            diags: analyze_stack(&spec),
         });
     }
     if reports.is_empty() {

@@ -58,8 +58,6 @@ pub enum Span {
     Stage(usize),
     /// The whole pipeline plan.
     Plan,
-    /// One layer of a service stack (by position, innermost first).
-    Layer(usize),
 }
 
 impl Span {
@@ -72,7 +70,6 @@ impl Span {
             Span::Node(id) => (1, id.0 as u64),
             Span::Stage(i) => (2, i as u64),
             Span::Plan => (3, 0),
-            Span::Layer(i) => (4, i as u64),
         }
     }
 }
@@ -84,7 +81,6 @@ impl std::fmt::Display for Span {
             Span::Node(id) => write!(f, "node {}", id.0),
             Span::Stage(i) => write!(f, "stage {i}"),
             Span::Plan => f.write_str("plan"),
-            Span::Layer(i) => write!(f, "layer {i}"),
         }
     }
 }

@@ -31,7 +31,6 @@ pub mod pass;
 pub mod plan_passes;
 pub mod registry;
 pub mod render;
-pub mod stack_passes;
 
 pub use dataflow::{
     peak_resident_bytes, resident_sets, solve, BitSet, Direction, Fixpoint, FlowGraph, Lattice,
@@ -48,4 +47,3 @@ pub use registry::{
     default_graph_passes, default_plan_passes, GraphLintCache, LintCacheStats,
 };
 pub use render::{render_json, render_text};
-pub use stack_passes::analyze_stack;

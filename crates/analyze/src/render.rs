@@ -56,7 +56,6 @@ fn json_span(span: Span) -> String {
         Span::Node(id) => format!(r#"{{"kind":"node","id":{}}}"#, id.0),
         Span::Stage(i) => format!(r#"{{"kind":"stage","index":{i}}}"#),
         Span::Plan => r#"{"kind":"plan"}"#.to_string(),
-        Span::Layer(i) => format!(r#"{{"kind":"layer","index":{i}}}"#),
     }
 }
 
@@ -141,7 +140,6 @@ mod tests {
                 FixEdit::SetMicrobatches { value: 4 },
             ),
             Diagnostic::new(203, Severity::Info, Span::Graph, "fold me"),
-            Diagnostic::new(2101, Severity::Error, Span::Layer(2), "misplaced retry"),
         ]
     }
 
@@ -152,7 +150,6 @@ mod tests {
         assert!(t.contains("  = help: fix it"));
         assert!(t.contains("info[P0203]: graph: fold me"));
         assert!(t.contains("  = fix: set microbatches to 4"));
-        assert!(t.contains("error[P2101]: layer 2: misplaced retry"));
     }
 
     #[test]
@@ -168,7 +165,6 @@ mod tests {
         assert!(j.contains(
             r#""fix":{"description":"set microbatches to 4","edit":{"kind":"set_microbatches","value":4}}"#
         ));
-        assert!(j.contains(r#""span":{"kind":"layer","index":2}"#));
         assert_eq!(render_json(&[]), "[]\n");
     }
 }

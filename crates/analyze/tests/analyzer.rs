@@ -273,32 +273,16 @@ fn golden_json_report_is_stable() {
     );
 }
 
-/// Second golden: the schema extensions of DESIGN.md §12 — `P2xxx`
-/// stack-ordering codes with `layer` spans, and a `P13xx` finding
-/// carrying a machine-applicable `fix` object.
+/// Second golden: the schema extension of DESIGN.md §12 — a `P13xx`
+/// finding carrying a machine-applicable `fix` object.
 #[test]
 fn golden_json_stack_and_fix_report_is_stable() {
     use predtop_analyze::plan_passes::divisibility_diags;
-    use predtop_analyze::{analyze_stack, Span};
-    use predtop_service::{LayerTag, StackSpec};
+    use predtop_analyze::Span;
 
-    let misordered = StackSpec::from_layers([
-        LayerTag::Retry,
-        LayerTag::FaultInject,
-        LayerTag::Batched,
-        LayerTag::Deadline,
-        LayerTag::Instrumented,
-    ]);
-    let mut diags = analyze_stack(&misordered);
     let mut m = ModelSpec::gpt3_1p3b(8);
     m.num_layers = 2;
-    diags.extend(divisibility_diags(
-        &m,
-        3,
-        ParallelConfig::SERIAL,
-        Span::Plan,
-        None,
-    ));
+    let mut diags = divisibility_diags(&m, 3, ParallelConfig::SERIAL, Span::Plan, None);
     sort_diagnostics(&mut diags);
     assert!(has_errors(&diags));
     let rendered = render_json(&diags);
@@ -313,7 +297,7 @@ fn golden_json_stack_and_fix_report_is_stable() {
     assert_eq!(
         rendered,
         include_str!("golden/stack_fix.json"),
-        "the JSON schema for layer spans or fix objects changed; bless \
+        "the JSON schema for fix objects changed; bless \
          tests/golden/stack_fix.json only if the change is intentional"
     );
 }
@@ -386,44 +370,6 @@ fn cli_injected_fault_exits_one() {
     assert_eq!(json.status.code(), Some(1));
     let stdout = String::from_utf8(json.stdout).unwrap();
     assert!(stdout.contains(r#""code":"P0107""#), "stdout: {stdout}");
-}
-
-#[test]
-fn cli_stack_lints_the_canonical_stacks_clean() {
-    let out = lint_cmd().args(["--stack"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(0), "stderr: {:?}", out.stderr);
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("stack:default-search"), "{stdout}");
-    assert!(stdout.contains("stack:raw-cache"), "{stdout}");
-    assert!(
-        stdout.contains("(0 errors, 0 warnings, 0 infos)"),
-        "{stdout}"
-    );
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        stderr.contains(
-            "FaultInject → Deadline → Retry → MemoizeStructural → Batched → Instrumented"
-        ),
-        "{stderr}"
-    );
-}
-
-#[test]
-fn cli_injected_stack_fault_exits_one() {
-    let out = lint_cmd()
-        .args(["--models", "none", "--inject-stack-fault"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("error[P2101]"), "{stdout}");
-    assert!(stdout.contains("error[P2104]"), "{stdout}");
-    // the clean canonical stacks don't mask the injected fault
-    let both = lint_cmd()
-        .args(["--stack", "--inject-stack-fault"])
-        .output()
-        .unwrap();
-    assert_eq!(both.status.code(), Some(1));
 }
 
 #[test]

@@ -76,7 +76,7 @@ fn main() {
         let profiler = SimProfiler::new(platform.clone(), proto.seed);
         let full_stack = ServiceBuilder::new(&profiler)
             .memoize()
-            .batched_auto()
+            .batched(configured_threads())
             .finish();
         let full = search_plan_service(model, cluster, &full_stack, &profiler, opts, None)
             .expect("the simulator stack serves every scenario");

@@ -17,7 +17,7 @@ use predtop_parallel::{
 };
 use predtop_runtime::par_map;
 use predtop_service::api::{decode_config, decode_mesh};
-use predtop_service::{LatencyQuery, LatencyReply, LatencyService, ServiceError};
+use predtop_service::{AsProvider, LatencyQuery, LatencyReply, LatencyService, ServiceError};
 use predtop_sim::SimProfiler;
 use predtop_store::{ByteReader, ByteWriter, DecodeError, ObjectKind, Store};
 use predtop_tensor::Loss;
@@ -385,17 +385,11 @@ fn fit_split(n: usize) -> Split {
     }
 }
 
+/// The service path through [`AsProvider`]: an unfitted scenario costs
+/// `f64::INFINITY`, which the optimizer never picks.
 impl StageLatencyProvider for PredTop {
     fn stage_latency(&self, stage: &StageSpec, mesh: MeshShape, config: ParallelConfig) -> f64 {
-        assert!(
-            self.predictors.contains_key(&(mesh, config)),
-            "no predictor trained for scenario ({mesh:?}, {config:?})"
-        );
-        // the stage part of the structural descriptor: one cell holds
-        // every placement, so the placement is fixed
-        let key = StructuralDescriptor::of(stage, MeshShape::new(1, 1), ParallelConfig::SERIAL);
-        let cell = self.predictions.lock().entry(key).or_default().clone();
-        cell.get_or_init(|| self.predict_all_scenarios(stage))[&(mesh, config)]
+        AsProvider(self).stage_latency(stage, mesh, config)
     }
 }
 
@@ -405,9 +399,8 @@ impl LatencyService for PredTop {
     }
 
     fn query(&self, q: &LatencyQuery) -> Result<LatencyReply, ServiceError> {
-        // unlike the StageLatencyProvider impl (which panics), an
-        // unfitted scenario is a recoverable condition here: a Fallback
-        // layer degrades that query to the next source
+        // an unfitted scenario is recoverable: a Fallback layer degrades
+        // that query to the next source
         if !self.predictors.contains_key(&(q.mesh, q.config)) {
             return Err(ServiceError::ScenarioUnsupported {
                 source: self.name(),
@@ -415,8 +408,12 @@ impl LatencyService for PredTop {
                 config: q.config,
             });
         }
+        // the stage part of the structural descriptor: one cell holds
+        // every placement, so the placement is fixed
+        let key = StructuralDescriptor::of(&q.stage, MeshShape::new(1, 1), ParallelConfig::SERIAL);
+        let cell = self.predictions.lock().entry(key).or_default().clone();
         Ok(LatencyReply {
-            seconds: self.stage_latency(&q.stage, q.mesh, q.config),
+            seconds: cell.get_or_init(|| self.predict_all_scenarios(&q.stage))[&(q.mesh, q.config)],
             source: self.name(),
         })
     }
@@ -818,11 +815,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no predictor trained")]
-    fn unknown_scenario_panics() {
+    fn unknown_scenario_costs_infinity() {
         let profiler = SimProfiler::new(Platform::platform1(), 7);
         let pt = PredTop::fit(tiny_model(), MeshShape::new(1, 1), &profiler, &tiny_cfg());
         let stage = StageSpec::new(tiny_model(), 0, 1);
-        let _ = pt.stage_latency(&stage, MeshShape::new(2, 2), ParallelConfig::new(4, 1));
+        let t = pt.stage_latency(&stage, MeshShape::new(2, 2), ParallelConfig::new(4, 1));
+        assert_eq!(t, f64::INFINITY);
     }
 }

@@ -86,10 +86,10 @@ pub struct SearchOutcome {
 /// Panics if no legal covering partition exists — in particular when
 /// `opts.microbatches` does not divide `model.batch` (`P1301` rejects
 /// every candidate).
-pub fn search_plan_service<S: LatencyService>(
+pub fn search_plan_service(
     model: ModelSpec,
     cluster: MeshShape,
-    stack: &ServiceStack<S>,
+    stack: &ServiceStack<'_>,
     profiler: &SimProfiler,
     opts: InterStageOptions,
     legality: Option<&StaticLegality>,
@@ -234,9 +234,8 @@ impl<'a> SearchRequest<'a> {
 /// re-evaluating the winning plan with the ground-truth `profiler`.
 ///
 /// This is the single execution path behind every `search_plan*` entry
-/// point. Without a store the stack is `Batched` only — bit-identical
-/// to the historical [`predtop_service::provider_stack`] engine; with one it is the
-/// canonical `Persist → MemoizeStructural → Batched → Instrumented`
+/// point. Without a store the stack is `Batched` only; with one it is
+/// the canonical `Persist → MemoizeStructural → Batched → Instrumented`
 /// store-backed stack, and the plan/outcome snapshots are persisted
 /// (best-effort write-behind: an unwritable store degrades persistence,
 /// never the search result).
@@ -483,7 +482,6 @@ mod tests {
     use predtop_cluster::Platform;
     use predtop_gnn::train::TrainConfig;
     use predtop_gnn::ModelKind;
-    use predtop_service::{provider_stack, ServiceBuilder};
 
     fn tiny_model() -> ModelSpec {
         let mut s = ModelSpec::gpt3_1p3b(2);
@@ -770,7 +768,9 @@ mod tests {
             ..GpuSpec::a40()
         };
         let legality = StaticLegality::new(model, opts.microbatches).with_memory_check(gpu, 0.1);
-        let stack = provider_stack(&profiler, "provider", 2);
+        let stack = ServiceBuilder::new(ProviderService::new(&profiler, "provider"))
+            .batched(2)
+            .finish();
         let checked = search_plan_service(model, cluster, &stack, &profiler, opts, Some(&legality))
             .expect("simulator stack is infallible");
 

@@ -23,7 +23,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use predtop_analyze::{analyze_stack, has_errors, render_text};
 use predtop_cluster::Platform;
 use predtop_gnn::{GraphSample, TrainedPredictor};
 use predtop_parallel::{InterStageOptions, MeshShape};
@@ -69,7 +68,8 @@ pub struct EngineConfig {
     /// Memoize on raw query identity instead of structural equivalence
     /// classes (the CLI's `--raw-cache`).
     pub raw_cache: bool,
-    /// Injected transient-fault rate in `[0, 1]` (0 = pass-through).
+    /// Injected transient-fault rate in `[0, 1]` (0 = pass-through);
+    /// [`ServeEngine::new`] refuses any other value.
     pub fault_rate: f64,
     /// Fault-injection hash seed.
     pub fault_seed: u64,
@@ -161,9 +161,6 @@ fn model_load_failed(reason: String) -> Box<dyn LatencyService + Send + Sync> {
     Box::new(Unavailable::new("predictor", reason))
 }
 
-/// The type-erased stacks a long-lived engine holds.
-type BoxedStack = ServiceStack<Box<dyn LatencyService + Send + Sync>>;
-
 /// One request-execution engine: the single implementation behind the
 /// CLI commands, the `predtop serve` wire protocol, and the tests.
 ///
@@ -174,8 +171,8 @@ type BoxedStack = ServiceStack<Box<dyn LatencyService + Send + Sync>>;
 pub struct ServeEngine {
     config: EngineConfig,
     profiler: Arc<SimProfiler>,
-    stack: BoxedStack,
-    predict_stack: BoxedStack,
+    stack: ServiceStack<'static>,
+    predict_stack: ServiceStack<'static>,
     admission: AdmissionControl,
     served: AtomicU64,
     shed: AtomicU64,
@@ -183,43 +180,39 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Assemble the engine's stacks from `config` and lint their layer
-    /// order (the same `P2xxx` rules `predtop-lint --stack` enforces).
-    /// An assembly the lints reject returns the rendered diagnostics.
+    /// Assemble the engine's stacks from `config`. The one error is an
+    /// injected fault rate outside `[0, 1]`.
     pub fn new(config: EngineConfig) -> Result<ServeEngine, String> {
+        if !(0.0..=1.0).contains(&config.fault_rate) {
+            return Err(format!(
+                "the injected fault rate must be a probability in [0, 1], got {}",
+                config.fault_rate
+            ));
+        }
         let profiler = Arc::new(SimProfiler::new(config.platform.clone(), config.seed));
 
-        // the canonical chaos-capable stack (DESIGN.md §10): faults
-        // innermost, the deadline polices each attempt, the retry loop
-        // absorbs transient failures, then persistence, memoization,
-        // fan-out, and instrumentation see the (now reliable) service
+        // the chaos-capable stack of DESIGN.md §10: `finish` puts the
+        // faults innermost, the deadline on each attempt and the retry
+        // loop around them, then persistence, memoization, fan-out and
+        // instrumentation over the (now reliable) service
         let builder = ServiceBuilder::new(Arc::clone(&profiler))
             .inject_faults(FaultConfig::errors(config.fault_seed, config.fault_rate))
             .deadline(DeadlinePolicy {
                 per_query_seconds: config.deadline,
                 per_batch_seconds: None,
             })
-            .retry(RetryPolicy::retries(config.retries));
-        let builder = match &config.store {
-            Some(store) => builder
-                .persist(Arc::clone(store), config.sim_namespace())
-                .boxed(),
-            None => builder.boxed(),
-        };
-        let builder = if config.raw_cache {
+            .retry(RetryPolicy::retries(config.retries))
+            .batched(config.threads)
+            .instrumented();
+        let mut builder = if config.raw_cache {
             builder.memoize()
         } else {
             builder.memoize_structural()
         };
-        let stack = builder
-            .batched(config.threads)
-            .instrumented()
-            .boxed()
-            .finish();
-        let diags = analyze_stack(stack.spec());
-        if has_errors(&diags) {
-            return Err(render_text(&diags));
+        if let Some(store) = &config.store {
+            builder = builder.persist(Arc::clone(store), config.sim_namespace());
         }
+        let stack = builder.finish();
 
         // predictor → analytic fallback chain: a missing or undecodable
         // model file degrades the answer instead of failing the request
@@ -230,25 +223,18 @@ impl ServeEngine {
                 None,
             ),
         };
-        let predict_builder = ServiceBuilder::new(base)
-            .or_fallback_to(AnalyticBaseline::new(config.platform.clone()));
-        let predict_builder = match &config.store {
-            Some(store) => {
-                // the namespace ties persisted answers to the exact
-                // model weights (file digest) and fallback platform, so
-                // swapping the model file can never serve stale
-                // predictions
-                let weights = model_digest.map_or_else(|| "unloadable".to_string(), Digest::to_hex);
-                let ns = format!("predict:{}:{}", config.platform_id, weights);
-                predict_builder.persist(Arc::clone(store), ns).boxed()
-            }
-            None => predict_builder.boxed(),
-        };
-        let predict_stack = predict_builder.memoize().boxed().finish();
-        let diags = analyze_stack(predict_stack.spec());
-        if has_errors(&diags) {
-            return Err(render_text(&diags));
+        let mut predict = ServiceBuilder::new(base)
+            .or_fallback_to(AnalyticBaseline::new(config.platform.clone()))
+            .memoize();
+        if let Some(store) = &config.store {
+            // the namespace ties persisted answers to the exact model
+            // weights (file digest) and fallback platform, so swapping
+            // the model file can never serve stale predictions
+            let weights = model_digest.map_or_else(|| "unloadable".to_string(), Digest::to_hex);
+            let ns = format!("predict:{}:{}", config.platform_id, weights);
+            predict = predict.persist(Arc::clone(store), ns);
         }
+        let predict_stack = predict.finish();
 
         let admission = AdmissionControl::new(config.breaker);
         Ok(ServeEngine {
@@ -278,7 +264,7 @@ impl ServeEngine {
         }
     }
 
-    fn stage_query(&self, spec: &ProfileSpec, stack: &BoxedStack) -> Response {
+    fn stage_query(&self, spec: &ProfileSpec, stack: &ServiceStack<'_>) -> Response {
         if let Some(rejection) = validate_stage(spec) {
             return rejection;
         }

@@ -57,7 +57,9 @@ pub fn encode_model(w: &mut ByteWriter, m: &ModelSpec) {
     }
 }
 
-/// Decode a model spec written by [`encode_model`].
+/// Decode a model spec written by [`encode_model`]. Every size, count
+/// and the head count must be at least one (a zero divides by zero or
+/// builds a zero-sized tensor), so a zero is a [`DecodeError::BadTag`].
 pub fn decode_model(r: &mut ByteReader<'_>) -> Result<ModelSpec, DecodeError> {
     let kind = match r.u8("model kind")? {
         1 => ModelKind::Gpt3,
@@ -69,18 +71,18 @@ pub fn decode_model(r: &mut ByteReader<'_>) -> Result<ModelSpec, DecodeError> {
             })
         }
     };
-    let batch = r.usize("model batch")?;
-    let seq_len = r.usize("model seq_len")?;
-    let hidden = r.usize("model hidden")?;
-    let num_layers = r.usize("model num_layers")?;
-    let num_heads = r.usize("model num_heads")?;
-    let vocab = r.usize("model vocab")?;
-    let ffn_mult = r.usize("model ffn_mult")?;
+    let batch = nonzero(r, "model batch")?;
+    let seq_len = nonzero(r, "model seq_len")?;
+    let hidden = nonzero(r, "model hidden")?;
+    let num_layers = nonzero(r, "model num_layers")?;
+    let num_heads = nonzero(r, "model num_heads")?;
+    let vocab = nonzero(r, "model vocab")?;
+    let ffn_mult = nonzero(r, "model ffn_mult")?;
     let moe = match r.u8("moe tag")? {
         0 => None,
         1 => Some(MoeSpec {
-            num_experts: r.usize("moe num_experts")?,
-            expert_hidden: r.usize("moe expert_hidden")?,
+            num_experts: nonzero(r, "moe num_experts")?,
+            expert_hidden: nonzero(r, "moe expert_hidden")?,
             every: r.usize("moe every")?,
         }),
         tag => {
@@ -108,8 +110,8 @@ pub fn decode_model(r: &mut ByteReader<'_>) -> Result<ModelSpec, DecodeError> {
 /// is a [`DecodeError::BadTag`], not a panic.
 pub fn decode_mesh(r: &mut ByteReader<'_>) -> Result<MeshShape, DecodeError> {
     Ok(MeshShape::new(
-        degree(r, "mesh nodes")?,
-        degree(r, "mesh gpus per node")?,
+        nonzero(r, "mesh nodes")?,
+        nonzero(r, "mesh gpus per node")?,
     ))
 }
 
@@ -117,13 +119,13 @@ pub fn decode_mesh(r: &mut ByteReader<'_>) -> Result<MeshShape, DecodeError> {
 /// degree, each at least one like [`decode_mesh`]'s fields.
 pub fn decode_config(r: &mut ByteReader<'_>) -> Result<ParallelConfig, DecodeError> {
     Ok(ParallelConfig::new(
-        degree(r, "parallel dp")?,
-        degree(r, "parallel mp")?,
+        nonzero(r, "parallel dp")?,
+        nonzero(r, "parallel mp")?,
     ))
 }
 
-/// A mesh or parallelism degree: a nonzero `usize`.
-fn degree(r: &mut ByteReader<'_>, what: &'static str) -> Result<usize, DecodeError> {
+/// A size, count or degree: a nonzero `usize`.
+fn nonzero(r: &mut ByteReader<'_>, what: &'static str) -> Result<usize, DecodeError> {
     match r.usize(what)? {
         0 => Err(DecodeError::BadTag { what, tag: 0 }),
         d => Ok(d),
@@ -298,6 +300,9 @@ pub enum ErrorKind {
     Deadline,
     /// Admission control shed the request (breaker open).
     Shed,
+    /// The request handler panicked; the daemon answered and kept
+    /// serving.
+    Internal,
 }
 
 /// A failed request: kind, retryability, and the service error's
@@ -528,6 +533,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 ErrorKind::Fault => 4,
                 ErrorKind::Deadline => 5,
                 ErrorKind::Shed => 6,
+                ErrorKind::Internal => 7,
             });
             w.bool(e.transient);
             w.str(&e.message);
@@ -592,6 +598,7 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, DecodeError> {
                 4 => ErrorKind::Fault,
                 5 => ErrorKind::Deadline,
                 6 => ErrorKind::Shed,
+                7 => ErrorKind::Internal,
                 tag => {
                     return Err(DecodeError::BadTag {
                         what: "error kind",
@@ -894,6 +901,58 @@ mod tests {
             let decoded = decode_request(&bytes);
             prop_assert_eq!(decoded.is_ok(), degrees_valid, "{:?}", decoded);
             prop_assert!(decodes_canonically_or_errs(&bytes, decode_request, encode_request));
+        }
+    }
+
+    #[test]
+    fn zero_model_sizes_are_bad_tags() {
+        type Zero = fn(&mut ModelSpec);
+        let fields: [(&str, Zero); 9] = [
+            ("model batch", |m| m.batch = 0),
+            ("model seq_len", |m| m.seq_len = 0),
+            ("model hidden", |m| m.hidden = 0),
+            ("model num_layers", |m| m.num_layers = 0),
+            ("model num_heads", |m| m.num_heads = 0),
+            ("model vocab", |m| m.vocab = 0),
+            ("model ffn_mult", |m| m.ffn_mult = 0),
+            ("moe num_experts", |m| {
+                m.moe.as_mut().unwrap().num_experts = 0
+            }),
+            ("moe expert_hidden", |m| {
+                m.moe.as_mut().unwrap().expert_hidden = 0
+            }),
+        ];
+        for (what, zero) in fields {
+            let mut model = ModelSpec::moe_2p6b(2);
+            zero(&mut model);
+            let search = Request::Search(SearchSpec {
+                model,
+                microbatches: 1,
+                imbalance_tolerance: None,
+                checked: false,
+            });
+            assert_eq!(
+                decode_request(&encode_request(&search)),
+                Err(DecodeError::BadTag { what, tag: 0 }),
+                "{what}"
+            );
+            let plan = PipelinePlan {
+                stages: vec![PlannedStage {
+                    stage: StageSpec {
+                        model,
+                        start: 0,
+                        end: 1,
+                    },
+                    mesh: MeshShape::new(1, 1),
+                    config: ParallelConfig::SERIAL,
+                }],
+                microbatches: 1,
+            };
+            assert_eq!(
+                decode_plan(&encode_plan(&plan)),
+                Err(DecodeError::BadTag { what, tag: 0 }),
+                "{what}"
+            );
         }
     }
 

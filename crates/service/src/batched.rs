@@ -5,8 +5,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use predtop_runtime::{
-    configured_threads, par_map_chunked, ChunkDispatch, DEFAULT_OVERSUBSCRIPTION,
-    DEFAULT_SERIAL_THRESHOLD,
+    par_map_chunked, ChunkDispatch, DEFAULT_OVERSUBSCRIPTION, DEFAULT_SERIAL_THRESHOLD,
 };
 
 use crate::{LatencyQuery, LatencyReply, LatencyService, ServiceError};
@@ -137,12 +136,6 @@ impl<S> Batched<S> {
         Batched::with_policy(inner, threads, DispatchPolicy::default())
     }
 
-    /// Fan batches out over the `PREDTOP_THREADS`-configured pool size.
-    pub fn auto(inner: S) -> Batched<S> {
-        let threads = configured_threads();
-        Batched::new(inner, threads)
-    }
-
     /// Fan batches out over exactly `threads` workers with an explicit
     /// chunking policy.
     pub fn with_policy(inner: S, threads: usize, policy: DispatchPolicy) -> Batched<S> {
@@ -152,11 +145,6 @@ impl<S> Batched<S> {
             policy,
             state: Arc::new(BatchState::default()),
         }
-    }
-
-    /// The wrapped service.
-    pub fn inner(&self) -> &S {
-        &self.inner
     }
 
     /// The worker-pool size batches fan out over.

@@ -295,11 +295,6 @@ impl<S> CircuitBreaker<S> {
         }
     }
 
-    /// The wrapped service.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
     /// A shareable handle onto this layer's counters.
     pub fn handle(&self) -> BreakerHandle {
         BreakerHandle(self.state.clone())

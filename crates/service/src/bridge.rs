@@ -2,20 +2,16 @@
 //! [`StageLatencyProvider`] world — the *only* place the two traits are
 //! converted.
 //!
-//! [`ProviderService`] lifts any provider *into* the stack;
+//! [`ProviderService`] lifts any provider *into* the stack, and
 //! [`AsProvider`] projects a stack back *down* to a provider for APIs
-//! (like `PipelinePlan::latency`) that still speak the older trait; and
-//! [`provider_stack`] assembles the canonical batched stack the
-//! provider-typed search entry points run through. Callers must not
-//! hand-roll their own lift code: one conversion point keeps the
-//! attribution labels and error mapping consistent across the
+//! (like `PipelinePlan::latency`) that still speak the older trait.
+//! Callers must not hand-roll their own lift code: one conversion point
+//! keeps the attribution labels and error mapping consistent across the
 //! workspace.
 
 use predtop_models::StageSpec;
 use predtop_parallel::{MeshShape, ParallelConfig, PipelinePlan, StageLatencyProvider};
 
-use crate::batched::Batched;
-use crate::builder::{ServiceBuilder, ServiceStack};
 use crate::{LatencyQuery, LatencyReply, LatencyService, ServiceError};
 
 /// Adapter lifting a [`StageLatencyProvider`] into a named
@@ -32,11 +28,6 @@ impl<P> ProviderService<P> {
     /// Lift `provider` under the attribution label `name`.
     pub fn new(provider: P, name: &'static str) -> ProviderService<P> {
         ProviderService { provider, name }
-    }
-
-    /// The wrapped provider.
-    pub fn provider(&self) -> &P {
-        &self.provider
     }
 }
 
@@ -100,26 +91,6 @@ impl LatencyService for Unavailable {
             reason: self.reason.clone(),
         })
     }
-}
-
-/// The canonical stack for running a [`StageLatencyProvider`] through
-/// service-typed entry points: the provider lifted into a service
-/// attributed to `name`, fanned out over `threads` deterministic
-/// workers.
-///
-/// This is the single sanctioned provider→service lift for callers that
-/// just want "my provider, as a stack" (`predtop-core`'s provider-typed
-/// searches, bench bins). Anything fancier — memoization, fault
-/// injection, fallback chains — starts from
-/// [`ServiceBuilder::from_provider`] instead.
-pub fn provider_stack<P: StageLatencyProvider>(
-    provider: P,
-    name: &'static str,
-    threads: usize,
-) -> ServiceStack<Batched<ProviderService<P>>> {
-    ServiceBuilder::from_provider(provider, name)
-        .batched(threads)
-        .finish()
 }
 
 /// Eqn. 4 pipeline latency of `plan`, with every stage latency resolved
@@ -218,10 +189,13 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn provider_stack_serves_the_provider_values_under_its_label() {
+    fn batched_provider_serves_the_provider_values_under_its_label() {
         let q = sample_query();
         let direct = SyntheticProvider.stage_latency(&q.stage, q.mesh, q.config);
-        let stack = provider_stack(SyntheticProvider, "synthetic", 2);
+        let stack =
+            crate::ServiceBuilder::new(ProviderService::new(SyntheticProvider, "synthetic"))
+                .batched(2)
+                .finish();
         let r = stack.query(&q).unwrap();
         assert_eq!(r.seconds.to_bits(), direct.to_bits());
         assert_eq!(r.source, "synthetic");

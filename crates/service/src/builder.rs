@@ -1,11 +1,33 @@
-//! [`ServiceBuilder`]: assemble a middleware stack layer by layer while
-//! keeping shared handles to each layer's counters.
+//! [`ServiceBuilder`]: choose the middleware layers a stack has, and
+//! keep shared handles to each layer's counters.
+//!
+//! The builder records *which* layers a stack has, never in what order
+//! they wrap. [`ServiceBuilder::finish`] is the only place one layer
+//! wraps another, and it always uses the canonical order of DESIGN.md
+//! §10, innermost first:
+//!
+//! ```text
+//! FaultInject → Deadline → CircuitBreaker → Retry → Persist → Memoize → Batched → Instrumented
+//! ```
+//!
+//! * `Retry` wraps `FaultInject` and `CircuitBreaker`, so transient
+//!   failures reach the retry loop;
+//! * `Memoize` wraps `Retry`, so only settled successes are cached and a
+//!   hit skips the reliability layers;
+//! * `Persist` sits directly under `Memoize`: memory absorbs in-run
+//!   repeats, disk absorbs across-run repeats;
+//! * `Deadline`, `Persist` and `Memoize` sit inside `Batched`, so
+//!   budgets meter one worker's slice, disk misses still fan out, and
+//!   the workers share one cache;
+//! * `Instrumented` is outermost, so its counters see what the caller
+//!   sees.
+//!
+//! A misordered or double-cached stack therefore cannot be written.
 
 use std::sync::Arc;
 
 use crate::batched::{BatchHandle, Batched, DispatchPolicy};
 use crate::breaker::{BreakerConfig, BreakerHandle, CircuitBreaker};
-use crate::bridge::ProviderService;
 use crate::deadline::{Deadline, DeadlineHandle, DeadlinePolicy};
 use crate::fallback::Fallback;
 use crate::fault::{FaultConfig, FaultHandle, FaultInject};
@@ -16,108 +38,8 @@ use crate::retry::{Retry, RetryHandle, RetryPolicy};
 use crate::{
     FallbackHandle, LatencyQuery, LatencyReply, LatencyService, MetricsHandle, ServiceError,
 };
-use predtop_parallel::{StageLatencyProvider, StructuralInterner};
-
-/// The kind of one middleware layer, as recorded by [`StackSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LayerTag {
-    /// [`Fallback`] — degrade to a secondary service on error.
-    Fallback,
-    /// [`Memoize`] in per-query mode.
-    Memoize,
-    /// [`Memoize`] in structural-equivalence mode.
-    MemoizeStructural,
-    /// [`crate::Persist`] — disk-backed reply store under the memoize
-    /// tier.
-    Persist,
-    /// [`Batched`] — fan batches across the worker pool.
-    Batched,
-    /// [`FaultInject`] — deterministic chaos injection.
-    FaultInject,
-    /// [`Deadline`] — wall-clock budgets.
-    Deadline,
-    /// [`CircuitBreaker`] — load shedding on persistent failure.
-    CircuitBreaker,
-    /// [`Retry`] — transient-failure re-attempts.
-    Retry,
-    /// [`Instrumented`] — query/batch/error counters.
-    Instrumented,
-}
-
-impl LayerTag {
-    /// The layer's display name (matches the wrapping combinator).
-    pub fn label(self) -> &'static str {
-        match self {
-            LayerTag::Fallback => "Fallback",
-            LayerTag::Memoize => "Memoize",
-            LayerTag::MemoizeStructural => "MemoizeStructural",
-            LayerTag::Persist => "Persist",
-            LayerTag::Batched => "Batched",
-            LayerTag::FaultInject => "FaultInject",
-            LayerTag::Deadline => "Deadline",
-            LayerTag::CircuitBreaker => "CircuitBreaker",
-            LayerTag::Retry => "Retry",
-            LayerTag::Instrumented => "Instrumented",
-        }
-    }
-
-    /// Do two tags denote the same layer family? The two memoize modes
-    /// are one family — installing both is double caching.
-    pub fn same_family(self, other: LayerTag) -> bool {
-        let fam = |t| match t {
-            LayerTag::MemoizeStructural => LayerTag::Memoize,
-            t => t,
-        };
-        fam(self) == fam(other)
-    }
-}
-
-/// An introspection record of a built middleware stack: the installed
-/// layer tags in wrap order, **innermost first** (index 0 sits directly
-/// over the base source). [`ServiceBuilder`] pushes one tag per
-/// combinator call, so the spec is exactly the stack that was actually
-/// composed — this is what `predtop-analyze`'s stack-ordering lints
-/// (`P2xxx`, DESIGN.md §10) check, statically for configs and live for
-/// the stack the CLI search builds.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StackSpec {
-    layers: Vec<LayerTag>,
-}
-
-impl StackSpec {
-    /// An empty spec (a bare base service).
-    pub fn new() -> StackSpec {
-        StackSpec::default()
-    }
-
-    /// A spec from explicit tags, innermost first — for linting a stack
-    /// *description* without building the stack.
-    pub fn from_layers(layers: impl IntoIterator<Item = LayerTag>) -> StackSpec {
-        StackSpec {
-            layers: layers.into_iter().collect(),
-        }
-    }
-
-    /// Record one more (outer) layer.
-    pub fn push(&mut self, tag: LayerTag) {
-        self.layers.push(tag);
-    }
-
-    /// Installed layers, innermost first.
-    pub fn layers(&self) -> &[LayerTag] {
-        &self.layers
-    }
-
-    /// Human-readable wrap order, innermost first:
-    /// `FaultInject → Retry → Batched`.
-    pub fn label(&self) -> String {
-        self.layers
-            .iter()
-            .map(|t| t.label())
-            .collect::<Vec<_>>()
-            .join(" → ")
-    }
-}
+use predtop_parallel::StructuralInterner;
+use predtop_store::Store;
 
 /// Shared handles onto the counters of the layers a [`ServiceBuilder`]
 /// installed. Cloneable and independent of the stack's lifetime, so an
@@ -154,67 +76,72 @@ pub struct StackHandles {
     pub persist: Option<PersistHandle>,
 }
 
-/// Type-state builder for a latency-service middleware stack.
+/// The layers a [`ServiceBuilder`] installs, one slot each: naming a
+/// layer again replaces its settings.
+#[derive(Default)]
+struct Layers {
+    fault: Option<FaultConfig>,
+    deadline: Option<DeadlinePolicy>,
+    breaker: Option<BreakerConfig>,
+    retry: Option<RetryPolicy>,
+    persist: Option<(Arc<Store>, String)>,
+    /// `Some(true)` keys the cache on structural equivalence classes.
+    memoize: Option<bool>,
+    batched: Option<(usize, DispatchPolicy)>,
+    instrumented: bool,
+}
+
+/// Builder for a latency-service middleware stack.
 ///
-/// Layers wrap outward: each call wraps the current service in one more
-/// layer, so the *first* layer added sits closest to the base source and
-/// the *last* sits outermost. The canonical search stack is
+/// Each combinator names one layer and returns the builder, in any
+/// order; [`finish`](Self::finish) wraps the named layers around the
+/// base source in the canonical order of the [module docs](self). The
+/// search stack
 ///
 /// ```text
-/// ServiceBuilder::from_provider(profiler, "simulator")
-///     .memoize()        // innermost wrap: dedupe repeat queries
+/// ServiceBuilder::new(&profiler)
+///     .memoize()        // dedupe repeat queries
 ///     .batched(threads) // fan batches across the worker pool
-///     .instrumented()   // outermost: count what the caller sees
+///     .instrumented()   // count what the caller sees
 ///     .finish()
 /// ```
 ///
-/// i.e. `Instrumented(Batched(Memoize(ProviderService(profiler))))`.
-/// Keeping [`Instrumented`] outside [`Batched`] is what makes its
-/// latency accounting deterministic — it sums the already-ordered batch
-/// replies instead of racing per-query.
+/// is `Instrumented(Batched(Memoize(profiler)))` whichever way round
+/// the three calls come. Keeping [`Instrumented`] outside [`Batched`] is
+/// what makes its latency accounting deterministic — it sums the
+/// already-ordered batch replies instead of racing per-query.
 pub struct ServiceBuilder<S> {
-    svc: S,
-    handles: StackHandles,
-    spec: StackSpec,
-}
-
-impl<P: StageLatencyProvider> ServiceBuilder<ProviderService<P>> {
-    /// Start a stack from a pre-service [`StageLatencyProvider`],
-    /// attributed to `name`.
-    pub fn from_provider(provider: P, name: &'static str) -> ServiceBuilder<ProviderService<P>> {
-        ServiceBuilder::new(ProviderService::new(provider, name))
-    }
+    base: S,
+    fallback: Option<FallbackHandle>,
+    layers: Layers,
 }
 
 impl<S: LatencyService> ServiceBuilder<S> {
     /// Start a stack from a base service.
-    pub fn new(svc: S) -> ServiceBuilder<S> {
+    pub fn new(base: S) -> ServiceBuilder<S> {
         ServiceBuilder {
-            svc,
-            handles: StackHandles::default(),
-            spec: StackSpec::new(),
+            base,
+            fallback: None,
+            layers: Layers::default(),
         }
     }
 
-    /// Degrade to `secondary` on any error from the current stack.
+    /// Pair the base source with `secondary`, which answers every query
+    /// the base fails. The pair is the new base, under every layer.
     pub fn or_fallback_to<T: LatencyService>(self, secondary: T) -> ServiceBuilder<Fallback<S, T>> {
-        let svc = Fallback::new(self.svc, secondary);
-        let mut handles = self.handles;
-        handles.fallback = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::Fallback);
-        ServiceBuilder { svc, handles, spec }
+        let base = Fallback::new(self.base, secondary);
+        ServiceBuilder {
+            fallback: Some(base.handle()),
+            base,
+            layers: self.layers,
+        }
     }
 
     /// Memoize successful replies per query (sharded, with
     /// [`predtop_parallel::CacheStats`] accounting).
-    pub fn memoize(self) -> ServiceBuilder<Memoize<S>> {
-        let svc = Memoize::new(self.svc);
-        let mut handles = self.handles;
-        handles.cache = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::Memoize);
-        ServiceBuilder { svc, handles, spec }
+    pub fn memoize(mut self) -> Self {
+        self.layers.memoize = Some(false);
+        self
     }
 
     /// Memoize successful replies per *structural equivalence class*: a
@@ -224,180 +151,158 @@ impl<S: LatencyService> ServiceBuilder<S> {
     /// share one cache entry and all but the first *hit*. Only sound
     /// over structure-pure sources (every in-tree provider; see
     /// [`Memoize`]). The interner rides along in
-    /// [`StackHandles::interner`].
-    pub fn memoize_structural(self) -> ServiceBuilder<Memoize<S>> {
-        let interner = Arc::new(StructuralInterner::new());
-        let svc = Memoize::structural(self.svc, interner.clone());
-        let mut handles = self.handles;
-        handles.cache = Some(svc.handle());
-        handles.interner = Some(interner);
-        let mut spec = self.spec;
-        spec.push(LayerTag::MemoizeStructural);
-        ServiceBuilder { svc, handles, spec }
+    /// [`StackHandles::interner`]. The same layer as
+    /// [`memoize`](Self::memoize): a stack has one cache.
+    pub fn memoize_structural(mut self) -> Self {
+        self.layers.memoize = Some(true);
+        self
     }
 
-    /// Back the current stack with a persistent object store: replies
-    /// are served from `store` when present (keyed by structural
-    /// descriptor under `namespace`) and write-behind into it when not.
-    /// Goes directly inside [`memoize`](Self::memoize) /
-    /// [`memoize_structural`](Self::memoize_structural) — memory
-    /// absorbs in-run repeats, disk absorbs across-run repeats — and
-    /// inside [`batched`](Self::batched) so disk misses still fan out
-    /// (lints `P2106`/`P2107`/`P2203`).
-    pub fn persist(
-        self,
-        store: Arc<predtop_store::Store>,
-        namespace: impl Into<String>,
-    ) -> ServiceBuilder<Persist<S>> {
-        let svc = Persist::new(self.svc, store, namespace);
-        let mut handles = self.handles;
-        handles.persist = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::Persist);
-        ServiceBuilder { svc, handles, spec }
+    /// Back the stack with a persistent object store: replies are
+    /// served from `store` when present (keyed by structural descriptor
+    /// under `namespace`) and write-behind into it when not. The disk
+    /// tier sits directly under the memoize layer and inside the
+    /// batched one.
+    pub fn persist(mut self, store: Arc<Store>, namespace: impl Into<String>) -> Self {
+        self.layers.persist = Some((store, namespace.into()));
+        self
     }
 
     /// Fan query batches across `threads` deterministic workers with
     /// the default chunking policy.
-    pub fn batched(self, threads: usize) -> ServiceBuilder<Batched<S>> {
+    pub fn batched(self, threads: usize) -> Self {
         self.batched_with_policy(threads, DispatchPolicy::default())
-    }
-
-    /// Fan query batches across the `PREDTOP_THREADS`-configured pool.
-    pub fn batched_auto(self) -> ServiceBuilder<Batched<S>> {
-        self.batched(predtop_runtime::configured_threads())
     }
 
     /// Fan query batches across `threads` deterministic workers with an
     /// explicit [`DispatchPolicy`].
-    pub fn batched_with_policy(
-        self,
-        threads: usize,
-        policy: DispatchPolicy,
-    ) -> ServiceBuilder<Batched<S>> {
-        let svc = Batched::with_policy(self.svc, threads, policy);
-        let mut handles = self.handles;
-        handles.batch = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::Batched);
-        ServiceBuilder { svc, handles, spec }
+    pub fn batched_with_policy(mut self, threads: usize, policy: DispatchPolicy) -> Self {
+        self.layers.batched = Some((threads, policy));
+        self
     }
 
     /// Inject deterministic hash-seeded faults (errors and latency
-    /// spikes) in front of the current stack. Goes innermost in a chaos
-    /// stack, directly over the base source, so every resilience layer
-    /// above gets exercised.
-    pub fn inject_faults(self, config: FaultConfig) -> ServiceBuilder<FaultInject<S>> {
-        let svc = FaultInject::new(self.svc, config);
-        let mut handles = self.handles;
-        handles.fault = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::FaultInject);
-        ServiceBuilder { svc, handles, spec }
+    /// spikes) directly over the base source, so every resilience layer
+    /// gets exercised.
+    pub fn inject_faults(mut self, config: FaultConfig) -> Self {
+        self.layers.fault = Some(config);
+        self
     }
 
-    /// Enforce wall-clock budgets on the current stack, converting
-    /// overruns into [`ServiceError::DeadlineExceeded`]. Goes inside
-    /// [`Batched`](Self::batched) for the per-batch budget to fire (see
-    /// DESIGN.md §10).
-    pub fn deadline(self, policy: DeadlinePolicy) -> ServiceBuilder<Deadline<S>> {
-        let svc = Deadline::new(self.svc, policy);
-        let mut handles = self.handles;
-        handles.deadline = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::Deadline);
-        ServiceBuilder { svc, handles, spec }
+    /// Enforce wall-clock budgets, converting overruns into
+    /// [`ServiceError::DeadlineExceeded`].
+    pub fn deadline(mut self, policy: DeadlinePolicy) -> Self {
+        self.layers.deadline = Some(policy);
+        self
     }
 
-    /// Shed load off the current stack when it keeps failing, via a
+    /// Shed load off the source when it keeps failing, via a
     /// closed/open/half-open breaker over a sliding outcome window.
-    pub fn circuit_breaker(self, config: BreakerConfig) -> ServiceBuilder<CircuitBreaker<S>> {
-        let svc = CircuitBreaker::new(self.svc, config);
-        let mut handles = self.handles;
-        handles.breaker = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::CircuitBreaker);
-        ServiceBuilder { svc, handles, spec }
+    pub fn circuit_breaker(mut self, config: BreakerConfig) -> Self {
+        self.layers.breaker = Some(config);
+        self
     }
 
-    /// Re-attempt transient failures of the current stack, with
-    /// deterministic accounted exponential backoff. Goes outside
-    /// [`inject_faults`](Self::inject_faults) and
-    /// [`circuit_breaker`](Self::circuit_breaker), inside
-    /// [`memoize`](Self::memoize).
-    pub fn retry(self, policy: RetryPolicy) -> ServiceBuilder<Retry<S>> {
-        let svc = Retry::new(self.svc, policy);
-        let mut handles = self.handles;
-        handles.retry = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::Retry);
-        ServiceBuilder { svc, handles, spec }
+    /// Re-attempt transient failures, with deterministic accounted
+    /// exponential backoff.
+    pub fn retry(mut self, policy: RetryPolicy) -> Self {
+        self.layers.retry = Some(policy);
+        self
     }
 
-    /// Count queries, batches, errors, and served seconds at this point
-    /// in the stack.
-    pub fn instrumented(self) -> ServiceBuilder<Instrumented<S>> {
-        let svc = Instrumented::new(self.svc);
-        let mut handles = self.handles;
-        handles.metrics = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::Instrumented);
-        ServiceBuilder { svc, handles, spec }
+    /// Count queries, batches, errors, and served seconds as the caller
+    /// sees them.
+    pub fn instrumented(mut self) -> Self {
+        self.layers.instrumented = true;
+        self
     }
 
-    /// Erase the stack's concrete layer composition behind a trait
-    /// object, so stacks whose shapes diverge at runtime (with vs.
-    /// without a persist tier, say) share one type. Installs no layer:
-    /// handles and spec carry through unchanged, and boxing a service
-    /// is behaviorally invisible.
-    pub fn boxed(self) -> ServiceBuilder<Box<dyn LatencyService + Send + Sync>>
+    /// Wrap the named layers around the base source in the canonical
+    /// order, innermost first, collecting each layer's handle.
+    pub fn finish<'a>(self) -> ServiceStack<'a>
     where
-        S: Send + Sync + 'static,
+        S: 'a,
     {
-        ServiceBuilder {
-            svc: Box::new(self.svc),
-            handles: self.handles,
-            spec: self.spec,
+        let Layers {
+            fault,
+            deadline,
+            breaker,
+            retry,
+            persist,
+            memoize,
+            batched,
+            instrumented,
+        } = self.layers;
+        let mut handles = StackHandles {
+            fallback: self.fallback,
+            ..StackHandles::default()
+        };
+        let mut svc: Box<dyn LatencyService + 'a> = Box::new(self.base);
+        if let Some(config) = fault {
+            let layer = FaultInject::new(svc, config);
+            handles.fault = Some(layer.handle());
+            svc = Box::new(layer);
         }
-    }
-
-    /// Seal the stack.
-    pub fn finish(self) -> ServiceStack<S> {
-        ServiceStack {
-            svc: self.svc,
-            handles: self.handles,
-            spec: self.spec,
+        if let Some(policy) = deadline {
+            let layer = Deadline::new(svc, policy);
+            handles.deadline = Some(layer.handle());
+            svc = Box::new(layer);
         }
+        if let Some(config) = breaker {
+            let layer = CircuitBreaker::new(svc, config);
+            handles.breaker = Some(layer.handle());
+            svc = Box::new(layer);
+        }
+        if let Some(policy) = retry {
+            let layer = Retry::new(svc, policy);
+            handles.retry = Some(layer.handle());
+            svc = Box::new(layer);
+        }
+        if let Some((store, namespace)) = persist {
+            let layer = Persist::new(svc, store, namespace);
+            handles.persist = Some(layer.handle());
+            svc = Box::new(layer);
+        }
+        if let Some(structural) = memoize {
+            let layer = if structural {
+                let interner = Arc::new(StructuralInterner::new());
+                handles.interner = Some(Arc::clone(&interner));
+                Memoize::structural(svc, interner)
+            } else {
+                Memoize::new(svc)
+            };
+            handles.cache = Some(layer.handle());
+            svc = Box::new(layer);
+        }
+        if let Some((threads, policy)) = batched {
+            let layer = Batched::with_policy(svc, threads, policy);
+            handles.batch = Some(layer.handle());
+            svc = Box::new(layer);
+        }
+        if instrumented {
+            let layer = Instrumented::new(svc);
+            handles.metrics = Some(layer.handle());
+            svc = Box::new(layer);
+        }
+        ServiceStack { svc, handles }
     }
 }
 
 /// A sealed middleware stack: the composed service plus
 /// [`StackHandles`] to every installed layer's counters.
-pub struct ServiceStack<S> {
-    svc: S,
+pub struct ServiceStack<'a> {
+    svc: Box<dyn LatencyService + 'a>,
     handles: StackHandles,
-    spec: StackSpec,
 }
 
-impl<S> ServiceStack<S> {
+impl ServiceStack<'_> {
     /// Handles to the installed layers' counters.
     pub fn handles(&self) -> &StackHandles {
         &self.handles
     }
-
-    /// The layer composition this stack was built with, innermost
-    /// first — feed to `predtop_analyze`'s stack-ordering lints.
-    pub fn spec(&self) -> &StackSpec {
-        &self.spec
-    }
-
-    /// The composed service.
-    pub fn service(&self) -> &S {
-        &self.svc
-    }
 }
 
-impl<S: LatencyService> LatencyService for ServiceStack<S> {
+impl LatencyService for ServiceStack<'_> {
     fn name(&self) -> &'static str {
         self.svc.name()
     }
@@ -415,8 +320,10 @@ impl<S: LatencyService> LatencyService for ServiceStack<S> {
 mod tests {
     use super::*;
     use crate::bridge::tests::{counting_service, failing_service, SyntheticProvider};
+    use crate::ProviderService;
     use predtop_models::{ModelSpec, StageSpec};
     use predtop_parallel::{CacheStats, MeshShape, ParallelConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn queries(n: usize) -> Vec<LatencyQuery> {
         let mut m = ModelSpec::gpt3_1p3b(2);
@@ -432,15 +339,19 @@ mod tests {
             .collect()
     }
 
+    fn synthetic() -> ProviderService<SyntheticProvider> {
+        ProviderService::new(SyntheticProvider, "simulator")
+    }
+
     #[test]
     fn full_stack_is_transparent_and_all_handles_report() {
         let qs = queries(6);
         // ground truth straight from the provider
-        let base = ServiceBuilder::from_provider(SyntheticProvider, "simulator").finish();
+        let base = ServiceBuilder::new(synthetic()).finish();
         let expected: Vec<f64> = qs.iter().map(|q| base.query(q).unwrap().seconds).collect();
 
         let stack = ServiceBuilder::new(failing_service("predictor"))
-            .or_fallback_to(ProviderService::new(SyntheticProvider, "simulator"))
+            .or_fallback_to(synthetic())
             .memoize()
             .batched(4)
             .instrumented()
@@ -510,68 +421,48 @@ mod tests {
             h.cache.as_ref().unwrap().stats(),
             CacheStats { hits: 3, misses: 3 }
         );
-        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 3);
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
         assert!(h.batch.is_some());
     }
 
-    #[test]
-    fn spec_records_layers_in_wrap_order() {
-        let (svc, _) = counting_service();
-        let stack = ServiceBuilder::new(svc)
-            .memoize_structural()
-            .batched(2)
-            .instrumented()
-            .finish();
-        assert_eq!(
-            stack.spec().layers(),
-            &[
-                LayerTag::MemoizeStructural,
-                LayerTag::Batched,
-                LayerTag::Instrumented
-            ]
-        );
-        assert_eq!(
-            stack.spec().label(),
-            "MemoizeStructural → Batched → Instrumented"
-        );
-        assert!(LayerTag::Memoize.same_family(LayerTag::MemoizeStructural));
-        assert!(!LayerTag::Memoize.same_family(LayerTag::Batched));
+    /// The persisted stack over a fresh counting source, its combinators
+    /// called in canonical or in reverse order; plus the source's call
+    /// counter.
+    fn persisted_stack(
+        store: Arc<Store>,
+        reversed: bool,
+    ) -> (ServiceStack<'static>, Arc<AtomicUsize>) {
+        let (svc, calls) = counting_service();
+        let builder = ServiceBuilder::new(svc);
+        let builder = if reversed {
+            builder
+                .instrumented()
+                .batched(2)
+                .memoize_structural()
+                .persist(store, "test:ns")
+        } else {
+            builder
+                .persist(store, "test:ns")
+                .memoize_structural()
+                .batched(2)
+                .instrumented()
+        };
+        (builder.finish(), calls)
     }
 
-    #[test]
-    fn persisted_stack_spec_and_combined_hit_accounting() {
+    /// A cold then a warm [`persisted_stack`] over one fresh store:
+    /// memory absorbs in-run repeats, disk absorbs the second run.
+    fn check_persisted_accounting(reversed: bool) {
         let dir = std::env::temp_dir().join(format!(
-            "predtop-builder-persist-{}-{:?}",
+            "predtop-builder-persist-{reversed}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(predtop_store::Store::open(&dir).unwrap());
+        let store = Arc::new(Store::open(&dir).unwrap());
         let qs = queries(6);
 
-        let build = |store: Arc<predtop_store::Store>| {
-            let (svc, calls) = counting_service();
-            (
-                ServiceBuilder::new(svc)
-                    .persist(store, "test:ns")
-                    .memoize_structural()
-                    .batched(2)
-                    .instrumented()
-                    .finish(),
-                calls,
-            )
-        };
-
-        let (cold, cold_calls) = build(store.clone());
-        assert_eq!(
-            cold.spec().layers(),
-            &[
-                LayerTag::Persist,
-                LayerTag::MemoizeStructural,
-                LayerTag::Batched,
-                LayerTag::Instrumented
-            ]
-        );
+        let (cold, cold_calls) = persisted_stack(store.clone(), reversed);
         let cold_replies = cold.query_batch(&qs);
         assert!(cold_replies.iter().all(|r| r.is_ok()));
         // 3 structural classes: memoize absorbs repeats in-run, persist
@@ -579,11 +470,11 @@ mod tests {
         let p = cold.handles().persist.as_ref().unwrap().stats();
         assert_eq!(p.disk_misses, 3);
         assert_eq!(p.writes, 3);
-        assert_eq!(cold_calls.load(std::sync::atomic::Ordering::Relaxed), 3);
+        assert_eq!(cold_calls.load(Ordering::Relaxed), 3);
 
         // Warm stack over the same dir: the inner source is never
         // consulted and the replies are bit-identical.
-        let (warm, warm_calls) = build(store);
+        let (warm, warm_calls) = persisted_stack(store, reversed);
         let warm_replies = warm.query_batch(&qs);
         for (c, w) in cold_replies.iter().zip(&warm_replies) {
             assert_eq!(
@@ -594,25 +485,52 @@ mod tests {
         let p = warm.handles().persist.as_ref().unwrap().stats();
         assert_eq!(p.disk_hits, 3);
         assert_eq!(p.disk_misses, 0);
-        assert_eq!(warm_calls.load(std::sync::atomic::Ordering::Relaxed), 0);
+        assert_eq!(warm_calls.load(Ordering::Relaxed), 0);
         assert!(p.disk_served_rate() > 0.99);
+    }
+
+    #[test]
+    fn persisted_stack_spec_and_combined_hit_accounting() {
+        check_persisted_accounting(false);
+    }
+
+    #[test]
+    fn reversed_calls_build_the_same_persisted_stack() {
+        check_persisted_accounting(true);
+    }
+
+    /// The chaos stack, its combinators called in canonical order or in
+    /// reverse order with `.memoize()` named twice.
+    fn chaos_stack(reversed: bool) -> ServiceStack<'static> {
+        let builder = ServiceBuilder::new(synthetic());
+        let builder = if reversed {
+            builder
+                .memoize()
+                .instrumented()
+                .batched(4)
+                .memoize()
+                .retry(RetryPolicy::retries(16))
+                .deadline(DeadlinePolicy::default())
+                .inject_faults(FaultConfig::errors(11, 0.3))
+        } else {
+            builder
+                .inject_faults(FaultConfig::errors(11, 0.3))
+                .deadline(DeadlinePolicy::default())
+                .retry(RetryPolicy::retries(16))
+                .memoize()
+                .batched(4)
+                .instrumented()
+        };
+        builder.finish()
     }
 
     #[test]
     fn chaos_stack_serves_clean_values_and_every_handle_reports() {
         let qs = queries(8);
-        let base = ServiceBuilder::from_provider(SyntheticProvider, "simulator").finish();
+        let base = ServiceBuilder::new(synthetic()).finish();
         let expected: Vec<f64> = qs.iter().map(|q| base.query(q).unwrap().seconds).collect();
 
-        let stack = ServiceBuilder::from_provider(SyntheticProvider, "simulator")
-            .inject_faults(FaultConfig::errors(11, 0.3))
-            .deadline(DeadlinePolicy::default())
-            .retry(RetryPolicy::retries(16))
-            .memoize()
-            .batched(4)
-            .instrumented()
-            .finish();
-
+        let stack = chaos_stack(false);
         let replies = stack.query_batch(&qs);
         for (i, r) in replies.iter().enumerate() {
             assert_eq!(r.as_ref().unwrap().seconds.to_bits(), expected[i].to_bits());
@@ -627,5 +545,57 @@ mod tests {
         assert!(retry.backoff_seconds > 0.0);
         assert_eq!(h.deadline.as_ref().unwrap().stats().query_overruns, 0);
         assert_eq!(h.metrics.as_ref().unwrap().metrics().errors, 0);
+    }
+
+    #[test]
+    fn reversed_and_repeated_calls_build_the_same_chaos_stack() {
+        // 8 queries sit under the default serial threshold, so both
+        // batches run inline and the float counters sum in one order
+        let qs = queries(8);
+        let canonical = chaos_stack(false);
+        let reversed = chaos_stack(true);
+        let want = canonical.query_batch(&qs);
+        let got = reversed.query_batch(&qs);
+        for (w, g) in want.iter().zip(&got) {
+            assert_eq!(
+                w.as_ref().unwrap().seconds.to_bits(),
+                g.as_ref().unwrap().seconds.to_bits()
+            );
+        }
+
+        let (c, r) = (canonical.handles(), reversed.handles());
+        let fault = r.fault.as_ref().unwrap().stats();
+        let retry = r.retry.as_ref().unwrap().stats();
+        let cache = r.cache.as_ref().unwrap().stats();
+        let batch = r.batch.as_ref().unwrap().stats();
+        let metrics = r.metrics.as_ref().unwrap().metrics();
+        assert_eq!(fault, c.fault.as_ref().unwrap().stats());
+        assert_eq!(retry, c.retry.as_ref().unwrap().stats());
+        assert_eq!(
+            r.deadline.as_ref().unwrap().stats(),
+            c.deadline.as_ref().unwrap().stats()
+        );
+        assert_eq!(cache, c.cache.as_ref().unwrap().stats());
+        assert_eq!(batch, c.batch.as_ref().unwrap().stats());
+        assert_eq!(metrics, c.metrics.as_ref().unwrap().metrics());
+
+        // the canonical order's own accounting: retries match injected
+        // errors only if Retry wraps FaultInject; the one cache counts
+        // each query once (misses count successes, so this holds on
+        // either side of Retry); Batched sees the caller's batch only
+        // if Memoize, whose batch path is serial, sits inside it; and
+        // Instrumented counts the caller's traffic only when outermost
+        assert!(fault.injected_errors > 0);
+        assert_eq!(
+            retry.retries, fault.injected_errors,
+            "Retry wraps FaultInject"
+        );
+        assert_eq!(cache, CacheStats { hits: 0, misses: 8 }, "one Memoize");
+        assert_eq!(batch.batches, 1, "Memoize sits inside Batched");
+        assert_eq!(
+            (metrics.queries, metrics.batches),
+            (8, 1),
+            "Instrumented is outermost"
+        );
     }
 }

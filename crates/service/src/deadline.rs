@@ -127,11 +127,6 @@ impl<S> Deadline<S> {
         }
     }
 
-    /// The wrapped service.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
     /// The budgets this layer enforces.
     pub fn policy(&self) -> DeadlinePolicy {
         self.policy

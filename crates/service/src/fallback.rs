@@ -67,16 +67,6 @@ impl<A, B> Fallback<A, B> {
         }
     }
 
-    /// The preferred source.
-    pub fn primary(&self) -> &A {
-        &self.primary
-    }
-
-    /// The stand-in source.
-    pub fn secondary(&self) -> &B {
-        &self.secondary
-    }
-
     /// A shareable handle onto this layer's counters.
     pub fn handle(&self) -> FallbackHandle {
         FallbackHandle(self.state.clone())

@@ -185,11 +185,6 @@ impl<S> FaultInject<S> {
         }
     }
 
-    /// The wrapped service.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
     /// A shareable handle onto this layer's counters.
     pub fn handle(&self) -> FaultHandle {
         FaultHandle(self.state.clone())

@@ -95,11 +95,6 @@ impl<S> Instrumented<S> {
         }
     }
 
-    /// The wrapped service.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
     /// A shareable handle onto this layer's counters.
     pub fn handle(&self) -> MetricsHandle {
         MetricsHandle(self.state.clone())

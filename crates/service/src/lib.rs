@@ -34,10 +34,12 @@
 //! [`Retryability`] classification that the fault-tolerance layers (and
 //! the CLI) dispatch on.
 //!
-//! Stacks are assembled with [`ServiceBuilder`], which keeps shared
-//! [`StackHandles`] to each layer's counters so outcomes (e.g.
-//! `predtop-core`'s `SearchOutcome`) can surface cache and fallback
-//! accounting without holding the stack itself.
+//! Stacks are assembled with [`ServiceBuilder`]: its combinators choose
+//! which layers a stack has, and `finish` wraps them in the one
+//! canonical order (see [`builder`]). It keeps shared [`StackHandles`]
+//! to each layer's counters so outcomes (e.g. `predtop-core`'s
+//! `SearchOutcome`) can surface cache and fallback accounting without
+//! holding the stack itself.
 //!
 //! Determinism contract: no layer may change the *value* a query
 //! resolves to — only how it is computed (cached, fanned out, counted,
@@ -81,8 +83,8 @@ pub use batched::{BatchHandle, BatchStats, Batched, DispatchPolicy};
 pub use breaker::{
     AdmissionControl, BreakerConfig, BreakerHandle, BreakerStats, CircuitBreaker, CircuitState,
 };
-pub use bridge::{plan_latency, provider_stack, AsProvider, ProviderService, Unavailable};
-pub use builder::{LayerTag, ServiceBuilder, ServiceStack, StackHandles, StackSpec};
+pub use bridge::{plan_latency, AsProvider, ProviderService, Unavailable};
+pub use builder::{ServiceBuilder, ServiceStack, StackHandles};
 pub use deadline::{Deadline, DeadlineHandle, DeadlinePolicy, DeadlineStats};
 pub use fallback::{Fallback, FallbackHandle, FallbackStats};
 pub use fault::{FaultConfig, FaultHandle, FaultInject, FaultStats};

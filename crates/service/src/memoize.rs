@@ -147,11 +147,6 @@ impl<S> Memoize<S> {
         }
     }
 
-    /// The wrapped service.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
     /// The structural interner, when this layer keys structurally.
     pub fn interner(&self) -> Option<&Arc<StructuralInterner>> {
         self.interner.as_ref()

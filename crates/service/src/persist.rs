@@ -26,11 +26,12 @@
 //! store directory can be shared across platforms and chaos seeds
 //! without cross-contamination.
 //!
-//! **Placement** (lints `P2106`/`P2107`/`P2203` in `predtop-analyze`):
-//! directly **inside [`crate::Memoize`]** — memory absorbs in-run
-//! repeats, disk absorbs across-run repeats, and only first-in-run
-//! misses reach the inner source — and **inside [`crate::Batched`]** so
-//! the fan-out still parallelizes disk misses.
+//! **Placement.** [`crate::ServiceBuilder::persist`] names the layer and
+//! `finish` installs it in its fixed slot of the canonical order:
+//! outside `Retry`, directly **inside [`crate::Memoize`]** — memory
+//! absorbs in-run repeats, disk absorbs across-run repeats, and only
+//! first-in-run misses reach the inner source — and **inside
+//! [`crate::Batched`]** so the fan-out still parallelizes disk misses.
 //!
 //! Determinism contract: a disk hit returns bit-identical `seconds` to
 //! the run that wrote it (payloads are IEEE-754 bit patterns), so warm

@@ -121,11 +121,6 @@ impl<S> Retry<S> {
         }
     }
 
-    /// The wrapped service.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
     /// The attempt budget this layer enforces.
     pub fn policy(&self) -> RetryPolicy {
         self.policy

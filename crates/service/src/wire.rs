@@ -20,12 +20,15 @@
 //!
 //! The server is transport and policy: *what* a request does — and the
 //! admission-control decision to shed it — lives in the engine behind
-//! the `handler` closure.
+//! the `handler` closure. A handler that panics is answered with an
+//! [`ErrorKind::Internal`] error, and its connection and the server keep
+//! running.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -425,7 +428,7 @@ where
             let post_drain = drain.load(Ordering::SeqCst);
 
             let resp = match decode_request(&payload) {
-                Ok(req) => handler(&req),
+                Ok(req) => answer(handler, &req),
                 Err(e) => {
                     let resp = Response::Error(ErrorBody {
                         kind: ErrorKind::BadRequest,
@@ -456,6 +459,31 @@ where
             }
         }
     }
+}
+
+/// Run `handler` on one request. A panic is answered with a
+/// non-transient [`ErrorKind::Internal`] error instead of unwinding out
+/// of the connection thread, where it would leak the connection's slot
+/// and, at drain, take [`Server::run`] down with it.
+fn answer<H>(handler: &H, req: &Request) -> Response
+where
+    H: Fn(&Request) -> Response + ?Sized,
+{
+    // the handler's shared state is counters and caches whose entries
+    // are written whole, so a request that panics leaves nothing
+    // half-updated for the next one
+    std::panic::catch_unwind(AssertUnwindSafe(|| handler(req))).unwrap_or_else(|panic| {
+        let reason = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+            (Some(s), _) => s,
+            (None, Some(s)) => s.as_str(),
+            (None, None) => "non-string panic payload",
+        };
+        Response::Error(ErrorBody {
+            kind: ErrorKind::Internal,
+            transient: false,
+            message: format!("request handler panicked: {reason}"),
+        })
+    })
 }
 
 /// Raw SIGTERM/SIGINT → drain-flag binding, with no libc crate: the
@@ -713,6 +741,89 @@ mod tests {
             })
         ));
         assert_eq!(read_frame(&mut out).unwrap(), None);
+    }
+
+    /// A client whose reads give up after a while, so a server that
+    /// stopped answering fails the test instead of hanging it.
+    fn client(addr: SocketAddr) -> Client<TcpStream> {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        Client::new(stream)
+    }
+
+    /// Begins drain when dropped, so a failed assertion lets the server
+    /// under test return instead of hanging the test's thread scope.
+    struct DrainOnDrop(Arc<AtomicBool>);
+
+    impl Drop for DrainOnDrop {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_panicking_handler_is_answered_and_the_server_keeps_serving() {
+        let server = Server::bind(
+            Some("127.0.0.1:0"),
+            None,
+            ServerConfig {
+                max_connections: 2,
+                drain_grace_polls: 2,
+            },
+        )
+        .unwrap();
+        let addr = server.tcp_addr().unwrap();
+        let profile = Request::Profile(crate::api::ProfileSpec {
+            model: predtop_models::ModelSpec::gpt3_1p3b(2),
+            start: 0,
+            end: 1,
+            mesh: predtop_parallel::MeshShape::new(1, 1),
+            config: predtop_parallel::ParallelConfig::SERIAL,
+        });
+        let drain = DrainOnDrop(server.drain_handle());
+        let stats = std::thread::scope(|scope| {
+            let _drain = drain;
+            let srv = scope.spawn(|| {
+                server.run(|req: &Request| match req {
+                    Request::Profile(_) => panic!("injected handler panic"),
+                    Request::Shutdown => Response::Bye,
+                    _ => Response::Stats(Default::default()),
+                })
+            });
+            let mut a = client(addr);
+            let mut b = client(addr);
+            match a.call(&profile).unwrap() {
+                Response::Error(body) => {
+                    assert_eq!(body.kind, ErrorKind::Internal);
+                    assert!(!body.transient);
+                    assert!(body.message.contains("injected handler panic"));
+                }
+                other => panic!("expected an Internal error, got {other:?}"),
+            }
+            // the panicking connection and its neighbour both keep serving
+            assert!(matches!(
+                a.call(&Request::Stats).unwrap(),
+                Response::Stats(_)
+            ));
+            assert!(matches!(
+                b.call(&Request::Stats).unwrap(),
+                Response::Stats(_)
+            ));
+            // closing the connection frees its slot: with both slots
+            // taken, a third client is only served once `a`'s is back
+            drop(a);
+            let mut c = client(addr);
+            assert!(matches!(
+                c.call(&Request::Stats).unwrap(),
+                Response::Stats(_)
+            ));
+            assert_eq!(b.call(&Request::Shutdown).unwrap(), Response::Bye);
+            srv.join().expect("the server thread never panics")
+        })
+        .expect("the server drains cleanly");
+        assert_eq!(stats.connections, 3);
     }
 
     proptest::proptest! {

@@ -689,22 +689,35 @@ fn load_pack(path: &Path) -> Result<Option<Pack>, StoreError> {
         return Ok(None);
     }
     let generation = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let count = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-    let index_end = PACK_HEADER_LEN + count * PACK_ENTRY_LEN;
-    if bytes.len() < index_end {
+    // the index must fit in the file: bounds the count before any
+    // arithmetic or allocation sized by it
+    let count = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+    let index_len = (bytes.len() - PACK_HEADER_LEN) / PACK_ENTRY_LEN;
+    if count > index_len as u64 {
         return Ok(None);
     }
-    let mut entries = Vec::with_capacity(count);
-    for i in 0..count {
-        let at = PACK_HEADER_LEN + i * PACK_ENTRY_LEN;
-        let e = &bytes[at..at + PACK_ENTRY_LEN];
-        entries.push(PackEntry {
+    let file_len = bytes.len() as u64;
+    let mut entries = Vec::with_capacity(count as usize);
+    for e in bytes[PACK_HEADER_LEN..]
+        .chunks_exact(PACK_ENTRY_LEN)
+        .take(count as usize)
+    {
+        let entry = PackEntry {
             digest: u128::from_le_bytes(e[0..16].try_into().unwrap()),
             kind: e[16],
             offset: u64::from_le_bytes(e[17..25].try_into().unwrap()),
             len: u64::from_le_bytes(e[25..33].try_into().unwrap()),
             payload_digest: u128::from_le_bytes(e[33..49].try_into().unwrap()),
-        });
+        };
+        // every payload must lie inside the file
+        if entry
+            .offset
+            .checked_add(entry.len)
+            .is_none_or(|end| end > file_len)
+        {
+            return Ok(None);
+        }
+        entries.push(entry);
     }
     // write_pack emits sorted entries; enforce for binary search.
     if !entries.windows(2).all(|w| w[0].digest < w[1].digest) {
@@ -721,6 +734,20 @@ fn load_pack(path: &Path) -> Result<Option<Pack>, StoreError> {
 fn read_pack_payload(path: &Path, entry: &PackEntry) -> Result<Vec<u8>, StoreError> {
     let digest = Digest(entry.digest);
     let mut f = fs::File::open(path).map_err(|e| StoreError::io("open pack", path, e))?;
+    // the file may have changed since its index was loaded: never
+    // allocate more than it holds
+    let file_len = f
+        .metadata()
+        .map_err(|e| StoreError::io("stat pack", path, e))?
+        .len();
+    let have = file_len.saturating_sub(entry.offset);
+    if entry.len > have {
+        return Err(StoreError::ShortRead {
+            digest,
+            wanted: entry.len,
+            have,
+        });
+    }
     f.seek(SeekFrom::Start(entry.offset))
         .map_err(|e| StoreError::io("seek pack", path, e))?;
     let mut payload = vec![0u8; entry.len as usize];

@@ -1,6 +1,7 @@
 //! Property tests for the canonical encodings and the object store:
 //! encode→hash→decode is the identity, digests are pure functions of
-//! the bytes, and put→get round-trips arbitrary payloads.
+//! the bytes, put→get round-trips arbitrary payloads, and mangled
+//! object and pack headers never panic the store.
 
 use predtop_store::hash::digest_bytes;
 use predtop_store::{ByteReader, ByteWriter, ObjectKind, Store};
@@ -91,4 +92,63 @@ proptest! {
         prop_assert_eq!(packed.as_deref(), Some(&payload[..]));
         prop_assert!(store.verify().unwrap().is_clean());
     }
+
+    /// Overwriting header bytes of a valid store's pack and loose
+    /// objects — one byte, or eight at once so counts, offsets and
+    /// lengths take huge values — never panics `open`, `get` or
+    /// `verify`: each returns a value or a structured error.
+    #[test]
+    fn mangled_headers_never_panic(
+        edits in vec((0usize..3, any::<u16>(), any::<bool>(), any::<u64>()), 1..8),
+    ) {
+        let dir = std::env::temp_dir().join(format!(
+            "predtop-store-mangle-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let keys: Vec<Vec<u8>> = (0u8..5).map(|i| vec![i; 3]).collect();
+        {
+            let store = Store::open(&dir).unwrap();
+            for (i, key) in keys.iter().enumerate() {
+                if i == 3 {
+                    // the first three objects go into a pack, the rest
+                    // stay loose
+                    store.gc().unwrap();
+                }
+                store.put(ObjectKind::Latency, key, &vec![i as u8; 8 + 5 * i]).unwrap();
+            }
+        }
+        let pack = std::fs::read_dir(dir.join("packs")).unwrap().next().unwrap().unwrap().path();
+        let mut files = vec![(pack, PACK_HEADER_AND_INDEX)];
+        for fan in std::fs::read_dir(dir.join("objects")).unwrap() {
+            for obj in std::fs::read_dir(fan.unwrap().path()).unwrap() {
+                files.push((obj.unwrap().path(), LOOSE_HEADER));
+            }
+        }
+        prop_assert_eq!(files.len(), 3);
+
+        for (target, at, wide, value) in edits {
+            let (path, header) = &files[target];
+            let mut bytes = std::fs::read(path).unwrap();
+            let at = at as usize % header;
+            let width = if wide { 8 } else { 1 };
+            let end = (at + width).min(bytes.len());
+            bytes[at..end].copy_from_slice(&value.to_le_bytes()[..end - at]);
+            std::fs::write(path, &bytes).unwrap();
+        }
+
+        if let Ok(store) = Store::open(&dir) {
+            for key in &keys {
+                let _ = store.get(ObjectKind::Latency, key);
+            }
+            let _ = store.verify();
+        }
+    }
 }
+
+/// Pack header (20 bytes) plus the index of its three entries (49
+/// bytes each).
+const PACK_HEADER_AND_INDEX: usize = 20 + 3 * 49;
+/// Loose object header length.
+const LOOSE_HEADER: usize = 48;

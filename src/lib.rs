@@ -50,7 +50,7 @@
 //! | [`tensor`] | matrices, autodiff tape, Adam, schedules, losses |
 //! | [`gnn`] | GCN / GAT / DAG-Transformer predictors, training loop |
 //! | [`service`] | `LatencyService` trait + memoize/batch/instrument/fallback/fault-tolerance middleware |
-//! | [`analyze`] | fixpoint dataflow engine, graph/plan/stack lints, machine-applicable fixes |
+//! | [`analyze`] | fixpoint dataflow engine, graph/plan lints, machine-applicable fixes |
 //! | [`core`] | the gray-box workflow and plan-search use case |
 
 #![warn(missing_docs)]
@@ -70,7 +70,7 @@ pub use predtop_tensor as tensor;
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
-    pub use predtop_analyze::{analyze_stack, has_errors, render_text, StaticLegality};
+    pub use predtop_analyze::{has_errors, render_text, StaticLegality};
     pub use predtop_cluster::{GpuSpec, Link, Mesh, Platform};
     pub use predtop_core::{
         encode_outcome, encode_plan, load_model_service, pipeline_latency, run_search,

@@ -318,16 +318,11 @@ impl Args {
     /// the common flags. One construction path: the CLI, the `serve`
     /// daemon, and the tests all run the identical stacks.
     fn engine(&self, model_path: Option<String>) -> ServeEngine {
-        let fault_rate = self.f64_flag("inject-fault-rate", 0.0);
-        if !(0.0..=1.0).contains(&fault_rate) {
-            eprintln!("--inject-fault-rate expects a probability in [0, 1], got {fault_rate}");
-            exit(2);
-        }
         let mut config = EngineConfig::new(self.platform(), self.platform_id(), self.seed());
         config.threads = self.usize_flag("threads", configured_threads());
         config.store = self.store();
         config.raw_cache = self.switches.iter().any(|s| s == "raw-cache");
-        config.fault_rate = fault_rate;
+        config.fault_rate = self.f64_flag("inject-fault-rate", 0.0);
         config.fault_seed = self.usize_flag("fault-seed", 0) as u64;
         config.retries = self.usize_flag("retry", 0);
         config.deadline = self
@@ -336,15 +331,10 @@ impl Args {
             .then(|| self.f64_flag("deadline-ms", 0.0) / 1000.0);
         config.breaker = BreakerConfig::tripping_after(self.usize_flag("breaker-trip", 5));
         config.model_path = model_path;
-        match ServeEngine::new(config) {
-            Ok(engine) => engine,
-            Err(diags) => {
-                // the same `P2xxx` rules `predtop-lint --stack` enforces
-                eprintln!("internal error: the search service stack is misordered");
-                eprint!("{diags}");
-                exit(1);
-            }
-        }
+        ServeEngine::new(config).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            exit(2)
+        })
     }
 }
 
@@ -480,6 +470,7 @@ fn die_api_error(e: &api::ErrorBody) -> ! {
         api::ErrorKind::Fault => "raise --retry so every query can outlive the injected faults",
         api::ErrorKind::Deadline => "raise --deadline-ms or drop the budget",
         api::ErrorKind::Shed => "raise --retry so re-attempts outlast the breaker cooldown",
+        api::ErrorKind::Internal => "this is a bug: the request handler panicked",
     };
     eprintln!("search failed ({class}): {}", e.message);
     eprintln!("  hint: {hint}");
