@@ -1,10 +1,10 @@
 //! Static candidate legality for the plan search.
 //!
 //! [`StaticLegality`] packages the plan-level divisibility and memory
-//! rules as a per-candidate predicate with the exact signature
-//! `optimize_pipeline_filtered_with_threads` expects, so the search
-//! engine rejects statically illegal `(stage, mesh, config)` candidates
-//! *before* they ever reach the latency provider.
+//! rules as a per-candidate predicate ([`StaticLegality::is_legal`]).
+//! `predtop-core`'s search engine runs it over the enumerated work-list,
+//! so statically illegal `(stage, mesh, config)` candidates are rejected
+//! *before* they ever reach the latency source.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

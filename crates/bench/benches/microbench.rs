@@ -13,7 +13,8 @@ use predtop_ir::prune::prune;
 use predtop_ir::reach::Reachability;
 use predtop_models::{ModelSpec, StageSpec};
 use predtop_parallel::{
-    optimize_pipeline, InterStageOptions, MeshShape, ParallelConfig, StageLatencyProvider,
+    enumerate_candidates, solve_pipeline, EvaluatedCandidate, InterStageOptions, MeshShape,
+    ParallelConfig, StageLatencyProvider,
 };
 use predtop_sim::SimProfiler;
 use predtop_tensor::Matrix;
@@ -92,26 +93,31 @@ fn bench_predictor_inference(c: &mut Criterion) {
     g.finish();
 }
 
-struct SynthProvider;
-impl StageLatencyProvider for SynthProvider {
-    fn stage_latency(&self, stage: &StageSpec, mesh: MeshShape, config: ParallelConfig) -> f64 {
-        stage.num_layers() as f64 * 0.01 / config.num_devices() as f64
-            * (1.0 + 0.1 * mesh.nodes as f64)
-    }
-}
-
 fn bench_interstage_dp(c: &mut Criterion) {
     let model = small_model();
+    let cluster = MeshShape::new(2, 2);
+    let opts = InterStageOptions {
+        microbatches: 8,
+        imbalance_tolerance: None,
+    };
+    // a synthetic candidate table, evaluated once: only the DP is timed
+    let cands: Vec<EvaluatedCandidate> = enumerate_candidates(model, cluster, opts)
+        .into_iter()
+        .map(|(stage, mesh, config)| EvaluatedCandidate {
+            stage,
+            mesh,
+            config,
+            seconds: stage.num_layers() as f64 * 0.01 / config.num_devices() as f64
+                * (1.0 + 0.1 * mesh.nodes as f64),
+        })
+        .collect();
     c.bench_function("interstage_dp_8layers", |b| {
         b.iter(|| {
-            black_box(optimize_pipeline(
-                model,
-                MeshShape::new(2, 2),
-                &SynthProvider,
-                InterStageOptions {
-                    microbatches: 8,
-                    imbalance_tolerance: None,
-                },
+            black_box(solve_pipeline(
+                &cands,
+                model.num_layers,
+                cluster.num_devices(),
+                opts.microbatches,
             ))
         })
     });

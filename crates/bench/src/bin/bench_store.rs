@@ -5,9 +5,9 @@
 //!
 //! 1. **plain** — the canonical structural stack, no disk tier: the
 //!    store-less reference;
-//! 2. **cold** — the same search through [`search_plan_stored`] against
-//!    a fresh object store: every distinct structure misses to the
-//!    simulator and is written behind;
+//! 2. **cold** — the same search through `run_search` with a
+//!    `SearchRequest::stored` disk tier on a fresh object store: every
+//!    distinct structure misses to the simulator and is written behind;
 //! 3. **warm** — the identical search against the now-populated store:
 //!    every simulator evaluation is replaced by a verified disk read.
 //!
@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use predtop_bench::jsonout::{write_json_file, Json};
 use predtop_cluster::Platform;
-use predtop_core::{search_plan_service, search_plan_stored, SearchOutcome, StoredSearch};
+use predtop_core::{run_search, search_plan_service, SearchOutcome, SearchRequest};
 use predtop_models::ModelSpec;
 use predtop_parallel::{InterStageOptions, MeshShape};
 use predtop_service::{PersistStats, ServiceBuilder};
@@ -106,14 +106,10 @@ fn stored_run(
     store: &Arc<Store>,
 ) -> SearchOutcome {
     let profiler = SimProfiler::new(platform.clone(), 7);
-    let cfg = StoredSearch {
-        store: Arc::clone(store),
-        namespace: NAMESPACE.to_string(),
-        threads: THREADS,
-        legality: None,
-    };
-    search_plan_stored(model, cluster, &profiler, &profiler, opts, &cfg)
-        .expect("the simulator stack serves every scenario")
+    let req = SearchRequest::new(model, cluster, opts)
+        .threads(THREADS)
+        .stored(Arc::clone(store), NAMESPACE.to_string());
+    run_search(&req, &profiler, &profiler).expect("the simulator stack serves every scenario")
 }
 
 fn persist_of(out: &SearchOutcome) -> PersistStats {

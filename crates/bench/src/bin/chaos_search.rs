@@ -19,7 +19,7 @@ use std::path::PathBuf;
 
 use predtop_bench::jsonout::{write_json_file, Json};
 use predtop_cluster::Platform;
-use predtop_core::{search_plan_service, search_plan_with_threads, SearchOutcome};
+use predtop_core::{run_search, search_plan_service, SearchOutcome, SearchRequest};
 use predtop_models::ModelSpec;
 use predtop_parallel::{InterStageOptions, MeshShape};
 use predtop_runtime::configured_threads;
@@ -86,8 +86,12 @@ fn main() {
     let pool = configured_threads();
 
     let clean_profiler = SimProfiler::new(Platform::platform2(), 6);
-    let clean =
-        search_plan_with_threads(model, cluster, &clean_profiler, &clean_profiler, opts, pool);
+    let clean = run_search(
+        &SearchRequest::new(model, cluster, opts).threads(pool),
+        &clean_profiler,
+        &clean_profiler,
+    )
+    .expect("the simulator serves every scenario");
     println!(
         "clean, {pool} thr  : {:7.3}s wall, {} queries, plan latency {:.5}s",
         clean.search_seconds, clean.num_queries, clean.true_latency

@@ -15,7 +15,7 @@
 
 use predtop_bench::{Protocol, TableWriter};
 use predtop_cluster::Platform;
-use predtop_core::{search_plan, search_plan_service, GrayBoxConfig, PredTop};
+use predtop_core::{run_search, search_plan_service, GrayBoxConfig, PredTop, SearchRequest};
 use predtop_gnn::ModelKind;
 use predtop_parallel::{InterStageOptions, MeshShape};
 use predtop_runtime::configured_threads;
@@ -81,7 +81,11 @@ fn main() {
         let full = search_plan_service(model, cluster, &full_stack, &profiler, opts, None)
             .expect("the simulator stack serves every scenario");
         let full_cost = profiler.ledger().totals();
-        let stats = full.cache.expect("cached search reports stats");
+        let stats = full
+            .service
+            .as_ref()
+            .and_then(|r| r.cache)
+            .expect("cached search reports stats");
         eprintln!(
             "[fig10/{bench_name}] full profiling: {} queries ({} cache hits, {} misses, \
              {} worker threads, {:.2}s wall), {:.0} sim-s, plan {:.4}s",
@@ -96,13 +100,12 @@ fn main() {
 
         // ---- partial profiling ----------------------------------------
         let profiler_partial = SimProfiler::new(platform.clone(), proto.seed);
-        let partial = search_plan(
-            model,
-            cluster,
+        let partial = run_search(
+            &SearchRequest::new(model, cluster, partial_opts),
             &profiler_partial,
             &profiler_partial,
-            partial_opts,
-        );
+        )
+        .expect("the simulator serves every scenario");
         let partial_cost = profiler_partial.ledger().totals();
         eprintln!(
             "[fig10/{bench_name}] partial profiling: {} queries, {:.0} sim-s, plan {:.4}s",
@@ -173,7 +176,8 @@ fn main() {
             // ground truth for evaluating the chosen plan must not bill
             // the PredTOP ledger: use a fresh profiler
             let truth = SimProfiler::new(platform.clone(), proto.seed);
-            let outcome = search_plan(model, cluster, &pt, &truth, opts);
+            let outcome = run_search(&SearchRequest::new(model, cluster, opts), &pt, &truth)
+                .expect("the predictor serves every fitted scenario");
             eprintln!(
                 "[fig10/{bench_name}] PredTOP-{}: {} stages profiled, plan {:.4}s",
                 kind.label(),

@@ -29,7 +29,7 @@ use std::path::PathBuf;
 
 use predtop_bench::jsonout::{write_json_file, Json};
 use predtop_cluster::Platform;
-use predtop_core::{search_plan_service, search_plan_with_threads, SearchOutcome};
+use predtop_core::{run_search, search_plan_service, SearchOutcome, SearchRequest};
 use predtop_models::ModelSpec;
 use predtop_parallel::{InterStageOptions, MeshShape};
 use predtop_service::ServiceBuilder;
@@ -107,7 +107,8 @@ fn main() {
     let baseline = (0..reps)
         .map(|_| {
             let p = SimProfiler::new(platform.clone(), 7);
-            search_plan_with_threads(model, cluster, &p, &p, opts, 1)
+            run_search(&SearchRequest::new(model, cluster, opts).threads(1), &p, &p)
+                .expect("the simulator serves every scenario")
         })
         .min_by(|a, b| a.search_seconds.total_cmp(&b.search_seconds))
         .expect("at least one baseline rep");
@@ -180,6 +181,11 @@ fn main() {
         .field("schema_version", 2u64)
         .field("benchmark", "search_scaling")
         .field("mode", if cli.smoke { "smoke" } else { "full" })
+        .field(
+            "available_threads",
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
+        )
+        .field("kernel_isa", predtop_tensor::active_isa().name())
         .field("model_layers", model.num_layers)
         .field("num_queries", baseline.num_queries)
         .field("baseline_seconds", baseline.search_seconds)

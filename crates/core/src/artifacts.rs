@@ -467,7 +467,6 @@ mod tests {
             num_rejected: 7,
             num_rejected_memory: 3,
             search_seconds: 123.456, // must NOT survive the round trip
-            cache: None,
             service: None,
         };
         let snap = decode_outcome(&encode_outcome(&out)).unwrap();

@@ -60,8 +60,8 @@ impl GrayBoxConfig {
 type ScenarioPredictions = HashMap<(MeshShape, ParallelConfig), f64>;
 
 /// A fitted PredTOP instance: one trained predictor per (sub-mesh,
-/// configuration) scenario, usable as a drop-in
-/// [`StageLatencyProvider`] for the inter-stage optimizer.
+/// configuration) scenario, usable as a drop-in [`LatencyService`]
+/// source for the plan search (and as a [`StageLatencyProvider`]).
 ///
 /// Predictions are cached per stage *structure*: the key is the stage
 /// part of the [`StructuralDescriptor`], which is equal exactly when

@@ -43,9 +43,7 @@ pub use graybox::{decode_graybox, encode_graybox, graybox_snapshot_key, GrayBoxC
 pub use predictor::ArchConfig;
 pub use predtop_parallel::plan::pipeline_latency;
 pub use search::{
-    run_search, search_legality, search_plan, search_plan_checked,
-    search_plan_checked_with_threads, search_plan_service, search_plan_stored,
-    search_plan_with_threads, search_snapshot_key, SearchOutcome, SearchRequest, ServiceReport,
-    StoredSearch,
+    run_search, search_legality, search_plan_service, search_snapshot_key, SearchOutcome,
+    SearchRequest, ServiceReport,
 };
 pub use serve::{load_model_service, EngineConfig, ServeEngine};

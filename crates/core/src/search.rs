@@ -1,17 +1,15 @@
 //! The use case (§VIII-B): parallelization-plan search driven by any
 //! latency source, evaluated against ground truth.
 //!
-//! Every entry point funnels through one service-driven engine
-//! ([`search_plan_service`]): the candidate work-list is enumerated and
-//! statically filtered exactly as before, but latency evaluation goes
-//! through a [`LatencyService`] — so any middleware stack assembled with
+//! There is one engine, [`search_plan_service`]: it enumerates the
+//! candidate work-list, statically filters it, resolves it as one query
+//! batch through a [`LatencyService`] stack, and solves the DP with
+//! [`solve_pipeline`]. Any middleware stack assembled with
 //! [`predtop_service::ServiceBuilder`] (memoization, batched fan-out,
-//! instrumentation, fallback between sources) slots in without the
-//! search knowing. The legacy provider-based entry points are thin
-//! wrappers that build the canonical stack themselves; results are
-//! bit-identical to the pre-service engine because the stack evaluates
-//! the same work-list through the same `par_map_with` fan-out and the
-//! same [`solve_pipeline`] DP.
+//! instrumentation, fallback between sources, a disk tier) slots in
+//! without the search knowing. [`run_search`] is the one convenience
+//! entry point: it builds the canonical stack a [`SearchRequest`] asks
+//! for and runs the engine over it.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,13 +17,11 @@ use std::time::Instant;
 use predtop_analyze::StaticLegality;
 use predtop_models::{ModelSpec, StageSpec};
 use predtop_parallel::{
-    enumerate_candidates, solve_pipeline, CacheStats, EvaluatedCandidate, InterStageOptions,
-    MeshShape, ParallelConfig, PipelinePlan, StageLatencyProvider,
+    enumerate_candidates, solve_pipeline, EvaluatedCandidate, InterStageOptions, MeshShape,
+    ParallelConfig, PipelinePlan,
 };
 use predtop_runtime::configured_threads;
-use predtop_service::{
-    LatencyQuery, LatencyService, ProviderService, ServiceBuilder, ServiceError, ServiceStack,
-};
+use predtop_service::{LatencyQuery, LatencyService, ServiceBuilder, ServiceError, ServiceStack};
 use predtop_sim::SimProfiler;
 use predtop_store::{ByteWriter, ObjectKind, Store};
 
@@ -57,27 +53,22 @@ pub struct SearchOutcome {
     pub num_rejected_memory: usize,
     /// Wall-clock seconds the search itself took.
     pub search_seconds: f64,
-    /// Hit/miss counters of the memoization layer, when one was
-    /// installed (legacy mirror of `service.cache`, kept because the
-    /// bench bins and Fig. 10 accounting read it).
-    pub cache: Option<CacheStats>,
     /// Per-layer accounting of the service stack the search ran
     /// through; `None` when the stack had no instrumented layers.
     pub service: Option<ServiceReport>,
 }
 
-/// The service-driven engine every entry point funnels through: run the
-/// inter-stage DP for `model` on `cluster` with `stack` as the latency
-/// source, then re-evaluate the winning plan with the ground-truth
-/// `profiler`.
+/// The plan-search engine: run the inter-stage DP for `model` on
+/// `cluster` with `stack` as the latency source, then re-evaluate the
+/// winning plan with the ground-truth `profiler`.
 ///
 /// Phase 1 enumerates and (via the optional `StaticLegality`) filters
 /// the candidate work-list; phase 2 resolves it as **one query batch**
 /// through the stack — a `Batched` layer fans it across the worker pool
 /// with results landing at fixed indices; phase 3 is the shared
 /// [`solve_pipeline`] DP. Identical work-lists and per-query values give
-/// bit-identical plans, so any transparent middleware combination
-/// reproduces the pre-service engine exactly.
+/// bit-identical plans, so every transparent middleware combination
+/// chooses the same plan with the same latency bits.
 ///
 /// Errors if any candidate query fails after the whole stack (including
 /// any `Fallback` chain) has been consulted.
@@ -96,8 +87,7 @@ pub fn search_plan_service(
 ) -> Result<SearchOutcome, ServiceError> {
     let started = Instant::now();
 
-    // Phase 1: enumerate + static filter (identical to the provider
-    // engine's phase 1 — same order, same rejections).
+    // Phase 1: enumerate + static filter, in the canonical order.
     let full = enumerate_candidates(model, cluster, opts);
     let enumerated = full.len();
     // the legality counters are cumulative over the filter's lifetime,
@@ -153,7 +143,6 @@ pub fn search_plan_service(
     let true_latency = plan.latency(profiler);
 
     let report = ServiceReport::from_handles(stack.handles());
-    let cache = report.cache;
     let service = report.any_installed().then_some(report);
     Ok(SearchOutcome {
         plan,
@@ -163,14 +152,12 @@ pub fn search_plan_service(
         num_rejected,
         num_rejected_memory,
         search_seconds,
-        cache,
         service,
     })
 }
 
-/// One unified description of a plan search: the problem (`model`,
-/// `cluster`, `opts`) plus the execution knobs the legacy thin-lifts
-/// used to take positionally. Build one with [`SearchRequest::new`],
+/// One description of a plan search: the problem (`model`, `cluster`,
+/// `opts`) plus its execution knobs. Build one with [`SearchRequest::new`],
 /// refine it with the chained setters, and execute it with
 /// [`run_search`] — the CLI, the `predtop serve` daemon, and the tests
 /// all construct the same value.
@@ -233,12 +220,11 @@ impl<'a> SearchRequest<'a> {
 /// Execute one [`SearchRequest`] with `source` as the latency source,
 /// re-evaluating the winning plan with the ground-truth `profiler`.
 ///
-/// This is the single execution path behind every `search_plan*` entry
-/// point. Without a store the stack is `Batched` only; with one it is
-/// the canonical `Persist → MemoizeStructural → Batched → Instrumented`
-/// store-backed stack, and the plan/outcome snapshots are persisted
-/// (best-effort write-behind: an unwritable store degrades persistence,
-/// never the search result).
+/// Without a store the stack is `Batched` only; with one it is the
+/// canonical `Persist → MemoizeStructural → Batched → Instrumented`
+/// store-backed stack, and the plan/outcome snapshots are written
+/// behind under [`search_snapshot_key`] (best-effort: an unwritable
+/// store degrades persistence, never the search result).
 ///
 /// # Panics
 /// Panics if no legal covering partition exists — in particular when
@@ -249,163 +235,40 @@ pub fn run_search<S: LatencyService>(
     source: S,
     profiler: &SimProfiler,
 ) -> Result<SearchOutcome, ServiceError> {
-    match &req.store {
-        Some((store, namespace)) => {
-            let stack = ServiceBuilder::new(source)
-                .persist(store.clone(), namespace.clone())
-                .memoize_structural()
-                .batched(req.threads)
-                .instrumented()
-                .finish();
-            let out = search_plan_service(
-                req.model,
-                req.cluster,
-                &stack,
-                profiler,
-                req.opts,
-                req.legality,
-            )?;
-            let key = search_snapshot_key(
-                namespace,
-                req.model,
-                req.cluster,
-                req.opts,
-                req.legality.is_some(),
-            );
-            let _ = store.put(ObjectKind::Outcome, &key, &artifacts::encode_outcome(&out));
-            let _ = store.put(ObjectKind::Plan, &key, &artifacts::encode_plan(&out.plan));
-            Ok(out)
-        }
-        None => {
-            let stack = ServiceBuilder::new(source).batched(req.threads).finish();
-            search_plan_service(
-                req.model,
-                req.cluster,
-                &stack,
-                profiler,
-                req.opts,
-                req.legality,
-            )
-        }
+    let mut builder = ServiceBuilder::new(source).batched(req.threads);
+    if let Some((store, namespace)) = &req.store {
+        builder = builder
+            .persist(Arc::clone(store), namespace.clone())
+            .memoize_structural()
+            .instrumented();
     }
-}
-
-/// Run the inter-stage optimizer with `provider` as the latency source,
-/// then re-evaluate the winning plan with the ground-truth `profiler`.
-///
-/// When `provider` *is* the profiler this is vanilla Alpa (full or,
-/// via `opts.imbalance_tolerance`, partial profiling); when it is a
-/// fitted [`crate::PredTop`] this is the paper's system. Candidate
-/// evaluation fans out over the worker pool `predtop-runtime` sizes
-/// from `PREDTOP_THREADS`.
-///
-/// Deprecated shim: prefer building a [`SearchRequest`] and calling
-/// [`run_search`]; this wrapper only delegates.
-pub fn search_plan<P: StageLatencyProvider>(
-    model: ModelSpec,
-    cluster: MeshShape,
-    provider: &P,
-    profiler: &SimProfiler,
-    opts: InterStageOptions,
-) -> SearchOutcome {
-    search_plan_with_threads(
-        model,
-        cluster,
-        provider,
+    let out = search_plan_service(
+        req.model,
+        req.cluster,
+        &builder.finish(),
         profiler,
-        opts,
-        configured_threads(),
-    )
+        req.opts,
+        req.legality,
+    )?;
+    if let Some((store, namespace)) = &req.store {
+        let key = search_snapshot_key(
+            namespace,
+            req.model,
+            req.cluster,
+            req.opts,
+            req.legality.is_some(),
+        );
+        write_snapshots(store, &key, &out);
+    }
+    Ok(out)
 }
 
-/// [`search_plan`] with an explicit evaluation-pool size. The outcome is
-/// bit-identical for every `threads ≥ 1`.
-///
-/// Deprecated shim: prefer [`SearchRequest::threads`] + [`run_search`];
-/// this wrapper only delegates.
-pub fn search_plan_with_threads<P: StageLatencyProvider>(
-    model: ModelSpec,
-    cluster: MeshShape,
-    provider: &P,
-    profiler: &SimProfiler,
-    opts: InterStageOptions,
-    threads: usize,
-) -> SearchOutcome {
-    run_search(
-        &SearchRequest::new(model, cluster, opts).threads(threads),
-        ProviderService::new(provider, "provider"),
-        profiler,
-    )
-    .expect("lifted providers are infallible")
-}
-
-/// [`search_plan`] with the `predtop-analyze` static-legality filter in
-/// front of the latency provider: every enumerated candidate is checked
-/// against the sharding-divisibility rules (`P13xx`) and the per-device
-/// memory lower bound (`P1401`, sized for the profiler's platform GPU
-/// with 10% headroom), and statically illegal candidates are rejected
-/// *before* any latency evaluation — the provider never sees them.
-/// [`SearchOutcome::num_rejected`] reports how many were dropped.
-///
-/// # Panics
-/// Panics if no legal covering partition exists — in particular when
-/// `opts.microbatches` does not divide `model.batch` (`P1301` rejects
-/// every candidate).
-pub fn search_plan_checked<P: StageLatencyProvider>(
-    model: ModelSpec,
-    cluster: MeshShape,
-    provider: &P,
-    profiler: &SimProfiler,
-    opts: InterStageOptions,
-) -> SearchOutcome {
-    search_plan_checked_with_threads(
-        model,
-        cluster,
-        provider,
-        profiler,
-        opts,
-        configured_threads(),
-    )
-}
-
-/// [`search_plan_checked`] with an explicit evaluation-pool size. The
-/// outcome is bit-identical for every `threads ≥ 1`.
-///
-/// Deprecated shim: prefer [`SearchRequest::legality`] + [`run_search`];
-/// this wrapper only delegates (it builds the canonical
-/// [`search_legality`] filter itself).
-pub fn search_plan_checked_with_threads<P: StageLatencyProvider>(
-    model: ModelSpec,
-    cluster: MeshShape,
-    provider: &P,
-    profiler: &SimProfiler,
-    opts: InterStageOptions,
-    threads: usize,
-) -> SearchOutcome {
-    let legality = search_legality(model, profiler, opts);
-    run_search(
-        &SearchRequest::new(model, cluster, opts)
-            .threads(threads)
-            .legality(&legality),
-        ProviderService::new(provider, "provider"),
-        profiler,
-    )
-    .expect("lifted providers are infallible")
-}
-
-/// Configuration of a store-backed search: where the disk tier lives,
-/// the namespace its keys are scoped to, and the evaluation-pool size.
-pub struct StoredSearch<'a> {
-    /// The open object store serving (and receiving) latency replies,
-    /// plan snapshots, and outcome snapshots.
-    pub store: Arc<Store>,
-    /// Key namespace, conventionally `"<source>:<platform>:<seed>"` —
-    /// replies from different simulators/seeds must never collide.
-    pub namespace: String,
-    /// Evaluation worker threads for the `Batched` layer.
-    pub threads: usize,
-    /// Optional static-legality filter (the `--checked` path).
-    pub legality: Option<&'a StaticLegality>,
+/// Write `out`'s outcome and plan snapshots into `store` under `key`.
+/// Best-effort write-behind: an unwritable store degrades persistence,
+/// never the search result.
+pub(crate) fn write_snapshots(store: &Store, key: &[u8], out: &SearchOutcome) {
+    let _ = store.put(ObjectKind::Outcome, key, &artifacts::encode_outcome(out));
+    let _ = store.put(ObjectKind::Plan, key, &artifacts::encode_plan(&out.plan));
 }
 
 /// Store key for the outcome/plan snapshots one search writes: a pure
@@ -431,35 +294,6 @@ pub fn search_snapshot_key(
     w.into_bytes()
 }
 
-/// [`search_plan_service`] with the canonical store-backed stack wrapped
-/// around `source`: `Persist → MemoizeStructural → Batched →
-/// Instrumented`, so per-query replies are served from (and written
-/// behind into) `cfg.store`, and the finished search's plan and outcome
-/// snapshots are persisted under [`search_snapshot_key`].
-///
-/// Determinism contract: a warm re-run serves replies from disk but
-/// must produce a bit-identical [`SearchOutcome`] (plan, latency bits,
-/// query counts) — the snapshots written by the cold run double as the
-/// check. Snapshot writes are best-effort write-behind: an unwritable
-/// store degrades persistence, never the search result.
-///
-/// Deprecated shim: prefer [`SearchRequest::stored`] + [`run_search`];
-/// this wrapper only delegates.
-pub fn search_plan_stored<S: LatencyService>(
-    model: ModelSpec,
-    cluster: MeshShape,
-    source: S,
-    profiler: &SimProfiler,
-    opts: InterStageOptions,
-    cfg: &StoredSearch<'_>,
-) -> Result<SearchOutcome, ServiceError> {
-    let mut req = SearchRequest::new(model, cluster, opts)
-        .threads(cfg.threads)
-        .stored(cfg.store.clone(), cfg.namespace.clone());
-    req.legality = cfg.legality;
-    run_search(&req, source, profiler)
-}
-
 /// The static-legality filter the checked searches install: the
 /// sharding-divisibility rules plus the per-device memory lower bound,
 /// sized for `profiler`'s platform GPU with 10% headroom. Exposed so
@@ -482,6 +316,7 @@ mod tests {
     use predtop_cluster::Platform;
     use predtop_gnn::train::TrainConfig;
     use predtop_gnn::ModelKind;
+    use predtop_service::ProviderService;
 
     fn tiny_model() -> ModelSpec {
         let mut s = ModelSpec::gpt3_1p3b(2);
@@ -497,19 +332,44 @@ mod tests {
     fn profiler_driven_search_estimate_equals_truth() {
         let profiler = SimProfiler::new(Platform::platform1(), 7);
         let cluster = MeshShape::new(1, 2);
-        let out = search_plan(
-            tiny_model(),
-            cluster,
+        let opts = InterStageOptions {
+            microbatches: 4,
+            imbalance_tolerance: None,
+        };
+        let out = run_search(
+            &SearchRequest::new(tiny_model(), cluster, opts),
             &profiler,
             &profiler,
-            InterStageOptions {
-                microbatches: 4,
-                imbalance_tolerance: None,
-            },
-        );
+        )
+        .expect("simulator search is infallible");
         out.plan.validate(&tiny_model()).unwrap();
         assert!((out.estimated_latency - out.true_latency).abs() < 1e-12);
         assert!(out.num_queries > 0);
+    }
+
+    #[test]
+    fn unchecked_search_queries_each_enumerated_candidate_once() {
+        let model = tiny_model();
+        let cluster = MeshShape::new(1, 2);
+        for imbalance_tolerance in [None, Some(0.25)] {
+            let opts = InterStageOptions {
+                microbatches: 4,
+                imbalance_tolerance,
+            };
+            let source = SimProfiler::new(Platform::platform1(), 7);
+            let truth = SimProfiler::new(Platform::platform1(), 7);
+            let out = run_search(
+                &SearchRequest::new(model, cluster, opts).threads(2),
+                &source,
+                &truth,
+            )
+            .expect("simulator search is infallible");
+            let enumerated = enumerate_candidates(model, cluster, opts).len();
+            assert_eq!(out.num_queries, enumerated, "{imbalance_tolerance:?}");
+            assert_eq!(out.num_rejected, 0);
+            // the source itself saw every candidate exactly once
+            assert_eq!(source.queries_issued(), enumerated);
+        }
     }
 
     #[test]
@@ -521,9 +381,14 @@ mod tests {
         };
 
         let profiler = SimProfiler::new(Platform::platform1(), 7);
-        let plain = search_plan(tiny_model(), cluster, &profiler, &profiler, opts);
+        let plain = run_search(
+            &SearchRequest::new(tiny_model(), cluster, opts),
+            &profiler,
+            &profiler,
+        )
+        .expect("simulator search is infallible");
         let plain_underlying = profiler.queries_issued();
-        assert!(plain.cache.is_none());
+        assert!(plain.service.and_then(|r| r.cache).is_none());
 
         let profiler2 = SimProfiler::new(Platform::platform1(), 7);
         let stack = ServiceBuilder::new(&profiler2)
@@ -543,11 +408,9 @@ mod tests {
         assert_eq!(cached.plan, plain.plan);
 
         // ...and its counters must account for every search query
-        let stats = cached.cache.expect("memoized stack reports stats");
-        assert_eq!(stats.queries(), cached.num_queries);
-        // the service report carries the same counters
         let report = cached.service.expect("memoized stack reports service");
-        assert_eq!(report.cache, Some(stats));
+        let stats = report.cache.expect("memoized stack reports stats");
+        assert_eq!(stats.queries(), cached.num_queries);
         // never more work for the underlying provider than uncached
         assert!(profiler2.queries_issued() <= plain_underlying);
     }
@@ -560,7 +423,12 @@ mod tests {
             imbalance_tolerance: None,
         };
         let profiler = SimProfiler::new(Platform::platform1(), 7);
-        let plain = search_plan(tiny_model(), cluster, &profiler, &profiler, opts);
+        let plain = run_search(
+            &SearchRequest::new(tiny_model(), cluster, opts),
+            &profiler,
+            &profiler,
+        )
+        .expect("simulator search is infallible");
         let plain_underlying = profiler.queries_issued();
 
         let profiler2 = SimProfiler::new(Platform::platform1(), 7);
@@ -594,7 +462,7 @@ mod tests {
             interner.distinct,
             out.num_queries
         );
-        let cache = out.cache.expect("structural stack reports cache stats");
+        let cache = report.cache.expect("structural stack reports cache stats");
         assert_eq!(cache.queries(), out.num_queries);
         assert_eq!(cache.misses, interner.distinct);
         assert_eq!(cache.hits, out.num_queries - interner.distinct);
@@ -606,14 +474,19 @@ mod tests {
     }
 
     #[test]
-    fn service_stack_search_matches_legacy_entry_point() {
+    fn service_stack_search_matches_run_search() {
         let cluster = MeshShape::new(1, 2);
         let opts = InterStageOptions {
             microbatches: 4,
             imbalance_tolerance: None,
         };
         let profiler = SimProfiler::new(Platform::platform1(), 7);
-        let legacy = search_plan_with_threads(tiny_model(), cluster, &profiler, &profiler, opts, 2);
+        let reference = run_search(
+            &SearchRequest::new(tiny_model(), cluster, opts).threads(2),
+            &profiler,
+            &profiler,
+        )
+        .expect("simulator search is infallible");
 
         let profiler2 = SimProfiler::new(Platform::platform1(), 7);
         let stack = ServiceBuilder::new(&profiler2)
@@ -624,12 +497,12 @@ mod tests {
         let out = search_plan_service(tiny_model(), cluster, &stack, &profiler2, opts, None)
             .expect("simulator stack is infallible");
 
-        assert_eq!(out.plan, legacy.plan);
+        assert_eq!(out.plan, reference.plan);
         assert_eq!(
             out.estimated_latency.to_bits(),
-            legacy.estimated_latency.to_bits()
+            reference.estimated_latency.to_bits()
         );
-        assert_eq!(out.num_queries, legacy.num_queries);
+        assert_eq!(out.num_queries, reference.num_queries);
         let report = out.service.expect("instrumented stack reports");
         let metrics = report.metrics.expect("instrumented layer installed");
         assert_eq!(metrics.queries, out.num_queries);
@@ -645,7 +518,7 @@ mod tests {
     fn checked_search_never_queries_illegal_candidates() {
         use parking_lot::Mutex;
         use predtop_models::StageSpec;
-        use predtop_parallel::ParallelConfig;
+        use predtop_parallel::{ParallelConfig, StageLatencyProvider};
 
         /// Synthetic provider recording every candidate it is asked about.
         struct RecordingProvider {
@@ -683,7 +556,12 @@ mod tests {
         let plain_provider = RecordingProvider {
             seen: Mutex::new(Vec::new()),
         };
-        let plain = search_plan(model, cluster, &plain_provider, &profiler, opts);
+        let plain = run_search(
+            &SearchRequest::new(model, cluster, opts),
+            ProviderService::new(&plain_provider, "provider"),
+            &profiler,
+        )
+        .expect("lifted providers are infallible");
         assert_eq!(plain.num_rejected, 0);
         let plain_seen = plain_provider.seen.into_inner();
         assert!(
@@ -694,7 +572,13 @@ mod tests {
         let checked_provider = RecordingProvider {
             seen: Mutex::new(Vec::new()),
         };
-        let checked = search_plan_checked(model, cluster, &checked_provider, &profiler, opts);
+        let legality = search_legality(model, &profiler, opts);
+        let checked = run_search(
+            &SearchRequest::new(model, cluster, opts).legality(&legality),
+            ProviderService::new(&checked_provider, "provider"),
+            &profiler,
+        )
+        .expect("lifted providers are infallible");
         let checked_seen = checked_provider.seen.into_inner();
 
         // the provider never saw a statically illegal candidate...
@@ -731,7 +615,12 @@ mod tests {
             imbalance_tolerance: None,
         };
         let profiler = SimProfiler::new(Platform::platform1(), 7);
-        let plain = search_plan(model, cluster, &profiler, &profiler, opts);
+        let plain = run_search(
+            &SearchRequest::new(model, cluster, opts),
+            &profiler,
+            &profiler,
+        )
+        .expect("simulator search is infallible");
         assert_eq!(plain.num_rejected_memory, 0);
 
         // liveness-bound per-device requirement of a candidate
@@ -806,22 +695,21 @@ mod tests {
             imbalance_tolerance: None,
         };
         let store = store_dir("cold-warm");
-        let cfg = StoredSearch {
-            store: store.clone(),
-            namespace: "sim:platform1:7".to_string(),
-            threads: 2,
-            legality: None,
-        };
+        let namespace = "sim:platform1:7";
+        let plain_req = SearchRequest::new(tiny_model(), cluster, opts).threads(2);
+        let req = plain_req
+            .clone()
+            .stored(store.clone(), namespace.to_string());
 
-        // the reference result through the plain engine
+        // the reference result through the store-less stack
         let profiler = SimProfiler::new(Platform::platform1(), 7);
-        let plain = search_plan_with_threads(tiny_model(), cluster, &profiler, &profiler, opts, 2);
+        let plain =
+            run_search(&plain_req, &profiler, &profiler).expect("simulator stack is infallible");
 
         // cold run: every structural class misses the disk and is
         // written behind
         let p_cold = SimProfiler::new(Platform::platform1(), 7);
-        let cold = search_plan_stored(tiny_model(), cluster, &p_cold, &p_cold, opts, &cfg)
-            .expect("simulator stack is infallible");
+        let cold = run_search(&req, &p_cold, &p_cold).expect("simulator stack is infallible");
         assert_eq!(cold.plan, plain.plan);
         assert_eq!(
             cold.estimated_latency.to_bits(),
@@ -838,8 +726,7 @@ mod tests {
         // serves every structural class and the inner simulator is
         // never consulted
         let p_warm = SimProfiler::new(Platform::platform1(), 7);
-        let warm = search_plan_stored(tiny_model(), cluster, &p_warm, &p_warm, opts, &cfg)
-            .expect("simulator stack is infallible");
+        let warm = run_search(&req, &p_warm, &p_warm).expect("simulator stack is infallible");
         assert_eq!(warm.plan, cold.plan);
         assert_eq!(
             warm.estimated_latency.to_bits(),
@@ -866,7 +753,7 @@ mod tests {
         );
 
         // the persisted snapshots match both runs bit-for-bit
-        let key = search_snapshot_key(&cfg.namespace, tiny_model(), cluster, opts, false);
+        let key = search_snapshot_key(namespace, tiny_model(), cluster, opts, false);
         let snap_bytes = store
             .get(ObjectKind::Outcome, &key)
             .unwrap()
@@ -892,15 +779,11 @@ mod tests {
             imbalance_tolerance: None,
         };
         let store = store_dir("truncated");
-        let cfg = StoredSearch {
-            store: store.clone(),
-            namespace: "sim:platform1:7".to_string(),
-            threads: 2,
-            legality: None,
-        };
+        let req = SearchRequest::new(tiny_model(), cluster, opts)
+            .threads(2)
+            .stored(store.clone(), "sim:platform1:7".to_string());
         let p_cold = SimProfiler::new(Platform::platform1(), 7);
-        let cold = search_plan_stored(tiny_model(), cluster, &p_cold, &p_cold, opts, &cfg)
-            .expect("simulator stack is infallible");
+        let cold = run_search(&req, &p_cold, &p_cold).expect("simulator stack is infallible");
 
         // truncate every loose object mid-file: each warm read now
         // surfaces a ShortRead, the layer recomputes, and the damaged
@@ -914,7 +797,7 @@ mod tests {
         }
 
         let p_warm = SimProfiler::new(Platform::platform1(), 7);
-        let warm = search_plan_stored(tiny_model(), cluster, &p_warm, &p_warm, opts, &cfg)
+        let warm = run_search(&req, &p_warm, &p_warm)
             .expect("corruption must degrade to recompute, not fail");
         assert_eq!(warm.plan, cold.plan);
         assert_eq!(
@@ -944,7 +827,12 @@ mod tests {
             microbatches: 4,
             imbalance_tolerance: None,
         };
-        let full = search_plan(model, cluster, &profiler, &profiler, opts);
+        let full = run_search(
+            &SearchRequest::new(model, cluster, opts),
+            &profiler,
+            &profiler,
+        )
+        .expect("simulator search is infallible");
 
         // PredTOP-driven search
         let mut arch = ArchConfig::scaled(ModelKind::DagTransformer);
@@ -959,7 +847,8 @@ mod tests {
             seed: 0,
         };
         let pt = PredTop::fit(model, cluster, &profiler, &cfg);
-        let predicted = search_plan(model, cluster, &pt, &profiler, opts);
+        let predicted = run_search(&SearchRequest::new(model, cluster, opts), &pt, &profiler)
+            .expect("the predictor serves every fitted scenario");
 
         predicted.plan.validate(&model).unwrap();
         // the plan chosen from predictions can degrade but not absurdly

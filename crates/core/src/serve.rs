@@ -38,11 +38,11 @@ use predtop_service::{
 };
 use predtop_sim::SimProfiler;
 use predtop_store::hash::{digest_bytes, Digest};
-use predtop_store::{ObjectKind, Store};
+use predtop_store::Store;
 
 use crate::analytic::AnalyticBaseline;
 use crate::artifacts;
-use crate::search::{search_legality, search_plan_service, search_snapshot_key};
+use crate::search::{search_legality, search_plan_service, search_snapshot_key, write_snapshots};
 
 /// Everything that shapes one serving engine: the platform and seed the
 /// simulator runs, the stack knobs the `search` command exposes as
@@ -325,9 +325,6 @@ impl ServeEngine {
         match result {
             Ok(out) => {
                 self.served.fetch_add(1, Ordering::SeqCst);
-                // write-behind the outcome/plan snapshots, best-effort:
-                // an unwritable store degrades persistence, never the
-                // reply
                 if let Some(store) = &self.config.store {
                     let key = search_snapshot_key(
                         &self.config.sim_namespace(),
@@ -336,8 +333,7 @@ impl ServeEngine {
                         opts,
                         spec.checked,
                     );
-                    let _ = store.put(ObjectKind::Outcome, &key, &artifacts::encode_outcome(&out));
-                    let _ = store.put(ObjectKind::Plan, &key, &artifacts::encode_plan(&out.plan));
+                    write_snapshots(store, &key, &out);
                 }
                 Response::Search(SearchResult {
                     plan: out.plan,
@@ -514,7 +510,7 @@ mod tests {
     }
 
     #[test]
-    fn search_reply_is_bit_identical_to_the_legacy_entry_point() {
+    fn search_reply_is_bit_identical_to_run_search() {
         let engine = tiny_engine();
         let spec = api::SearchSpec {
             model: tiny_model(),
@@ -527,16 +523,16 @@ mod tests {
             Platform::platform1().max_nodes,
             Platform::platform1().gpus_per_node,
         );
-        let reference = crate::search::search_plan(
-            tiny_model(),
-            cluster,
+        let opts = InterStageOptions {
+            microbatches: 4,
+            imbalance_tolerance: None,
+        };
+        let reference = crate::search::run_search(
+            &crate::search::SearchRequest::new(tiny_model(), cluster, opts),
             &profiler,
             &profiler,
-            InterStageOptions {
-                microbatches: 4,
-                imbalance_tolerance: None,
-            },
-        );
+        )
+        .expect("simulator search is infallible");
         match engine.handle(&Request::Search(spec)) {
             Response::Search(result) => {
                 assert_eq!(result.plan, reference.plan);

@@ -10,28 +10,24 @@
 //! stages with `tᵢ ≤ t_max`, then pick the `t_max` whose
 //! `Σ + (B−1)·t_max` is smallest.
 //!
-//! The search runs as a **two-phase engine**. Phase 1
-//! ([`enumerate_candidates`]) builds the complete candidate work-list —
+//! This module holds the two pure phases of the search.
+//! [`enumerate_candidates`] builds the complete candidate work-list —
 //! every (layer-range, sub-mesh, configuration) triple surviving the
-//! imbalance filter — in a deterministic order. Phase 2 evaluates the
-//! work-list through the [`StageLatencyProvider`] across worker threads
-//! (`predtop-runtime`'s deterministic pool); each result lands at its
-//! candidate's fixed index, so the candidate table, the DP that reads
-//! it, and therefore the chosen plan are bit-identical at any
-//! `PREDTOP_THREADS` setting. Each candidate is queried exactly once —
-//! with the ground-truth profiler as the provider this *is* "full
-//! profiling", and the candidate filter reproduces vanilla Alpa's
-//! "partial profiling" stage-device imbalance heuristic, so the Fig. 10
-//! optimization-cost comparison falls directly out of this module.
+//! imbalance filter — in a deterministic order, and [`solve_pipeline`]
+//! runs the DP over that list once each candidate carries a latency.
+//! Evaluating the list is the caller's job: `predtop-core`'s search
+//! engine resolves it as one query batch through a `predtop-service`
+//! stack, whose `Batched` layer lands each reply at its candidate's
+//! index, so the table — and the plan — are bit-identical at any thread
+//! count. With the ground-truth profiler as the source this *is* "full
+//! profiling", and the imbalance filter reproduces vanilla Alpa's
+//! "partial profiling" stage-device heuristic, so the Fig. 10
+//! optimization-cost comparison falls directly out of these two phases.
 
 use predtop_models::{ModelSpec, StageSpec};
-use predtop_runtime::{
-    configured_threads, par_map_chunked, DEFAULT_OVERSUBSCRIPTION, DEFAULT_SERIAL_THRESHOLD,
-};
 
 use crate::config::{table3_configs, MeshShape, ParallelConfig};
 use crate::plan::{PipelinePlan, PlannedStage};
-use crate::StageLatencyProvider;
 
 /// Options controlling the inter-stage search.
 #[derive(Debug, Clone, Copy)]
@@ -57,10 +53,9 @@ impl Default for InterStageOptions {
 /// One profiled/predicted candidate: layers `start..end` on `mesh` under
 /// `config`, with its evaluated latency.
 ///
-/// This is the row format of the phase-2 candidate table: however the
-/// latencies were produced (a raw [`StageLatencyProvider`], or a
-/// `predtop-service` middleware stack), [`solve_pipeline`] only sees
-/// this table — which is what keeps every evaluation path bit-identical.
+/// This is the row format of the evaluated candidate table: however the
+/// latencies were produced, [`solve_pipeline`] only sees this table —
+/// which is what keeps every evaluation path bit-identical.
 #[derive(Debug, Clone, Copy)]
 pub struct EvaluatedCandidate {
     /// Layer range of the candidate stage.
@@ -91,15 +86,15 @@ pub fn candidate_submeshes(cluster: MeshShape) -> Vec<MeshShape> {
     out
 }
 
-/// Phase 1 of the two-phase engine: the complete candidate work-list
-/// for `model` on `cluster`, in the engine's canonical order (sub-mesh,
-/// then stage start, then stage end, then configuration).
+/// The complete candidate work-list for `model` on `cluster`, in the
+/// search's canonical order (sub-mesh, then stage start, then stage end,
+/// then configuration).
 ///
-/// The order is part of the determinism contract: phase 2 evaluates this
-/// list with results landing at fixed indices, so as long as the list is
-/// reproducible the whole search is, at any thread count. The list also
-/// *defines* `num_queries` — its length is exactly the number of
-/// provider queries the search will issue.
+/// The order is part of the determinism contract: the search evaluates
+/// this list with results landing at fixed indices, so as long as the
+/// list is reproducible the whole search is, at any thread count. The
+/// list also *defines* the query count — an unchecked search issues
+/// exactly one latency query per entry.
 pub fn enumerate_candidates(
     model: ModelSpec,
     cluster: MeshShape,
@@ -128,200 +123,8 @@ pub fn enumerate_candidates(
     out
 }
 
-/// Result of the inter-stage search.
-#[derive(Debug, Clone)]
-pub struct InterStageResult {
-    /// The optimal plan found.
-    pub plan: PipelinePlan,
-    /// Its predicted Eqn. 4 latency (seconds).
-    pub latency: f64,
-    /// How many (stage, mesh, config) latency queries were issued —
-    /// the profiling workload whose cost Fig. 10a measures.
-    pub num_queries: usize,
-    /// How many enumerated candidates a static-legality filter rejected
-    /// *before* latency evaluation (0 for the unfiltered entry points).
-    pub num_rejected: usize,
-    /// How many of those rejections the filter attributed to the
-    /// memory-capacity rule (the liveness-tight `P1401` bound) rather
-    /// than pure sharding arithmetic. Only the classified entry point
-    /// ([`optimize_pipeline_classified_with_threads`]) distinguishes;
-    /// the boolean-filter paths report 0.
-    pub num_rejected_memory: usize,
-}
-
-/// How a classifying candidate filter judged one (stage, mesh, config)
-/// triple — a three-way refinement of the boolean filter that lets the
-/// search report *why* candidates were dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CandidateVerdict {
-    /// Statically legal: evaluate its latency.
-    Accept,
-    /// Rejected by a non-memory rule (sharding divisibility etc.).
-    Reject,
-    /// Rejected because the per-device memory lower bound cannot fit.
-    RejectMemory,
-}
-
-/// Run the inter-stage DP for `model` on `cluster`, evaluating
-/// candidates on the pool size `predtop-runtime` derives from
-/// `PREDTOP_THREADS` (see [`configured_threads`]).
-///
-/// # Panics
-/// Panics if no feasible plan exists (cannot happen for the Table II
-/// clusters: a single stage on the full mesh is always a candidate).
-pub fn optimize_pipeline<P: StageLatencyProvider>(
-    model: ModelSpec,
-    cluster: MeshShape,
-    provider: &P,
-    opts: InterStageOptions,
-) -> InterStageResult {
-    optimize_pipeline_with_threads(model, cluster, provider, opts, configured_threads())
-}
-
-/// [`optimize_pipeline`] with an explicit evaluation-pool size.
-///
-/// The result is bit-identical for every `threads ≥ 1`: candidate
-/// latencies land at fixed work-list indices, so the DP always reads the
-/// same table. Tests use this entry point to verify that invariant
-/// without touching the `PREDTOP_THREADS` environment variable.
-pub fn optimize_pipeline_with_threads<P: StageLatencyProvider>(
-    model: ModelSpec,
-    cluster: MeshShape,
-    provider: &P,
-    opts: InterStageOptions,
-    threads: usize,
-) -> InterStageResult {
-    optimize_pipeline_filtered_with_threads(model, cluster, provider, opts, threads, &|_, _, _| {
-        true
-    })
-}
-
-/// [`optimize_pipeline_with_threads`] with a static candidate filter:
-/// every enumerated candidate is offered to `filter` *before* phase 2,
-/// and rejected candidates are never latency-evaluated — the provider
-/// does not see them, `num_queries` does not count them, and
-/// `num_rejected` reports how many were dropped.
-///
-/// This is the seam the `predtop-analyze` plan-legality passes plug into
-/// (`predtop-core`'s checked search): statically illegal candidates
-/// (sharding-divisibility or guaranteed-OOM violations) are *rejected*,
-/// not costed. The filter must be pure — it runs once per candidate in
-/// the deterministic enumeration order, so the search stays bit-identical
-/// at any thread count.
-///
-/// # Panics
-/// Panics if no covering partition survives the filter (the unfiltered
-/// search always has the single full-mesh stage as a fallback; a filter
-/// can remove it).
-pub fn optimize_pipeline_filtered_with_threads<P, F>(
-    model: ModelSpec,
-    cluster: MeshShape,
-    provider: &P,
-    opts: InterStageOptions,
-    threads: usize,
-    filter: &F,
-) -> InterStageResult
-where
-    P: StageLatencyProvider,
-    F: Fn(&StageSpec, MeshShape, ParallelConfig) -> bool + Sync,
-{
-    optimize_pipeline_classified_with_threads(
-        model,
-        cluster,
-        provider,
-        opts,
-        threads,
-        &|stage, mesh, config| {
-            if filter(stage, mesh, config) {
-                CandidateVerdict::Accept
-            } else {
-                CandidateVerdict::Reject
-            }
-        },
-    )
-}
-
-/// [`optimize_pipeline_filtered_with_threads`] with a *classifying*
-/// filter: the filter says not just whether a candidate is dropped but
-/// why ([`CandidateVerdict`]), and memory-rule rejections are reported
-/// separately in [`InterStageResult::num_rejected_memory`]. Same
-/// determinism contract as the boolean entry point.
-///
-/// # Panics
-/// Panics if no covering partition survives the filter.
-pub fn optimize_pipeline_classified_with_threads<P, F>(
-    model: ModelSpec,
-    cluster: MeshShape,
-    provider: &P,
-    opts: InterStageOptions,
-    threads: usize,
-    classify: &F,
-) -> InterStageResult
-where
-    P: StageLatencyProvider,
-    F: Fn(&StageSpec, MeshShape, ParallelConfig) -> CandidateVerdict + Sync,
-{
-    let layers = model.num_layers;
-    let total_dev = cluster.num_devices();
-
-    // Phase 1: enumerate the work-list (no provider queries yet), then
-    // drop statically illegal candidates before any latency evaluation.
-    let full = enumerate_candidates(model, cluster, opts);
-    let enumerated = full.len();
-    let mut num_rejected_memory = 0usize;
-    let worklist: Vec<_> = full
-        .into_iter()
-        .filter(
-            |(stage, mesh, config)| match classify(stage, *mesh, *config) {
-                CandidateVerdict::Accept => true,
-                CandidateVerdict::Reject => false,
-                CandidateVerdict::RejectMemory => {
-                    num_rejected_memory += 1;
-                    false
-                }
-            },
-        )
-        .collect();
-    let num_queries = worklist.len();
-    let num_rejected = enumerated - num_queries;
-
-    // Phase 2: fan the provider queries out across the worker pool in
-    // coarse chunks (`queries / (threads × oversubscription)` each) so
-    // per-task overhead amortizes; small work-lists skip thread dispatch
-    // entirely. Each candidate's latency still lands at its work-list
-    // index, so chunking never changes the candidate table.
-    let (cands, _dispatch) = par_map_chunked(
-        worklist,
-        threads,
-        DEFAULT_OVERSUBSCRIPTION,
-        DEFAULT_SERIAL_THRESHOLD,
-        |(stage, mesh, config)| {
-            let seconds = provider.stage_latency(&stage, mesh, config);
-            EvaluatedCandidate {
-                stage,
-                mesh,
-                config,
-                seconds,
-            }
-        },
-    );
-
-    // Phase 3: the shared DP over the candidate table.
-    let (latency, plan) = solve_pipeline(&cands, layers, total_dev, opts.microbatches)
-        .expect("no covering partition survived the filter (unfiltered searches always have the single full-mesh stage)");
-    InterStageResult {
-        plan,
-        latency,
-        num_queries,
-        num_rejected,
-        num_rejected_memory,
-    }
-}
-
-/// Phase 3 of the engine, exposed for alternative evaluation front-ends
-/// (the `predtop-service` stack evaluates the work-list itself and hands
-/// the table here): Alpa's `t_max` enumeration + sum-minimizing DP over
-/// an already-evaluated candidate table.
+/// Alpa's `t_max` enumeration + sum-minimizing DP over an
+/// already-evaluated candidate table.
 ///
 /// `layers` is the model's layer count every plan must cover and
 /// `total_dev` the cluster device budget. Returns the optimal Eqn. 4
@@ -435,12 +238,51 @@ fn dp_min_sum(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StageLatencyProvider;
     use proptest::prelude::*;
 
     fn tiny_model() -> ModelSpec {
         let mut s = ModelSpec::gpt3_1p3b(2);
         s.num_layers = 8;
         s
+    }
+
+    /// What the DP tests read back from one search.
+    struct Optimized {
+        plan: PipelinePlan,
+        latency: f64,
+        num_queries: usize,
+    }
+
+    /// The search with `provider` as the source: evaluate every
+    /// enumerated candidate once, serially, then solve the DP.
+    fn optimize<P: StageLatencyProvider>(
+        model: ModelSpec,
+        cluster: MeshShape,
+        provider: &P,
+        opts: InterStageOptions,
+    ) -> Optimized {
+        let cands: Vec<EvaluatedCandidate> = enumerate_candidates(model, cluster, opts)
+            .into_iter()
+            .map(|(stage, mesh, config)| EvaluatedCandidate {
+                stage,
+                mesh,
+                config,
+                seconds: provider.stage_latency(&stage, mesh, config),
+            })
+            .collect();
+        let (latency, plan) = solve_pipeline(
+            &cands,
+            model.num_layers,
+            cluster.num_devices(),
+            opts.microbatches,
+        )
+        .expect("the single full-mesh stage always covers the model");
+        Optimized {
+            plan,
+            latency,
+            num_queries: cands.len(),
+        }
     }
 
     /// Latency model with a deliberate shape: per-layer cost shrinks with
@@ -465,7 +307,7 @@ mod tests {
     #[test]
     fn finds_valid_optimal_plan() {
         let m = tiny_model();
-        let r = optimize_pipeline(
+        let r = optimize(
             m,
             MeshShape::new(2, 2),
             &SynthLat,
@@ -487,7 +329,7 @@ mod tests {
     #[test]
     fn partial_profiling_queries_fewer_candidates() {
         let m = tiny_model();
-        let full = optimize_pipeline(
+        let full = optimize(
             m,
             MeshShape::new(2, 2),
             &SynthLat,
@@ -496,7 +338,7 @@ mod tests {
                 imbalance_tolerance: None,
             },
         );
-        let partial = optimize_pipeline(
+        let partial = optimize(
             m,
             MeshShape::new(2, 2),
             &SynthLat,
@@ -514,7 +356,7 @@ mod tests {
     #[test]
     fn optimum_beats_random_plans() {
         let m = tiny_model();
-        let opt = optimize_pipeline(
+        let opt = optimize(
             m,
             MeshShape::new(2, 2),
             &SynthLat,
@@ -547,7 +389,7 @@ mod tests {
     #[test]
     fn infinite_candidates_are_never_selected() {
         let m = tiny_model(); // 8 layers
-        let r = optimize_pipeline(
+        let r = optimize(
             m,
             MeshShape::new(2, 2),
             &OomLat,
@@ -569,7 +411,7 @@ mod tests {
     #[test]
     fn single_device_cluster_yields_single_stage() {
         let m = tiny_model();
-        let r = optimize_pipeline(
+        let r = optimize(
             m,
             MeshShape::new(1, 1),
             &SynthLat,
@@ -658,9 +500,6 @@ mod tests {
             .map(|mesh| ranges * table3_configs(mesh).len())
             .sum();
         assert_eq!(cands.len(), expected);
-        // and the search issues exactly that many queries
-        let r = optimize_pipeline(m, cluster, &SynthLat, opts);
-        assert_eq!(r.num_queries, expected);
     }
 
     #[test]
@@ -707,133 +546,6 @@ mod tests {
             .copied()
             .collect();
         assert_eq!(filtered, expected);
-    }
-
-    // ---- determinism across pool sizes ----------------------------
-
-    #[test]
-    fn thread_count_does_not_change_the_result() {
-        let m = tiny_model();
-        let opts = InterStageOptions {
-            microbatches: 4,
-            imbalance_tolerance: None,
-        };
-        let base = optimize_pipeline_with_threads(m, MeshShape::new(2, 2), &SynthLat, opts, 1);
-        for threads in [2, 3, 8] {
-            let r =
-                optimize_pipeline_with_threads(m, MeshShape::new(2, 2), &SynthLat, opts, threads);
-            assert_eq!(r.latency.to_bits(), base.latency.to_bits());
-            assert_eq!(r.num_queries, base.num_queries);
-            assert_eq!(r.plan, base.plan);
-        }
-    }
-
-    // ---- static candidate filter ----------------------------------
-
-    #[test]
-    fn filtered_search_never_evaluates_rejected_candidates() {
-        let m = tiny_model();
-        let cluster = MeshShape::new(2, 2);
-        let opts = InterStageOptions {
-            microbatches: 4,
-            imbalance_tolerance: None,
-        };
-        let full = optimize_pipeline_with_threads(m, cluster, &SynthLat, opts, 2);
-        assert_eq!(full.num_rejected, 0);
-
-        // reject every pure-model-parallel candidate and count the offers
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let offered = AtomicUsize::new(0);
-        let filter = |_stage: &StageSpec, _mesh: MeshShape, config: ParallelConfig| {
-            offered.fetch_add(1, Ordering::Relaxed);
-            config.mp == 1
-        };
-        let filtered =
-            optimize_pipeline_filtered_with_threads(m, cluster, &SynthLat, opts, 2, &filter);
-
-        // every enumerated candidate was offered exactly once...
-        assert_eq!(offered.load(Ordering::Relaxed), full.num_queries);
-        // ...the queries + rejections account for the full enumeration...
-        assert!(filtered.num_rejected > 0);
-        assert_eq!(
-            filtered.num_queries + filtered.num_rejected,
-            full.num_queries
-        );
-        // ...and the chosen plan uses surviving candidates only
-        filtered.plan.validate(&m).unwrap();
-        for ps in &filtered.plan.stages {
-            assert_eq!(ps.config.mp, 1, "filtered-out candidate chosen: {ps:?}");
-        }
-    }
-
-    #[test]
-    fn classified_filter_splits_rejections_by_cause() {
-        let m = tiny_model();
-        let cluster = MeshShape::new(2, 2);
-        let opts = InterStageOptions {
-            microbatches: 4,
-            imbalance_tolerance: None,
-        };
-        // call mp-sharding a plain rejection and long single-device
-        // stages a memory rejection
-        let classify = |stage: &StageSpec, mesh: MeshShape, config: ParallelConfig| {
-            if config.mp > 1 {
-                CandidateVerdict::Reject
-            } else if mesh.num_devices() == 1 && stage.num_layers() > 4 {
-                CandidateVerdict::RejectMemory
-            } else {
-                CandidateVerdict::Accept
-            }
-        };
-        let r =
-            optimize_pipeline_classified_with_threads(m, cluster, &SynthLat, opts, 2, &classify);
-        r.plan.validate(&m).unwrap();
-        assert!(r.num_rejected_memory > 0);
-        assert!(r.num_rejected > r.num_rejected_memory);
-        let enumerated = enumerate_candidates(m, cluster, opts).len();
-        assert_eq!(r.num_queries + r.num_rejected, enumerated);
-        // the boolean path reports zero memory rejections by definition
-        let b =
-            optimize_pipeline_filtered_with_threads(m, cluster, &SynthLat, opts, 2, &|s, me, c| {
-                classify(s, me, c) == CandidateVerdict::Accept
-            });
-        assert_eq!(b.num_rejected_memory, 0);
-        assert_eq!(b.num_rejected, r.num_rejected);
-        assert_eq!(b.plan, r.plan);
-    }
-
-    #[test]
-    fn filtered_search_is_deterministic_across_threads() {
-        let m = tiny_model();
-        let opts = InterStageOptions {
-            microbatches: 4,
-            imbalance_tolerance: None,
-        };
-        let filter = |stage: &StageSpec, _mesh: MeshShape, config: ParallelConfig| {
-            config.dp <= 2 && stage.num_layers() <= 6
-        };
-        let base = optimize_pipeline_filtered_with_threads(
-            m,
-            MeshShape::new(2, 2),
-            &SynthLat,
-            opts,
-            1,
-            &filter,
-        );
-        for threads in [2, 8] {
-            let r = optimize_pipeline_filtered_with_threads(
-                m,
-                MeshShape::new(2, 2),
-                &SynthLat,
-                opts,
-                threads,
-                &filter,
-            );
-            assert_eq!(r.latency.to_bits(), base.latency.to_bits());
-            assert_eq!(r.num_queries, base.num_queries);
-            assert_eq!(r.num_rejected, base.num_rejected);
-            assert_eq!(r.plan, base.plan);
-        }
     }
 
     // ---- DP vs exhaustive brute force -----------------------------
@@ -949,7 +661,7 @@ mod tests {
                 imbalance_tolerance: None,
             };
 
-            let dp = optimize_pipeline(m, cluster, &provider, opts);
+            let dp = optimize(m, cluster, &provider, opts);
             dp.plan.validate(&m).map_err(|e| {
                 proptest::test_runner::TestCaseError::fail(format!("invalid plan: {e}"))
             })?;

@@ -13,10 +13,11 @@
 //!   generic over an [`intra::OpCost`] model (implemented by the
 //!   simulator; this keeps `predtop-parallel` free of hardware specifics
 //!   and lets tests drive the optimizer with synthetic costs).
-//! * [`interstage`] — Alpa's inter-operator pass: dynamic programming
-//!   over contiguous layer ranges × sub-mesh shapes minimizing the Eqn. 4
-//!   pipeline latency, with candidate evaluation fanned out across
-//!   worker threads (deterministically — see `predtop-runtime`).
+//! * [`interstage`] — Alpa's inter-operator pass as two pure phases:
+//!   enumerate the (layer range, sub-mesh, configuration) candidates,
+//!   then run the dynamic program minimizing the Eqn. 4 pipeline latency
+//!   over their evaluated latencies. Evaluation itself happens elsewhere
+//!   (`predtop-core`'s search, through a `predtop-service` stack).
 //! * [`cache`] — hit/miss [`CacheStats`] accounting, shared by the
 //!   `predtop-service` stack's memoization layer and the Fig. 10 cost
 //!   reporting.
@@ -28,11 +29,12 @@
 //! * [`plan`] — end-to-end pipeline plans and the Eqn. 4 white-box
 //!   formula `T = Σ tᵢ + (B−1)·max tⱼ`.
 //!
-//! The [`StageLatencyProvider`] trait is the gray-box seam of the whole
-//! system: the inter-stage optimizer only needs *some* source of stage
-//! latencies — full profiling (the simulator), partial profiling, or a
-//! trained predictor — and the paper's Fig. 10 experiment is exactly the
-//! comparison of those sources.
+//! The [`StageLatencyProvider`] trait is the plain per-stage latency
+//! interface: the simulator, the predictors and the analytic baseline
+//! implement it, and [`PipelinePlan::latency`] composes it through
+//! Eqn. 4. The plan search itself queries the `predtop-service`
+//! `LatencyService` stack, which lifts any provider with its
+//! `ProviderService` adapter.
 
 #![warn(missing_docs)]
 
@@ -48,11 +50,7 @@ pub mod sharding;
 pub use cache::CacheStats;
 pub use config::{table3_configs, MeshShape, ParallelConfig};
 pub use intern::{InternStats, StructuralDescriptor, StructuralInterner, StructuralKey};
-pub use interstage::{
-    enumerate_candidates, optimize_pipeline, optimize_pipeline_classified_with_threads,
-    optimize_pipeline_filtered_with_threads, optimize_pipeline_with_threads, solve_pipeline,
-    CandidateVerdict, EvaluatedCandidate, InterStageOptions, InterStageResult,
-};
+pub use interstage::{enumerate_candidates, solve_pipeline, EvaluatedCandidate, InterStageOptions};
 pub use intra::{IntraPlan, OpCost};
 pub use plan::{pipeline_latency, PipelinePlan, PlanError, PlanRule, PlanViolation, PlannedStage};
 pub use schedule::{one_f_one_b, Schedule, Slot};
@@ -63,10 +61,9 @@ use predtop_models::StageSpec;
 ///
 /// Implementations: the ground-truth profiler (simulator), a trained
 /// black-box predictor, or any `predtop-service` stack projected back
-/// down through its `AsProvider` bridge. The
-/// inter-stage optimizer calls this for every (stage, sub-mesh,
-/// configuration) candidate — from multiple worker threads at once,
-/// hence the `Sync` supertrait: a provider must tolerate concurrent
+/// down through its `AsProvider` bridge. A provider lifted into a
+/// service stack is queried from several worker threads at once, hence
+/// the `Sync` supertrait: a provider must tolerate concurrent
 /// `stage_latency` calls (all in-tree providers already memoize behind
 /// locks or are pure).
 pub trait StageLatencyProvider: Sync {

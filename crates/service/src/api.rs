@@ -59,7 +59,9 @@ pub fn encode_model(w: &mut ByteWriter, m: &ModelSpec) {
 
 /// Decode a model spec written by [`encode_model`]. Every size, count
 /// and the head count must be at least one (a zero divides by zero or
-/// builds a zero-sized tensor), so a zero is a [`DecodeError::BadTag`].
+/// builds a zero-sized tensor), and there may be no more heads than
+/// hidden units (each head needs a nonzero width), so either is a
+/// [`DecodeError::BadTag`].
 pub fn decode_model(r: &mut ByteReader<'_>) -> Result<ModelSpec, DecodeError> {
     let kind = match r.u8("model kind")? {
         1 => ModelKind::Gpt3,
@@ -76,6 +78,12 @@ pub fn decode_model(r: &mut ByteReader<'_>) -> Result<ModelSpec, DecodeError> {
     let hidden = nonzero(r, "model hidden")?;
     let num_layers = nonzero(r, "model num_layers")?;
     let num_heads = nonzero(r, "model num_heads")?;
+    if num_heads > hidden {
+        return Err(DecodeError::BadTag {
+            what: "model num_heads",
+            tag: num_heads as u64,
+        });
+    }
     let vocab = nonzero(r, "model vocab")?;
     let ffn_mult = nonzero(r, "model ffn_mult")?;
     let moe = match r.u8("moe tag")? {
@@ -907,22 +915,27 @@ mod tests {
     #[test]
     fn zero_model_sizes_are_bad_tags() {
         type Zero = fn(&mut ModelSpec);
-        let fields: [(&str, Zero); 9] = [
-            ("model batch", |m| m.batch = 0),
-            ("model seq_len", |m| m.seq_len = 0),
-            ("model hidden", |m| m.hidden = 0),
-            ("model num_layers", |m| m.num_layers = 0),
-            ("model num_heads", |m| m.num_heads = 0),
-            ("model vocab", |m| m.vocab = 0),
-            ("model ffn_mult", |m| m.ffn_mult = 0),
-            ("moe num_experts", |m| {
+        let fields: [(&str, u64, Zero); 10] = [
+            ("model batch", 0, |m| m.batch = 0),
+            ("model seq_len", 0, |m| m.seq_len = 0),
+            ("model hidden", 0, |m| m.hidden = 0),
+            ("model num_layers", 0, |m| m.num_layers = 0),
+            ("model num_heads", 0, |m| m.num_heads = 0),
+            ("model vocab", 0, |m| m.vocab = 0),
+            ("model ffn_mult", 0, |m| m.ffn_mult = 0),
+            ("moe num_experts", 0, |m| {
                 m.moe.as_mut().unwrap().num_experts = 0
             }),
-            ("moe expert_hidden", |m| {
+            ("moe expert_hidden", 0, |m| {
                 m.moe.as_mut().unwrap().expert_hidden = 0
             }),
+            // more heads than hidden units: each head would be 0 wide
+            ("model num_heads", 8, |m| {
+                m.hidden = 4;
+                m.num_heads = 8;
+            }),
         ];
-        for (what, zero) in fields {
+        for (what, tag, zero) in fields {
             let mut model = ModelSpec::moe_2p6b(2);
             zero(&mut model);
             let search = Request::Search(SearchSpec {
@@ -933,7 +946,7 @@ mod tests {
             });
             assert_eq!(
                 decode_request(&encode_request(&search)),
-                Err(DecodeError::BadTag { what, tag: 0 }),
+                Err(DecodeError::BadTag { what, tag }),
                 "{what}"
             );
             let plan = PipelinePlan {
@@ -950,7 +963,7 @@ mod tests {
             };
             assert_eq!(
                 decode_plan(&encode_plan(&plan)),
-                Err(DecodeError::BadTag { what, tag: 0 }),
+                Err(DecodeError::BadTag { what, tag }),
                 "{what}"
             );
         }

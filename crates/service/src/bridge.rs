@@ -10,7 +10,7 @@
 //! workspace.
 
 use predtop_models::StageSpec;
-use predtop_parallel::{MeshShape, ParallelConfig, PipelinePlan, StageLatencyProvider};
+use predtop_parallel::{MeshShape, ParallelConfig, StageLatencyProvider};
 
 use crate::{LatencyQuery, LatencyReply, LatencyService, ServiceError};
 
@@ -93,27 +93,6 @@ impl LatencyService for Unavailable {
     }
 }
 
-/// Eqn. 4 pipeline latency of `plan`, with every stage latency resolved
-/// through `svc` as one batch (so a [`crate::Batched`] layer fans the
-/// stages out and a [`crate::Memoize`] layer is populated/consulted).
-///
-/// Returns the first error if any stage cannot be served.
-pub fn plan_latency<S: LatencyService>(plan: &PipelinePlan, svc: &S) -> Result<f64, ServiceError> {
-    let queries: Vec<LatencyQuery> = plan
-        .stages
-        .iter()
-        .map(|s| LatencyQuery::new(s.stage, s.mesh, s.config))
-        .collect();
-    let mut seconds = Vec::with_capacity(queries.len());
-    for reply in svc.query_batch(&queries) {
-        seconds.push(reply?.seconds);
-    }
-    Ok(predtop_parallel::pipeline_latency(
-        &seconds,
-        plan.microbatches,
-    ))
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -161,7 +140,6 @@ pub(crate) mod tests {
     }
 
     use predtop_models::ModelSpec;
-    use predtop_parallel::PlannedStage;
 
     fn sample_query() -> LatencyQuery {
         let mut m = ModelSpec::gpt3_1p3b(2);
@@ -206,30 +184,5 @@ pub(crate) mod tests {
         let q = sample_query();
         let p = AsProvider(failing_service("down"));
         assert!(p.stage_latency(&q.stage, q.mesh, q.config).is_infinite());
-    }
-
-    #[test]
-    fn plan_latency_matches_provider_path() {
-        let mut m = ModelSpec::gpt3_1p3b(2);
-        m.num_layers = 4;
-        let plan = PipelinePlan {
-            stages: vec![
-                PlannedStage {
-                    stage: StageSpec::new(m, 0, 2),
-                    mesh: MeshShape::new(1, 1),
-                    config: ParallelConfig::SERIAL,
-                },
-                PlannedStage {
-                    stage: StageSpec::new(m, 2, 4),
-                    mesh: MeshShape::new(1, 1),
-                    config: ParallelConfig::SERIAL,
-                },
-            ],
-            microbatches: 4,
-        };
-        let via_provider = plan.latency(&SyntheticProvider);
-        let via_service =
-            plan_latency(&plan, &ProviderService::new(SyntheticProvider, "synthetic")).unwrap();
-        assert_eq!(via_provider.to_bits(), via_service.to_bits());
     }
 }

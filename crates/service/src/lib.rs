@@ -83,7 +83,7 @@ pub use batched::{BatchHandle, BatchStats, Batched, DispatchPolicy};
 pub use breaker::{
     AdmissionControl, BreakerConfig, BreakerHandle, BreakerStats, CircuitBreaker, CircuitState,
 };
-pub use bridge::{plan_latency, AsProvider, ProviderService, Unavailable};
+pub use bridge::{AsProvider, ProviderService, Unavailable};
 pub use builder::{ServiceBuilder, ServiceStack, StackHandles};
 pub use deadline::{Deadline, DeadlineHandle, DeadlinePolicy, DeadlineStats};
 pub use fallback::{Fallback, FallbackHandle, FallbackStats};
@@ -99,8 +99,8 @@ pub use retry::{Retry, RetryHandle, RetryPolicy, RetryStats};
 
 /// A source of stage latencies, queryable one at a time or in batches.
 ///
-/// This is the pluggable-backend seam of the whole system: the
-/// inter-stage optimizer, the CLI, and the bench harness only ever talk
+/// This is the pluggable-backend seam of the whole system: the plan
+/// search, the CLI, and the bench harness only ever talk
 /// to *some* `LatencyService`, and middleware layers ([`Memoize`],
 /// [`Batched`], [`Instrumented`], [`Fallback`]) are themselves services
 /// wrapping an inner one.

@@ -43,7 +43,12 @@ fn main() {
 
     // --- Alpa-style full profiling -------------------------------------
     let profiler = SimProfiler::new(platform.clone(), 7);
-    let full = search_plan(model, cluster, &profiler, &profiler, opts);
+    let full = run_search(
+        &SearchRequest::new(model, cluster, opts),
+        &profiler,
+        &profiler,
+    )
+    .expect("the simulator serves every scenario");
     let full_bill: CostTotals = profiler.ledger().totals();
     println!(
         "search engine: {} worker thread(s) (set PREDTOP_THREADS to change), {:.2}s wall\n",
@@ -59,16 +64,16 @@ fn main() {
 
     // --- partial profiling (vanilla Alpa heuristic) ---------------------
     let profiler_p = SimProfiler::new(platform.clone(), 7);
-    let partial = search_plan(
-        model,
-        cluster,
+    let partial_opts = InterStageOptions {
+        microbatches: 8,
+        imbalance_tolerance: Some(0.25),
+    };
+    let partial = run_search(
+        &SearchRequest::new(model, cluster, partial_opts),
         &profiler_p,
         &profiler_p,
-        InterStageOptions {
-            microbatches: 8,
-            imbalance_tolerance: Some(0.25),
-        },
-    );
+    )
+    .expect("the simulator serves every scenario");
     let partial_bill = profiler_p.ledger().totals();
     println!(
         "partial profiling ({} stage profiles, {:.0} simulated s):",
@@ -96,7 +101,8 @@ fn main() {
     let predtop = PredTop::fit(model, cluster, &profiler_pt, &cfg);
     let pt_bill = profiler_pt.ledger().totals();
     let truth = SimProfiler::new(platform.clone(), 7);
-    let predicted = search_plan(model, cluster, &predtop, &truth, opts);
+    let predicted = run_search(&SearchRequest::new(model, cluster, opts), &predtop, &truth)
+        .expect("the predictor serves every fitted scenario");
     println!(
         "PredTOP ({} stage profiles, {:.0} simulated s + {:.1}s training + {:.1}s inference):",
         pt_bill.stages_profiled,

@@ -74,9 +74,9 @@ pub mod prelude {
     pub use predtop_cluster::{GpuSpec, Link, Mesh, Platform};
     pub use predtop_core::{
         encode_outcome, encode_plan, load_model_service, pipeline_latency, run_search,
-        search_legality, search_plan, search_plan_checked, search_plan_service, search_plan_stored,
-        search_snapshot_key, AnalyticBaseline, ArchConfig, EngineConfig, GrayBoxConfig, PredTop,
-        SearchOutcome, SearchRequest, ServeEngine, ServiceReport, StoredSearch,
+        search_legality, search_plan_service, search_snapshot_key, AnalyticBaseline, ArchConfig,
+        EngineConfig, GrayBoxConfig, PredTop, SearchOutcome, SearchRequest, ServeEngine,
+        ServiceReport,
     };
     pub use predtop_gnn::{
         mean_relative_error, train, Dataset, GraphSample, ModelKind, TrainConfig, TrainedPredictor,
@@ -84,8 +84,8 @@ pub mod prelude {
     pub use predtop_ir::{DType, Graph, GraphBuilder, OpKind, Shape};
     pub use predtop_models::{enumerate_stages, sample_stages, ModelSpec, StageSpec};
     pub use predtop_parallel::{
-        optimize_pipeline, table3_configs, CacheStats, InterStageOptions, InternStats, MeshShape,
-        ParallelConfig, PipelinePlan, StageLatencyProvider, StructuralInterner, StructuralKey,
+        table3_configs, CacheStats, InterStageOptions, InternStats, MeshShape, ParallelConfig,
+        PipelinePlan, StageLatencyProvider, StructuralInterner, StructuralKey,
     };
     pub use predtop_runtime::configured_threads;
     pub use predtop_service::{

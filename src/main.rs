@@ -65,7 +65,8 @@ options:
   --mesh NxG                 sub-mesh, e.g. 1x2 (default 1x1)
   --dp D --mp M              parallelism config (default 1,1)
   --stage A..B               layer range (default whole model)
-  --microbatches B           pipeline micro-batches (default 8)
+  --microbatches B           pipeline micro-batches (default: the
+                             model's batch, so the plan passes P1301)
   --threads T                (search/serve) evaluation worker threads
   --format text|json         output format (default text)
   --plan-out FILE            (search) write the chosen plan file
@@ -480,7 +481,9 @@ fn die_api_error(e: &api::ErrorBody) -> ! {
 fn cmd_search(args: &Args) {
     let model = args.model();
     let platform = args.platform();
-    let microbatches = args.usize_flag("microbatches", 8);
+    // the batch always divides itself, so the default count satisfies
+    // P1301 (8 at paper size, 2 under --scaled)
+    let microbatches = args.usize_flag("microbatches", model.batch);
     let engine = args.engine(None);
     let fault_rate = engine.config().fault_rate;
     let fault_seed = engine.config().fault_seed;

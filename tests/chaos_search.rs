@@ -4,7 +4,6 @@
 //! latencies, or its query accounting. The stacks here mirror the CLI's
 //! `--inject-fault-rate/--retry` wiring end to end.
 
-use predtop::core::search_plan_with_threads;
 use predtop::prelude::*;
 
 fn tiny_model() -> ModelSpec {
@@ -22,6 +21,13 @@ fn opts() -> InterStageOptions {
         microbatches: 4,
         imbalance_tolerance: None,
     }
+}
+
+/// The fault-free reference: the plain search at `threads` workers.
+fn clean_search(m: ModelSpec, cluster: MeshShape, threads: usize) -> SearchOutcome {
+    let profiler = SimProfiler::new(Platform::platform2(), 6);
+    let req = SearchRequest::new(m, cluster, opts()).threads(threads);
+    run_search(&req, &profiler, &profiler).expect("simulator search is infallible")
 }
 
 fn assert_same_outcome(chaos: &SearchOutcome, clean: &SearchOutcome, label: &str) {
@@ -51,8 +57,7 @@ fn faulty_search_recovers_to_the_fault_free_outcome() {
     let m = tiny_model();
     let cluster = MeshShape::new(2, 2);
     for threads in [1, 4] {
-        let profiler = SimProfiler::new(Platform::platform2(), 6);
-        let clean = search_plan_with_threads(m, cluster, &profiler, &profiler, opts(), threads);
+        let clean = clean_search(m, cluster, threads);
 
         let profiler2 = SimProfiler::new(Platform::platform2(), 6);
         let stack = ServiceBuilder::new(&profiler2)
@@ -87,8 +92,7 @@ fn faulty_search_recovers_to_the_fault_free_outcome() {
 fn a_tripping_breaker_still_converges_on_the_fault_free_plan() {
     let m = tiny_model();
     let cluster = MeshShape::new(2, 2);
-    let profiler = SimProfiler::new(Platform::platform2(), 6);
-    let clean = search_plan_with_threads(m, cluster, &profiler, &profiler, opts(), 1);
+    let clean = clean_search(m, cluster, 1);
 
     let profiler2 = SimProfiler::new(Platform::platform2(), 6);
     let stack = ServiceBuilder::new(&profiler2)
@@ -123,8 +127,7 @@ fn a_tripping_breaker_still_converges_on_the_fault_free_plan() {
 fn neutral_chaos_layers_are_pass_throughs() {
     let m = tiny_model();
     let cluster = MeshShape::new(2, 2);
-    let profiler = SimProfiler::new(Platform::platform2(), 6);
-    let clean = search_plan_with_threads(m, cluster, &profiler, &profiler, opts(), 2);
+    let clean = clean_search(m, cluster, 2);
 
     let profiler2 = SimProfiler::new(Platform::platform2(), 6);
     let stack = ServiceBuilder::new(&profiler2)

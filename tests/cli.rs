@@ -81,7 +81,8 @@ options:
   --mesh NxG                 sub-mesh, e.g. 1x2 (default 1x1)
   --dp D --mp M              parallelism config (default 1,1)
   --stage A..B               layer range (default whole model)
-  --microbatches B           pipeline micro-batches (default 8)
+  --microbatches B           pipeline micro-batches (default: the
+                             model's batch, so the plan passes P1301)
   --threads T                (search/serve) evaluation worker threads
   --format text|json         output format (default text)
   --plan-out FILE            (search) write the chosen plan file
@@ -712,5 +713,47 @@ fn search_plan_out_writes_a_plan_file() {
     for ps in &plan.stages {
         assert!(text.contains(&ps.stage.label()), "{text}");
     }
+    std::fs::remove_file(plan_path).ok();
+}
+
+#[test]
+fn default_microbatches_write_a_plan_the_linter_accepts() {
+    let plan_path = std::env::temp_dir().join(format!(
+        "predtop_cli_default_mb_{}.plan",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&plan_path);
+    // no --microbatches: the count defaults to the scaled model's batch
+    let out = predtop()
+        .args([
+            "search",
+            "--scaled",
+            "--platform",
+            "1",
+            "--plan-out",
+            plan_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run predtop search");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let bytes = std::fs::read(&plan_path).expect("plan file written");
+    let plan = predtop::core::decode_plan(&bytes).expect("plan file decodes");
+    let model = plan.stages[0].stage.model;
+    assert_eq!(plan.microbatches, model.batch);
+    // the same check `predtop-lint --plan` runs
+    let diags = predtop::analyze::analyze_plan(
+        &plan,
+        &model,
+        &predtop::analyze::PlanCheckOptions::default(),
+    );
+    assert!(
+        !predtop::analyze::has_errors(&diags),
+        "{}",
+        predtop::analyze::render_text(&diags)
+    );
     std::fs::remove_file(plan_path).ok();
 }

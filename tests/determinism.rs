@@ -74,16 +74,16 @@ fn search_is_deterministic() {
     let m = tiny_model();
     let run = || {
         let profiler = SimProfiler::new(Platform::platform2(), 6);
-        let out = search_plan(
-            m,
-            MeshShape::new(2, 2),
+        let opts = InterStageOptions {
+            microbatches: 4,
+            imbalance_tolerance: None,
+        };
+        let out = run_search(
+            &SearchRequest::new(m, MeshShape::new(2, 2), opts),
             &profiler,
             &profiler,
-            InterStageOptions {
-                microbatches: 4,
-                imbalance_tolerance: None,
-            },
-        );
+        )
+        .expect("simulator search is infallible");
         (out.plan.clone(), out.true_latency)
     };
     let (plan_a, lat_a) = run();

@@ -60,7 +60,12 @@ fn predictor_search_vs_full_profiling_search() {
     };
 
     let profiler = SimProfiler::new(Platform::platform1(), 3);
-    let full = search_plan(model, cluster, &profiler, &profiler, opts);
+    let full = run_search(
+        &SearchRequest::new(model, cluster, opts),
+        &profiler,
+        &profiler,
+    )
+    .expect("simulator search is infallible");
     full.plan.validate(&model).unwrap();
 
     let profiler2 = SimProfiler::new(Platform::platform1(), 3);
@@ -73,7 +78,8 @@ fn predictor_search_vs_full_profiling_search() {
     };
     let pt = PredTop::fit(model, cluster, &profiler2, &cfg);
     let truth = SimProfiler::new(Platform::platform1(), 3);
-    let pred = search_plan(model, cluster, &pt, &truth, opts);
+    let pred = run_search(&SearchRequest::new(model, cluster, opts), &pt, &truth)
+        .expect("the predictor serves every fitted scenario");
     pred.plan.validate(&model).unwrap();
 
     // optimality of the full search is a hard invariant
@@ -95,27 +101,23 @@ fn partial_profiling_cuts_queries_not_validity() {
     let model = tiny_gpt();
     let cluster = MeshShape::new(1, 2);
     let profiler = SimProfiler::new(Platform::platform1(), 9);
-    let full = optimize_pipeline(
-        model,
-        cluster,
-        &profiler,
-        InterStageOptions {
+    let search = |imbalance_tolerance| {
+        let opts = InterStageOptions {
             microbatches: 4,
-            imbalance_tolerance: None,
-        },
-    );
-    let partial = optimize_pipeline(
-        model,
-        cluster,
-        &profiler,
-        InterStageOptions {
-            microbatches: 4,
-            imbalance_tolerance: Some(0.3),
-        },
-    );
+            imbalance_tolerance,
+        };
+        run_search(
+            &SearchRequest::new(model, cluster, opts),
+            &profiler,
+            &profiler,
+        )
+        .expect("simulator search is infallible")
+    };
+    let full = search(None);
+    let partial = search(Some(0.3));
     partial.plan.validate(&model).unwrap();
     assert!(partial.num_queries < full.num_queries);
-    assert!(partial.latency >= full.latency - 1e-12);
+    assert!(partial.estimated_latency >= full.estimated_latency - 1e-12);
 }
 
 #[test]
@@ -141,16 +143,16 @@ fn memory_aware_search_avoids_oom_plans() {
     );
 
     let profiler = SimProfiler::new(platform.clone(), 7).with_memory_check(0.1);
-    let out = search_plan(
-        model,
-        MeshShape::new(2, 2),
+    let opts = InterStageOptions {
+        microbatches: 4,
+        imbalance_tolerance: None,
+    };
+    let out = run_search(
+        &SearchRequest::new(model, MeshShape::new(2, 2), opts),
         &profiler,
         &profiler,
-        InterStageOptions {
-            microbatches: 4,
-            imbalance_tolerance: None,
-        },
-    );
+    )
+    .expect("simulator search is infallible");
     out.plan.validate(&model).unwrap();
     assert!(
         out.true_latency.is_finite(),

@@ -3,9 +3,8 @@
 //! may change the plan a search chooses, its reported latencies, or its
 //! query accounting.
 //!
-//! All stacks are assembled through `ServiceBuilder` — the single
-//! latency API since the legacy `search_plan_cached*` / `CachedProvider`
-//! entry points were retired.
+//! Plain searches go through `run_search`; memoized stacks are assembled
+//! through `ServiceBuilder` and run by `search_plan_service`.
 
 use predtop::prelude::*;
 
@@ -32,7 +31,8 @@ fn search_is_bit_identical_across_thread_counts() {
     let cluster = MeshShape::new(2, 2);
     let run = |threads: usize| {
         let profiler = SimProfiler::new(Platform::platform2(), 6);
-        predtop::core::search_plan_with_threads(m, cluster, &profiler, &profiler, opts(), threads)
+        let req = SearchRequest::new(m, cluster, opts()).threads(threads);
+        run_search(&req, &profiler, &profiler).expect("simulator search is infallible")
     };
     let base = run(1);
     for threads in [2, 8] {
@@ -58,14 +58,8 @@ fn memoized_search_never_changes_the_plan() {
     let cluster = MeshShape::new(2, 2);
     for threads in [1, 4] {
         let profiler = SimProfiler::new(Platform::platform2(), 6);
-        let plain = predtop::core::search_plan_with_threads(
-            m,
-            cluster,
-            &profiler,
-            &profiler,
-            opts(),
-            threads,
-        );
+        let req = SearchRequest::new(m, cluster, opts()).threads(threads);
+        let plain = run_search(&req, &profiler, &profiler).expect("simulator search is infallible");
         let profiler2 = SimProfiler::new(Platform::platform2(), 6);
         let stack = ServiceBuilder::new(&profiler2)
             .memoize()
@@ -80,7 +74,10 @@ fn memoized_search_never_changes_the_plan() {
         );
         assert_eq!(cached.true_latency.to_bits(), plain.true_latency.to_bits());
         assert_eq!(cached.num_queries, plain.num_queries);
-        let stats = cached.cache.expect("memoized search reports stats");
+        let stats = cached
+            .service
+            .and_then(|r| r.cache)
+            .expect("memoized search reports stats");
         assert_eq!(stats.queries(), cached.num_queries);
     }
 }
@@ -91,7 +88,12 @@ fn memoized_search_never_issues_more_underlying_queries() {
     let cluster = MeshShape::new(2, 2);
 
     let profiler = SimProfiler::new(Platform::platform2(), 6);
-    let _ = search_plan(m, cluster, &profiler, &profiler, opts());
+    run_search(
+        &SearchRequest::new(m, cluster, opts()),
+        &profiler,
+        &profiler,
+    )
+    .expect("simulator search is infallible");
     let uncached_queries = profiler.queries_issued();
 
     let profiler2 = SimProfiler::new(Platform::platform2(), 6);
@@ -109,7 +111,7 @@ fn memoized_search_never_issues_more_underlying_queries() {
     );
     // the cache's miss count is exactly the traffic that reached the
     // profiler during the search phase
-    let stats = cached.cache.unwrap();
+    let stats = cached.service.and_then(|r| r.cache).unwrap();
     assert!(stats.misses <= cached.num_queries);
 }
 

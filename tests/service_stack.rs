@@ -1,9 +1,9 @@
-//! Acceptance contract of the `LatencyService` middleware refactor: a
-//! checked search driven through an explicitly assembled
-//! `ServiceBuilder` stack is **bit-identical** to the legacy
-//! provider-based entry point, for both benchmark model families and at
-//! multiple worker-pool sizes — and the stack's memoize / fallback
-//! layers report honest accounting while staying transparent.
+//! Acceptance contract of the `LatencyService` middleware: a checked
+//! search driven through an explicitly assembled `ServiceBuilder` stack
+//! is **bit-identical** to the same search through `run_search`, for
+//! both benchmark model families and at multiple worker-pool sizes — and
+//! the stack's memoize / fallback layers report honest accounting while
+//! staying transparent.
 
 use predtop::prelude::*;
 
@@ -41,20 +41,18 @@ fn opts() -> InterStageOptions {
 }
 
 #[test]
-fn service_stack_checked_search_is_bit_identical_to_legacy() {
+fn service_stack_checked_search_is_bit_identical_to_run_search() {
     let cluster = MeshShape::new(2, 2);
     for (name, model) in [("gpt3", gpt3()), ("moe", moe())] {
         for threads in [1usize, 4] {
-            // legacy provider path
+            // the convenience entry point
             let profiler = SimProfiler::new(Platform::platform2(), 6);
-            let legacy = predtop::core::search_plan_checked_with_threads(
-                model,
-                cluster,
-                &profiler,
-                &profiler,
-                opts(),
-                threads,
-            );
+            let legality = search_legality(model, &profiler, opts());
+            let req = SearchRequest::new(model, cluster, opts())
+                .threads(threads)
+                .legality(&legality);
+            let reference = run_search(&req, &profiler, &profiler)
+                .expect("the simulator serves every scenario");
 
             // the same search through a full middleware stack
             let profiler2 = SimProfiler::new(Platform::platform2(), 6);
@@ -67,19 +65,19 @@ fn service_stack_checked_search_is_bit_identical_to_legacy() {
                 search_plan_service(model, cluster, &stack, &profiler2, opts(), Some(&legality))
                     .expect("the simulator stack serves every scenario");
 
-            assert_eq!(out.plan, legacy.plan, "{name}@{threads}: plan drifted");
+            assert_eq!(out.plan, reference.plan, "{name}@{threads}: plan drifted");
             assert_eq!(
                 out.estimated_latency.to_bits(),
-                legacy.estimated_latency.to_bits(),
+                reference.estimated_latency.to_bits(),
                 "{name}@{threads}: estimated latency drifted"
             );
             assert_eq!(
                 out.true_latency.to_bits(),
-                legacy.true_latency.to_bits(),
+                reference.true_latency.to_bits(),
                 "{name}@{threads}: true latency drifted"
             );
-            assert_eq!(out.num_queries, legacy.num_queries);
-            assert_eq!(out.num_rejected, legacy.num_rejected);
+            assert_eq!(out.num_queries, reference.num_queries);
+            assert_eq!(out.num_rejected, reference.num_rejected);
 
             // memoize accounting: every search query hit the layer, and
             // within one search every candidate is distinct
