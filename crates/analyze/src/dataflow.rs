@@ -21,12 +21,14 @@
 //!
 //! The first client is [`LiveBuffers`]: a backward liveness pass over
 //! the stage's execution schedule that computes, for every program
-//! point, the set of live activation buffers. [`peak_resident_bytes`]
-//! folds a per-buffer weight profile (`sim::memory::activation_profile`)
-//! over those sets to produce the peak-over-live-sets memory bound that
-//! replaces the retain-everything sum in the `P1401` memory-fit rule.
+//! point, the set of live activation buffers ([`resident_sets`]).
+//! [`peak_resident_bytes`] computes the same sets' peak weight
+//! (`sim::memory::activation_profile` per buffer) in one sweep over
+//! live intervals instead, and the fixpoint stays as the reference it
+//! is tested against. That peak replaces the retain-everything sum in
+//! the `P1401` memory-fit rule.
 
-use predtop_ir::{live, Graph};
+use predtop_ir::{live, Graph, NodeId};
 
 use crate::diag::{Diagnostic, Severity, Span};
 use crate::pass::GraphPass;
@@ -323,7 +325,7 @@ impl Lattice for LiveBuffers<'_> {
     fn transfer(&self, node: usize, live_after: &BitSet) -> BitSet {
         let mut v = live_after.clone();
         v.remove(node); // the def kills its own buffer going backward
-        for p in self.graph.preds(predtop_ir::NodeId(node as u32)) {
+        for p in self.graph.preds(NodeId(node as u32)) {
             v.insert(p.index());
         }
         v
@@ -337,6 +339,10 @@ impl Lattice for LiveBuffers<'_> {
 /// Per-program-point resident sets of `graph`: entry `i` is the set of
 /// buffers occupying memory *while node `i` executes* (the buffers live
 /// before `i`, plus `i`'s own output being written).
+///
+/// This is the fixpoint reference for [`peak_resident_bytes`]: `n` sets
+/// of `n` bits, so quadratic in the graph size. Production code takes
+/// the peak from the interval sweep.
 pub fn resident_sets(graph: &Graph) -> Vec<BitSet> {
     let fg = FlowGraph::chain(graph.len());
     let lat = LiveBuffers::new(graph);
@@ -353,7 +359,15 @@ pub fn resident_sets(graph: &Graph) -> Vec<BitSet> {
 
 /// The peak-over-live-sets memory bound: the maximum, over all program
 /// points, of the summed `weights` of the resident buffer set. Returns
-/// `(peak_bytes, argmax_point)`; `(0, 0)` for an empty graph.
+/// `(peak_bytes, argmax_point)` with the first point reaching the peak;
+/// `(0, 0)` for an empty graph.
+///
+/// Node ids are a topological schedule, so buffer `j` is resident on
+/// exactly the points `j..=end_j`: `end_j` is the last point for a
+/// retained buffer and [`live::last_use`] for a transient one. One
+/// sweep adds `weights[j]` at point `j` and drops it after `end_j`;
+/// the running sum at each point is that point's [`resident_sets`]
+/// total, bit for bit, in `O(n + edges)`.
 ///
 /// With `weights = sim::memory::activation_profile(graph, plan)` this
 /// is a liveness-tight replacement for the retain-everything
@@ -362,12 +376,26 @@ pub fn resident_sets(graph: &Graph) -> Vec<BitSet> {
 /// retained boundary keeps every backward-pass input in scope.
 pub fn peak_resident_bytes(graph: &Graph, weights: &[u64]) -> (u64, usize) {
     assert_eq!(weights.len(), graph.len(), "one weight per node");
+    let last = graph.len().saturating_sub(1);
+    // freed[p]: the bytes whose buffers die right after point p
+    let mut freed = vec![0u64; graph.len()];
+    for (j, &w) in weights.iter().enumerate() {
+        let id = NodeId(j as u32);
+        let end = if live::is_transient(graph, id) {
+            live::last_use(graph, id).index()
+        } else {
+            last
+        };
+        freed[end] += w;
+    }
+    let mut resident = 0u64;
     let mut best = (0u64, 0usize);
-    for (i, set) in resident_sets(graph).iter().enumerate() {
-        let bytes: u64 = set.iter().map(|j| weights[j]).sum();
-        if bytes > best.0 {
-            best = (bytes, i);
+    for (i, &w) in weights.iter().enumerate() {
+        resident += w;
+        if resident > best.0 {
+            best = (resident, i);
         }
+        resident -= freed[i];
     }
     best
 }

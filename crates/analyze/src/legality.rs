@@ -95,11 +95,6 @@ impl StaticLegality {
 
     /// The search-engine predicate: `true` iff the candidate has no
     /// `Error`-severity finding.
-    ///
-    /// Note that if `model.batch` is not divisible by `microbatches`,
-    /// *every* candidate is illegal and a filtered search will panic
-    /// ("no covering partition survived the filter") — check `P1301`
-    /// up front when the micro-batch count is user-supplied.
     pub fn is_legal(&self, stage: &StageSpec, mesh: MeshShape, config: ParallelConfig) -> bool {
         let diags = self.candidate_diagnostics(stage, mesh, config);
         if !has_errors(&diags) {

@@ -5,13 +5,15 @@
 
 use proptest::prelude::*;
 
+use predtop_analyze::dataflow::serial_activation_weights;
 use predtop_analyze::plan_passes::{stage_memory_liveness_bound, stage_memory_lower_bound};
 use predtop_analyze::{
-    analyze_graph, analyze_graph_with_threads, analyze_plan_with_threads, has_errors, render_json,
-    sort_diagnostics, BitSet, Lattice, LiveBuffers, PlanCheckOptions, Severity,
+    analyze_graph, analyze_graph_with_threads, analyze_plan_with_threads, has_errors,
+    peak_resident_bytes, render_json, resident_sets, sort_diagnostics, BitSet, Lattice,
+    LiveBuffers, PlanCheckOptions, Severity,
 };
 use predtop_cluster::GpuSpec;
-use predtop_ir::{DType, Graph, GraphBuilder, OpKind, Shape};
+use predtop_ir::{live, DType, Graph, GraphBuilder, OpKind, Shape};
 use predtop_models::{ModelSpec, StageSpec};
 use predtop_parallel::{MeshShape, ParallelConfig, PipelinePlan, PlannedStage};
 use predtop_service::api::{decode_plan, encode_plan};
@@ -122,6 +124,89 @@ proptest! {
                 "transfer not monotone at node {}", node
             );
         }
+    }
+}
+
+// ---- property: the interval sweep equals the fixpoint peak ----------
+
+/// Random graphs whose buffers do die: besides inputs and compute ops
+/// they draw the four prunable ops (`Reshape`, `ConvertElementType`,
+/// `Copy`, `StopGradient`), whose outputs are transient, and end in one
+/// to three outputs. Each node gets a weight in `0..4`, so zero weights
+/// and tied peaks are common.
+fn arb_liveness_graph() -> impl Strategy<Value = (Graph, Vec<u64>)> {
+    (2usize..40, any::<u64>()).prop_map(|(n, seed)| {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new();
+        let mut ids = vec![b.input(Shape::from([4, 4]), DType::F32)];
+        for _ in 1..n {
+            let a = ids[rng.gen_range(0..ids.len())];
+            let c = ids[rng.gen_range(0..ids.len())];
+            let id = match rng.gen_range(0..8) {
+                0 => b.input(Shape::from([4, 4]), DType::F32),
+                1 => b.binary(OpKind::Add, a, c),
+                2 => b.unary(OpKind::Tanh, a),
+                3 => b.op(OpKind::Reshape, &[a], Shape::from([2, 8]), DType::F32),
+                4 => b.op(
+                    OpKind::ConvertElementType,
+                    &[a],
+                    Shape::from([4, 4]),
+                    DType::F16,
+                ),
+                5 => b.unary(OpKind::Copy, a),
+                6 => b.unary(OpKind::StopGradient, a),
+                _ => b.dot(a, c, Shape::from([4, 4]), DType::F32, 4),
+            };
+            ids.push(id);
+        }
+        let outputs: Vec<_> = (0..rng.gen_range(1..=3))
+            .map(|_| ids[rng.gen_range(0..ids.len())])
+            .collect();
+        let g = b.finish(&outputs).unwrap();
+        let weights = (0..g.len()).map(|_| rng.gen_range(0..4u64)).collect();
+        (g, weights)
+    })
+}
+
+/// The peak as the fixpoint defines it: the first point whose resident
+/// set weighs strictly the most.
+fn fixpoint_peak(g: &Graph, weights: &[u64]) -> (u64, usize) {
+    let mut best = (0u64, 0usize);
+    for (i, set) in resident_sets(g).iter().enumerate() {
+        let bytes: u64 = set.iter().map(|j| weights[j]).sum();
+        if bytes > best.0 {
+            best = (bytes, i);
+        }
+    }
+    best
+}
+
+proptest! {
+    /// `peak_resident_bytes` sweeps live intervals; it must return the
+    /// fixpoint reference's `(bytes, point)`, tie-break included.
+    #[test]
+    fn prop_peak_sweep_matches_the_fixpoint((g, weights) in arb_liveness_graph()) {
+        prop_assert_eq!(peak_resident_bytes(&g, &weights), fixpoint_peak(&g, &weights));
+    }
+}
+
+/// The same parity on real stage graphs: a few thousand nodes, so the
+/// reference's bit sets span many words, and every prunable op the
+/// model builders emit.
+#[test]
+fn peak_sweep_matches_the_fixpoint_on_benchmark_stages() {
+    for model in [ModelSpec::gpt3_1p3b(8), ModelSpec::moe_2p6b(8)] {
+        let g = StageSpec::new(model, 1, 3).build_graph();
+        assert!(
+            g.nodes().iter().any(|n| live::is_transient(&g, n.id)),
+            "benchmark stages must free buffers"
+        );
+        let weights = serial_activation_weights(&g);
+        assert_eq!(
+            peak_resident_bytes(&g, &weights),
+            fixpoint_peak(&g, &weights)
+        );
     }
 }
 

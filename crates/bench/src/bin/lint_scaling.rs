@@ -146,9 +146,14 @@ fn main() {
             .field("misses", misses),
     ];
     let doc = Json::obj()
-        .field("schema_version", 1u64)
+        .field("schema_version", 2u64)
         .field("benchmark", "lint_scaling")
         .field("mode", if cli.smoke { "smoke" } else { "full" })
+        .field(
+            "available_threads",
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
+        )
+        .field("kernel_isa", predtop_tensor::active_isa().name())
         .field("model_layers", model.num_layers)
         .field("graphs", graphs.len())
         .field("rows", rows)

@@ -71,12 +71,11 @@ pub struct SearchOutcome {
 /// chooses the same plan with the same latency bits.
 ///
 /// Errors if any candidate query fails after the whole stack (including
-/// any `Fallback` chain) has been consulted.
-///
-/// # Panics
-/// Panics if no legal covering partition exists — in particular when
-/// `opts.microbatches` does not divide `model.batch` (`P1301` rejects
-/// every candidate).
+/// any `Fallback` chain) has been consulted, and with
+/// [`ServiceError::NoLegalPlan`] if the legality filter leaves no
+/// covering partition — in particular when `opts.microbatches` does not
+/// divide `model.batch` (`P1301` rejects every candidate) or when no
+/// stage split fits device memory (`P1401`).
 pub fn search_plan_service(
     model: ModelSpec,
     cluster: MeshShape,
@@ -138,7 +137,11 @@ pub fn search_plan_service(
         cluster.num_devices(),
         opts.microbatches,
     )
-    .expect("no covering partition survived the filter (unfiltered searches always have the single full-mesh stage)");
+    .ok_or(ServiceError::NoLegalPlan {
+        candidates: enumerated,
+        rejected: num_rejected,
+        rejected_memory: num_rejected_memory,
+    })?;
     let search_seconds = started.elapsed().as_secs_f64();
     let true_latency = plan.latency(profiler);
 
@@ -224,12 +227,8 @@ impl<'a> SearchRequest<'a> {
 /// canonical `Persist → MemoizeStructural → Batched → Instrumented`
 /// store-backed stack, and the plan/outcome snapshots are written
 /// behind under [`search_snapshot_key`] (best-effort: an unwritable
-/// store degrades persistence, never the search result).
-///
-/// # Panics
-/// Panics if no legal covering partition exists — in particular when
-/// `opts.microbatches` does not divide `model.batch` (`P1301` rejects
-/// every candidate).
+/// store degrades persistence, never the search result). Errors as
+/// [`search_plan_service`] does.
 pub fn run_search<S: LatencyService>(
     req: &SearchRequest<'_>,
     source: S,
@@ -675,6 +674,112 @@ mod tests {
             plain.estimated_latency.to_bits()
         );
         assert_eq!(checked.true_latency.to_bits(), plain.true_latency.to_bits());
+    }
+
+    #[test]
+    fn checked_search_with_no_legal_plan_is_an_error() {
+        use predtop_cluster::GpuSpec;
+
+        let model = tiny_model();
+        let cluster = MeshShape::new(1, 2);
+        let opts = InterStageOptions {
+            microbatches: 2,
+            imbalance_tolerance: None,
+        };
+        // a 1 KiB device: no stage of any split fits
+        let gpu = GpuSpec {
+            name: "no-room-gpu",
+            memory_gib: 1.0 / (1u64 << 20) as f64,
+            ..GpuSpec::a40()
+        };
+        let legality = StaticLegality::new(model, opts.microbatches).with_memory_check(gpu, 0.1);
+        let profiler = SimProfiler::new(Platform::platform1(), 7);
+        let err = run_search(
+            &SearchRequest::new(model, cluster, opts).legality(&legality),
+            &profiler,
+            &profiler,
+        )
+        .expect_err("no stage fits a 1 KiB device");
+        let candidates = enumerate_candidates(model, cluster, opts).len();
+        assert_eq!(
+            err,
+            ServiceError::NoLegalPlan {
+                candidates,
+                rejected: candidates,
+                rejected_memory: legality.memory_rejections(),
+            }
+        );
+        assert!(legality.memory_rejections() > 0);
+        assert!(!err.is_transient());
+        assert!(err.to_string().contains("P1401"), "{err}");
+        // nothing was queried, not even the ground truth
+        assert_eq!(profiler.queries_issued(), 0);
+    }
+
+    /// `checked-moe-warm`'s problem on a fixed 0.045 GiB device (at
+    /// 0.044 GiB no plan fits): the `P1401` branch rejects 110
+    /// candidates, where Platform 2's own devices reject none. Every figure
+    /// was recorded with the fixpoint-solved liveness peak.
+    #[test]
+    fn tight_memory_checked_search_is_pinned() {
+        use predtop_cluster::GpuSpec;
+
+        let mut model = ModelSpec::moe_2p6b(4);
+        model.seq_len = 32;
+        model.hidden = 32;
+        model.num_heads = 4;
+        model.vocab = 64;
+        model.num_layers = 16;
+        if let Some(moe) = model.moe.as_mut() {
+            moe.num_experts = 4;
+        }
+        let cluster = MeshShape::new(2, 2);
+        let opts = InterStageOptions {
+            microbatches: 4,
+            imbalance_tolerance: None,
+        };
+        let gpu = GpuSpec {
+            name: "tight-test-gpu",
+            memory_gib: 0.045,
+            ..GpuSpec::a40()
+        };
+        let legality = StaticLegality::new(model, opts.microbatches).with_memory_check(gpu, 0.1);
+        let profiler = SimProfiler::new(Platform::platform2(), 1);
+        let out = run_search(
+            &SearchRequest::new(model, cluster, opts).legality(&legality),
+            &profiler,
+            &profiler,
+        )
+        .expect("a plan fits the tight device");
+        let stages: Vec<(usize, usize, usize, usize, usize, usize)> = out
+            .plan
+            .stages
+            .iter()
+            .map(|ps| {
+                (
+                    ps.stage.start,
+                    ps.stage.end,
+                    ps.mesh.nodes,
+                    ps.mesh.gpus_per_node,
+                    ps.config.dp,
+                    ps.config.mp,
+                )
+            })
+            .collect();
+        assert_eq!(out.num_rejected, 518);
+        assert_eq!(out.num_rejected_memory, 110);
+        assert_eq!(out.num_queries, 298);
+        assert_eq!(
+            stages,
+            [
+                (0, 4, 1, 1, 1, 1),
+                (4, 8, 1, 1, 1, 1),
+                (8, 12, 1, 1, 1, 1),
+                (12, 16, 1, 1, 1, 1)
+            ]
+        );
+        assert_eq!(out.estimated_latency.to_bits(), 0x3fa9_cd8a_e427_c996);
+        assert_eq!(out.true_latency.to_bits(), 0x3fa9_cd8a_e427_c996);
     }
 
     fn store_dir(name: &str) -> Arc<Store> {

@@ -292,8 +292,8 @@ impl ServeEngine {
         }
         if spec.checked && !spec.model.batch.is_multiple_of(spec.microbatches) {
             // P1301 rejects *every* candidate, so a checked search can
-            // never find a covering partition — refuse up front instead
-            // of panicking the engine
+            // never find a covering partition — refuse up front, naming
+            // the rule, before any stage graph is built
             return bad_request(format!(
                 "checked search rejected up front: {} micro-batches do not divide batch {}",
                 spec.microbatches, spec.model.batch
@@ -321,7 +321,12 @@ impl ServeEngine {
             opts,
             legality.as_ref(),
         );
-        self.admission.record(result.is_ok());
+        // no legal plan is the request's problem, not the source's: it
+        // must not count toward tripping the admission breaker
+        self.admission.record(matches!(
+            result,
+            Ok(_) | Err(ServiceError::NoLegalPlan { .. })
+        ));
         match result {
             Ok(out) => {
                 self.served.fetch_add(1, Ordering::SeqCst);
@@ -452,6 +457,7 @@ fn error_body(e: &ServiceError) -> ErrorBody {
         ServiceError::InjectedFault { .. } => ErrorKind::Fault,
         ServiceError::DeadlineExceeded { .. } => ErrorKind::Deadline,
         ServiceError::CircuitOpen { .. } => ErrorKind::Shed,
+        ServiceError::NoLegalPlan { .. } => ErrorKind::BadRequest,
     };
     ErrorBody {
         kind,

@@ -73,7 +73,9 @@ pub enum Retryability {
 /// [`retryability`](ServiceError::retryability), [`crate::Fallback`]
 /// treats any variant as "try the next source", and the CLI renders each
 /// variant distinctly. The variants are ordered roughly from "the source
-/// is broken" to "a layer manufactured this failure".
+/// is broken" to "a layer manufactured this failure"; the last,
+/// [`ServiceError::NoLegalPlan`], is raised by the plan search over the
+/// stack, never by a layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
     /// The source as a whole is unusable (e.g. a saved model file that
@@ -124,6 +126,18 @@ pub enum ServiceError {
         /// Consecutive rejections left before the breaker half-opens.
         cooldown_remaining: u64,
     },
+    /// A checked plan search's static-legality filter left no covering
+    /// partition: every plan needs a candidate it rejected. No source
+    /// failed; the problem (model, cluster, device memory) has no legal
+    /// plan. Permanent.
+    NoLegalPlan {
+        /// Candidates the search enumerated.
+        candidates: usize,
+        /// How many of them the filter rejected.
+        rejected: usize,
+        /// How many of those rejections were the `P1401` memory rule.
+        rejected_memory: usize,
+    },
 }
 
 impl ServiceError {
@@ -135,6 +149,7 @@ impl ServiceError {
             ServiceError::InjectedFault { source, .. } => source,
             ServiceError::DeadlineExceeded { source, .. } => source,
             ServiceError::CircuitOpen { source, .. } => source,
+            ServiceError::NoLegalPlan { .. } => "static-legality",
         }
     }
 
@@ -147,6 +162,7 @@ impl ServiceError {
             ServiceError::InjectedFault { .. } => Retryability::Transient,
             ServiceError::DeadlineExceeded { .. } => Retryability::Permanent,
             ServiceError::CircuitOpen { .. } => Retryability::Transient,
+            ServiceError::NoLegalPlan { .. } => Retryability::Permanent,
         }
     }
 
@@ -190,6 +206,16 @@ impl std::fmt::Display for ServiceError {
                 f,
                 "circuit breaker open for `{source}` ({cooldown_remaining} rejections \
                  until half-open probe)"
+            ),
+            ServiceError::NoLegalPlan {
+                candidates,
+                rejected,
+                rejected_memory,
+            } => write!(
+                f,
+                "no legal plan: static legality rejected {rejected} of {candidates} \
+                 candidates ({rejected_memory} by the P1401 memory bound) and no \
+                 covering partition is left"
             ),
         }
     }
@@ -242,6 +268,14 @@ mod tests {
                     cooldown_remaining: 3,
                 },
                 Retryability::Transient,
+            ),
+            (
+                ServiceError::NoLegalPlan {
+                    candidates: 10,
+                    rejected: 10,
+                    rejected_memory: 4,
+                },
+                Retryability::Permanent,
             ),
         ];
         for (err, want) in cases {

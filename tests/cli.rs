@@ -401,6 +401,22 @@ fn search_checked_rejects_indivisible_microbatches_up_front() {
 }
 
 #[test]
+fn paper_size_checked_search_reports_no_legal_plan() {
+    // default flags: GPT-3 1.3B on Platform 2 has no split that passes
+    // static legality, which is an error reply (exit 1), not a panic
+    let out = predtop()
+        .args(["search", "--checked"])
+        .output()
+        .expect("run paper-size checked predtop search");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("search failed (permanent)"), "{stderr}");
+    assert!(stderr.contains("no legal plan"), "{stderr}");
+    assert!(stderr.contains("P1401 memory bound"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn search_with_injected_faults_recovers_and_reports() {
     let baseline = predtop()
         .args([

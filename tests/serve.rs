@@ -218,3 +218,52 @@ fn admission_control_sheds_over_the_wire_once_the_breaker_trips() {
         srv.join().unwrap();
     });
 }
+
+#[test]
+fn a_checked_search_with_no_legal_plan_is_a_bad_request_over_the_wire() {
+    let path = socket_path("no-legal-plan");
+    let mut config = engine_config();
+    // one recorded failure would trip admission
+    config.breaker = BreakerConfig::tripping_after(1);
+    let engine = ServeEngine::new(config).expect("build engine");
+    let server =
+        wire::Server::bind(None, Some(&path), wire::ServerConfig::default()).expect("bind");
+
+    std::thread::scope(|scope| {
+        let srv = scope.spawn(|| server.run(|req| engine.handle(req)).expect("server run"));
+        let mut client = connect(&path);
+
+        // the CLI's paper-size defaults: no split of GPT-3 1.3B over
+        // Platform 2 passes static legality
+        let search = api::Request::Search(api::SearchSpec {
+            model: ModelSpec::gpt3_1p3b(8),
+            microbatches: 8,
+            imbalance_tolerance: None,
+            checked: true,
+        });
+        match client.call(&search) {
+            Ok(api::Response::Error(body)) => {
+                assert_eq!(body.kind, api::ErrorKind::BadRequest, "{}", body.message);
+                assert!(!body.transient);
+                assert!(body.message.contains("no legal plan"), "{}", body.message);
+                assert!(body.message.contains("P1401"), "{}", body.message);
+            }
+            other => panic!("expected a BadRequest, got {other:?}"),
+        }
+        // the request's problem fed admission no failure: the next
+        // request is served, not shed
+        match client.call(&api::Request::Profile(profile_spec(0))) {
+            Ok(api::Response::Latency { .. }) => {}
+            other => panic!("expected Latency after the rejected search, got {other:?}"),
+        }
+        match client.call(&api::Request::Stats).expect("stats call") {
+            api::Response::Stats(report) => assert_eq!(report.shed, 0),
+            other => panic!("expected Stats, got {other:?}"),
+        }
+        match client.call(&api::Request::Shutdown).expect("shutdown") {
+            api::Response::Bye => {}
+            other => panic!("expected Bye, got {other:?}"),
+        }
+        srv.join().unwrap();
+    });
+}
