@@ -2,14 +2,14 @@
 //!
 //! Runs one serial, non-memoized full-profiling search as the baseline,
 //! then the same search through the canonical structural stack
-//! (`memoize_structural` + chunked `batched`) at 1/2/4/8 worker
-//! threads. Every row is checked bit-identical to the baseline plan —
-//! the engine's determinism contract made visible — and reports the
-//! structural cache's hit/miss split, the interner's distinct-structure
-//! count, and the dispatcher's chunk geometry. Results are written as
-//! stable-schema JSON (default `BENCH_search.json`; override with
-//! `--out PATH`) so scaling can be tracked across commits alongside
-//! `bench_predictor`'s artifact.
+//! (`memoize_structural` + `batched`) at 1/2/4/8 worker threads. Every
+//! row is checked bit-identical to the baseline plan — the engine's
+//! determinism contract made visible — and reports the structural
+//! cache's hit/miss split, the interner's distinct-structure count, and
+//! the dispatcher's pool-task count (one per dispatched query). Results
+//! are written as stable-schema JSON (default `BENCH_search.json`;
+//! override with `--out PATH`) so scaling can be tracked across commits
+//! alongside `bench_predictor`'s artifact.
 //!
 //! The default model is a 64-layer dense decoder with shrunk
 //! hyper-parameters: deep enough that structural sharing pays (2080
@@ -148,13 +148,12 @@ fn main() {
         println!(
             "{threads} thread(s): {:7.3}s wall ({speedup:5.2}x), \
              {} hits / {} misses ({:.0}% hit rate), \
-             {} structures, chunk size {} x {} chunks",
+             {} structures, {} pool tasks",
             out.search_seconds,
             cache.hits,
             cache.misses,
             100.0 * cache.hit_rate(),
             interner.distinct,
-            batch.last_chunk_size,
             batch.chunks,
         );
 
@@ -169,7 +168,6 @@ fn main() {
                 .field("cache_hit_rate", cache.hit_rate())
                 .field("interner_lookups", interner.lookups)
                 .field("interner_distinct", interner.distinct)
-                .field("chunk_size", batch.last_chunk_size)
                 .field("chunks", batch.chunks)
                 .field("batches_dispatched", batch.dispatched)
                 .field("batches_inline", batch.inline),
@@ -178,7 +176,7 @@ fn main() {
     println!("all runs chose bit-identical plans — determinism holds");
 
     let doc = Json::obj()
-        .field("schema_version", 2u64)
+        .field("schema_version", 3u64)
         .field("benchmark", "search_scaling")
         .field("mode", if cli.smoke { "smoke" } else { "full" })
         .field(

@@ -616,7 +616,8 @@ mod tests {
             m.data().iter().map(|x| x.to_bits()).collect()
         };
         let matrices = |s: &GraphSample| {
-            [&s.features, &s.adj_norm, &s.adj_mask, &s.dagpe].map(|m| (m.rows(), m.cols(), bits(m)))
+            [&s.features, s.adj_norm(), s.adj_mask(), &s.dagpe]
+                .map(|m| (m.rows(), m.cols(), bits(m)))
         };
         matrices(a) == matrices(b)
             && a.dag_allowed == b.dag_allowed

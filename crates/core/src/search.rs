@@ -108,8 +108,8 @@ pub fn search_plan_service(
     // canonical work-list first: interning is cheap (a hash of the
     // stage descriptor), and doing it here makes key numbering — and
     // hence the interner's `distinct` count observable in the report —
-    // a pure function of the work-list, independent of how the batch
-    // layer later chunks the queries across threads.
+    // a pure function of the work-list, independent of which worker
+    // the batch layer later hands each query to.
     let queries: Vec<LatencyQuery> = worklist
         .iter()
         .map(|&(stage, mesh, config)| LatencyQuery::new(stage, mesh, config))

@@ -74,7 +74,7 @@ impl GnnModel for Gat {
 
     fn forward(&self, tape: &mut Tape, sample: &GraphSample) -> Var {
         let n = sample.num_nodes();
-        let mask = tape.constant_ref(&sample.adj_mask);
+        let mask = tape.constant_ref(sample.adj_mask());
         let ones_row = tape.constant_full(1, n, 1.0);
         let ones_col = tape.constant_full(n, 1, 1.0);
         let mut h = tape.constant_ref(&sample.features);
@@ -152,7 +152,7 @@ mod tests {
         let mut tape = Tape::new();
         let _ = m.forward(&mut tape, &s);
         // the sample's mask forbids (input -> add) direct attention
-        assert_eq!(s.adj_mask.get(0, 3), f32::NEG_INFINITY);
+        assert_eq!(s.adj_mask().get(0, 3), f32::NEG_INFINITY);
     }
 
     #[test]

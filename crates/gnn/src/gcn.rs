@@ -50,7 +50,7 @@ impl GnnModel for Gcn {
     }
 
     fn forward(&self, tape: &mut Tape, sample: &GraphSample) -> Var {
-        let adj = tape.constant_ref(&sample.adj_norm);
+        let adj = tape.constant_ref(sample.adj_norm());
         let mut h = tape.constant_ref(&sample.features);
         for layer in &self.layers {
             let agg = tape.matmul(adj, h);

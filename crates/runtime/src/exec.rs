@@ -76,10 +76,19 @@ pub fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
 
+/// True when [`par_map_with`] over `len` items on `threads` workers
+/// spawns a pool: at least two items and two threads, called from
+/// outside a pool worker. Every other map runs inline on the caller.
+pub fn fans_out(len: usize, threads: usize) -> bool {
+    threads.min(len) > 1 && !in_worker()
+}
+
 /// Map `f` over `items` on up to `threads` workers, preserving input
-/// order in the output. Called from inside a pool worker, the map runs
-/// inline on that worker. Panics in `f` propagate after all workers
-/// stop claiming new work.
+/// order in the output. Each item is its own task: a worker that
+/// finishes one claims the next unclaimed index, so one expensive item
+/// never holds cheap ones hostage behind it. Maps that do not
+/// [`fans_out`] run inline on the caller. Panics in `f` propagate after
+/// all workers stop claiming new work.
 pub fn par_map_with<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -87,13 +96,10 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 || in_worker() {
+    if !fans_out(n, threads) {
         return items.into_iter().map(f).collect();
     }
+    let threads = threads.min(n);
 
     // wrap each item so workers can take them by index
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
@@ -153,101 +159,6 @@ where
     F: Fn(T) -> R + Sync,
 {
     par_map_with(items, configured_threads(), f)
-}
-
-/// Default chunks-per-worker factor for [`chunk_size_for`]: enough
-/// oversubscription that one slow chunk cannot idle the rest of the
-/// pool, small enough that per-item dispatch overhead (one slot lock +
-/// one cursor increment per item) is amortized across whole chunks.
-pub const DEFAULT_OVERSUBSCRIPTION: usize = 4;
-
-/// Default [`par_map_chunked`] serial threshold: batches at or under
-/// this size skip thread dispatch entirely — spawning a scoped pool
-/// costs more than mapping this many items inline.
-pub const DEFAULT_SERIAL_THRESHOLD: usize = 32;
-
-/// How one [`par_map_chunked`] call dispatched its batch, for callers
-/// that surface granularity in their accounting (the service stack's
-/// `Batched` layer, the search-scaling bench).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkDispatch {
-    /// Items per chunk (0 when the batch ran inline without chunking).
-    pub chunk_size: usize,
-    /// Number of chunks handed to the pool (0 when inline).
-    pub chunks: usize,
-    /// True when the batch went through the worker pool.
-    pub dispatched: bool,
-}
-
-impl ChunkDispatch {
-    /// The accounting of a batch that ran inline on the caller's thread.
-    pub const INLINE: ChunkDispatch = ChunkDispatch {
-        chunk_size: 0,
-        chunks: 0,
-        dispatched: false,
-    };
-}
-
-/// Chunk size for dispatching `len` items over `threads` workers with
-/// `oversubscription` chunks per worker: `⌈len / (threads ·
-/// oversubscription)⌉`, floored at one. A saturating product keeps
-/// degenerate "per-item" policies (`oversubscription = usize::MAX`)
-/// well-defined: they yield chunk size 1.
-pub fn chunk_size_for(len: usize, threads: usize, oversubscription: usize) -> usize {
-    let slots = threads.max(1).saturating_mul(oversubscription.max(1));
-    len.div_ceil(slots).max(1)
-}
-
-/// Map `f` over `items` in contiguous chunks through [`par_map_with`],
-/// preserving input order in the output.
-///
-/// Granularity: the batch is cut into `threads × oversubscription`
-/// chunks (see [`chunk_size_for`]) and the *chunks* are the pool's work
-/// items — each worker claims a chunk and maps it serially, so per-item
-/// pool overhead is paid once per chunk instead of once per item.
-/// Batches of at most `serial_threshold` items, single-thread calls and
-/// calls from inside a pool worker skip dispatch entirely and map
-/// inline, reporting [`ChunkDispatch::INLINE`].
-///
-/// Determinism: chunks are contiguous input slices evaluated
-/// left-to-right within a worker and re-flattened in chunk order, so the
-/// output is element-for-element identical to the serial map at any
-/// thread count, oversubscription, or threshold.
-pub fn par_map_chunked<T, R, F>(
-    items: Vec<T>,
-    threads: usize,
-    oversubscription: usize,
-    serial_threshold: usize,
-    f: F,
-) -> (Vec<R>, ChunkDispatch)
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = items.len();
-    if threads.max(1) == 1 || n <= serial_threshold || in_worker() {
-        return (items.into_iter().map(f).collect(), ChunkDispatch::INLINE);
-    }
-    let chunk_size = chunk_size_for(n, threads, oversubscription);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(n.div_ceil(chunk_size));
-    let mut it = items.into_iter();
-    loop {
-        let chunk: Vec<T> = it.by_ref().take(chunk_size).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
-    let dispatch = ChunkDispatch {
-        chunk_size,
-        chunks: chunks.len(),
-        dispatched: true,
-    };
-    let mapped = par_map_with(chunks, threads, |chunk| {
-        chunk.into_iter().map(&f).collect::<Vec<R>>()
-    });
-    (mapped.into_iter().flatten().collect(), dispatch)
 }
 
 #[cfg(test)]
@@ -318,27 +229,19 @@ mod tests {
         assert!(!in_worker(), "a test thread is not a pool worker");
         let outer = par_map_with((0..6u64).collect(), 3, |x| {
             let me = std::thread::current().id();
+            let fanned = fans_out(50, 4);
             let inner = par_map_with((0..50u64).collect(), 4, |y| {
                 (x * 100 + y, std::thread::current().id())
             });
-            let (chunked, dispatch) = par_map_chunked((0..100u64).collect(), 4, 4, 0, |y| {
-                (y + x, std::thread::current().id())
-            });
-            let on_me = inner.iter().chain(&chunked).all(|&(_, t)| t == me);
+            let on_me = inner.iter().all(|&(_, t)| t == me);
             let inner: Vec<u64> = inner.into_iter().map(|(v, _)| v).collect();
-            let chunked: Vec<u64> = chunked.into_iter().map(|(v, _)| v).collect();
-            (in_worker(), on_me, inner, chunked, dispatch)
+            (in_worker(), on_me, inner, fanned)
         });
-        for (x, (flag, on_me, inner, chunked, dispatch)) in (0u64..).zip(outer) {
+        for (x, (flag, on_me, inner, fanned)) in (0u64..).zip(outer) {
             assert!(flag, "outer items run on spawned workers");
             assert!(on_me, "nested maps must stay on the worker's thread");
+            assert!(!fanned, "fans_out reports the inline rule inside a worker");
             assert_eq!(inner, (0..50).map(|y| x * 100 + y).collect::<Vec<_>>());
-            assert_eq!(chunked, (0..100).map(|y| y + x).collect::<Vec<_>>());
-            assert_eq!(
-                dispatch,
-                ChunkDispatch::INLINE,
-                "inline batches report INLINE"
-            );
         }
         assert!(!in_worker(), "the flag never leaks to the caller");
     }
@@ -349,13 +252,31 @@ mod tests {
         // the inner map is the only level and may use the pool
         for (items, threads) in [(1usize, 4usize), (3, 1)] {
             let out = par_map_with(vec![(); items], threads, |()| {
-                let (_, d) = par_map_chunked((0..100usize).collect(), 4, 4, 0, |y| y);
-                (in_worker(), d.dispatched)
+                let inner = par_map_with((0..100usize).collect(), 4, |_| in_worker());
+                (in_worker(), fans_out(100, 4), inner.iter().all(|&w| w))
             });
             assert!(
-                out.iter().all(|&o| o == (false, true)),
+                out.iter().all(|&o| o == (false, true, true)),
                 "{items} x {threads}: {out:?}"
             );
+        }
+    }
+
+    #[test]
+    fn small_batches_and_single_thread_skip_dispatch() {
+        assert!(!fans_out(0, 8), "an empty batch is inline");
+        assert!(!fans_out(1, 8), "a single item runs on the caller");
+        assert!(fans_out(2, 8), "two items fan out");
+        assert!(
+            !fans_out(1000, 1),
+            "one thread never pays dispatch overhead"
+        );
+        assert!(!fans_out(1000, 0), "zero threads floor to one");
+        // inline maps run on the caller's thread
+        let me = std::thread::current().id();
+        for (items, threads) in [(1usize, 8usize), (1000, 1)] {
+            let ids = par_map_with(vec![(); items], threads, |()| std::thread::current().id());
+            assert!(ids.iter().all(|&t| t == me), "{items} x {threads}");
         }
     }
 
@@ -364,67 +285,6 @@ mod tests {
     fn worker_panic_propagates() {
         let _ = par_map_with(vec![1, 2, 3, 4], 2, |x| {
             if x == 3 {
-                panic!("boom");
-            }
-            x
-        });
-    }
-
-    // ---- chunked dispatch -----------------------------------------
-
-    #[test]
-    fn chunk_size_covers_the_batch_in_thread_times_oversub_chunks() {
-        assert_eq!(chunk_size_for(1000, 8, 4), 32, "⌈1000/32⌉");
-        assert_eq!(chunk_size_for(33, 4, 4), 3);
-        assert_eq!(chunk_size_for(5, 8, 4), 1, "floored at one");
-        assert_eq!(chunk_size_for(0, 8, 4), 1);
-        assert_eq!(
-            chunk_size_for(100, 0, 0),
-            100,
-            "degenerate zeros floor to 1×1"
-        );
-        assert_eq!(chunk_size_for(100, 2, usize::MAX), 1, "per-item policy");
-    }
-
-    #[test]
-    fn chunked_matches_serial_at_any_configuration() {
-        let items: Vec<usize> = (0..151).collect();
-        let expected: Vec<usize> = items.iter().map(|x| x * 3 + 1).collect();
-        for threads in [1, 2, 4, 8] {
-            for oversub in [1, 4, usize::MAX] {
-                for threshold in [0, 32, 1000] {
-                    let (out, d) =
-                        par_map_chunked(items.clone(), threads, oversub, threshold, |x| x * 3 + 1);
-                    assert_eq!(out, expected, "threads={threads} oversub={oversub}");
-                    if d.dispatched {
-                        assert_eq!(d.chunk_size, chunk_size_for(items.len(), threads, oversub));
-                        assert_eq!(d.chunks, items.len().div_ceil(d.chunk_size));
-                    } else {
-                        assert_eq!(d, ChunkDispatch::INLINE);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn small_batches_and_single_thread_skip_dispatch() {
-        let (_, d) = par_map_chunked((0..32).collect::<Vec<usize>>(), 8, 4, 32, |x| x);
-        assert!(!d.dispatched, "batch at the threshold stays inline");
-        let (_, d) = par_map_chunked((0..33).collect::<Vec<usize>>(), 8, 4, 32, |x| x);
-        assert!(d.dispatched, "batch over the threshold goes to the pool");
-        let (_, d) = par_map_chunked((0..1000).collect::<Vec<usize>>(), 1, 4, 32, |x| x);
-        assert!(!d.dispatched, "one thread never pays dispatch overhead");
-        let (out, d) = par_map_chunked(Vec::<usize>::new(), 8, 4, 0, |x| x);
-        assert!(out.is_empty());
-        assert!(!d.dispatched, "empty batch is inline");
-    }
-
-    #[test]
-    #[should_panic(expected = "worker panicked")]
-    fn chunked_worker_panic_propagates() {
-        let _ = par_map_chunked((0..100).collect::<Vec<usize>>(), 2, 4, 0, |x| {
-            if x == 77 {
                 panic!("boom");
             }
             x

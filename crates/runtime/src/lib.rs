@@ -21,8 +21,5 @@
 pub mod exec;
 pub mod tile;
 
-pub use exec::{
-    chunk_size_for, configured_threads, in_worker, par_map, par_map_chunked, par_map_with,
-    ChunkDispatch, DEFAULT_OVERSUBSCRIPTION, DEFAULT_SERIAL_THRESHOLD,
-};
+pub use exec::{configured_threads, fans_out, in_worker, par_map, par_map_with};
 pub use tile::{par_tiles, tile_grid, Tile, TileGrid};

@@ -11,14 +11,14 @@
 //! Determinism contract: the grid is a pure function of
 //! `(m, n, threads, row_quantum, col_quantum)`, tiles are enumerated in
 //! row-major order with [`Tile::index`] equal to their position, and
-//! [`par_tiles`] dispatches them through
-//! [`par_map_chunked`] — whose outputs land at
-//! input indices — so the tile → worker assignment (and therefore any
-//! per-tile accounting order) is identical at every thread count.
+//! [`par_tiles`] dispatches them through [`par_map_with`] — whose
+//! outputs land at input indices — so the tile → worker assignment (and
+//! therefore any per-tile accounting order) is identical at every
+//! thread count.
 //! Consumers compute disjoint output regions per tile; the grid itself
 //! never touches the data.
 
-use crate::exec::{par_map_chunked, ChunkDispatch};
+use crate::exec::par_map_with;
 
 /// One rectangular region of an `m × n` output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,20 +106,14 @@ pub fn tile_grid(
 }
 
 /// Run `f` once per tile of `grid` across up to `threads` workers via
-/// [`par_map_chunked`]. Single-tile grids (and one-thread calls) run
-/// inline on the caller's thread. Returns the dispatch accounting.
-pub fn par_tiles<F>(grid: &TileGrid, threads: usize, f: F) -> ChunkDispatch
+/// [`par_map_with`], one tile per task (the grid is already sized to
+/// the pool). Single-tile grids (and one-thread calls) run inline on
+/// the caller's thread.
+pub fn par_tiles<F>(grid: &TileGrid, threads: usize, f: F)
 where
     F: Fn(&Tile) + Sync,
 {
-    let (_, dispatch) = par_map_chunked(
-        grid.tiles.clone(),
-        threads,
-        1, // one chunk per worker: tiles are already sized to the pool
-        1, // single-tile grids stay inline
-        |t| f(&t),
-    );
-    dispatch
+    par_map_with(grid.tiles.iter().collect(), threads, f);
 }
 
 #[cfg(test)]

@@ -1,52 +1,12 @@
 //! The batch-evaluation layer: fan a whole query batch out across the
-//! deterministic worker pool, in coarse chunks.
+//! deterministic worker pool, one query per task.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use predtop_runtime::{
-    par_map_chunked, ChunkDispatch, DEFAULT_OVERSUBSCRIPTION, DEFAULT_SERIAL_THRESHOLD,
-};
+use predtop_runtime::{fans_out, par_map_with};
 
 use crate::{LatencyQuery, LatencyReply, LatencyService, ServiceError};
-
-/// How a [`Batched`] layer carves a query batch into worker tasks.
-///
-/// The chunk size is `ceil(len / (threads × oversubscription))` — big
-/// enough that per-task overhead (allocation, slot locking, cursor
-/// contention) amortizes over many queries, small enough that the pool
-/// stays load-balanced even when chunk costs are skewed. Batches of at
-/// most `serial_threshold` queries skip thread dispatch entirely and
-/// run inline on the caller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DispatchPolicy {
-    /// Chunks per worker thread. Higher values give smaller chunks
-    /// (better balance, more overhead).
-    pub oversubscription: usize,
-    /// Batches no larger than this run inline on the calling thread.
-    pub serial_threshold: usize,
-}
-
-impl Default for DispatchPolicy {
-    fn default() -> DispatchPolicy {
-        DispatchPolicy {
-            oversubscription: DEFAULT_OVERSUBSCRIPTION,
-            serial_threshold: DEFAULT_SERIAL_THRESHOLD,
-        }
-    }
-}
-
-impl DispatchPolicy {
-    /// The historical fine-grained policy: one chunk per query, no
-    /// inline short-circuit. Useful as a comparison baseline — results
-    /// are bit-identical to the chunked default by construction.
-    pub fn per_query() -> DispatchPolicy {
-        DispatchPolicy {
-            oversubscription: usize::MAX,
-            serial_threshold: 0,
-        }
-    }
-}
 
 /// Dispatch counters of a [`Batched`] layer, snapshot at any point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,13 +15,12 @@ pub struct BatchStats {
     pub batches: usize,
     /// Batches fanned out across the worker pool.
     pub dispatched: usize,
-    /// Batches run inline (single worker, or under the serial
-    /// threshold).
+    /// Batches run inline (one thread, fewer than two queries, or
+    /// called from inside a pool worker).
     pub inline: usize,
-    /// Worker chunks cut across all dispatched batches.
+    /// Pool tasks handed out across all dispatched batches: one per
+    /// dispatched query.
     pub chunks: usize,
-    /// Chunk size of the most recent dispatched batch (0 before any).
-    pub last_chunk_size: usize,
 }
 
 #[derive(Debug, Default)]
@@ -70,16 +29,14 @@ pub(crate) struct BatchState {
     dispatched: AtomicUsize,
     inline: AtomicUsize,
     chunks: AtomicUsize,
-    last_chunk_size: AtomicUsize,
 }
 
 impl BatchState {
-    fn record(&self, d: ChunkDispatch) {
+    fn record(&self, queries: usize, dispatched: bool) {
         self.batches.fetch_add(1, Ordering::Relaxed);
-        if d.dispatched {
+        if dispatched {
             self.dispatched.fetch_add(1, Ordering::Relaxed);
-            self.chunks.fetch_add(d.chunks, Ordering::Relaxed);
-            self.last_chunk_size.store(d.chunk_size, Ordering::Relaxed);
+            self.chunks.fetch_add(queries, Ordering::Relaxed);
         } else {
             self.inline.fetch_add(1, Ordering::Relaxed);
         }
@@ -91,7 +48,6 @@ impl BatchState {
             dispatched: self.dispatched.load(Ordering::Relaxed),
             inline: self.inline.load(Ordering::Relaxed),
             chunks: self.chunks.load(Ordering::Relaxed),
-            last_chunk_size: self.last_chunk_size.load(Ordering::Relaxed),
         }
     }
 }
@@ -109,40 +65,35 @@ impl BatchHandle {
 }
 
 /// Middleware that overrides [`LatencyService::query_batch`] with a
-/// `predtop-runtime` chunked fan-out: the batch is cut into
-/// [`DispatchPolicy`]-sized chunks, each chunk is resolved on one of
-/// `threads` workers, and every reply lands at its query's index.
+/// `predtop-runtime` fan-out: every query is its own pool task, claimed
+/// by whichever of `threads` workers is free next, and every reply
+/// lands at its query's index.
 ///
-/// Because the pool preserves input order (results land at their input
-/// positions regardless of which worker computed them, and chunk
-/// boundaries never reorder within a chunk), a batch through this layer
-/// is *bit-identical* to the serial default at any thread count, chunk
-/// size, or serial threshold — this is the layer that gives the
-/// plan-search engine its parallel candidate evaluation without giving
-/// up determinism.
+/// One query per claim is what keeps skewed batches balanced: a
+/// predictor source pays a whole forward pass for the first query of
+/// each stage structure and a cache lookup for the rest, and those
+/// first touches cluster at the front of a search's work-list. Because
+/// the pool preserves input order (results land at their input
+/// positions regardless of which worker computed them), a batch through
+/// this layer is *bit-identical* to the serial default at any thread
+/// count — this is the layer that gives the plan-search engine its
+/// parallel candidate evaluation without giving up determinism.
 ///
-/// Single queries pass straight through.
+/// A batch runs inline when the pool would not fan out: one thread,
+/// fewer than two queries, or a call from inside a pool worker. Single
+/// queries pass straight through.
 pub struct Batched<S> {
     inner: S,
     threads: usize,
-    policy: DispatchPolicy,
     state: Arc<BatchState>,
 }
 
 impl<S> Batched<S> {
-    /// Fan batches out over exactly `threads` workers (floored at 1)
-    /// with the default chunking policy.
+    /// Fan batches out over exactly `threads` workers (floored at 1).
     pub fn new(inner: S, threads: usize) -> Batched<S> {
-        Batched::with_policy(inner, threads, DispatchPolicy::default())
-    }
-
-    /// Fan batches out over exactly `threads` workers with an explicit
-    /// chunking policy.
-    pub fn with_policy(inner: S, threads: usize, policy: DispatchPolicy) -> Batched<S> {
         Batched {
             inner,
             threads: threads.max(1),
-            policy,
             state: Arc::new(BatchState::default()),
         }
     }
@@ -150,11 +101,6 @@ impl<S> Batched<S> {
     /// The worker-pool size batches fan out over.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The chunking policy batches are carved with.
-    pub fn policy(&self) -> DispatchPolicy {
-        self.policy
     }
 
     /// A shareable handle onto this layer's dispatch counters.
@@ -178,15 +124,9 @@ impl<S: LatencyService> LatencyService for Batched<S> {
     }
 
     fn query_batch(&self, qs: &[LatencyQuery]) -> Vec<Result<LatencyReply, ServiceError>> {
-        let (out, dispatch) = par_map_chunked(
-            qs.to_vec(),
-            self.threads,
-            self.policy.oversubscription,
-            self.policy.serial_threshold,
-            |q| self.inner.query(&q),
-        );
-        self.state.record(dispatch);
-        out
+        let dispatched = fans_out(qs.len(), self.threads);
+        self.state.record(qs.len(), dispatched);
+        par_map_with(qs.iter().collect(), self.threads, |q| self.inner.query(q))
     }
 }
 
@@ -196,6 +136,8 @@ mod tests {
     use crate::bridge::tests::counting_service;
     use predtop_models::{ModelSpec, StageSpec};
     use predtop_parallel::{MeshShape, ParallelConfig};
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
 
     fn queries(layers: usize) -> Vec<LatencyQuery> {
         let mut m = ModelSpec::gpt3_1p3b(2);
@@ -214,26 +156,82 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_serial_at_any_thread_count_and_policy() {
-        let qs = queries(8); // 36 queries: above the default threshold
+    fn batch_matches_serial_at_any_thread_count() {
+        let qs = queries(8); // 36 queries
         let (svc, _) = counting_service();
         let serial: Vec<f64> = qs.iter().map(|q| svc.query(q).unwrap().seconds).collect();
-        for threads in [1, 2, 8] {
-            for policy in [DispatchPolicy::default(), DispatchPolicy::per_query()] {
-                let (svc, calls) = counting_service();
-                let batched = Batched::with_policy(svc, threads, policy);
-                let replies = batched.query_batch(&qs);
-                assert_eq!(replies.len(), qs.len());
-                for (i, r) in replies.iter().enumerate() {
-                    assert_eq!(r.as_ref().unwrap().seconds.to_bits(), serial[i].to_bits());
-                }
-                assert_eq!(
-                    calls.load(std::sync::atomic::Ordering::Relaxed),
-                    qs.len(),
-                    "every query reaches the inner service exactly once"
-                );
+        for threads in [1, 2, 4, 8] {
+            let (svc, calls) = counting_service();
+            let batched = Batched::new(svc, threads);
+            let replies = batched.query_batch(&qs);
+            assert_eq!(replies.len(), qs.len());
+            for (i, r) in replies.iter().enumerate() {
+                assert_eq!(r.as_ref().unwrap().seconds.to_bits(), serial[i].to_bits());
             }
+            assert_eq!(
+                calls.load(std::sync::atomic::Ordering::Relaxed),
+                qs.len(),
+                "every query reaches the inner service exactly once"
+            );
         }
+    }
+
+    /// A source whose first query blocks until every other query of the
+    /// batch has been answered: the most skewed batch there is. It
+    /// completes only if no other query is queued behind the first one
+    /// on the same worker.
+    struct FirstWaitsForTheRest {
+        first: LatencyQuery,
+        others: usize,
+        answered: Mutex<usize>,
+        all_answered: Condvar,
+    }
+
+    impl LatencyService for FirstWaitsForTheRest {
+        fn name(&self) -> &'static str {
+            "first-waits-for-the-rest"
+        }
+
+        fn query(&self, q: &LatencyQuery) -> Result<LatencyReply, ServiceError> {
+            let mut answered = self.answered.lock().unwrap();
+            if *q == self.first {
+                // the bound is only reached when the batch deadlocks
+                let (_answered, wait) = self
+                    .all_answered
+                    .wait_timeout_while(answered, Duration::from_secs(60), |n| *n < self.others)
+                    .unwrap();
+                assert!(
+                    !wait.timed_out(),
+                    "queries queued behind the first one were never claimed"
+                );
+            } else {
+                *answered += 1;
+                self.all_answered.notify_all();
+            }
+            Ok(LatencyReply {
+                seconds: q.stage.num_layers() as f64,
+                source: self.name(),
+            })
+        }
+    }
+
+    #[test]
+    fn a_skewed_batch_is_claimed_one_query_at_a_time() {
+        let qs = queries(8); // 36 queries
+        let batched = Batched::new(
+            FirstWaitsForTheRest {
+                first: qs[0],
+                others: qs.len() - 1,
+                answered: Mutex::new(0),
+                all_answered: Condvar::new(),
+            },
+            2,
+        );
+        let replies = batched.query_batch(&qs);
+        for (q, r) in qs.iter().zip(&replies) {
+            assert_eq!(r.as_ref().unwrap().seconds, q.stage.num_layers() as f64);
+        }
+        assert_eq!(batched.stats().chunks, qs.len());
     }
 
     #[test]
@@ -246,16 +244,15 @@ mod tests {
         assert_eq!(s.batches, 1);
         assert_eq!(s.dispatched, 1);
         assert_eq!(s.inline, 0);
-        // 36 queries over 4 threads × 4 oversubscription = 16 slots
-        // -> chunk size 3, 12 chunks
-        assert_eq!(s.last_chunk_size, 3);
-        assert_eq!(s.chunks, 12);
-        // a batch under the threshold runs inline
-        batched.query_batch(&qs[..8]);
+        assert_eq!(s.chunks, qs.len(), "one pool task per query");
+        // a single query has nothing to fan out
+        batched.query_batch(&qs[..1]);
         let s = batched.stats();
-        assert_eq!(s.batches, 2);
-        assert_eq!(s.dispatched, 1);
-        assert_eq!(s.inline, 1);
+        assert_eq!((s.batches, s.dispatched, s.inline, s.chunks), (2, 1, 1, 36));
+        // small batches fan out too
+        batched.query_batch(&qs[..2]);
+        let s = batched.stats();
+        assert_eq!((s.batches, s.dispatched, s.inline, s.chunks), (3, 2, 1, 38));
         // the handle observes the same counters after the layer moves
         let handle = batched.handle();
         assert_eq!(handle.stats(), s);
@@ -263,17 +260,18 @@ mod tests {
 
     #[test]
     fn single_thread_runs_inline_even_above_threshold() {
-        let qs = queries(8);
+        let qs = queries(8); // 36 queries: far above the two that fan out
         let (svc, _) = counting_service();
         let batched = Batched::new(svc, 1);
         batched.query_batch(&qs);
         assert_eq!(batched.stats().dispatched, 0);
         assert_eq!(batched.stats().inline, 1);
+        assert_eq!(batched.stats().chunks, 0);
     }
 
     #[test]
     fn a_batch_inside_a_pool_worker_runs_inline_and_counts_as_inline() {
-        let qs = queries(8); // 36 queries: above the default threshold
+        let qs = queries(8); // 36 queries
         let (svc, _) = counting_service();
         let serial: Vec<u64> = qs
             .iter()

@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use crate::batched::{BatchHandle, Batched, DispatchPolicy};
+use crate::batched::{BatchHandle, Batched};
 use crate::breaker::{BreakerConfig, BreakerHandle, CircuitBreaker};
 use crate::deadline::{Deadline, DeadlineHandle, DeadlinePolicy};
 use crate::fallback::Fallback;
@@ -87,7 +87,7 @@ struct Layers {
     persist: Option<(Arc<Store>, String)>,
     /// `Some(true)` keys the cache on structural equivalence classes.
     memoize: Option<bool>,
-    batched: Option<(usize, DispatchPolicy)>,
+    batched: Option<usize>,
     instrumented: bool,
 }
 
@@ -168,16 +168,10 @@ impl<S: LatencyService> ServiceBuilder<S> {
         self
     }
 
-    /// Fan query batches across `threads` deterministic workers with
-    /// the default chunking policy.
-    pub fn batched(self, threads: usize) -> Self {
-        self.batched_with_policy(threads, DispatchPolicy::default())
-    }
-
-    /// Fan query batches across `threads` deterministic workers with an
-    /// explicit [`DispatchPolicy`].
-    pub fn batched_with_policy(mut self, threads: usize, policy: DispatchPolicy) -> Self {
-        self.layers.batched = Some((threads, policy));
+    /// Fan query batches across `threads` deterministic workers, one
+    /// query per pool task.
+    pub fn batched(mut self, threads: usize) -> Self {
+        self.layers.batched = Some(threads);
         self
     }
 
@@ -274,8 +268,8 @@ impl<S: LatencyService> ServiceBuilder<S> {
             handles.cache = Some(layer.handle());
             svc = Box::new(layer);
         }
-        if let Some((threads, policy)) = batched {
-            let layer = Batched::with_policy(svc, threads, policy);
+        if let Some(threads) = batched {
+            let layer = Batched::new(svc, threads);
             handles.batch = Some(layer.handle());
             svc = Box::new(layer);
         }

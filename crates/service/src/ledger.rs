@@ -203,15 +203,13 @@ impl Ledger for BatchStats {
             LedgerField::count("dispatched", self.dispatched, false),
             LedgerField::count("inline", self.inline, false),
             LedgerField::count("chunks", self.chunks, false),
-            LedgerField::count("last_chunk_size", self.last_chunk_size, false),
         ]
     }
 
     fn summary(&self) -> String {
         format!(
-            "dispatch: {} batches ({} fanned out, {} inline), \
-             {} chunks, last chunk size {}",
-            self.batches, self.dispatched, self.inline, self.chunks, self.last_chunk_size
+            "dispatch: {} batches ({} fanned out, {} inline), {} pool tasks",
+            self.batches, self.dispatched, self.inline, self.chunks
         )
     }
 }

@@ -79,7 +79,7 @@ pub mod report;
 pub mod retry;
 pub mod wire;
 
-pub use batched::{BatchHandle, BatchStats, Batched, DispatchPolicy};
+pub use batched::{BatchHandle, BatchStats, Batched};
 pub use breaker::{
     AdmissionControl, BreakerConfig, BreakerHandle, BreakerStats, CircuitBreaker, CircuitState,
 };

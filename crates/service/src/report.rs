@@ -33,9 +33,9 @@ pub struct ServiceReport {
     /// of genuinely different sub-problems the search contained;
     /// `lookups − distinct` is the sharing a raw-keyed cache would miss.
     pub interner: Option<InternStats>,
-    /// Chunked-dispatch counters of the `Batched` layer, if installed:
-    /// how many batches fanned out vs. ran inline, and how coarse the
-    /// worker chunks were.
+    /// Dispatch counters of the `Batched` layer, if installed: how many
+    /// batches fanned out vs. ran inline, and how many pool tasks (one
+    /// per dispatched query) they handed out.
     pub batch: Option<BatchStats>,
     /// Query/batch/error counters and deterministic latency accounting
     /// of the `Instrumented` layer, if installed.

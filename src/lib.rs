@@ -90,9 +90,9 @@ pub mod prelude {
     pub use predtop_runtime::configured_threads;
     pub use predtop_service::{
         api, flat_json_fields, wire, AdmissionControl, BatchStats, BreakerConfig, DeadlinePolicy,
-        DispatchPolicy, FaultConfig, LatencyQuery, LatencyReply, LatencyService, Ledger,
-        LedgerField, LedgerValue, PersistStats, RetryPolicy, Retryability, ServiceBuilder,
-        ServiceError, ServiceStack, Unavailable,
+        FaultConfig, LatencyQuery, LatencyReply, LatencyService, Ledger, LedgerField, LedgerValue,
+        PersistStats, RetryPolicy, Retryability, ServiceBuilder, ServiceError, ServiceStack,
+        Unavailable,
     };
     pub use predtop_sim::{DeviceCostModel, SimProfiler};
     pub use predtop_store::{ObjectKind, Store, StoreError};

@@ -93,6 +93,76 @@ fn search_is_deterministic() {
 }
 
 #[test]
+fn predictor_driven_search_is_bit_identical_at_every_thread_count() {
+    let m = tiny_model();
+    let cluster = MeshShape::new(1, 2);
+    let opts = InterStageOptions {
+        microbatches: 4,
+        imbalance_tolerance: None,
+    };
+    let mut arch = ArchConfig::scaled(ModelKind::DagTransformer);
+    arch.layers = 1;
+    arch.hidden = 16;
+    arch.heads = 2;
+    let cfg = GrayBoxConfig {
+        num_profile_stages: 12,
+        max_stage_layers: 3,
+        arch,
+        train: TrainConfig::quick(4),
+        seed: 4,
+    };
+    // the predictor keys its cache on the stage part of the structural
+    // descriptor: one round of forwards per distinct window structure
+    let structures: std::collections::HashSet<_> =
+        predtop::parallel::enumerate_candidates(m, cluster, opts)
+            .iter()
+            .map(|(stage, _, _)| {
+                predtop::parallel::StructuralDescriptor::of(
+                    stage,
+                    MeshShape::new(1, 1),
+                    ParallelConfig::SERIAL,
+                )
+            })
+            .collect();
+
+    let run = |threads: usize| {
+        let pt = PredTop::fit(
+            m,
+            cluster,
+            &SimProfiler::new(Platform::platform1(), 4),
+            &cfg,
+        );
+        let out = run_search(
+            &SearchRequest::new(m, cluster, opts).threads(threads),
+            &pt,
+            &SimProfiler::new(Platform::platform1(), 4),
+        )
+        .expect("the predictor serves every fitted scenario");
+        assert_eq!(
+            pt.inferred_stages(),
+            structures.len(),
+            "{threads} threads: one inference per distinct structure"
+        );
+        out
+    };
+    let first = run(1);
+    for threads in [2, 4] {
+        let out = run(threads);
+        assert_eq!(out.plan, first.plan, "plan diverged at {threads} threads");
+        assert_eq!(
+            out.estimated_latency.to_bits(),
+            first.estimated_latency.to_bits(),
+            "estimated latency diverged at {threads} threads"
+        );
+        assert_eq!(
+            out.true_latency.to_bits(),
+            first.true_latency.to_bits(),
+            "true latency diverged at {threads} threads"
+        );
+    }
+}
+
+#[test]
 fn random_plans_reproduce_per_seed() {
     let m = tiny_model();
     let cluster = MeshShape::new(2, 2);

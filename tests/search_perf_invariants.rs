@@ -1,11 +1,11 @@
-//! Acceptance contract of the structural-memoization + chunked-dispatch
-//! search rework: on the Fig. 10-style full sweep the structural cache
-//! turns well over half of all candidate queries into hits (interior
-//! layer windows of equal length are isomorphic, so only `O(L)`
-//! structures exist among `O(L²)` windows), and coarsening the dispatch
-//! granularity never changes a single bit — chunked and per-query
-//! policies produce identical candidate tables and identical
-//! `SearchOutcome` plans at every thread count.
+//! Acceptance contract of the structural-memoization search and its
+//! one-query-per-task dispatch: on the Fig. 10-style full sweep the
+//! structural cache turns well over half of all candidate queries into
+//! hits (interior layer windows of equal length are isomorphic, so only
+//! `O(L)` structures exist among `O(L²)` windows), and fanning the
+//! batch out over the worker pool never changes a single bit — the
+//! candidate tables and `SearchOutcome` plans are identical at every
+//! thread count.
 
 use predtop::prelude::*;
 use predtop::service::ServiceBuilder;
@@ -106,14 +106,14 @@ fn structural_search_outcome_is_bit_identical_to_raw_memoized_search() {
 }
 
 #[test]
-fn chunked_and_per_query_dispatch_are_bit_identical_at_every_thread_count() {
+fn per_query_dispatch_is_bit_identical_at_every_thread_count() {
     let model = dense_model();
     let cluster = MeshShape::new(1, 2);
     let sweep: Vec<LatencyQuery> = predtop::parallel::enumerate_candidates(model, cluster, opts())
         .into_iter()
         .map(|(stage, mesh, config)| LatencyQuery::new(stage, mesh, config))
         .collect();
-    assert!(sweep.len() > 64, "sweep must exceed the serial threshold");
+    assert!(sweep.len() > 64, "sweep must span many pool tasks");
 
     // serial ground-truth candidate table
     let profiler = SimProfiler::new(Platform::platform1(), 7);
@@ -127,52 +127,50 @@ fn chunked_and_per_query_dispatch_are_bit_identical_at_every_thread_count() {
     };
 
     let mut outcomes = Vec::new();
-    for threads in [1usize, 4, 8] {
-        for policy in [DispatchPolicy::default(), DispatchPolicy::per_query()] {
-            // the raw candidate table is bit-identical however the
-            // batch is carved up
-            let profiler = SimProfiler::new(Platform::platform1(), 7);
-            let stack = ServiceBuilder::new(&profiler)
-                .memoize_structural()
-                .batched_with_policy(threads, policy)
-                .finish();
-            let table: Vec<u64> = stack
-                .query_batch(&sweep)
-                .into_iter()
-                .map(|r| r.expect("simulator is infallible").seconds.to_bits())
-                .collect();
-            assert_eq!(
-                table, reference,
-                "candidate table diverged at {threads} threads with {policy:?}"
-            );
+    for threads in [1usize, 2, 4, 8] {
+        // the raw candidate table is bit-identical however the batch is
+        // spread over the pool
+        let profiler = SimProfiler::new(Platform::platform1(), 7);
+        let stack = ServiceBuilder::new(&profiler)
+            .memoize_structural()
+            .batched(threads)
+            .finish();
+        let table: Vec<u64> = stack
+            .query_batch(&sweep)
+            .into_iter()
+            .map(|r| r.expect("simulator is infallible").seconds.to_bits())
+            .collect();
+        assert_eq!(
+            table, reference,
+            "candidate table diverged at {threads} threads"
+        );
+        let batch = stack.handles().batch.as_ref().unwrap().stats();
+        let tasks = if threads > 1 { sweep.len() } else { 0 };
+        assert_eq!(batch.chunks, tasks, "one pool task per dispatched query");
 
-            // and so is the full search outcome built on top of it
-            let profiler = SimProfiler::new(Platform::platform1(), 7);
-            let stack = ServiceBuilder::new(&profiler)
-                .memoize_structural()
-                .batched_with_policy(threads, policy)
-                .finish();
-            let out = search_plan_service(model, cluster, &stack, &profiler, opts(), None)
-                .expect("simulator stack is infallible");
-            outcomes.push((threads, policy, out));
-        }
+        // and so is the full search outcome built on top of it
+        let profiler = SimProfiler::new(Platform::platform1(), 7);
+        let stack = ServiceBuilder::new(&profiler)
+            .memoize_structural()
+            .batched(threads)
+            .finish();
+        let out = search_plan_service(model, cluster, &stack, &profiler, opts(), None)
+            .expect("simulator stack is infallible");
+        outcomes.push((threads, out));
     }
 
-    let (_, _, first) = &outcomes[0];
-    for (threads, policy, out) in &outcomes[1..] {
-        assert_eq!(
-            out.plan, first.plan,
-            "plan diverged at {threads} threads with {policy:?}"
-        );
+    let (_, first) = &outcomes[0];
+    for (threads, out) in &outcomes[1..] {
+        assert_eq!(out.plan, first.plan, "plan diverged at {threads} threads");
         assert_eq!(
             out.estimated_latency.to_bits(),
             first.estimated_latency.to_bits(),
-            "estimated latency diverged at {threads} threads with {policy:?}"
+            "estimated latency diverged at {threads} threads"
         );
         assert_eq!(
             out.true_latency.to_bits(),
             first.true_latency.to_bits(),
-            "true latency diverged at {threads} threads with {policy:?}"
+            "true latency diverged at {threads} threads"
         );
         // the structural accounting is itself deterministic: same
         // distinct-structure count and hit/miss split every time
