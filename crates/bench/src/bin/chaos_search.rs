@@ -101,7 +101,7 @@ fn main() {
     let stack = ServiceBuilder::new(&chaos_profiler)
         .inject_faults(FaultConfig::errors(FAULT_SEED, FAULT_RATE))
         .retry(RetryPolicy::retries(RETRY_BUDGET))
-        .memoize()
+        .memoize_structural()
         .batched(pool)
         .finish();
     let chaos = search_plan_service(model, cluster, &stack, &chaos_profiler, opts, None)
@@ -123,7 +123,7 @@ fn main() {
         .inject_faults(FaultConfig::errors(3, 0.4))
         .circuit_breaker(BreakerConfig::tripping_after(2))
         .retry(RetryPolicy::retries(32))
-        .memoize()
+        .memoize_structural()
         .batched(1)
         .finish();
     let tripped = search_plan_service(model, cluster, &stack, &breaker_profiler, opts, None)

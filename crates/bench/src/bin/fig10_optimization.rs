@@ -70,28 +70,20 @@ fn main() {
         let bench_name = model.kind.name();
 
         // ---- full profiling -------------------------------------------
-        // the memoized search is transparent (same plan, same latency);
-        // its stats show how much of the DP's candidate traffic the
-        // cache absorbed before it reached the simulator
+        // Alpa profiles every candidate it enumerates, so no memo layer
+        // sits in front of the simulator: structural sharing would
+        // shrink the baseline's bill below what Alpa pays
         let profiler = SimProfiler::new(platform.clone(), proto.seed);
         let full_stack = ServiceBuilder::new(&profiler)
-            .memoize()
             .batched(configured_threads())
             .finish();
         let full = search_plan_service(model, cluster, &full_stack, &profiler, opts, None)
             .expect("the simulator stack serves every scenario");
         let full_cost = profiler.ledger().totals();
-        let stats = full
-            .service
-            .as_ref()
-            .and_then(|r| r.cache)
-            .expect("cached search reports stats");
         eprintln!(
-            "[fig10/{bench_name}] full profiling: {} queries ({} cache hits, {} misses, \
-             {} worker threads, {:.2}s wall), {:.0} sim-s, plan {:.4}s",
+            "[fig10/{bench_name}] full profiling: {} queries ({} worker threads, \
+             {:.2}s wall), {:.0} sim-s, plan {:.4}s",
             full.num_queries,
-            stats.hits,
-            stats.misses,
             configured_threads(),
             full.search_seconds,
             full_cost.profiling_s,

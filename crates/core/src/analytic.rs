@@ -11,10 +11,6 @@
 //! effects that a flat-constant model cannot see, while a learned
 //! black-box absorbs them from data.
 
-use std::collections::HashMap;
-
-use parking_lot::Mutex;
-
 use predtop_cluster::collective::{Collective, CollectiveCost};
 use predtop_cluster::Platform;
 use predtop_ir::op::ComputeClass;
@@ -26,6 +22,9 @@ use predtop_service::{LatencyQuery, LatencyReply, LatencyService, ServiceError};
 use predtop_sim::opcost::{node_bytes, node_flops};
 
 /// Flat-constant analytical latency model.
+///
+/// It keeps no cache of its own: the one caller that asks a stage twice
+/// (the daemon's `Predict` path) sits behind a `Memoize` layer.
 pub struct AnalyticBaseline {
     platform: Platform,
     /// Assumed model-FLOPs utilization for contractions (textbook ~0.5).
@@ -36,7 +35,6 @@ pub struct AnalyticBaseline {
     pub launch_s: f64,
     /// Forward → full-iteration multiplier.
     pub train_factor: f64,
-    cache: Mutex<HashMap<(StageSpec, MeshShape, ParallelConfig), f64>>,
 }
 
 impl AnalyticBaseline {
@@ -48,17 +46,12 @@ impl AnalyticBaseline {
             mem_eff: 0.8,
             launch_s: 4e-6,
             train_factor: 3.0,
-            cache: Mutex::new(HashMap::new()),
         }
     }
 }
 
 impl StageLatencyProvider for AnalyticBaseline {
     fn stage_latency(&self, stage: &StageSpec, mesh: MeshShape, config: ParallelConfig) -> f64 {
-        let key = (*stage, mesh, config);
-        if let Some(&t) = self.cache.lock().get(&key) {
-            return t;
-        }
         let graph = stage.build_graph();
         let gpu = &self.platform.gpu;
         let devices = config.num_devices() as f64;
@@ -99,9 +92,7 @@ impl StageLatencyProvider for AnalyticBaseline {
                 .time_s(Collective::AllReduce, act_bytes);
         }
 
-        let t = (compute + comm) * self.train_factor;
-        self.cache.lock().insert(key, t);
-        t
+        (compute + comm) * self.train_factor
     }
 }
 

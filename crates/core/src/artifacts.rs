@@ -87,8 +87,8 @@ pub enum ArtifactError {
         /// Value found in the snapshot.
         found: usize,
     },
-    /// The snapshot's declared architecture is not the one the caller
-    /// configured — the snapshot belongs to a different fit.
+    /// A gray-box snapshot's scenario predictors do not share one
+    /// architecture, or it is not the one the caller configured.
     ArchMismatch,
 }
 
@@ -111,7 +111,10 @@ impl std::fmt::Display for ArtifactError {
                  snapshot has {found}"
             ),
             ArtifactError::ArchMismatch => {
-                write!(f, "snapshot architecture differs from the configured one")
+                write!(
+                    f,
+                    "snapshot predictors do not share the expected architecture"
+                )
             }
         }
     }

@@ -72,10 +72,15 @@ type ScenarioPredictions = HashMap<(MeshShape, ParallelConfig), f64>;
 /// into the cell, concurrent queries for the same structure wait for
 /// it, and queries for other structures run their own forwards in
 /// parallel. The map lock is held only to fetch or insert a cell.
+///
+/// These cells stay even under a `Memoize` layer: one cell fills every
+/// scenario of a stage structure from one sample build and one forward
+/// pass per predictor, which a per-query cache cannot do.
 pub struct PredTop {
     predictors: HashMap<(MeshShape, ParallelConfig), TrainedPredictor>,
     predictions: Mutex<HashMap<StructuralDescriptor, Arc<OnceLock<ScenarioPredictions>>>>,
-    pe_dim: usize,
+    /// The architecture every scenario's predictor shares.
+    arch: ArchConfig,
     /// Wall-clock seconds spent training all scenario predictors.
     pub training_seconds: f64,
     /// Inference seconds so far, summed over the threads that ran it.
@@ -124,10 +129,7 @@ impl PredTop {
             .map(|(i, (mesh, config))| (i as u64, mesh, config))
             .collect();
 
-        // Profiling phase, serial in scenario order: the profiler's cost
-        // ledger sums each profile's simulated seconds as it is taken,
-        // so a fixed order keeps the profiling bill's floating-point
-        // total independent of thread timing.
+        // Profiling phase, serially in scenario order.
         let profiled: Vec<_> = scenarios
             .into_iter()
             .map(|scenario @ (_, mesh, config)| {
@@ -177,23 +179,24 @@ impl PredTop {
             predictors.insert((mesh, config), predictor);
         }
 
-        let mut pt = PredTop::new(predictors, pe_dim, stages.len());
+        let mut pt = PredTop::new(cfg.arch, predictors, stages.len());
         pt.training_seconds = training_seconds;
         pt.reports = reports;
         pt
     }
 
-    /// An instance over fitted `predictors` with an empty prediction
-    /// cache and no training facts.
-    fn new(
+    /// An instance over already-fitted per-scenario `predictors`, all
+    /// of architecture `arch`, with an empty prediction cache and no
+    /// training facts. It answers only the scenarios it holds.
+    pub fn new(
+        arch: ArchConfig,
         predictors: HashMap<(MeshShape, ParallelConfig), TrainedPredictor>,
-        pe_dim: usize,
         profiled_stage_count: usize,
     ) -> PredTop {
         PredTop {
             predictors,
             predictions: Mutex::new(HashMap::new()),
-            pe_dim,
+            arch,
             training_seconds: 0.0,
             inference_seconds: Mutex::new(0.0),
             inferred_stages: AtomicUsize::new(0),
@@ -226,12 +229,13 @@ impl PredTop {
     ) -> (PredTop, bool) {
         let key = graybox_snapshot_key(namespace, model, cluster, cfg);
         if let Ok(Some(bytes)) = store.get(ObjectKind::Model, &key) {
-            if let Ok(pt) = decode_graybox(&bytes, cfg) {
-                return (pt, true);
+            match decode_graybox(&bytes) {
+                Ok(pt) if pt.arch == cfg.arch => return (pt, true),
+                _ => {}
             }
         }
         let pt = PredTop::fit(model, cluster, profiler, cfg);
-        let _ = store.put(ObjectKind::Model, &key, &encode_graybox(&pt, cfg));
+        let _ = store.put(ObjectKind::Model, &key, &encode_graybox(&pt));
         (pt, false)
     }
 
@@ -258,7 +262,7 @@ impl PredTop {
     /// sample construction amortized over all predictors).
     fn predict_all_scenarios(&self, stage: &StageSpec) -> ScenarioPredictions {
         let started = Instant::now();
-        let sample = GraphSample::new(&stage.build_graph(), 1.0, self.pe_dim);
+        let sample = GraphSample::new(&stage.build_graph(), 1.0, self.arch.pe_dim());
         let preds = self
             .predictors
             .iter()
@@ -314,12 +318,14 @@ pub fn graybox_snapshot_key(
     w.into_bytes()
 }
 
-/// Encode a fitted instance as a store payload: every per-scenario
-/// predictor (in a deterministic scenario order) through
-/// [`artifacts::encode_predictor`], each sealed with its weight
-/// fingerprint. Wall-clock facts (`training_seconds`, the per-scenario
-/// reports) are excluded — they describe one run, not the fit.
-pub fn encode_graybox(pt: &PredTop, cfg: &GrayBoxConfig) -> Vec<u8> {
+/// Encode a fitted instance — a store payload, and the model file
+/// `predtop fit -o` writes: every per-scenario predictor (in a
+/// deterministic scenario order) with its sub-mesh and configuration,
+/// through [`artifacts::encode_predictor`], each sealed with its
+/// architecture and weight fingerprint. Wall-clock facts
+/// (`training_seconds`, the per-scenario reports) are excluded — they
+/// describe one run, not the fit.
+pub fn encode_graybox(pt: &PredTop) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u8(GRAYBOX_ENCODING_VERSION);
     w.usize(pt.profiled_stage_count);
@@ -332,17 +338,18 @@ pub fn encode_graybox(pt: &PredTop, cfg: &GrayBoxConfig) -> Vec<u8> {
         w.usize(mesh.gpus_per_node);
         w.usize(config.dp);
         w.usize(config.mp);
-        w.bytes(&artifacts::encode_predictor(&cfg.arch, predictor));
+        w.bytes(&artifacts::encode_predictor(&pt.arch, predictor));
     }
     w.into_bytes()
 }
 
 /// Rebuild a fitted instance from a payload written by
-/// [`encode_graybox`]. Every scenario's weights are fingerprint-checked
-/// and its declared architecture must match `cfg.arch` — a snapshot
-/// from a different configuration is an [`ArtifactError::ArchMismatch`],
-/// not a silently wrong predictor.
-pub fn decode_graybox(bytes: &[u8], cfg: &GrayBoxConfig) -> Result<PredTop, ArtifactError> {
+/// [`encode_graybox`]. The architecture comes from the sealed
+/// predictors: every scenario's weights are fingerprint-checked, and
+/// scenarios that disagree on the architecture are an
+/// [`ArtifactError::ArchMismatch`]. A payload with no scenario is a
+/// decode error.
+pub fn decode_graybox(bytes: &[u8]) -> Result<PredTop, ArtifactError> {
     let mut r = ByteReader::new(bytes);
     let version = r.u8("graybox version")?;
     if version != GRAYBOX_ENCODING_VERSION {
@@ -354,23 +361,24 @@ pub fn decode_graybox(bytes: &[u8], cfg: &GrayBoxConfig) -> Result<PredTop, Arti
     }
     let profiled_stage_count = r.usize("graybox profiled stages")?;
     let count = r.usize("graybox scenario count")?;
+    let mut shared_arch = None;
     let mut predictors = HashMap::new();
     for _ in 0..count {
         let mesh = decode_mesh(&mut r)?;
         let config = decode_config(&mut r)?;
         let blob = r.bytes("scenario predictor")?;
         let (arch, predictor) = artifacts::decode_predictor(blob)?;
-        if arch != cfg.arch {
+        if *shared_arch.get_or_insert(arch) != arch {
             return Err(ArtifactError::ArchMismatch);
         }
         predictors.insert((mesh, config), predictor);
     }
     r.finish().map_err(ArtifactError::Decode)?;
-    Ok(PredTop::new(
-        predictors,
-        cfg.arch.pe_dim(),
-        profiled_stage_count,
-    ))
+    let arch = shared_arch.ok_or(DecodeError::BadTag {
+        what: "graybox scenario count",
+        tag: 0,
+    })?;
+    Ok(PredTop::new(arch, predictors, profiled_stage_count))
 }
 
 /// 90/10 train/validation split over `n` fitted samples (no test part:
@@ -543,10 +551,8 @@ mod tests {
         assert_eq!(pt.inferred_stages(), 4);
     }
 
-    /// The fit's profiling bill is the ledger's float sum, so it is
-    /// taken in one fixed order (scenario by scenario, each over the
-    /// sampled stages), never in the order worker threads happen to
-    /// reach the profiler.
+    /// The fit bills exactly the profiles a serial replay takes
+    /// (scenario by scenario, each over the sampled stages), to the bit.
     #[test]
     fn fit_bills_profiling_scenario_by_scenario() {
         let cluster = MeshShape::new(1, 2);
@@ -773,20 +779,49 @@ mod tests {
         let profiler = SimProfiler::new(Platform::platform1(), 7);
         let cfg = tiny_cfg();
         let pt = PredTop::fit(tiny_model(), MeshShape::new(1, 1), &profiler, &cfg);
-        let bytes = encode_graybox(&pt, &cfg);
+        let bytes = encode_graybox(&pt);
 
-        // same bytes, different configured architecture: ArchMismatch
-        let mut other = cfg;
-        other.arch.hidden = 32;
-        match decode_graybox(&bytes, &other) {
-            Err(crate::artifacts::ArtifactError::ArchMismatch) => {}
+        // the architecture comes back from the sealed predictors
+        assert_eq!(decode_graybox(&bytes).unwrap().arch, cfg.arch);
+
+        // scenarios that disagree on the architecture: ArchMismatch
+        let other = ArchConfig {
+            hidden: 32,
+            ..cfg.arch
+        };
+        let mut w = ByteWriter::new();
+        w.u8(GRAYBOX_ENCODING_VERSION);
+        w.usize(0);
+        w.usize(2);
+        for (gpus, arch) in [(1, cfg.arch), (2, other)] {
+            for field in [1, gpus, gpus, 1] {
+                w.usize(field);
+            }
+            let predictor = TrainedPredictor {
+                model: arch.build(0),
+                scaler: predtop_gnn::TargetScaler {
+                    mean: -5.0,
+                    std: 0.5,
+                },
+            };
+            w.bytes(&artifacts::encode_predictor(&arch, &predictor));
+        }
+        match decode_graybox(&w.into_bytes()) {
+            Err(ArtifactError::ArchMismatch) => {}
             Err(e) => panic!("expected ArchMismatch, got {e:?}"),
             Ok(_) => panic!("expected ArchMismatch, got a decoded instance"),
         }
 
+        // a snapshot without a scenario carries no architecture
+        let mut w = ByteWriter::new();
+        w.u8(GRAYBOX_ENCODING_VERSION);
+        w.usize(0);
+        w.usize(0);
+        assert!(decode_graybox(&w.into_bytes()).is_err());
+
         // truncations surface as structured errors, never panics
         for cut in (0..bytes.len()).step_by(97) {
-            assert!(decode_graybox(&bytes[..cut], &cfg).is_err(), "cut {cut}");
+            assert!(decode_graybox(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 

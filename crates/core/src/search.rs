@@ -103,13 +103,13 @@ pub fn search_plan_service(
     let num_rejected = enumerated - num_queries;
     let num_rejected_memory = legality.map_or(0, |l| l.memory_rejections()) - memory_before;
 
-    // Phase 2: one batch through the stack. When the stack memoizes on
-    // structural keys, pre-assign every query's key serially over the
+    // Phase 2: one batch through the stack. When the stack memoizes,
+    // pre-assign every query's structural key serially over the
     // canonical work-list first: interning is cheap (a hash of the
-    // stage descriptor), and doing it here makes key numbering — and
-    // hence the interner's `distinct` count observable in the report —
-    // a pure function of the work-list, independent of which worker
-    // the batch layer later hands each query to.
+    // stage descriptor), and doing it here makes key numbering and each
+    // class's representative — the query a cache miss forwards, so what
+    // the source profiles and bills — a pure function of the work-list,
+    // independent of which worker the batch layer hands each query to.
     let queries: Vec<LatencyQuery> = worklist
         .iter()
         .map(|&(stage, mesh, config)| LatencyQuery::new(stage, mesh, config))
@@ -391,7 +391,7 @@ mod tests {
 
         let profiler2 = SimProfiler::new(Platform::platform1(), 7);
         let stack = ServiceBuilder::new(&profiler2)
-            .memoize()
+            .memoize_structural()
             .batched(configured_threads())
             .finish();
         let cached = search_plan_service(tiny_model(), cluster, &stack, &profiler2, opts, None)
@@ -489,7 +489,7 @@ mod tests {
 
         let profiler2 = SimProfiler::new(Platform::platform1(), 7);
         let stack = ServiceBuilder::new(&profiler2)
-            .memoize()
+            .memoize_structural()
             .batched(2)
             .instrumented()
             .finish();

@@ -24,7 +24,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use predtop_cluster::Platform;
-use predtop_gnn::{GraphSample, TrainedPredictor};
 use predtop_parallel::{InterStageOptions, MeshShape};
 use predtop_runtime::configured_threads;
 use predtop_service::api::{
@@ -32,16 +31,16 @@ use predtop_service::api::{
     StatsReport,
 };
 use predtop_service::{
-    AdmissionControl, BreakerConfig, DeadlinePolicy, FaultConfig, LatencyQuery, LatencyReply,
-    LatencyService, RetryPolicy, Retryability, ServiceBuilder, ServiceError, ServiceReport,
-    ServiceStack, Unavailable,
+    AdmissionControl, BreakerConfig, DeadlinePolicy, FaultConfig, LatencyQuery, LatencyService,
+    RetryPolicy, Retryability, ServiceBuilder, ServiceError, ServiceReport, ServiceStack,
+    Unavailable,
 };
 use predtop_sim::SimProfiler;
 use predtop_store::hash::{digest_bytes, Digest};
 use predtop_store::Store;
 
 use crate::analytic::AnalyticBaseline;
-use crate::artifacts;
+use crate::graybox::decode_graybox;
 use crate::search::{search_legality, search_plan_service, search_snapshot_key, write_snapshots};
 
 /// Everything that shapes one serving engine: the platform and seed the
@@ -65,9 +64,6 @@ pub struct EngineConfig {
     /// Optional disk tier: latency replies, plan snapshots, and outcome
     /// snapshots persist into this content-addressed store.
     pub store: Option<Arc<Store>>,
-    /// Memoize on raw query identity instead of structural equivalence
-    /// classes (the CLI's `--raw-cache`).
-    pub raw_cache: bool,
     /// Injected transient-fault rate in `[0, 1]` (0 = pass-through);
     /// [`ServeEngine::new`] refuses any other value.
     pub fault_rate: f64,
@@ -80,8 +76,9 @@ pub struct EngineConfig {
     /// Admission-control breaker configuration.
     pub breaker: BreakerConfig,
     /// Optional saved-predictor file (written by `predtop fit`, in the
-    /// [`artifacts::encode_predictor`] format) backing the `Predict`
-    /// path; absent or unloadable, predictions degrade to the analytic
+    /// [`crate::encode_graybox`] format) backing the `Predict` path; for
+    /// a scenario the file holds no predictor of, and when the file is
+    /// absent or unloadable, predictions degrade to the analytic
     /// baseline.
     pub model_path: Option<String>,
 }
@@ -97,7 +94,6 @@ impl EngineConfig {
             seed,
             threads: configured_threads(),
             store: None,
-            raw_cache: false,
             fault_rate: 0.0,
             fault_seed: 0,
             retries: 0,
@@ -115,42 +111,20 @@ impl EngineConfig {
     }
 }
 
-/// A predictor restored from disk, lifted into the service stack: every
-/// query rebuilds the stage graph and serves the DAG-Transformer
-/// estimate, attributed to `"predictor"`.
-struct SavedModelService {
-    predictor: TrainedPredictor,
-    pe_dim: usize,
-}
-
-impl LatencyService for SavedModelService {
-    fn name(&self) -> &'static str {
-        "predictor"
-    }
-
-    fn query(&self, q: &LatencyQuery) -> Result<LatencyReply, ServiceError> {
-        let sample = GraphSample::new(&q.stage.build_graph(), 1.0, self.pe_dim);
-        Ok(LatencyReply {
-            seconds: self.predictor.predict(&sample),
-            source: self.name(),
-        })
-    }
-}
-
-/// Load a saved predictor file as a service, or a named [`Unavailable`]
-/// that carries the load failure into the fallback chain (the analytic
-/// baseline answers instead of the command aborting). Also returns the
-/// digest of the bytes read, `None` when the file could not be read.
+/// Load a saved predictor file as a [`crate::PredTop`] service, which
+/// answers the scenarios it was fit for and reports any other as
+/// [`ServiceError::ScenarioUnsupported`]; or a named [`Unavailable`]
+/// that carries the load failure into the fallback chain. Either way
+/// the analytic baseline answers what the file cannot, instead of the
+/// command aborting. Also returns the digest of the bytes read, `None`
+/// when the file could not be read.
 pub fn load_model_service(path: &str) -> (Box<dyn LatencyService + Send + Sync>, Option<Digest>) {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) => return (model_load_failed(format!("{path}: {e}")), None),
     };
-    let service: Box<dyn LatencyService + Send + Sync> = match artifacts::decode_predictor(&bytes) {
-        Ok((arch, predictor)) => Box::new(SavedModelService {
-            predictor,
-            pe_dim: arch.pe_dim(),
-        }),
+    let service: Box<dyn LatencyService + Send + Sync> = match decode_graybox(&bytes) {
+        Ok(predtop) => Box::new(predtop),
         Err(e) => model_load_failed(format!("{path}: {e}")),
     };
     (service, Some(digest_bytes(&bytes)))
@@ -195,20 +169,16 @@ impl ServeEngine {
         // faults innermost, the deadline on each attempt and the retry
         // loop around them, then persistence, memoization, fan-out and
         // instrumentation over the (now reliable) service
-        let builder = ServiceBuilder::new(Arc::clone(&profiler))
+        let mut builder = ServiceBuilder::new(Arc::clone(&profiler))
             .inject_faults(FaultConfig::errors(config.fault_seed, config.fault_rate))
             .deadline(DeadlinePolicy {
                 per_query_seconds: config.deadline,
                 per_batch_seconds: None,
             })
             .retry(RetryPolicy::retries(config.retries))
+            .memoize_structural()
             .batched(config.threads)
             .instrumented();
-        let mut builder = if config.raw_cache {
-            builder.memoize()
-        } else {
-            builder.memoize_structural()
-        };
         if let Some(store) = &config.store {
             builder = builder.persist(Arc::clone(store), config.sim_namespace());
         }
@@ -225,7 +195,7 @@ impl ServeEngine {
         };
         let mut predict = ServiceBuilder::new(base)
             .or_fallback_to(AnalyticBaseline::new(config.platform.clone()))
-            .memoize();
+            .memoize_structural();
         if let Some(store) = &config.store {
             // the namespace ties persisted answers to the exact model
             // weights (file digest) and fallback platform, so swapping
@@ -651,50 +621,73 @@ mod tests {
         }
     }
 
-    /// Serve one `Predict` through an engine backed by the model file
-    /// at `path`; returns the reply's seconds and source.
-    fn predict_with_model_file(path: &std::path::Path) -> (f64, String) {
+    /// Serve one `Predict` of `spec` through an engine backed by the
+    /// model file at `path`; returns the reply's seconds and source.
+    fn predict_with_model_file(path: &std::path::Path, spec: api::ProfileSpec) -> (f64, String) {
         let mut config = EngineConfig::new(Platform::platform1(), "1", 7);
         config.model_path = Some(path.to_str().unwrap().to_string());
         let engine = ServeEngine::new(config).unwrap();
-        match engine.handle(&Request::Predict(predict_spec())) {
+        match engine.handle(&Request::Predict(spec)) {
             Response::Latency { seconds, source } => (seconds, source),
             other => panic!("expected latency, got {other:?}"),
         }
     }
 
-    /// An untrained but well-formed predictor and its model-file bytes.
-    fn model_file_bytes() -> (ArchConfig, TrainedPredictor, Vec<u8>) {
+    fn analytic_seconds(spec: &api::ProfileSpec) -> f64 {
+        AnalyticBaseline::new(Platform::platform1())
+            .query(&LatencyQuery::new(spec.stage(), spec.mesh, spec.config))
+            .unwrap()
+            .seconds
+    }
+
+    /// An untrained but well-formed predictor fit for `predict_spec`'s
+    /// scenario only, as a gray-box instance and its model-file bytes.
+    fn model_file_bytes() -> (crate::PredTop, Vec<u8>) {
         let mut arch = ArchConfig::scaled(predtop_gnn::ModelKind::DagTransformer);
         arch.layers = 1;
         arch.hidden = 16;
         arch.heads = 2;
-        let predictor = TrainedPredictor {
+        let predictor = predtop_gnn::TrainedPredictor {
             model: arch.build(3),
             scaler: predtop_gnn::TargetScaler {
                 mean: -5.0,
                 std: 0.5,
             },
         };
-        let bytes = artifacts::encode_predictor(&arch, &predictor);
-        (arch, predictor, bytes)
+        let spec = predict_spec();
+        let scenarios = std::collections::HashMap::from([((spec.mesh, spec.config), predictor)]);
+        let predtop = crate::PredTop::new(arch, scenarios, 0);
+        let bytes = crate::encode_graybox(&predtop);
+        (predtop, bytes)
     }
 
     #[test]
     fn a_saved_model_file_answers_predict() {
-        let (arch, predictor, bytes) = model_file_bytes();
+        let (predtop, bytes) = model_file_bytes();
         let path = std::env::temp_dir().join(format!("predtop-serve-{}.bin", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
-        let (seconds, source) = predict_with_model_file(&path);
-        std::fs::remove_file(&path).ok();
+        let spec = predict_spec();
+        let (seconds, source) = predict_with_model_file(&path, spec.clone());
         assert_eq!(source, "predictor");
-        let sample = GraphSample::new(&predict_spec().stage().build_graph(), 1.0, arch.pe_dim());
-        assert_eq!(seconds.to_bits(), predictor.predict(&sample).to_bits());
+        let want = predtop
+            .query(&LatencyQuery::new(spec.stage(), spec.mesh, spec.config))
+            .unwrap();
+        assert_eq!(seconds.to_bits(), want.seconds.to_bits());
+        // the file answers only the scenario it was fit for
+        let dp2 = api::ProfileSpec {
+            mesh: MeshShape::new(1, 2),
+            config: ParallelConfig::new(2, 1),
+            ..spec
+        };
+        let (seconds, source) = predict_with_model_file(&path, dp2.clone());
+        std::fs::remove_file(&path).ok();
+        assert_eq!(source, "analytic");
+        assert_eq!(seconds.to_bits(), analytic_seconds(&dp2).to_bits());
     }
 
     #[test]
     fn unloadable_model_files_degrade_predict_to_the_analytic_baseline() {
-        let (_, _, bytes) = model_file_bytes();
+        let (_, bytes) = model_file_bytes();
         let mut foreign_version = bytes.clone();
         foreign_version[0] = 99;
         let dir = std::env::temp_dir().join(format!("predtop-serve-bad-{}", std::process::id()));
@@ -705,12 +698,9 @@ mod tests {
         std::fs::write(&foreign, &foreign_version).unwrap();
 
         let spec = predict_spec();
-        let analytic = AnalyticBaseline::new(Platform::platform1())
-            .query(&LatencyQuery::new(spec.stage(), spec.mesh, spec.config))
-            .unwrap()
-            .seconds;
+        let analytic = analytic_seconds(&spec);
         for path in [dir.join("missing.bin"), garbage, foreign] {
-            let (seconds, source) = predict_with_model_file(&path);
+            let (seconds, source) = predict_with_model_file(&path, spec.clone());
             assert_eq!(source, "analytic", "{}", path.display());
             assert_eq!(seconds.to_bits(), analytic.to_bits(), "{}", path.display());
         }

@@ -26,11 +26,14 @@
 //! layer is MoE, the dense FFN multiple when every window layer is MoE)
 //! are normalized away so equality is exact, not merely sound.
 //!
-//! Key identity is assigned in first-intern order. The search engine
-//! warms the interner serially over its canonical candidate work-list
-//! (see `predtop-core::search_plan_service`) before any parallel
-//! evaluation, so key numbering is a pure function of the work-list —
-//! identical at any thread count and across runs.
+//! Key identity is assigned in first-intern order, and each class
+//! remembers the sub-problem that interned it first (its
+//! [`representative`](StructuralInterner::representative)). The search
+//! engine warms the interner serially over its canonical candidate
+//! work-list (see `predtop-core::search_plan_service`) before any
+//! parallel evaluation, so key numbering and representatives are a pure
+//! function of the work-list — identical at any thread count and across
+//! runs.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -211,17 +214,28 @@ impl InternStats {
     }
 }
 
+/// One (stage, sub-mesh, configuration) sub-problem.
+pub type SubProblem = (StageSpec, MeshShape, ParallelConfig);
+
+/// The interner's table: descriptor → dense id, and per id the
+/// sub-problem that interned the class first.
+#[derive(Debug, Default)]
+struct Table {
+    ids: HashMap<StructuralDescriptor, u32>,
+    representatives: Vec<SubProblem>,
+}
+
 /// Hash-consing interner from sub-problems to [`StructuralKey`]s.
 ///
 /// Thread-safe: `intern` may be called concurrently (one mutex guards
 /// the table; interning is a hash + short critical section, far cheaper
-/// than any latency evaluation it deduplicates). Key numbering follows
-/// first-intern order — warm the interner serially (see
-/// [`StructuralInterner::warm`]) when stable numbering across thread
-/// counts matters.
+/// than any latency evaluation it deduplicates). Key numbering and
+/// representatives follow first-intern order — warm the interner
+/// serially (see [`StructuralInterner::warm`]) when they must not
+/// depend on the thread count.
 #[derive(Debug, Default)]
 pub struct StructuralInterner {
-    table: Mutex<HashMap<StructuralDescriptor, u32>>,
+    table: Mutex<Table>,
     lookups: AtomicUsize,
 }
 
@@ -241,7 +255,7 @@ impl StructuralInterner {
         config: ParallelConfig,
     ) -> StructuralKey {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.resolve(StructuralDescriptor::of(stage, mesh, config))
+        self.resolve((*stage, mesh, config))
     }
 
     /// Pre-assign `(stage, mesh, config)`'s key without counting a
@@ -255,18 +269,33 @@ impl StructuralInterner {
         mesh: MeshShape,
         config: ParallelConfig,
     ) -> StructuralKey {
-        self.resolve(StructuralDescriptor::of(stage, mesh, config))
+        self.resolve((*stage, mesh, config))
     }
 
-    fn resolve(&self, d: StructuralDescriptor) -> StructuralKey {
+    fn resolve(&self, p: SubProblem) -> StructuralKey {
+        let d = StructuralDescriptor::of(&p.0, p.1, p.2);
         let mut table = self.table.lock();
-        let next = u32::try_from(table.len()).expect("fewer than 2^32 structural classes");
-        StructuralKey(*table.entry(d).or_insert(next))
+        let Table {
+            ids,
+            representatives,
+        } = &mut *table;
+        let id = *ids.entry(d).or_insert_with(|| {
+            representatives.push(p);
+            u32::try_from(representatives.len() - 1).expect("fewer than 2^32 structural classes")
+        });
+        StructuralKey(id)
+    }
+
+    /// The sub-problem that interned (or warmed) `key`'s class first.
+    /// A latency source that is a pure function of structure answers
+    /// it exactly as it answers any other member of the class.
+    pub fn representative(&self, key: StructuralKey) -> SubProblem {
+        self.table.lock().representatives[key.0 as usize]
     }
 
     /// Number of distinct structural classes interned so far.
     pub fn len(&self) -> usize {
-        self.table.lock().len()
+        self.table.lock().representatives.len()
     }
 
     /// True when nothing has been interned yet.
@@ -426,6 +455,20 @@ mod tests {
         // but head-carrying windows differ from interior ones even when
         // the window range literally matches
         assert_ne!(key(&i, tiny(6), 4, 6), key(&i, tiny(10), 4, 6));
+    }
+
+    #[test]
+    fn the_first_sub_problem_of_a_class_represents_it() {
+        let i = StructuralInterner::new();
+        let m = tiny(6);
+        let (mesh, config) = (MeshShape::new(1, 2), ParallelConfig::new(1, 2));
+        let first = i.warm(&StageSpec::new(m, 2, 4), mesh, config);
+        let again = i.intern(&StageSpec::new(m, 1, 3), mesh, config);
+        assert_eq!(first, again);
+        assert_eq!(
+            i.representative(again),
+            (StageSpec::new(m, 2, 4), mesh, config)
+        );
     }
 
     #[test]

@@ -18,9 +18,6 @@
 //!   then run the dynamic program minimizing the Eqn. 4 pipeline latency
 //!   over their evaluated latencies. Evaluation itself happens elsewhere
 //!   (`predtop-core`'s search, through a `predtop-service` stack).
-//! * [`cache`] — hit/miss [`CacheStats`] accounting, shared by the
-//!   `predtop-service` stack's memoization layer and the Fig. 10 cost
-//!   reporting.
 //! * [`intern`] — the [`StructuralInterner`]: hash-conses
 //!   (stage, sub-mesh, configuration) sub-problems into
 //!   [`StructuralKey`]s so memoization can key on *structure* (two
@@ -38,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod config;
 pub mod intern;
 pub mod interstage;
@@ -47,7 +43,6 @@ pub mod plan;
 pub mod schedule;
 pub mod sharding;
 
-pub use cache::CacheStats;
 pub use config::{table3_configs, MeshShape, ParallelConfig};
 pub use intern::{InternStats, StructuralDescriptor, StructuralInterner, StructuralKey};
 pub use interstage::{enumerate_candidates, solve_pipeline, EvaluatedCandidate, InterStageOptions};

@@ -48,11 +48,10 @@ use predtop_store::Store;
 pub struct StackHandles {
     /// Hit/miss counters of the [`Memoize`] layer, if one was installed.
     pub cache: Option<CacheHandle>,
-    /// The structural interner behind the [`Memoize`] layer, if the
-    /// layer was installed in structural mode
-    /// ([`ServiceBuilder::memoize_structural`]). The search engine warms
-    /// it serially over the canonical work-list so key numbering is
-    /// thread-count independent.
+    /// The structural interner behind the [`Memoize`] layer, if one was
+    /// installed. The search engine warms it serially over the canonical
+    /// work-list, so key numbering and the queries the layer forwards
+    /// are thread-count independent.
     pub interner: Option<Arc<StructuralInterner>>,
     /// Dispatch counters of the [`Batched`] layer, if one was installed.
     pub batch: Option<BatchHandle>,
@@ -85,8 +84,7 @@ struct Layers {
     breaker: Option<BreakerConfig>,
     retry: Option<RetryPolicy>,
     persist: Option<(Arc<Store>, String)>,
-    /// `Some(true)` keys the cache on structural equivalence classes.
-    memoize: Option<bool>,
+    memoize: bool,
     batched: Option<usize>,
     instrumented: bool,
 }
@@ -100,9 +98,9 @@ struct Layers {
 ///
 /// ```text
 /// ServiceBuilder::new(&profiler)
-///     .memoize()        // dedupe repeat queries
-///     .batched(threads) // fan batches across the worker pool
-///     .instrumented()   // count what the caller sees
+///     .memoize_structural() // answer each structural class once
+///     .batched(threads)     // fan batches across the worker pool
+///     .instrumented()       // count what the caller sees
 ///     .finish()
 /// ```
 ///
@@ -137,13 +135,6 @@ impl<S: LatencyService> ServiceBuilder<S> {
         }
     }
 
-    /// Memoize successful replies per query (sharded, with
-    /// [`predtop_parallel::CacheStats`] accounting).
-    pub fn memoize(mut self) -> Self {
-        self.layers.memoize = Some(false);
-        self
-    }
-
     /// Memoize successful replies per *structural equivalence class*: a
     /// fresh [`StructuralInterner`] hash-conses each query's
     /// (stage, sub-mesh, configuration) structure, so isomorphic
@@ -151,10 +142,9 @@ impl<S: LatencyService> ServiceBuilder<S> {
     /// share one cache entry and all but the first *hit*. Only sound
     /// over structure-pure sources (every in-tree provider; see
     /// [`Memoize`]). The interner rides along in
-    /// [`StackHandles::interner`]. The same layer as
-    /// [`memoize`](Self::memoize): a stack has one cache.
+    /// [`StackHandles::interner`].
     pub fn memoize_structural(mut self) -> Self {
-        self.layers.memoize = Some(true);
+        self.layers.memoize = true;
         self
     }
 
@@ -257,14 +247,10 @@ impl<S: LatencyService> ServiceBuilder<S> {
             handles.persist = Some(layer.handle());
             svc = Box::new(layer);
         }
-        if let Some(structural) = memoize {
-            let layer = if structural {
-                let interner = Arc::new(StructuralInterner::new());
-                handles.interner = Some(Arc::clone(&interner));
-                Memoize::structural(svc, interner)
-            } else {
-                Memoize::new(svc)
-            };
+        if memoize {
+            let interner = Arc::new(StructuralInterner::new());
+            handles.interner = Some(Arc::clone(&interner));
+            let layer = Memoize::new(svc, interner);
             handles.cache = Some(layer.handle());
             svc = Box::new(layer);
         }
@@ -314,9 +300,10 @@ impl LatencyService for ServiceStack<'_> {
 mod tests {
     use super::*;
     use crate::bridge::tests::{counting_service, failing_service, SyntheticProvider};
+    use crate::CacheStats;
     use crate::ProviderService;
     use predtop_models::{ModelSpec, StageSpec};
-    use predtop_parallel::{CacheStats, MeshShape, ParallelConfig};
+    use predtop_parallel::{MeshShape, ParallelConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn queries(n: usize) -> Vec<LatencyQuery> {
@@ -326,6 +313,23 @@ mod tests {
             .map(|i| {
                 LatencyQuery::new(
                     StageSpec::new(m, i, i + 1),
+                    MeshShape::new(1, 1),
+                    ParallelConfig::SERIAL,
+                )
+            })
+            .collect()
+    }
+
+    /// Every layer window of an `n`-layer model: enough structural
+    /// classes that a fault layer under the cache sees real traffic.
+    fn all_windows(n: usize) -> Vec<LatencyQuery> {
+        let mut m = ModelSpec::gpt3_1p3b(2);
+        m.num_layers = n;
+        (0..n)
+            .flat_map(|start| (start + 1..=n).map(move |end| (start, end)))
+            .map(|(start, end)| {
+                LatencyQuery::new(
+                    StageSpec::new(m, start, end),
                     MeshShape::new(1, 1),
                     ParallelConfig::SERIAL,
                 )
@@ -346,7 +350,7 @@ mod tests {
 
         let stack = ServiceBuilder::new(failing_service("predictor"))
             .or_fallback_to(synthetic())
-            .memoize()
+            .memoize_structural()
             .batched(4)
             .instrumented()
             .finish();
@@ -361,15 +365,22 @@ mod tests {
             }
         }
 
+        // one miss per structural class (embedding, interior and head
+        // windows), every other query of the two batches a hit
         let h = stack.handles();
+        let distinct = h.interner.as_ref().unwrap().len();
+        assert_eq!(distinct, 3);
         assert_eq!(
             h.cache.as_ref().unwrap().stats(),
-            CacheStats { hits: 6, misses: 6 }
+            CacheStats {
+                hits: 2 * qs.len() - distinct,
+                misses: distinct
+            }
         );
-        // the fallback only saw the six misses
+        // the fallback only saw the misses
         let fb = h.fallback.as_ref().unwrap().stats();
         assert_eq!(fb.primary_served, 0);
-        assert_eq!(fb.fallback_served, 6);
+        assert_eq!(fb.fallback_served, distinct);
         // the instrument layer saw all twelve
         let m = h.metrics.as_ref().unwrap().metrics();
         assert_eq!(m.queries, 12);
@@ -494,15 +505,15 @@ mod tests {
     }
 
     /// The chaos stack, its combinators called in canonical order or in
-    /// reverse order with `.memoize()` named twice.
+    /// reverse order with `.memoize_structural()` named twice.
     fn chaos_stack(reversed: bool) -> ServiceStack<'static> {
         let builder = ServiceBuilder::new(synthetic());
         let builder = if reversed {
             builder
-                .memoize()
+                .memoize_structural()
                 .instrumented()
                 .batched(4)
-                .memoize()
+                .memoize_structural()
                 .retry(RetryPolicy::retries(16))
                 .deadline(DeadlinePolicy::default())
                 .inject_faults(FaultConfig::errors(11, 0.3))
@@ -511,7 +522,7 @@ mod tests {
                 .inject_faults(FaultConfig::errors(11, 0.3))
                 .deadline(DeadlinePolicy::default())
                 .retry(RetryPolicy::retries(16))
-                .memoize()
+                .memoize_structural()
                 .batched(4)
                 .instrumented()
         };
@@ -520,7 +531,7 @@ mod tests {
 
     #[test]
     fn chaos_stack_serves_clean_values_and_every_handle_reports() {
-        let qs = queries(8);
+        let qs = all_windows(8);
         let base = ServiceBuilder::new(synthetic()).finish();
         let expected: Vec<f64> = qs.iter().map(|q| base.query(q).unwrap().seconds).collect();
 
@@ -543,9 +554,10 @@ mod tests {
 
     #[test]
     fn reversed_and_repeated_calls_build_the_same_chaos_stack() {
-        // 8 queries sit under the default serial threshold, so both
-        // batches run inline and the float counters sum in one order
-        let qs = queries(8);
+        // both batches fan out over 4 workers; every counter, the retry
+        // layer's accounted backoff included, is independent of the
+        // order the workers finish in, so the ledgers compare exactly
+        let qs = all_windows(8);
         let canonical = chaos_stack(false);
         let reversed = chaos_stack(true);
         let want = canonical.query_batch(&qs);
@@ -561,6 +573,7 @@ mod tests {
         let fault = r.fault.as_ref().unwrap().stats();
         let retry = r.retry.as_ref().unwrap().stats();
         let cache = r.cache.as_ref().unwrap().stats();
+        let distinct = r.interner.as_ref().unwrap().len();
         let batch = r.batch.as_ref().unwrap().stats();
         let metrics = r.metrics.as_ref().unwrap().metrics();
         assert_eq!(fault, c.fault.as_ref().unwrap().stats());
@@ -575,20 +588,28 @@ mod tests {
 
         // the canonical order's own accounting: retries match injected
         // errors only if Retry wraps FaultInject; the one cache counts
-        // each query once (misses count successes, so this holds on
-        // either side of Retry); Batched sees the caller's batch only
-        // if Memoize, whose batch path is serial, sits inside it; and
-        // Instrumented counts the caller's traffic only when outermost
+        // each query once and misses once per structural class (misses
+        // count successes, so this holds on either side of Retry);
+        // Batched sees the caller's batch only if Memoize, whose batch
+        // path is serial, sits inside it; and Instrumented counts the
+        // caller's traffic only when outermost
         assert!(fault.injected_errors > 0);
         assert_eq!(
             retry.retries, fault.injected_errors,
             "Retry wraps FaultInject"
         );
-        assert_eq!(cache, CacheStats { hits: 0, misses: 8 }, "one Memoize");
+        assert_eq!(
+            cache,
+            CacheStats {
+                hits: qs.len() - distinct,
+                misses: distinct
+            },
+            "one Memoize"
+        );
         assert_eq!(batch.batches, 1, "Memoize sits inside Batched");
         assert_eq!(
             (metrics.queries, metrics.batches),
-            (8, 1),
+            (qs.len(), 1),
             "Instrumented is outermost"
         );
     }

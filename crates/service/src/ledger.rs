@@ -28,9 +28,10 @@ use crate::deadline::DeadlineStats;
 use crate::fallback::FallbackStats;
 use crate::fault::FaultStats;
 use crate::instrument::ServiceMetrics;
+use crate::memoize::CacheStats;
 use crate::persist::PersistStats;
 use crate::retry::RetryStats;
-use predtop_parallel::{CacheStats, InternStats};
+use predtop_parallel::InternStats;
 
 /// One typed ledger value.
 #[derive(Debug, Clone, PartialEq)]

@@ -5,9 +5,9 @@
 //! the analytic white-box model, the trained gray-box predictor — plus
 //! tower-style middleware layers that any source can wear:
 //!
-//! * [`Memoize`] — sharded per-query memoization with hit/miss
-//!   [`CacheStats`], generalizing the old `parallel::cache`
-//!   `CachedProvider`;
+//! * [`Memoize`] — single-flight memoization per structural class of
+//!   queries (isomorphic sub-problems share one entry), with hit/miss
+//!   [`CacheStats`];
 //! * [`Persist`] — the disk tier under [`Memoize`]: replies are served
 //!   from (and write-behind into) a content-addressed
 //!   `predtop-store` directory, keyed by structural descriptor plus a
@@ -90,9 +90,8 @@ pub use fallback::{Fallback, FallbackHandle, FallbackStats};
 pub use fault::{FaultConfig, FaultHandle, FaultInject, FaultStats};
 pub use instrument::{Instrumented, MetricsHandle, ServiceMetrics};
 pub use ledger::{flat_json_fields, Ledger, LedgerField, LedgerValue};
-pub use memoize::{CacheHandle, Memoize};
+pub use memoize::{CacheHandle, CacheStats, Memoize};
 pub use persist::{Persist, PersistHandle, PersistStats};
-pub use predtop_parallel::CacheStats;
 pub use query::{LatencyQuery, LatencyReply, Retryability, ServiceError};
 pub use report::ServiceReport;
 pub use retry::{Retry, RetryHandle, RetryPolicy, RetryStats};

@@ -16,9 +16,10 @@ use crate::fallback::FallbackStats;
 use crate::fault::FaultStats;
 use crate::instrument::ServiceMetrics;
 use crate::ledger::Ledger;
+use crate::memoize::CacheStats;
 use crate::persist::PersistStats;
 use crate::retry::RetryStats;
-use predtop_parallel::{CacheStats, InternStats};
+use predtop_parallel::InternStats;
 
 /// Accounting of what the service stack did during one search, built
 /// from the stack's [`StackHandles`]. Every field mirrors one optional
@@ -27,11 +28,10 @@ use predtop_parallel::{CacheStats, InternStats};
 pub struct ServiceReport {
     /// Hit/miss counters of the `Memoize` layer, if installed.
     pub cache: Option<CacheStats>,
-    /// Lookup/distinct counters of the structural interner, when the
-    /// `Memoize` layer keys on structural equivalence classes
-    /// (`ServiceBuilder::memoize_structural`). `distinct` is the number
+    /// Lookup/distinct counters of the structural interner the
+    /// `Memoize` layer keys on, if installed. `distinct` is the number
     /// of genuinely different sub-problems the search contained;
-    /// `lookups − distinct` is the sharing a raw-keyed cache would miss.
+    /// `lookups − distinct` is the structural sharing the cache exploits.
     pub interner: Option<InternStats>,
     /// Dispatch counters of the `Batched` layer, if installed: how many
     /// batches fanned out vs. ran inline, and how many pool tasks (one

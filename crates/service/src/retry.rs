@@ -15,12 +15,12 @@
 //! instrument layer's `served_seconds`. Sleeping for real would make
 //! chaos searches slow and their wall clocks noisy without changing any
 //! value the stack resolves; the accounting preserves what a production
-//! deployment would have waited.
+//! deployment would have waited. The layer counts whole base units
+//! (`2^attempt` per re-attempt) in an integer, so the total of a
+//! fanned-out batch is the same whatever order its workers finish in.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::{LatencyQuery, LatencyReply, LatencyService, ServiceError};
 
@@ -72,7 +72,9 @@ pub(crate) struct RetryState {
     recovered: AtomicUsize,
     exhausted: AtomicUsize,
     permanent: AtomicUsize,
-    backoff_seconds: Mutex<f64>,
+    /// Accounted backoff in units of `backoff_base_seconds`.
+    backoff_units: AtomicU64,
+    backoff_base_seconds: f64,
 }
 
 impl RetryState {
@@ -82,7 +84,8 @@ impl RetryState {
             recovered: self.recovered.load(Ordering::Relaxed),
             exhausted: self.exhausted.load(Ordering::Relaxed),
             permanent_failures: self.permanent.load(Ordering::Relaxed),
-            backoff_seconds: *self.backoff_seconds.lock(),
+            backoff_seconds: self.backoff_units.load(Ordering::Relaxed) as f64
+                * self.backoff_base_seconds,
         }
     }
 }
@@ -117,7 +120,10 @@ impl<S> Retry<S> {
         Retry {
             inner,
             policy,
-            state: Arc::new(RetryState::default()),
+            state: Arc::new(RetryState {
+                backoff_base_seconds: policy.backoff_base_seconds,
+                ..RetryState::default()
+            }),
         }
     }
 
@@ -154,8 +160,12 @@ impl<S: LatencyService> LatencyService for Retry<S> {
                 }
                 Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
                     self.state.retries.fetch_add(1, Ordering::Relaxed);
-                    *self.state.backoff_seconds.lock() +=
-                        self.policy.backoff_base_seconds * (1u64 << attempt.min(62)) as f64;
+                    let units = 1u64 << attempt.min(62);
+                    let _ = self.state.backoff_units.fetch_update(
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                        |total| Some(total.saturating_add(units)),
+                    );
                     attempt += 1;
                 }
                 Err(e) => {
@@ -176,6 +186,7 @@ mod tests {
     use super::*;
     use crate::bridge::tests::{counting_service, failing_service};
     use crate::fault::{FaultConfig, FaultInject};
+    use parking_lot::Mutex;
     use predtop_models::{ModelSpec, StageSpec};
     use predtop_parallel::{MeshShape, ParallelConfig};
 
@@ -223,6 +234,47 @@ mod tests {
         assert_eq!(s.exhausted, 0);
         // backoff accounting: 0.05 + 0.10
         assert!((s.backoff_seconds - 0.15).abs() < 1e-12);
+    }
+
+    /// A service that fails each query transiently once per layer of
+    /// its window, then succeeds.
+    #[derive(Default)]
+    struct FailsOncePerLayer(Mutex<std::collections::HashMap<LatencyQuery, usize>>);
+
+    impl LatencyService for FailsOncePerLayer {
+        fn name(&self) -> &'static str {
+            "flaky"
+        }
+        fn query(&self, q: &LatencyQuery) -> Result<LatencyReply, ServiceError> {
+            let mut failures = self.0.lock();
+            let n = failures.entry(*q).or_insert(0);
+            if *n < q.stage.num_layers() {
+                *n += 1;
+                return Err(ServiceError::InjectedFault {
+                    source: "flaky",
+                    attempt: 0,
+                });
+            }
+            Ok(LatencyReply {
+                seconds: 0.25,
+                source: "flaky",
+            })
+        }
+    }
+
+    #[test]
+    fn backoff_total_does_not_depend_on_query_order() {
+        let (a, b, c) = (q(0, 1), q(0, 2), q(1, 3));
+        let backoff = |order: [LatencyQuery; 3]| {
+            let retry = Retry::new(FailsOncePerLayer::default(), RetryPolicy::retries(3));
+            for x in &order {
+                retry.query(x).unwrap();
+            }
+            retry.stats().backoff_seconds.to_bits()
+        };
+        // charges of 0.05 | 0.05, 0.1 | 0.05, 0.1 seconds: summed as
+        // floats, these two orders differ in the last bit
+        assert_eq!(backoff([a, b, c]), backoff([b, c, a]));
     }
 
     #[test]

@@ -76,10 +76,29 @@ impl CostTotals {
     }
 }
 
+/// Fixed-point units per simulated second of the profiling total.
+const PROFILING_UNITS_PER_S: f64 = (1u128 << 64) as f64;
+
+/// The ledger's running counts; `totals.profiling_s` is derived from
+/// the two profiling fields at snapshot time.
+#[derive(Debug, Default)]
+struct Tally {
+    totals: CostTotals,
+    /// Finite profiling charges, in units of 2⁻⁶⁴ s.
+    profiling_units: i128,
+    /// Sum of non-finite charges (an infeasible stage costs ∞).
+    profiling_nonfinite: f64,
+}
+
 /// Thread-safe cost ledger shared by a profiling campaign.
+///
+/// Profiling charges are summed in integer units of 2⁻⁶⁴ s — exactly,
+/// for any charge above 2⁻¹¹ s, and every profile costs seconds — so the
+/// bill is the same whatever order concurrent profiles finish in, where
+/// a floating-point running sum's last bits would follow that order.
 #[derive(Debug, Default)]
 pub struct CostLedger {
-    totals: Mutex<CostTotals>,
+    tally: Mutex<Tally>,
 }
 
 impl CostLedger {
@@ -90,29 +109,37 @@ impl CostLedger {
 
     /// Record one stage-profiling task of `seconds` simulated cost.
     pub fn add_profile(&self, seconds: f64) {
-        let mut t = self.totals.lock();
-        t.stages_profiled += 1;
-        t.profiling_s += seconds;
+        let mut t = self.tally.lock();
+        t.totals.stages_profiled += 1;
+        if seconds.is_finite() {
+            t.profiling_units += (seconds * PROFILING_UNITS_PER_S) as i128;
+        } else {
+            t.profiling_nonfinite += seconds;
+        }
     }
 
     /// Record predictor-training wall time.
     pub fn add_training(&self, seconds: f64) {
-        self.totals.lock().training_s += seconds;
+        self.tally.lock().totals.training_s += seconds;
     }
 
     /// Record predictor-inference wall time.
     pub fn add_inference(&self, seconds: f64) {
-        self.totals.lock().inference_s += seconds;
+        self.tally.lock().totals.inference_s += seconds;
     }
 
     /// Snapshot the totals.
     pub fn totals(&self) -> CostTotals {
-        *self.totals.lock()
+        let t = self.tally.lock();
+        CostTotals {
+            profiling_s: t.profiling_nonfinite + t.profiling_units as f64 / PROFILING_UNITS_PER_S,
+            ..t.totals
+        }
     }
 
     /// Zero the ledger (between experiments).
     pub fn reset(&self) {
-        *self.totals.lock() = CostTotals::default();
+        *self.tally.lock() = Tally::default();
     }
 }
 
@@ -149,5 +176,26 @@ mod tests {
         assert_eq!(t.total_s(), 17.5);
         l.reset();
         assert_eq!(l.totals(), CostTotals::default());
+    }
+
+    #[test]
+    fn profiling_total_does_not_depend_on_charge_order() {
+        // summed as floats, these three orders give three different totals
+        let charges = [0.05, 0.1, 0.2, 0.4, 0.05, 0.1];
+        let total = |order: [usize; 6]| {
+            let l = CostLedger::new();
+            for i in order {
+                l.add_profile(charges[i]);
+            }
+            l.totals().profiling_s.to_bits()
+        };
+        let want = total([0, 1, 2, 3, 4, 5]);
+        assert_eq!(total([0, 1, 2, 5, 3, 4]), want);
+        assert_eq!(total([0, 1, 5, 4, 3, 2]), want);
+        // an infeasible stage's infinite cost dominates the bill
+        let l = CostLedger::new();
+        l.add_profile(1.0);
+        l.add_profile(f64::INFINITY);
+        assert_eq!(l.totals().profiling_s, f64::INFINITY);
     }
 }

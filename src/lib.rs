@@ -84,15 +84,15 @@ pub mod prelude {
     pub use predtop_ir::{DType, Graph, GraphBuilder, OpKind, Shape};
     pub use predtop_models::{enumerate_stages, sample_stages, ModelSpec, StageSpec};
     pub use predtop_parallel::{
-        table3_configs, CacheStats, InterStageOptions, InternStats, MeshShape, ParallelConfig,
-        PipelinePlan, StageLatencyProvider, StructuralInterner, StructuralKey,
+        table3_configs, InterStageOptions, InternStats, MeshShape, ParallelConfig, PipelinePlan,
+        StageLatencyProvider, StructuralInterner, StructuralKey,
     };
     pub use predtop_runtime::configured_threads;
     pub use predtop_service::{
-        api, flat_json_fields, wire, AdmissionControl, BatchStats, BreakerConfig, DeadlinePolicy,
-        FaultConfig, LatencyQuery, LatencyReply, LatencyService, Ledger, LedgerField, LedgerValue,
-        PersistStats, RetryPolicy, Retryability, ServiceBuilder, ServiceError, ServiceStack,
-        Unavailable,
+        api, flat_json_fields, wire, AdmissionControl, BatchStats, BreakerConfig, CacheStats,
+        DeadlinePolicy, FaultConfig, LatencyQuery, LatencyReply, LatencyService, Ledger,
+        LedgerField, LedgerValue, PersistStats, RetryPolicy, Retryability, ServiceBuilder,
+        ServiceError, ServiceStack, Unavailable,
     };
     pub use predtop_sim::{DeviceCostModel, SimProfiler};
     pub use predtop_store::{ObjectKind, Store, StoreError};

@@ -35,7 +35,7 @@ use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
 
-use predtop::core::encode_predictor;
+use predtop::core::encode_graybox;
 use predtop::prelude::*;
 
 /// The complete help text. `predtop help` / `--help` print it verbatim
@@ -50,7 +50,8 @@ commands:
   fit -o FILE                fit a DAG-Transformer predictor and save it
   predict -m FILE            predict a stage latency with a saved model
                              (falls back to the analytic baseline if the
-                             model cannot be loaded; see `source = ...`)
+                             model cannot be loaded or was fit for another
+                             mesh and config; see `source = ...`)
   store stats|verify|gc      inspect, verify, or compact the object
                              store named by --store DIR
   serve                      run the framed wire-protocol daemon on
@@ -76,9 +77,6 @@ options:
                              store at DIR, so a second identical run
                              is served from disk (profile/search/
                              predict/serve)
-  --raw-cache                (search/serve) memoize on raw query
-                             identity instead of structural equivalence
-                             classes
   --checked                  (search) reject statically illegal
                              candidates (sharding divisibility + the
                              liveness-tight memory bound) before any
@@ -146,7 +144,7 @@ fn parse_args() -> Args {
         if matches!(key.as_str(), "help" | "h") {
             help();
         }
-        if matches!(key.as_str(), "scaled" | "raw-cache" | "checked") {
+        if matches!(key.as_str(), "scaled" | "checked") {
             switches.push(key);
         } else {
             i += 1;
@@ -211,25 +209,26 @@ impl Args {
 
     fn mesh(&self) -> MeshShape {
         let spec = self.flags.get("mesh").map(|s| s.as_str()).unwrap_or("1x1");
-        let parts: Vec<&str> = spec.split('x').collect();
-        match parts.as_slice() {
-            [n, g] => match (n.parse(), g.parse()) {
-                (Ok(n), Ok(g)) => MeshShape::new(n, g),
-                _ => {
-                    eprintln!("bad mesh `{spec}` (expected NxG)");
-                    usage()
-                }
-            },
+        let shape = spec
+            .split_once('x')
+            .and_then(|(n, g)| Some((n.parse().ok()?, g.parse().ok()?)));
+        match shape {
+            Some((n, g)) if n > 0 && g > 0 => MeshShape::new(n, g),
             _ => {
-                eprintln!("bad mesh `{spec}` (expected NxG)");
+                eprintln!("bad --mesh `{spec}` (expected NxG, both at least 1)");
                 usage()
             }
         }
     }
 
     fn config(&self) -> ParallelConfig {
-        let dp = self.usize_flag("dp", 1);
-        let mp = self.usize_flag("mp", 1);
+        let [dp, mp] = ["dp", "mp"].map(|key| match self.usize_flag(key, 1) {
+            0 => {
+                eprintln!("--{key} must be at least 1");
+                usage()
+            }
+            degree => degree,
+        });
         ParallelConfig::new(dp, mp)
     }
 
@@ -294,23 +293,20 @@ impl Args {
     }
 
     fn stage(&self, model: ModelSpec) -> StageSpec {
-        match self.flags.get("stage") {
-            None => StageSpec::new(model, 0, model.num_layers),
-            Some(spec) => {
-                let parts: Vec<&str> = spec.split("..").collect();
-                match parts.as_slice() {
-                    [a, b] => match (a.parse(), b.parse()) {
-                        (Ok(a), Ok(b)) => StageSpec::new(model, a, b),
-                        _ => {
-                            eprintln!("bad stage `{spec}` (expected A..B)");
-                            usage()
-                        }
-                    },
-                    _ => {
-                        eprintln!("bad stage `{spec}` (expected A..B)");
-                        usage()
-                    }
-                }
+        let Some(spec) = self.flags.get("stage") else {
+            return StageSpec::new(model, 0, model.num_layers);
+        };
+        let range = spec
+            .split_once("..")
+            .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)));
+        match range {
+            Some((a, b)) if a < b && b <= model.num_layers => StageSpec::new(model, a, b),
+            _ => {
+                eprintln!(
+                    "bad --stage `{spec}` (expected A..B with A < B <= {}, the layer count)",
+                    model.num_layers
+                );
+                usage()
             }
         }
     }
@@ -322,7 +318,6 @@ impl Args {
         let mut config = EngineConfig::new(self.platform(), self.platform_id(), self.seed());
         config.threads = self.usize_flag("threads", configured_threads());
         config.store = self.store();
-        config.raw_cache = self.switches.iter().any(|s| s == "raw-cache");
         config.fault_rate = self.f64_flag("inject-fault-rate", 0.0);
         config.fault_seed = self.usize_flag("fault-seed", 0) as u64;
         config.retries = self.usize_flag("retry", 0);
@@ -646,7 +641,13 @@ fn cmd_fit(args: &Args) {
     if !args.switches.iter().any(|s| s == "scaled") {
         arch = ArchConfig::paper(ModelKind::DagTransformer);
     }
-    let stages = sample_stages(model, args.usize_flag("stages", 24), 4, args.seed());
+    let num_stages = args.usize_flag("stages", 24);
+    if num_stages < 3 {
+        // the held-out split needs a training, a validation and a test stage
+        eprintln!("--stages must be at least 3, got {num_stages}");
+        usage()
+    }
+    let stages = sample_stages(model, num_stages, 4, args.seed());
     eprintln!(
         "profiling {} stages on {} {} [{}]...",
         stages.len(),
@@ -675,8 +676,15 @@ fn cmd_fit(args: &Args) {
         &TrainConfig::quick(args.usize_flag("epochs", 60)),
     );
     let mre = predtop::gnn::train::eval_mre(net.as_ref(), &scaler, &ds, &split.test);
+    // the gray-box file records the one scenario the predictor was fit
+    // for, so `predict -m` answers no other
     let predictor = TrainedPredictor { model: net, scaler };
-    std::fs::write(out_path, encode_predictor(&arch, &predictor)).unwrap_or_else(|e| {
+    let fitted = PredTop::new(
+        arch,
+        HashMap::from([((mesh, config), predictor)]),
+        stages.len(),
+    );
+    std::fs::write(out_path, encode_graybox(&fitted)).unwrap_or_else(|e| {
         eprintln!("save failed: {e}");
         exit(1);
     });

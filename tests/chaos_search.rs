@@ -63,7 +63,7 @@ fn faulty_search_recovers_to_the_fault_free_outcome() {
         let stack = ServiceBuilder::new(&profiler2)
             .inject_faults(FaultConfig::errors(1, 0.2))
             .retry(RetryPolicy::retries(3))
-            .memoize()
+            .memoize_structural()
             .batched(threads)
             .finish();
         let chaos = search_plan_service(m, cluster, &stack, &profiler2, opts(), None)
@@ -99,7 +99,7 @@ fn a_tripping_breaker_still_converges_on_the_fault_free_plan() {
         .inject_faults(FaultConfig::errors(3, 0.4))
         .circuit_breaker(BreakerConfig::tripping_after(2))
         .retry(RetryPolicy::retries(32))
-        .memoize()
+        .memoize_structural()
         .batched(1)
         .finish();
     let chaos = search_plan_service(m, cluster, &stack, &profiler2, opts(), None)
@@ -134,7 +134,7 @@ fn neutral_chaos_layers_are_pass_throughs() {
         .inject_faults(FaultConfig::errors(0, 0.0))
         .deadline(DeadlinePolicy::default())
         .retry(RetryPolicy::retries(0))
-        .memoize()
+        .memoize_structural()
         .batched(2)
         .finish();
     let idle = search_plan_service(m, cluster, &stack, &profiler2, opts(), None)

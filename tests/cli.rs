@@ -66,7 +66,8 @@ commands:
   fit -o FILE                fit a DAG-Transformer predictor and save it
   predict -m FILE            predict a stage latency with a saved model
                              (falls back to the analytic baseline if the
-                             model cannot be loaded; see `source = ...`)
+                             model cannot be loaded or was fit for another
+                             mesh and config; see `source = ...`)
   store stats|verify|gc      inspect, verify, or compact the object
                              store named by --store DIR
   serve                      run the framed wire-protocol daemon on
@@ -92,9 +93,6 @@ options:
                              store at DIR, so a second identical run
                              is served from disk (profile/search/
                              predict/serve)
-  --raw-cache                (search/serve) memoize on raw query
-                             identity instead of structural equivalence
-                             classes
   --checked                  (search) reject statically illegal
                              candidates (sharding divisibility + the
                              liveness-tight memory bound) before any
@@ -201,7 +199,68 @@ fn fit_then_predict_roundtrip() {
     assert!(text.contains("source = predictor"), "{text}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("model load failed"), "{stderr}");
+
+    // the file records the 1x1 serial scenario it was fit for: any other
+    // mesh and config is answered by the analytic baseline
+    let out = predtop()
+        .args([
+            "predict",
+            "--scaled",
+            "--stage",
+            "1..3",
+            "--mesh",
+            "1x2",
+            "--dp",
+            "2",
+            "-m",
+            model_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run predtop predict on another scenario");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("source = analytic"), "{text}");
     std::fs::remove_file(model_path).ok();
+}
+
+/// Malformed numeric flags are usage errors (exit 2, naming the flag),
+/// never an `assert!` panic (exit 101) in a constructor the CLI calls
+/// before the engine validates anything.
+#[test]
+fn malformed_flags_are_usage_errors() {
+    let model_path = std::env::temp_dir().join("predtop_cli_unread_model.bin");
+    let model_path = model_path.to_str().unwrap();
+    let cases: [(&[&str], &str); 7] = [
+        (&["profile", "--scaled", "--mesh", "0x1"], "--mesh"),
+        (&["profile", "--scaled", "--dp", "0"], "--dp"),
+        (&["profile", "--scaled", "--mp", "0"], "--mp"),
+        (&["profile", "--scaled", "--stage", "5..2"], "--stage"),
+        (&["profile", "--scaled", "--stage", "0..99"], "--stage"),
+        (
+            &["predict", "--scaled", "--stage", "3..1", "-m", model_path],
+            "--stage",
+        ),
+        (
+            &["fit", "--scaled", "--stages", "2", "-o", model_path],
+            "--stages",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = predtop().args(args).output().expect("run predtop");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        // the first line is the diagnosis; the flag reference follows
+        let diagnosis = stderr.lines().next().unwrap_or_default();
+        assert!(
+            diagnosis.contains(flag),
+            "{args:?} must name {flag}: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -255,55 +314,6 @@ fn search_finds_a_plan() {
     // the service stack's accounting is part of the report
     assert!(text.contains("memoize:"), "{text}");
     assert!(text.contains("service:"), "{text}");
-}
-
-#[test]
-fn search_raw_cache_switch_changes_only_the_accounting() {
-    let structural = predtop()
-        .args([
-            "search",
-            "--scaled",
-            "--platform",
-            "1",
-            "--microbatches",
-            "4",
-        ])
-        .output()
-        .expect("run structural predtop search");
-    assert!(structural.status.success());
-    let structural = String::from_utf8_lossy(&structural.stdout);
-    assert!(structural.contains("structural keys:"), "{structural}");
-
-    let raw = predtop()
-        .args([
-            "search",
-            "--scaled",
-            "--platform",
-            "1",
-            "--microbatches",
-            "4",
-            "--raw-cache",
-        ])
-        .output()
-        .expect("run raw-cache predtop search");
-    assert!(
-        raw.status.success(),
-        "{}",
-        String::from_utf8_lossy(&raw.stderr)
-    );
-    let raw = String::from_utf8_lossy(&raw.stdout);
-    // raw-identity keys never dedup within one search, and the
-    // interner line disappears with them
-    assert!(raw.contains("memoize: 0 hits"), "{raw}");
-    assert!(!raw.contains("structural keys:"), "{raw}");
-    // both runs land on the identical plan and latency
-    let plan_lines = |s: &str| -> Vec<String> {
-        s.lines()
-            .filter(|l| l.contains("GPT-3[") || l.contains("iteration latency"))
-            .map(str::to_string)
-            .collect()
-    };
-    assert_eq!(plan_lines(&structural), plan_lines(&raw));
 }
 
 #[test]

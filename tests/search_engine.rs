@@ -62,7 +62,7 @@ fn memoized_search_never_changes_the_plan() {
         let plain = run_search(&req, &profiler, &profiler).expect("simulator search is infallible");
         let profiler2 = SimProfiler::new(Platform::platform2(), 6);
         let stack = ServiceBuilder::new(&profiler2)
-            .memoize()
+            .memoize_structural()
             .batched(threads)
             .finish();
         let cached = search_plan_service(m, cluster, &stack, &profiler2, opts(), None)
@@ -98,7 +98,7 @@ fn memoized_search_never_issues_more_underlying_queries() {
 
     let profiler2 = SimProfiler::new(Platform::platform2(), 6);
     let stack = ServiceBuilder::new(&profiler2)
-        .memoize()
+        .memoize_structural()
         .batched(configured_threads())
         .finish();
     let cached = search_plan_service(m, cluster, &stack, &profiler2, opts(), None)
@@ -124,7 +124,7 @@ fn reusing_one_memoized_stack_across_searches_absorbs_repeat_traffic() {
     // a campaign: the same full search twice through one shared stack
     // (the blanket &S service impl makes the layers non-consuming)
     let stack = ServiceBuilder::new(&profiler)
-        .memoize()
+        .memoize_structural()
         .batched(configured_threads())
         .finish();
     let first = search_plan_service(m, cluster, &stack, &profiler, opts(), None)

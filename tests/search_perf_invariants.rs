@@ -73,13 +73,13 @@ fn fig10_sweep_structural_hit_rate_exceeds_half() {
 }
 
 #[test]
-fn structural_search_outcome_is_bit_identical_to_raw_memoized_search() {
+fn structural_search_outcome_is_bit_identical_to_the_unmemoized_search() {
     let model = dense_model();
     let cluster = MeshShape::new(1, 2);
 
     let profiler = SimProfiler::new(Platform::platform1(), 7);
-    let raw_stack = ServiceBuilder::new(&profiler).memoize().batched(2).finish();
-    let raw = search_plan_service(model, cluster, &raw_stack, &profiler, opts(), None)
+    let plain_stack = ServiceBuilder::new(&profiler).batched(2).finish();
+    let plain = search_plan_service(model, cluster, &plain_stack, &profiler, opts(), None)
         .expect("simulator stack is infallible");
 
     let profiler2 = SimProfiler::new(Platform::platform1(), 7);
@@ -91,16 +91,16 @@ fn structural_search_outcome_is_bit_identical_to_raw_memoized_search() {
         search_plan_service(model, cluster, &structural_stack, &profiler2, opts(), None)
             .expect("simulator stack is infallible");
 
-    assert_eq!(structural.plan, raw.plan);
+    assert_eq!(structural.plan, plain.plan);
     assert_eq!(
         structural.estimated_latency.to_bits(),
-        raw.estimated_latency.to_bits()
+        plain.estimated_latency.to_bits()
     );
     assert_eq!(
         structural.true_latency.to_bits(),
-        raw.true_latency.to_bits()
+        plain.true_latency.to_bits()
     );
-    assert_eq!(structural.num_queries, raw.num_queries);
+    assert_eq!(structural.num_queries, plain.num_queries);
     // structural sharing strictly reduces underlying simulator work
     assert!(profiler2.queries_issued() < profiler.queries_issued());
 }
@@ -148,7 +148,8 @@ fn per_query_dispatch_is_bit_identical_at_every_thread_count() {
         let tasks = if threads > 1 { sweep.len() } else { 0 };
         assert_eq!(batch.chunks, tasks, "one pool task per dispatched query");
 
-        // and so is the full search outcome built on top of it
+        // and so is the full search outcome built on top of it, and the
+        // profiling bill of the simulator that served and re-evaluated it
         let profiler = SimProfiler::new(Platform::platform1(), 7);
         let stack = ServiceBuilder::new(&profiler)
             .memoize_structural()
@@ -156,11 +157,20 @@ fn per_query_dispatch_is_bit_identical_at_every_thread_count() {
             .finish();
         let out = search_plan_service(model, cluster, &stack, &profiler, opts(), None)
             .expect("simulator stack is infallible");
-        outcomes.push((threads, out));
+        outcomes.push((threads, out, profiler.ledger().totals()));
     }
 
-    let (_, first) = &outcomes[0];
-    for (threads, out) in &outcomes[1..] {
+    let (_, first, first_bill) = &outcomes[0];
+    for (threads, out, bill) in &outcomes[1..] {
+        assert_eq!(
+            bill.stages_profiled, first_bill.stages_profiled,
+            "profiled stages diverged at {threads} threads"
+        );
+        assert_eq!(
+            bill.profiling_s.to_bits(),
+            first_bill.profiling_s.to_bits(),
+            "profiling bill diverged at {threads} threads"
+        );
         assert_eq!(out.plan, first.plan, "plan diverged at {threads} threads");
         assert_eq!(
             out.estimated_latency.to_bits(),

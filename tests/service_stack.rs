@@ -58,7 +58,7 @@ fn service_stack_checked_search_is_bit_identical_to_run_search() {
             let profiler2 = SimProfiler::new(Platform::platform2(), 6);
             let legality = search_legality(model, &profiler2, opts());
             let stack = ServiceBuilder::new(&profiler2)
-                .memoize()
+                .memoize_structural()
                 .batched(threads)
                 .finish();
             let out =
@@ -79,17 +79,18 @@ fn service_stack_checked_search_is_bit_identical_to_run_search() {
             assert_eq!(out.num_queries, reference.num_queries);
             assert_eq!(out.num_rejected, reference.num_rejected);
 
-            // memoize accounting: every search query hit the layer, and
-            // within one search every candidate is distinct
+            // memoize accounting: every search query hit the layer, one
+            // miss per structural class and a hit for every other query
             let report = out.service.expect("memoized stack reports");
             let cache = report.cache.expect("memoize layer installed");
+            let distinct = report.interner.expect("interner rides along").distinct;
             assert_eq!(
                 cache.queries(),
                 out.num_queries,
                 "{name}@{threads}: cache accounting incomplete"
             );
-            assert_eq!(cache.misses, out.num_queries);
-            assert_eq!(cache.hits, 0);
+            assert_eq!(cache.misses, distinct);
+            assert_eq!(cache.hits, out.num_queries - distinct);
         }
     }
 }
