@@ -26,16 +26,13 @@
 //! shape error (`--inject-fault`) and a plan with divisibility errors
 //! that `--fix` can repair (`--inject-plan-fault`).
 //!
-//! Graph-pass results are memoized on `Graph::structural_hash()`; the
-//! cache's hit/miss accounting is printed to stderr after the reports.
-//!
 //! Exit status: 0 clean (no `Error` findings), 1 at least one `Error`
 //! finding, 2 usage / IO / parse failure.
 
 use std::process::ExitCode;
 
 use predtop_analyze::{
-    analyze_plan, fix_plan, has_errors, render_json, render_text, Diagnostic, GraphLintCache,
+    analyze_graph, analyze_plan, fix_plan, has_errors, render_json, render_text, Diagnostic,
     PlanCheckOptions, Severity, Span,
 };
 use predtop_ir::{DType, Graph, GraphBuilder, OpKind, Shape};
@@ -181,9 +178,9 @@ struct Report {
     diags: Vec<Diagnostic>,
 }
 
-fn lint_model(cache: &GraphLintCache, model: ModelSpec, name: &str) -> Report {
+fn lint_model(model: ModelSpec, name: &str) -> Report {
     let graph = StageSpec::new(model, 0, model.num_layers).build_graph();
-    let mut diags = cache.analyze(&graph).as_ref().clone();
+    let mut diags = analyze_graph(&graph);
     diags.extend(analyze_plan(
         &trivial_plan(model),
         &model,
@@ -299,13 +296,12 @@ fn main() -> ExitCode {
         Models::None
     });
 
-    let cache = GraphLintCache::new();
     let mut reports = Vec::new();
     if matches!(models, Models::Both | Models::Gpt3) {
-        reports.push(lint_model(&cache, ModelSpec::gpt3_1p3b(8), "gpt3-1.3b"));
+        reports.push(lint_model(ModelSpec::gpt3_1p3b(8), "gpt3-1.3b"));
     }
     if matches!(models, Models::Both | Models::Moe) {
-        reports.push(lint_model(&cache, ModelSpec::moe_2p6b(8), "moe-2.6b"));
+        reports.push(lint_model(ModelSpec::moe_2p6b(8), "moe-2.6b"));
     }
     for f in &args.plans {
         match lint_plan_file(f, args.fix) {
@@ -319,7 +315,7 @@ fn main() -> ExitCode {
     if args.inject_fault {
         reports.push(Report {
             subject: "fault-injection".to_string(),
-            diags: analyze_graph_cached(&cache, &faulty_graph()),
+            diags: analyze_graph(&faulty_graph()),
         });
     }
     if args.inject_plan_fault {
@@ -346,18 +342,9 @@ fn main() -> ExitCode {
         Format::Text => emit_text(&reports),
         Format::Json => emit_json(&reports),
     }
-    let stats = cache.stats();
-    if stats.hits + stats.misses > 0 {
-        eprintln!("lint cache: {} hits, {} misses", stats.hits, stats.misses);
-    }
-
     if reports.iter().any(|r| has_errors(&r.diags)) {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
     }
-}
-
-fn analyze_graph_cached(cache: &GraphLintCache, graph: &Graph) -> Vec<Diagnostic> {
-    cache.analyze(graph).as_ref().clone()
 }

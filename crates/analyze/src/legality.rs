@@ -4,17 +4,17 @@
 //! rules as a per-candidate predicate ([`StaticLegality::is_legal`]).
 //! `predtop-core`'s search engine runs it over the enumerated work-list,
 //! so statically illegal `(stage, mesh, config)` candidates are rejected
-//! *before* they ever reach the latency source.
+//! *before* they ever reach the latency source. The memory rule reads
+//! stage graphs from the simulator's [`StageGraphs`] store, so the
+//! filter, the profiler and the ground-truth re-evaluation share one
+//! graph per stage structure.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use predtop_cluster::GpuSpec;
-use predtop_ir::Graph;
 use predtop_models::{ModelSpec, StageSpec};
-use predtop_parallel::{MeshShape, ParallelConfig};
+use predtop_parallel::{MeshShape, ParallelConfig, StageGraphs};
 
 use crate::diag::{has_errors, sort_diagnostics, Diagnostic, Span};
 use crate::plan_passes::{divisibility_diags, memory_fit_diag};
@@ -22,18 +22,24 @@ use crate::plan_passes::{divisibility_diags, memory_fit_diag};
 /// Per-candidate static legality checks for the plan search.
 ///
 /// The divisibility rules (`P13xx`) are pure arithmetic; the optional
-/// memory rule (`P1401`) builds each candidate's stage graph once and
-/// caches it by layer range, so an `n²`-range enumeration pays `n²`
-/// graph builds at most (and typically far fewer, as ranges repeat
-/// across meshes and configs).
+/// memory rule (`P1401`) takes each candidate's stage graph from a
+/// borrowed [`StageGraphs`] store, so an `n²`-range enumeration builds
+/// one graph per stage structure (`O(n)` of them for a dense decoder),
+/// and none the store already holds.
 pub struct StaticLegality {
     model: ModelSpec,
     microbatches: usize,
-    gpu: Option<GpuSpec>,
-    headroom_frac: f64,
-    graphs: Mutex<HashMap<(usize, usize), Arc<Graph>>>,
+    memory: Option<MemoryCheck>,
     rejected: AtomicUsize,
     rejected_memory: AtomicUsize,
+}
+
+/// The memory rule's device, its kept-free fraction, and the store its
+/// stage graphs come from.
+struct MemoryCheck {
+    gpu: GpuSpec,
+    headroom_frac: f64,
+    graphs: Arc<StageGraphs>,
 }
 
 impl StaticLegality {
@@ -42,31 +48,28 @@ impl StaticLegality {
         StaticLegality {
             model,
             microbatches,
-            gpu: None,
-            headroom_frac: 0.1,
-            graphs: Mutex::new(HashMap::new()),
+            memory: None,
             rejected: AtomicUsize::new(0),
             rejected_memory: AtomicUsize::new(0),
         }
     }
 
     /// Additionally reject candidates whose per-device memory lower
-    /// bound cannot fit `gpu` with `headroom_frac` kept free.
-    pub fn with_memory_check(mut self, gpu: GpuSpec, headroom_frac: f64) -> StaticLegality {
-        self.gpu = Some(gpu);
-        self.headroom_frac = headroom_frac;
+    /// bound cannot fit `gpu` with `headroom_frac` kept free, reading
+    /// stage graphs from `graphs` (the simulator's store, so the search
+    /// builds each structure once).
+    pub fn with_memory_check(
+        mut self,
+        gpu: GpuSpec,
+        headroom_frac: f64,
+        graphs: Arc<StageGraphs>,
+    ) -> StaticLegality {
+        self.memory = Some(MemoryCheck {
+            gpu,
+            headroom_frac,
+            graphs,
+        });
         self
-    }
-
-    fn stage_graph(&self, stage: &StageSpec) -> Arc<Graph> {
-        let key = (stage.start, stage.end);
-        let mut cache = self.graphs.lock();
-        if let Some(g) = cache.get(&key) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(stage.build_graph());
-        cache.insert(key, Arc::clone(&g));
-        g
     }
 
     /// Every `Error`-severity finding for one search candidate, in
@@ -80,10 +83,10 @@ impl StaticLegality {
         let mut out = divisibility_diags(&self.model, self.microbatches, config, Span::Plan, None);
         // only pay for a graph build when the cheap rules pass
         if out.is_empty() {
-            if let Some(gpu) = &self.gpu {
-                let graph = self.stage_graph(stage);
+            if let Some(m) = &self.memory {
+                let graph = m.graphs.get(stage);
                 if let Some(d) =
-                    memory_fit_diag(&graph, config, gpu, self.headroom_frac, Span::Plan)
+                    memory_fit_diag(&graph, config, &m.gpu, m.headroom_frac, Span::Plan)
                 {
                     out.push(d);
                 }
@@ -158,7 +161,11 @@ mod tests {
         // mirrors sim's Table IV observation: GPT-3 1.3B training state
         // cannot fit a single 24 GiB device
         let m = ModelSpec::gpt3_1p3b(1);
-        let leg = StaticLegality::new(m, 1).with_memory_check(GpuSpec::a5500(), 0.1);
+        let leg = StaticLegality::new(m, 1).with_memory_check(
+            GpuSpec::a5500(),
+            0.1,
+            Arc::new(StageGraphs::new()),
+        );
         let s = StageSpec::new(m, 0, m.num_layers);
         let diags = leg.candidate_diagnostics(&s, MeshShape::new(1, 1), ParallelConfig::SERIAL);
         assert!(
@@ -170,12 +177,18 @@ mod tests {
 
     #[test]
     fn stage_graphs_are_cached_by_layer_range() {
+        // the filter borrows the store: three interior windows of one
+        // structure, each under three configs, leave one graph in it
         let m = ModelSpec::gpt3_1p3b(8);
-        let leg = StaticLegality::new(m, 1).with_memory_check(GpuSpec::a40(), 0.1);
-        let s = StageSpec::new(m, 0, 2);
-        for mp in [1, 2, 4] {
-            let _ = leg.is_legal(&s, MeshShape::new(1, 4), ParallelConfig::new(1, mp));
+        let graphs = Arc::new(StageGraphs::new());
+        let leg =
+            StaticLegality::new(m, 1).with_memory_check(GpuSpec::a40(), 0.1, Arc::clone(&graphs));
+        for start in [1, 2, 3] {
+            let s = StageSpec::new(m, start, start + 2);
+            for mp in [1, 2, 4] {
+                let _ = leg.is_legal(&s, MeshShape::new(1, 4), ParallelConfig::new(1, mp));
+            }
         }
-        assert_eq!(leg.graphs.lock().len(), 1);
+        assert_eq!(graphs.len(), 1);
     }
 }

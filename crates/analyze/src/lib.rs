@@ -44,6 +44,6 @@ pub use legality::StaticLegality;
 pub use pass::{GraphPass, PlanCheckOptions, PlanContext, PlanPass};
 pub use registry::{
     analyze_graph, analyze_graph_with_threads, analyze_plan, analyze_plan_with_threads,
-    default_graph_passes, default_plan_passes, GraphLintCache, LintCacheStats,
+    default_graph_passes, default_plan_passes,
 };
 pub use render::{render_json, render_text};

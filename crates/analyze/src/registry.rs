@@ -5,11 +5,6 @@
 //! merged findings into the canonical span/code/message order — the
 //! report is bit-identical at any thread count.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use predtop_ir::Graph;
 use predtop_models::ModelSpec;
 use predtop_parallel::PipelinePlan;
@@ -92,99 +87,4 @@ pub fn analyze_plan(
     options: &PlanCheckOptions,
 ) -> Vec<Diagnostic> {
     analyze_plan_with_threads(plan, model, options, configured_threads())
-}
-
-/// Hit/miss counts of a [`GraphLintCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LintCacheStats {
-    /// Reports served from the cache.
-    pub hits: u64,
-    /// Reports computed by running the graph passes.
-    pub misses: u64,
-}
-
-/// A graph-pass result cache keyed on [`Graph::structural_hash`].
-///
-/// `predtop-lint` analyzes every stage graph of every benchmark model,
-/// and a model's interior layer windows are structurally identical —
-/// the same diagnostics fall out of each. Keying the memo on the
-/// structural hash (node kinds, shapes, dtypes, and edges, but *not*
-/// node identities) lets isomorphic stages share one analysis, the same
-/// trick the plan search's structural memoization plays on latencies.
-/// All diagnostics the graph passes emit are functions of structure
-/// alone, so sharing is sound.
-pub struct GraphLintCache {
-    map: Mutex<HashMap<u64, Arc<Vec<Diagnostic>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl Default for GraphLintCache {
-    fn default() -> GraphLintCache {
-        GraphLintCache::new()
-    }
-}
-
-impl GraphLintCache {
-    /// An empty cache.
-    pub fn new() -> GraphLintCache {
-        GraphLintCache {
-            map: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// [`analyze_graph`] through the cache: the first structurally
-    /// distinct graph pays for the passes, every isomorphic repeat hits.
-    pub fn analyze(&self, graph: &Graph) -> Arc<Vec<Diagnostic>> {
-        let key = graph.structural_hash();
-        if let Some(cached) = self.map.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(cached);
-        }
-        let report = Arc::new(analyze_graph(graph));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.map
-            .lock()
-            .entry(key)
-            .or_insert_with(|| Arc::clone(&report));
-        report
-    }
-
-    /// Hit/miss accounting so far.
-    pub fn stats(&self) -> LintCacheStats {
-        LintCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use predtop_models::StageSpec;
-
-    #[test]
-    fn lint_cache_hits_on_isomorphic_stage_graphs() {
-        let mut m = ModelSpec::gpt3_1p3b(2);
-        m.num_layers = 6;
-        let cache = GraphLintCache::new();
-        // four interior 1-layer windows are isomorphic; embedding and
-        // head windows are each their own class
-        let reports: Vec<_> = (0..6)
-            .map(|i| cache.analyze(&StageSpec::new(m, i, i + 1).build_graph()))
-            .collect();
-        assert_eq!(
-            cache.stats(),
-            LintCacheStats { hits: 3, misses: 3 },
-            "six windows collapse to three structural classes"
-        );
-        // cached replay equals a fresh analysis
-        for (i, r) in reports.iter().enumerate() {
-            let fresh = analyze_graph(&StageSpec::new(m, i, i + 1).build_graph());
-            assert_eq!(**r, fresh);
-        }
-    }
 }

@@ -544,14 +544,6 @@ fn cli_bad_models_value_is_a_structured_diagnostic() {
 }
 
 #[test]
-fn cli_reports_lint_cache_accounting() {
-    let out = lint_cmd().args(["--models", "gpt3"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(0));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("lint cache: 0 hits, 1 misses"), "{stderr}");
-}
-
-#[test]
 fn cli_bad_input_exits_two() {
     let out = lint_cmd().args(["--format", "yaml"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));

@@ -13,7 +13,7 @@ use predtop_gnn::{Dataset, GraphSample, Split, TrainedPredictor};
 use predtop_models::{sample_stages, ModelSpec, StageSpec};
 use predtop_parallel::interstage::candidate_submeshes;
 use predtop_parallel::{
-    table3_configs, MeshShape, ParallelConfig, StageLatencyProvider, StructuralDescriptor,
+    table3_configs, MeshShape, ParallelConfig, StageLatencyProvider, StageStructure,
 };
 use predtop_runtime::par_map;
 use predtop_service::api::{decode_config, decode_mesh};
@@ -63,14 +63,15 @@ type ScenarioPredictions = HashMap<(MeshShape, ParallelConfig), f64>;
 /// configuration) scenario, usable as a drop-in [`LatencyService`]
 /// source for the plan search (and as a [`StageLatencyProvider`]).
 ///
-/// Predictions are cached per stage *structure*: the key is the stage
-/// part of the [`StructuralDescriptor`], which is equal exactly when
-/// two stages build the same graph (`[1, 3)` and `[2, 4)` of a dense
-/// decoder), so such stages share one inference. Each key owns a
-/// single-flight cell holding every scenario's prediction: the first
-/// query builds the sample once and runs every scenario's forward pass
-/// into the cell, concurrent queries for the same structure wait for
-/// it, and queries for other structures run their own forwards in
+/// Predictions are cached per stage *structure*: the key is the
+/// [`StageStructure`], which is equal exactly when two stages build the
+/// same graph (`[1, 3)` and `[2, 4)` of a dense decoder), so such
+/// stages share one inference. Each key owns a single-flight cell
+/// holding every scenario's prediction: the first query builds the
+/// stage graph and sample once (inside the cell, so one build per
+/// structure without a graph store) and runs every scenario's forward
+/// pass into the cell, concurrent queries for the same structure wait
+/// for it, and queries for other structures run their own forwards in
 /// parallel. The map lock is held only to fetch or insert a cell.
 ///
 /// These cells stay even under a `Memoize` layer: one cell fills every
@@ -78,7 +79,7 @@ type ScenarioPredictions = HashMap<(MeshShape, ParallelConfig), f64>;
 /// pass per predictor, which a per-query cache cannot do.
 pub struct PredTop {
     predictors: HashMap<(MeshShape, ParallelConfig), TrainedPredictor>,
-    predictions: Mutex<HashMap<StructuralDescriptor, Arc<OnceLock<ScenarioPredictions>>>>,
+    predictions: Mutex<HashMap<StageStructure, Arc<OnceLock<ScenarioPredictions>>>>,
     /// The architecture every scenario's predictor shares.
     arch: ArchConfig,
     /// Wall-clock seconds spent training all scenario predictors.
@@ -416,9 +417,8 @@ impl LatencyService for PredTop {
                 config: q.config,
             });
         }
-        // the stage part of the structural descriptor: one cell holds
-        // every placement, so the placement is fixed
-        let key = StructuralDescriptor::of(&q.stage, MeshShape::new(1, 1), ParallelConfig::SERIAL);
+        // one cell per stage structure holds every placement
+        let key = StageStructure::of(&q.stage);
         let cell = self.predictions.lock().entry(key).or_default().clone();
         Ok(LatencyReply {
             seconds: cell.get_or_init(|| self.predict_all_scenarios(&q.stage))[&(q.mesh, q.config)],
@@ -656,15 +656,13 @@ mod tests {
             ModelSpec::moe_2p6b(8),
         ];
         for model in models {
-            let mut classes: HashMap<StructuralDescriptor, Vec<StageSpec>> = HashMap::new();
+            let mut classes: HashMap<StageStructure, Vec<StageSpec>> = HashMap::new();
             for stage in predtop_models::enumerate_stages(model) {
                 if stage.num_layers() <= 8 {
-                    let key = StructuralDescriptor::of(
-                        &stage,
-                        MeshShape::new(1, 1),
-                        ParallelConfig::SERIAL,
-                    );
-                    classes.entry(key).or_default().push(stage);
+                    classes
+                        .entry(StageStructure::of(&stage))
+                        .or_default()
+                        .push(stage);
                 }
             }
             let mut shared = 0;

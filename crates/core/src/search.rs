@@ -295,16 +295,20 @@ pub fn search_snapshot_key(
 
 /// The static-legality filter the checked searches install: the
 /// sharding-divisibility rules plus the per-device memory lower bound,
-/// sized for `profiler`'s platform GPU with 10% headroom. Exposed so
-/// callers assembling their own [`predtop_service::ServiceBuilder`]
-/// stacks can pass the identical filter to [`search_plan_service`].
+/// sized for `profiler`'s platform GPU with 10% headroom and reading
+/// stage graphs from `profiler`'s store. Exposed so callers assembling
+/// their own [`predtop_service::ServiceBuilder`] stacks can pass the
+/// identical filter to [`search_plan_service`].
 pub fn search_legality(
     model: ModelSpec,
     profiler: &SimProfiler,
     opts: InterStageOptions,
 ) -> StaticLegality {
-    StaticLegality::new(model, opts.microbatches)
-        .with_memory_check(profiler.platform().gpu.clone(), 0.1)
+    StaticLegality::new(model, opts.microbatches).with_memory_check(
+        profiler.platform().gpu.clone(),
+        0.1,
+        profiler.graphs(),
+    )
 }
 
 #[cfg(test)]
@@ -655,7 +659,11 @@ mod tests {
             memory_gib: budget_bytes / (1u64 << 30) as f64,
             ..GpuSpec::a40()
         };
-        let legality = StaticLegality::new(model, opts.microbatches).with_memory_check(gpu, 0.1);
+        let legality = StaticLegality::new(model, opts.microbatches).with_memory_check(
+            gpu,
+            0.1,
+            profiler.graphs(),
+        );
         let stack = ServiceBuilder::new(ProviderService::new(&profiler, "provider"))
             .batched(2)
             .finish();
@@ -692,8 +700,12 @@ mod tests {
             memory_gib: 1.0 / (1u64 << 20) as f64,
             ..GpuSpec::a40()
         };
-        let legality = StaticLegality::new(model, opts.microbatches).with_memory_check(gpu, 0.1);
         let profiler = SimProfiler::new(Platform::platform1(), 7);
+        let legality = StaticLegality::new(model, opts.microbatches).with_memory_check(
+            gpu,
+            0.1,
+            profiler.graphs(),
+        );
         let err = run_search(
             &SearchRequest::new(model, cluster, opts).legality(&legality),
             &profiler,
@@ -743,8 +755,12 @@ mod tests {
             memory_gib: 0.045,
             ..GpuSpec::a40()
         };
-        let legality = StaticLegality::new(model, opts.microbatches).with_memory_check(gpu, 0.1);
         let profiler = SimProfiler::new(Platform::platform2(), 1);
+        let legality = StaticLegality::new(model, opts.microbatches).with_memory_check(
+            gpu,
+            0.1,
+            profiler.graphs(),
+        );
         let out = run_search(
             &SearchRequest::new(model, cluster, opts).legality(&legality),
             &profiler,
@@ -769,6 +785,10 @@ mod tests {
         assert_eq!(out.num_rejected, 518);
         assert_eq!(out.num_rejected_memory, 110);
         assert_eq!(out.num_queries, 298);
+        // legality, profiling and the true-latency re-evaluation share
+        // the profiler's store: one graph per stage structure of the
+        // 136 layer ranges
+        assert_eq!(profiler.graphs().len(), 58);
         assert_eq!(
             stages,
             [

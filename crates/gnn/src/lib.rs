@@ -26,7 +26,6 @@
 
 pub mod dag_transformer;
 pub mod dataset;
-pub mod ensemble;
 pub mod gat;
 pub mod gcn;
 pub mod metrics;
@@ -35,7 +34,6 @@ pub mod train;
 
 pub use dag_transformer::DagTransformer;
 pub use dataset::{Dataset, GraphSample, Split, TargetScaler};
-pub use ensemble::Ensemble;
 pub use gat::Gat;
 pub use gcn::Gcn;
 pub use metrics::mean_relative_error;

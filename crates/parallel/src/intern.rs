@@ -1,5 +1,6 @@
 //! Structural-key interning for (stage, sub-mesh, configuration)
-//! latency sub-problems.
+//! latency sub-problems, and the one stage-graph store keyed on the
+//! same structure.
 //!
 //! The inter-stage engine enumerates every contiguous layer range of the
 //! model, but most ranges build *isomorphic* operator graphs: an
@@ -11,20 +12,26 @@
 //! entirely — each of the `L·(L+1)/2` ranges is a distinct key even
 //! though only `O(L)` structures exist.
 //!
-//! [`StructuralInterner`] hash-conses the *structure* of a sub-problem:
-//! [`StructuralDescriptor`] canonicalizes exactly the inputs the stage
-//! graph builder reads (model hyper-parameters, the window's
-//! dense/MoE layer signature, whether the window carries the embedding
-//! or the LM head) plus the placement (sub-mesh shape and sharding
-//! configuration), and the interner maps each distinct descriptor to a
-//! small dense [`StructuralKey`]. Two sub-problems receive the same key
-//! **iff** their stage graphs are isomorphic and their placements equal
-//! — so a cache keyed on [`StructuralKey`] answers `[2, 4)` from the
-//! `[1, 3)` evaluation. The descriptor is deliberately *minimal*:
-//! fields the window's graph never reads (the vocabulary when the
-//! window has neither embedding nor head, expert widths when no window
-//! layer is MoE, the dense FFN multiple when every window layer is MoE)
-//! are normalized away so equality is exact, not merely sound.
+//! [`StageStructure`] canonicalizes exactly the inputs the stage graph
+//! builder reads (model hyper-parameters, the window's dense/MoE layer
+//! signature, whether the window carries the embedding or the LM head);
+//! [`StructuralDescriptor`] adds the placement (sub-mesh shape and
+//! sharding configuration), and [`StructuralInterner`] maps each
+//! distinct descriptor to a small dense [`StructuralKey`]. Two
+//! sub-problems receive the same key **iff** their stage graphs are
+//! equal and their placements equal — so a cache keyed on
+//! [`StructuralKey`] answers `[2, 4)` from the `[1, 3)` evaluation. The
+//! structure is deliberately *minimal*: fields the window's graph never
+//! reads (the vocabulary when the window has neither embedding nor
+//! head, expert widths when no window layer is MoE, the dense FFN
+//! multiple when every window layer is MoE) are normalized away so
+//! equality is exact, not merely sound.
+//!
+//! [`StageGraphs`] holds one shared stage graph per [`StageStructure`].
+//! The simulator owns the one store (`predtop-sim`'s
+//! `SimProfiler::graphs`) and the static-legality filter borrows it, so
+//! a checked search builds each structure's graph once for legality,
+//! profiling and the ground-truth re-evaluation together.
 //!
 //! Key identity is assigned in first-intern order, and each class
 //! remembers the sub-problem that interned it first (its
@@ -37,24 +44,27 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use predtop_ir::Graph;
 use predtop_models::StageSpec;
+use predtop_store::ByteWriter;
 
 use crate::config::{MeshShape, ParallelConfig};
 
 /// Widest stage window (in transformer layers) whose dense/MoE
-/// signature fits the descriptor's bitmask. Wider windows fall back to
+/// signature fits the structure's bitmask. Wider windows fall back to
 /// raw-identity keying (sound, merely shares nothing); no benchmark
 /// model comes near this.
 pub const MAX_MASK_LAYERS: usize = 128;
 
-/// Canonical structural identity of one latency sub-problem: everything
-/// the stage graph builder reads, plus the placement. Pure function of
-/// the `(stage, mesh, config)` triple.
+/// Canonical structural identity of one stage window: everything the
+/// stage graph builder reads, and nothing else. Pure function of the
+/// stage; stages with equal structures build equal graphs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StructuralDescriptor {
+pub struct StageStructure {
     // -- model hyper-parameters every window layer reads --
     batch: usize,
     seq_len: usize,
@@ -76,19 +86,18 @@ pub struct StructuralDescriptor {
     /// MoE. Zero for windows wider than [`MAX_MASK_LAYERS`];
     /// `raw_window` then keys the exact range instead.
     moe_mask: u128,
-    /// `Some((start, end))` only in the >[`MAX_MASK_LAYERS`] fallback,
-    /// degrading equality to raw range identity.
-    raw_window: Option<(usize, usize)>,
+    /// `Some((start, end, every))` only in the >[`MAX_MASK_LAYERS`]
+    /// fallback, degrading equality to raw range identity. `every` is
+    /// the model's MoE interleave (0 when dense): with the range it
+    /// places the MoE layers the mask would have recorded.
+    raw_window: Option<(usize, usize, usize)>,
     has_embedding: bool,
     has_head: bool,
-    // -- placement --
-    mesh: MeshShape,
-    config: ParallelConfig,
 }
 
-impl StructuralDescriptor {
-    /// Canonicalize one sub-problem.
-    pub fn of(stage: &StageSpec, mesh: MeshShape, config: ParallelConfig) -> StructuralDescriptor {
+impl StageStructure {
+    /// Canonicalize one stage window.
+    pub fn of(stage: &StageSpec) -> StageStructure {
         let m = &stage.model;
         let window = stage.num_layers();
         let (moe_mask, raw_window) = if window <= MAX_MASK_LAYERS {
@@ -100,14 +109,15 @@ impl StructuralDescriptor {
             }
             (mask, None)
         } else {
-            (0, Some((stage.start, stage.end)))
+            let every = m.moe.map_or(0, |s| s.every);
+            (0, Some((stage.start, stage.end, every)))
         };
         let all_moe =
             raw_window.is_none() && window > 0 && (0..window).all(|i| moe_mask & (1 << i) != 0);
         let any_moe = moe_mask != 0 || raw_window.is_some() && m.moe.is_some();
         let has_embedding = stage.has_embedding();
         let has_head = stage.has_head();
-        StructuralDescriptor {
+        StageStructure {
             batch: m.batch,
             seq_len: m.seq_len,
             hidden: m.hidden,
@@ -127,24 +137,11 @@ impl StructuralDescriptor {
             raw_window,
             has_embedding,
             has_head,
-            mesh,
-            config,
         }
     }
 
-    /// Versioned canonical byte encoding of this descriptor — the basis
-    /// of persistent store keys (`predtop-store` addresses latency
-    /// objects by the digest of these bytes plus a namespace).
-    ///
-    /// Unlike [`crate::StructuralKey`] ids, which are dense
-    /// first-intern-order numbers and therefore differ between runs,
-    /// this encoding is a pure function of the descriptor's fields: the
-    /// same sub-problem produces the same bytes in every process, at
-    /// every thread count. The leading version byte lets future field
-    /// changes re-key the store instead of misreading old objects.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut w = predtop_store::ByteWriter::new();
-        w.u8(1); // descriptor encoding version
+    /// Append this structure's fields to `w`, in declaration order.
+    fn write(&self, w: &mut ByteWriter) {
         w.usize(self.batch);
         w.usize(self.seq_len);
         w.usize(self.hidden);
@@ -163,19 +160,100 @@ impl StructuralDescriptor {
         w.u128(self.moe_mask);
         match self.raw_window {
             None => w.u8(0),
-            Some((s, e)) => {
+            Some((s, e, every)) => {
                 w.u8(1);
                 w.usize(s);
                 w.usize(e);
+                // written for MoE models only, so dense windows keep
+                // their store keys
+                if every != 0 {
+                    w.usize(every);
+                }
             }
         }
         w.bool(self.has_embedding);
         w.bool(self.has_head);
+    }
+}
+
+/// Canonical structural identity of one latency sub-problem: the
+/// [`StageStructure`] plus the placement. Pure function of the
+/// `(stage, mesh, config)` triple.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StructuralDescriptor {
+    stage: StageStructure,
+    mesh: MeshShape,
+    config: ParallelConfig,
+}
+
+impl StructuralDescriptor {
+    /// Canonicalize one sub-problem.
+    pub fn of(stage: &StageSpec, mesh: MeshShape, config: ParallelConfig) -> StructuralDescriptor {
+        StructuralDescriptor {
+            stage: StageStructure::of(stage),
+            mesh,
+            config,
+        }
+    }
+
+    /// Versioned canonical byte encoding of this descriptor — the basis
+    /// of persistent store keys (`predtop-store` addresses latency
+    /// objects by the digest of these bytes plus a namespace).
+    ///
+    /// Unlike [`crate::StructuralKey`] ids, which are dense
+    /// first-intern-order numbers and therefore differ between runs,
+    /// this encoding is a pure function of the descriptor's fields: the
+    /// same sub-problem produces the same bytes in every process, at
+    /// every thread count. The leading version byte lets future field
+    /// changes re-key the store instead of misreading old objects.
+    pub fn canonical_bytes(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u8(1); // descriptor encoding version
+        self.stage.write(&mut w);
         w.usize(self.mesh.nodes);
         w.usize(self.mesh.gpus_per_node);
         w.usize(self.config.dp);
         w.usize(self.config.mp);
         w.into_bytes()
+    }
+}
+
+/// One shared stage graph per [`StageStructure`].
+///
+/// A graph is built on first use, outside the lock; when two threads
+/// race to build the same structure, the first insert wins and both
+/// get that graph. Structurally equal stages build equal graphs, so
+/// which stage of a class built the shared graph changes nothing
+/// downstream.
+#[derive(Default)]
+pub struct StageGraphs {
+    graphs: Mutex<HashMap<StageStructure, Arc<Graph>>>,
+}
+
+impl StageGraphs {
+    /// An empty store.
+    pub fn new() -> StageGraphs {
+        StageGraphs::default()
+    }
+
+    /// The graph of `stage`'s structure, built on first use.
+    pub fn get(&self, stage: &StageSpec) -> Arc<Graph> {
+        let key = StageStructure::of(stage);
+        if let Some(g) = self.graphs.lock().get(&key) {
+            return Arc::clone(g);
+        }
+        let g = Arc::new(stage.build_graph());
+        Arc::clone(self.graphs.lock().entry(key).or_insert(g))
+    }
+
+    /// Number of stage structures whose graph is held.
+    pub fn len(&self) -> usize {
+        self.graphs.lock().len()
+    }
+
+    /// True when no graph has been built yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -447,6 +525,25 @@ mod tests {
     }
 
     #[test]
+    fn windows_past_the_mask_key_the_moe_interleave() {
+        // past MAX_MASK_LAYERS the raw range alone does not say which
+        // window layers are MoE
+        let mut a = ModelSpec::moe_2p6b(2);
+        a.seq_len = 8;
+        a.hidden = 8;
+        a.num_heads = 2;
+        a.vocab = 16;
+        a.num_layers = MAX_MASK_LAYERS + 2;
+        let mut b = a;
+        a.moe.as_mut().unwrap().every = 1;
+        b.moe.as_mut().unwrap().every = 2;
+        let sa = StageSpec::new(a, 0, a.num_layers);
+        let sb = StageSpec::new(b, 0, b.num_layers);
+        assert_ne!(sa.build_graph(), sb.build_graph());
+        assert_ne!(StageStructure::of(&sa), StageStructure::of(&sb));
+    }
+
+    #[test]
     fn model_depth_outside_the_window_is_irrelevant() {
         let i = StructuralInterner::new();
         // an interior 2-layer dense window is the same graph whether the
@@ -498,6 +595,23 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn stage_graphs_share_one_graph_per_structure() {
+        let m = tiny(6);
+        let graphs = StageGraphs::new();
+        let interior = graphs.get(&StageSpec::new(m, 1, 3));
+        for start in [2, 3] {
+            let g = graphs.get(&StageSpec::new(m, start, start + 2));
+            assert!(Arc::ptr_eq(&g, &interior), "[{start}..) built again");
+        }
+        assert_eq!(graphs.len(), 1);
+        // the shared graph is the one every member would build
+        assert_eq!(*interior, StageSpec::new(m, 3, 5).build_graph());
+        let embedding = graphs.get(&StageSpec::new(m, 0, 2));
+        assert!(!Arc::ptr_eq(&embedding, &interior));
+        assert_eq!(graphs.len(), 2);
     }
 
     use predtop_models::MoeSpec;
@@ -553,10 +667,11 @@ mod tests {
 
         /// The tentpole soundness/completeness property: two
         /// sub-problems intern to the same key **iff** their stage
-        /// graphs are structurally equal, with the IR's
-        /// `structural_hash()` of the actually-built graphs as the
-        /// oracle. Random model pair (equal or differing in one pool
-        /// dimension) × random layer windows.
+        /// graphs are equal, with `Graph` equality (`==`) of the
+        /// actually-built graphs as the oracle — equal keys must mean
+        /// identical graphs, which [`StageGraphs`] sharing one graph per
+        /// structure relies on. Random model pair (equal or differing in
+        /// one pool dimension) × random layer windows.
         #[test]
         fn key_equality_matches_graph_structural_equality(
             hidden_i in 0usize..2,
@@ -593,13 +708,12 @@ mod tests {
             let ka = interner.intern(&sa, mesh, config);
             let kb = interner.intern(&sb, mesh, config);
 
-            let ha = sa.build_graph().structural_hash();
-            let hb = sb.build_graph().structural_hash();
+            let equal_graphs = sa.build_graph() == sb.build_graph();
             prop_assert_eq!(
                 ka == kb,
-                ha == hb,
-                "key equality ({:?} vs {:?}) disagrees with graph structural \
-                 hashes for windows [{}..{}) of {:?} and [{}..{}) of {:?}",
+                equal_graphs,
+                "key equality ({:?} vs {:?}) disagrees with graph equality \
+                 for windows [{}..{}) of {:?} and [{}..{}) of {:?}",
                 ka, kb, a_start, a_end, ma, b_start, b_end, mb
             );
         }

@@ -22,7 +22,8 @@
 //!   (stage, sub-mesh, configuration) sub-problems into
 //!   [`StructuralKey`]s so memoization can key on *structure* (two
 //!   isomorphic interior layer windows share one key) instead of raw
-//!   query identity.
+//!   query identity; and [`StageGraphs`], one shared stage graph per
+//!   [`StageStructure`].
 //! * [`plan`] — end-to-end pipeline plans and the Eqn. 4 white-box
 //!   formula `T = Σ tᵢ + (B−1)·max tⱼ`.
 //!
@@ -44,7 +45,10 @@ pub mod schedule;
 pub mod sharding;
 
 pub use config::{table3_configs, MeshShape, ParallelConfig};
-pub use intern::{InternStats, StructuralDescriptor, StructuralInterner, StructuralKey};
+pub use intern::{
+    InternStats, StageGraphs, StageStructure, StructuralDescriptor, StructuralInterner,
+    StructuralKey,
+};
 pub use interstage::{enumerate_candidates, solve_pipeline, EvaluatedCandidate, InterStageOptions};
 pub use intra::{IntraPlan, OpCost};
 pub use plan::{pipeline_latency, PipelinePlan, PlanError, PlanRule, PlanViolation, PlannedStage};

@@ -2,12 +2,14 @@
 //! metering.
 //!
 //! [`SimProfiler`] plays the role of "compile the stage with Alpa's
-//! intra-operator pass and time it on the mesh": each query builds the
-//! stage's operator graph, runs the intra-stage sharding optimizer under
-//! the device cost model, and returns the optimal training-iteration
-//! latency. Queries are memoized (a stage is only ever profiled once per
-//! (mesh, configuration)), and every *fresh* profile is charged to the
-//! [`CostLedger`] so experiments can compare profiling bills.
+//! intra-operator pass and time it on the mesh": each query takes the
+//! stage's operator graph (built once per stage structure, see
+//! [`SimProfiler::graphs`]), runs the intra-stage sharding optimizer
+//! under the device cost model, and returns the optimal
+//! training-iteration latency. Queries are memoized (a stage is only
+//! ever profiled once per (mesh, configuration)), and every *fresh*
+//! profile is charged to the [`CostLedger`] so experiments can compare
+//! profiling bills.
 //!
 //! As a `LatencyService` the profiler is **infallible**: it can answer
 //! any (stage, mesh, config) scenario, so a stack rooted at a
@@ -29,7 +31,7 @@ use predtop_cluster::Platform;
 use predtop_models::StageSpec;
 use predtop_parallel::{
     intra::{self, param_bytes},
-    MeshShape, ParallelConfig, StageLatencyProvider,
+    MeshShape, ParallelConfig, StageGraphs, StageLatencyProvider,
 };
 
 use predtop_service::{LatencyQuery, LatencyReply, LatencyService, ServiceError};
@@ -47,7 +49,7 @@ pub struct SimProfiler {
     costing: CostingModel,
     ledger: CostLedger,
     latency_cache: Mutex<HashMap<Key, f64>>,
-    graph_cache: Mutex<HashMap<StageSpec, Arc<predtop_ir::Graph>>>,
+    graphs: Arc<StageGraphs>,
     memory_headroom: Option<f64>,
     queries: AtomicUsize,
 }
@@ -61,7 +63,7 @@ impl SimProfiler {
             costing: CostingModel::default(),
             ledger: CostLedger::new(),
             latency_cache: Mutex::new(HashMap::new()),
-            graph_cache: Mutex::new(HashMap::new()),
+            graphs: Arc::new(StageGraphs::new()),
             memory_headroom: None,
             queries: AtomicUsize::new(0),
         }
@@ -96,19 +98,19 @@ impl SimProfiler {
         &self.ledger
     }
 
-    /// Build (or fetch the memoized) stage graph. Ground truth always
+    /// The stage's graph from [`graphs`](Self::graphs), built on first
+    /// use of its structure: structurally equal stages (`[1, 3)` and
+    /// `[2, 4)` of a dense decoder) share one graph. Ground truth always
     /// uses the *un-pruned* graph — pruning is a predictor-side
     /// preprocessing step, not a change to the program that runs.
     pub fn stage_graph(&self, stage: &StageSpec) -> Arc<predtop_ir::Graph> {
-        if let Some(g) = self.graph_cache.lock().get(stage) {
-            return g.clone();
-        }
-        let g = Arc::new(stage.build_graph());
-        self.graph_cache
-            .lock()
-            .entry(*stage)
-            .or_insert_with(|| g.clone())
-            .clone()
+        self.graphs.get(stage)
+    }
+
+    /// The profiler's stage-graph store, for analyses that need the
+    /// same graphs (the checked search's legality filter borrows it).
+    pub fn graphs(&self) -> Arc<StageGraphs> {
+        Arc::clone(&self.graphs)
     }
 
     /// Number of distinct (stage, mesh, config) combinations profiled.

@@ -232,6 +232,23 @@ impl Args {
         ParallelConfig::new(dp, mp)
     }
 
+    /// `--mesh` and `--dp`/`--mp` together, for commands that run one
+    /// scenario: the configuration must use exactly the mesh's devices.
+    fn placement(&self) -> (MeshShape, ParallelConfig) {
+        let mesh = self.mesh();
+        let config = self.config();
+        if config.num_devices() != mesh.num_devices() {
+            eprintln!(
+                "--dp * --mp = {} does not fill --mesh {} ({} devices)",
+                config.num_devices(),
+                mesh.label(),
+                mesh.num_devices()
+            );
+            usage()
+        }
+        (mesh, config)
+    }
+
     fn usize_flag(&self, key: &str, default: usize) -> usize {
         self.flags
             .get(key)
@@ -385,17 +402,7 @@ fn cmd_info() {
 fn cmd_profile(args: &Args) {
     let model = args.model();
     let stage = args.stage(model);
-    let mesh = args.mesh();
-    let config = args.config();
-    if config.num_devices() != mesh.num_devices() {
-        eprintln!(
-            "config dp*mp = {} does not fill mesh {} ({} devices)",
-            config.num_devices(),
-            mesh.label(),
-            mesh.num_devices()
-        );
-        exit(2);
-    }
+    let (mesh, config) = args.placement();
     let engine = args.engine(None);
     let graph = engine.profiler().stage_graph(&stage);
     let request = api::Request::Profile(stage_request(&stage, mesh, config));
@@ -632,8 +639,7 @@ fn cmd_fit(args: &Args) {
         usage()
     };
     let model = args.model();
-    let mesh = args.mesh();
-    let config = args.config();
+    let (mesh, config) = args.placement();
     let platform = args.platform();
     let profiler = SimProfiler::new(platform.clone(), args.seed());
 

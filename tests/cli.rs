@@ -234,7 +234,8 @@ fn fit_then_predict_roundtrip() {
 fn malformed_flags_are_usage_errors() {
     let model_path = std::env::temp_dir().join("predtop_cli_unread_model.bin");
     let model_path = model_path.to_str().unwrap();
-    let cases: [(&[&str], &str); 7] = [
+    let _ = std::fs::remove_file(model_path);
+    let cases: [(&[&str], &str); 8] = [
         (&["profile", "--scaled", "--mesh", "0x1"], "--mesh"),
         (&["profile", "--scaled", "--dp", "0"], "--dp"),
         (&["profile", "--scaled", "--mp", "0"], "--mp"),
@@ -248,6 +249,12 @@ fn malformed_flags_are_usage_errors() {
             &["fit", "--scaled", "--stages", "2", "-o", model_path],
             "--stages",
         ),
+        (
+            &[
+                "fit", "--scaled", "--mesh", "1x2", "--stages", "3", "-o", model_path,
+            ],
+            "--mesh",
+        ),
     ];
     for (args, flag) in cases {
         let out = predtop().args(args).output().expect("run predtop");
@@ -260,6 +267,8 @@ fn malformed_flags_are_usage_errors() {
             diagnosis.contains(flag),
             "{args:?} must name {flag}: {stderr}"
         );
+        // a rejected `fit` saves nothing
+        assert!(!std::path::Path::new(model_path).exists(), "{args:?}");
     }
 }
 

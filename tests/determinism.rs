@@ -111,18 +111,12 @@ fn predictor_driven_search_is_bit_identical_at_every_thread_count() {
         train: TrainConfig::quick(4),
         seed: 4,
     };
-    // the predictor keys its cache on the stage part of the structural
-    // descriptor: one round of forwards per distinct window structure
+    // the predictor keys its cache on the stage structure: one round of
+    // forwards per distinct window structure
     let structures: std::collections::HashSet<_> =
         predtop::parallel::enumerate_candidates(m, cluster, opts)
             .iter()
-            .map(|(stage, _, _)| {
-                predtop::parallel::StructuralDescriptor::of(
-                    stage,
-                    MeshShape::new(1, 1),
-                    ParallelConfig::SERIAL,
-                )
-            })
+            .map(|(stage, _, _)| predtop::parallel::StageStructure::of(stage))
             .collect();
 
     let run = |threads: usize| {
