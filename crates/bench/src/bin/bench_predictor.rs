@@ -22,6 +22,12 @@
 //! * `inference` — mean per-query latency of the trained predictor and
 //!   the serve-tape buffer-pool hit rate (must be positive: a zero hit
 //!   rate means a tape op regressed to per-call allocation).
+//! * `attention[]` — one DAGRA attention head (head width 8, the plan
+//!   search use case's) on each scaled-GPT-3 window `[0, e)`: node
+//!   count, allowed entries, best-of-N forward and forward+backward
+//!   microseconds, forward nanoseconds per allowed entry, and whether
+//!   value and q/k/v gradients match the four-op chain
+//!   (`matmul_nt → scale → masked_softmax_rows → matmul`) bit for bit.
 //!
 //! ```sh
 //! cargo run --release --bin bench_predictor              # full protocol
@@ -39,11 +45,14 @@ use predtop_bench::Protocol;
 use predtop_cluster::Platform;
 use predtop_gnn::train::train_with_threads;
 use predtop_gnn::{with_serve_tape, Dataset, GraphSample, ModelKind, TrainedPredictor};
-use predtop_models::sample_stages;
+use predtop_models::{sample_stages, ModelSpec, StageSpec};
 use predtop_parallel::{MeshShape, ParallelConfig, StageLatencyProvider};
 use predtop_runtime::configured_threads;
 use predtop_sim::SimProfiler;
-use predtop_tensor::{active_isa, available_isas, kernel_stats, reset_kernel_stats, Matrix};
+use predtop_tensor::{
+    active_isa, available_isas, kernel_stats, reset_kernel_stats, AllowedColumns, Matrix,
+    ParamStore, Tape,
+};
 
 struct Args {
     smoke: bool,
@@ -192,6 +201,109 @@ fn kernel_section(sizes: &[usize], reps: usize, failures: &mut Vec<String>) -> (
     (Json::Arr(rows), Json::Arr(summary))
 }
 
+/// The scaled GPT-3 of the plan-search use case (8 layers, sequence
+/// 128, hidden 128, 8 heads, vocabulary 2048, batch 2).
+fn usecase_gpt3() -> ModelSpec {
+    let mut model = ModelSpec::gpt3_1p3b(2);
+    model.seq_len = 128;
+    model.hidden = 128;
+    model.num_heads = 8;
+    model.vocab = 2048;
+    model.num_layers = 8;
+    model
+}
+
+/// One attention head on `tape` (reset first), fused or as the four-op
+/// chain with a dense 0/−inf mask: value and `(dq, dk, dv)`, plus the
+/// forward's and the forward+backward's seconds.
+fn attention_head(
+    tape: &mut Tape,
+    fused: bool,
+    qkv: [&Matrix; 3],
+    allowed: &AllowedColumns,
+    seed: &Matrix,
+) -> ([Matrix; 4], f64, f64) {
+    let scale = 1.0 / (qkv[0].cols() as f32).sqrt();
+    let mut store = ParamStore::new();
+    let ids = qkv.map(|m| store.add(m.clone()));
+    tape.reset();
+    let [q, k, v] = ids.map(|id| tape.param(&store, id));
+    let mask = (!fused).then(|| tape.constant(allowed.mask()));
+    let t = Instant::now();
+    let out = match mask {
+        None => tape.masked_attention(q, k, v, Some(allowed), scale),
+        Some(mask) => {
+            let logits = tape.matmul_nt(q, k);
+            let logits = tape.scale(logits, scale);
+            let attn = tape.masked_softmax_rows(logits, mask);
+            tape.matmul(attn, v)
+        }
+    };
+    let forward_s = t.elapsed().as_secs_f64();
+    tape.backward(out, seed.clone(), &mut store);
+    let both_s = t.elapsed().as_secs_f64();
+    let value = tape.value(out).clone();
+    let [dq, dk, dv] = ids.map(|id| store.grad(id).clone());
+    ([value, dq, dk, dv], forward_s, both_s)
+}
+
+fn attention_section(smoke: bool, reps: usize, failures: &mut Vec<String>) -> Json {
+    let ends: &[usize] = if smoke {
+        &[1, 2]
+    } else {
+        &[1, 2, 3, 4, 5, 6, 7, 8]
+    };
+    let head_width = 8;
+    let mut tape = Tape::new();
+    let mut rows = Vec::new();
+    for &end in ends {
+        let graph = StageSpec::new(usecase_gpt3(), 0, end).build_graph();
+        let sample = GraphSample::new(&graph, 1.0, 16);
+        let (n, allowed) = (sample.num_nodes(), &sample.dag_allowed);
+        let seed_of = |i: u64| 100 * end as u64 + i;
+        let qkv = [0, 1, 2].map(|i| lcg_matrix(n, head_width, seed_of(i)));
+        let grad_seed = lcg_matrix(n, head_width, seed_of(3));
+        let qkv = [&qkv[0], &qkv[1], &qkv[2]];
+        let (chain, _, _) = attention_head(&mut tape, false, qkv, allowed, &grad_seed);
+        let mut fused = None;
+        let (mut forward_s, mut both_s) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..reps {
+            let (out, f, b) = attention_head(&mut tape, true, qkv, allowed, &grad_seed);
+            (forward_s, both_s) = (forward_s.min(f), both_s.min(b));
+            fused = Some(out);
+        }
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let exact = fused
+            .iter()
+            .flatten()
+            .zip(&chain)
+            .all(|(a, b)| bits(a) == bits(b));
+        if !exact {
+            failures.push(format!(
+                "attention at n={n} diverged from the four-op chain"
+            ));
+        }
+        let ns_per_entry = forward_s * 1e9 / allowed.count().max(1) as f64;
+        eprintln!(
+            "[attention] [0, {end}) n={n:<5} allowed {:<8} forward {:8.1} µs  fwd+bwd {:8.1} µs  {ns_per_entry:5.2} ns/entry",
+            allowed.count(),
+            forward_s * 1e6,
+            both_s * 1e6,
+        );
+        rows.push(
+            Json::obj()
+                .field("window", format!("[0, {end})"))
+                .field("n", n)
+                .field("allowed_entries", allowed.count())
+                .field("forward_us", forward_s * 1e6)
+                .field("forward_backward_us", both_s * 1e6)
+                .field("ns_per_allowed_entry", ns_per_entry)
+                .field("exact_match", exact),
+        );
+    }
+    Json::Arr(rows)
+}
+
 fn main() {
     let args = parse_args();
     let parallel_threads = configured_threads().max(4);
@@ -334,9 +446,12 @@ fn main() {
         .field("pool_misses", pool.misses)
         .field("pool_hit_rate", hit_rate);
 
+    // --- attention: one DAGRA head per scaled-GPT-3 window -----------
+    let attention = attention_section(args.smoke, reps, &mut failures);
+
     // --- artifact ---------------------------------------------------
     let doc = Json::obj()
-        .field("schema_version", 2u64)
+        .field("schema_version", 3u64)
         .field("benchmark", "bench_predictor")
         .field("smoke", args.smoke)
         .field("threads", parallel_threads)
@@ -348,7 +463,8 @@ fn main() {
         .field("kernels", kernels)
         .field("kernel_summary", kernel_summary)
         .field("training", training)
-        .field("inference", inference);
+        .field("inference", inference)
+        .field("attention", attention);
     write_json_file(&args.out, &doc);
     println!("saved {}", args.out.display());
 
@@ -358,5 +474,7 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("determinism checks passed: kernels exact, weight checksums match");
+    println!(
+        "determinism checks passed: kernels exact, weight checksums match, attention matches the chain"
+    );
 }

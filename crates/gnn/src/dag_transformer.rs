@@ -197,7 +197,7 @@ impl GnnModel for DagTransformer {
 mod tests {
     use super::*;
     use predtop_ir::{DType, Graph, GraphBuilder, OpKind};
-    use predtop_tensor::Matrix;
+    use predtop_tensor::{AllowedColumns, Matrix};
 
     fn graph() -> Graph {
         let mut b = GraphBuilder::new();
@@ -232,33 +232,130 @@ mod tests {
         assert!(v.get(0, 0).is_finite());
     }
 
+    /// A chain of `len` unary ops: every pair of nodes is connected, so
+    /// its DAGRA mask is dense, unlike the diamond of [`graph`].
+    fn chain(len: usize) -> Graph {
+        let mut b = GraphBuilder::new();
+        let mut x = b.input([4, 4], DType::F32);
+        for _ in 0..len {
+            x = b.unary(OpKind::Exp, x);
+        }
+        b.finish(&[x]).unwrap()
+    }
+
     #[test]
     fn serve_path_allocates_nothing_at_steady_state() {
         use crate::model::with_serve_tape;
-        let m = DagTransformer::new(tiny_cfg(), 5);
-        let s = sample_pe(16);
-        let run = || {
+        let cfg = tiny_cfg();
+        let m = DagTransformer::new(cfg, 5);
+        // two sizes and two masks, served in turn
+        let samples = [sample_pe(16), GraphSample::new(&chain(7), 0.03, 16)];
+        let run = |s: &GraphSample| {
             with_serve_tape(|tape| {
-                let out = m.forward(tape, &s);
+                let out = m.forward(tape, s);
                 tape.value(out).get(0, 0)
             })
         };
         // warm the tape's buffer pool, then every later forward must be
         // served entirely from recycled buffers — a rising miss count
         // means an op regressed to per-call allocation
-        let baseline = run();
-        run();
-        let warm = with_serve_tape(|tape| tape.pool_stats());
+        let baseline = samples.each_ref().map(run);
+        for s in &samples {
+            run(s);
+        }
+        let (warm, warm_parked) =
+            with_serve_tape(|tape| (tape.pool_stats(), tape.pool_parked_floats()));
         assert!(warm.hits > 0, "serve tape pool never hit during warmup");
         for _ in 0..10 {
-            assert_eq!(run(), baseline, "serve path is not deterministic");
+            for (s, want) in samples.iter().zip(baseline) {
+                assert_eq!(run(s), want, "serve path is not deterministic");
+            }
         }
-        let steady = with_serve_tape(|tape| tape.pool_stats());
+        let (steady, parked) =
+            with_serve_tape(|tape| (tape.pool_stats(), tape.pool_parked_floats()));
         assert_eq!(
             steady.misses, warm.misses,
             "steady-state forwards allocated fresh buffers"
         );
         assert!(steady.hit_rate() > 0.5, "hit rate {}", steady.hit_rate());
+        // nothing allocated outside the pool was retired into it: the
+        // parked set is the warm one, and it holds the last forward's
+        // compact probabilities (one per allowed entry and head)
+        assert_eq!(parked, warm_parked, "a buffer bypassed the pool");
+        let compact = cfg.num_layers * cfg.heads * samples[1].dag_allowed.count();
+        assert!(
+            parked >= compact,
+            "{parked} floats parked, {compact} compact"
+        );
+    }
+
+    /// Value and `(dq, dk, dv)` of one attention head over `allowed`,
+    /// through the fused op or the four-op chain with a dense 0/−inf
+    /// mask.
+    fn head(
+        fused: bool,
+        qkv: [&Matrix; 3],
+        allowed: &AllowedColumns,
+        seed: &Matrix,
+    ) -> [Matrix; 4] {
+        let mut store = ParamStore::new();
+        let ids = qkv.map(|m| store.add(m.clone()));
+        let mut tape = Tape::new();
+        let [q, k, v] = ids.map(|id| tape.param(&store, id));
+        let scale = 0.5;
+        let out = if fused {
+            tape.masked_attention(q, k, v, Some(allowed), scale)
+        } else {
+            let logits = tape.matmul_nt(q, k);
+            let logits = tape.scale(logits, scale);
+            let mask = tape.constant(allowed.mask());
+            let attn = tape.masked_softmax_rows(logits, mask);
+            tape.matmul(attn, v)
+        };
+        let value = tape.value(out).clone();
+        tape.backward(out, seed.clone(), &mut store);
+        let [dq, dk, dv] = ids.map(|id| store.grad(id).clone());
+        [value, dq, dk, dv]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// The fused head equals the four-op chain bit for bit over the
+        /// `k`-hop DAGRA masks of `GraphSample::with_attention_range`,
+        /// `k = 0` (the diagonal) included, on random DAGs.
+        #[test]
+        fn prop_attention_over_a_k_range_mask_matches_the_four_op_chain(
+            nodes in 2usize..48,
+            hops in 0u32..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut b = GraphBuilder::new();
+            let mut ids = vec![b.input([2], DType::F32)];
+            for _ in 1..nodes {
+                if rng.gen_bool(0.2) {
+                    ids.push(b.input([2], DType::F32));
+                } else {
+                    let x = ids[rng.gen_range(0..ids.len())];
+                    let y = ids[rng.gen_range(0..ids.len())];
+                    ids.push(b.binary(OpKind::Mul, x, y));
+                }
+            }
+            let g = b.finish(&[*ids.last().unwrap()]).unwrap();
+            let s = GraphSample::with_attention_range(&g, 0.01, 8, hops);
+            let n = s.num_nodes();
+            let mut mat = |r: usize, c: usize| {
+                Matrix::from_vec(r, c, (0..r * c).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
+            };
+            let (q, k, v, seed) = (mat(n, 4), mat(n, 4), mat(n, 3), mat(n, 3));
+            let fused = head(true, [&q, &k, &v], &s.dag_allowed, &seed);
+            let chain = head(false, [&q, &k, &v], &s.dag_allowed, &seed);
+            for (what, (a, b)) in ["value", "dq", "dk", "dv"].iter().zip(fused.iter().zip(&chain)) {
+                let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(a), bits(b), "{} differs at k = {}", what, hops);
+            }
+        }
     }
 
     #[test]

@@ -29,8 +29,8 @@ pub struct GraphSample {
     /// share one.
     adjacency: Arc<Adjacency>,
     /// DAGRA reachability (eqn. 1's `M`): row `u` lists the nodes `u`
-    /// may attend to, as ascending column runs. The DAG Transformer's
-    /// attention visits only these entries.
+    /// may attend to, ascending. Built once; clones share it. The DAG
+    /// Transformer's attention visits only these entries.
     pub dag_allowed: AllowedColumns,
     /// `N × pe_dim` sinusoidal encoding of each node's DAG depth (DAGPE).
     pub dagpe: Matrix,
@@ -410,6 +410,25 @@ mod tests {
         // a huge k equals the closure
         let k_big = GraphSample::with_attention_range(&g, 0.01, 8, 1000);
         assert_eq!(k_big.dag_allowed, full.dag_allowed);
+    }
+
+    #[test]
+    fn zero_range_attends_only_to_itself() {
+        let g = sample_graph();
+        let k0 = GraphSample::with_attention_range(&g, 0.01, 8, 0);
+        let n = k0.num_nodes();
+        assert_eq!(k0.dag_allowed.count(), n);
+        for i in 0..n {
+            assert_eq!(k0.dag_allowed.row(i), &[i as u32], "row {i}");
+        }
+    }
+
+    #[test]
+    fn clones_share_the_allowed_index() {
+        let s = GraphSample::new(&sample_graph(), 0.01, 8);
+        let c = s.clone();
+        assert_eq!(c.dag_allowed, s.dag_allowed);
+        assert!(std::ptr::eq(c.dag_allowed.row(0), s.dag_allowed.row(0)));
     }
     proptest! {
         #[test]

@@ -25,25 +25,29 @@ pub struct Reachability {
 
 impl Reachability {
     /// Compute the `k`-hop-bounded ancestor relation: bit `u` of row `v`
-    /// is set iff a directed path `u ⇝ v` of length ≤ `k` exists. This is
-    /// eqn. 1's `N_k(v)` neighbourhood-range hyperparameter; the paper
-    /// sets `k = ∞` ([`Reachability::compute`]) but evaluates the knob.
+    /// is set iff a directed path `u ⇝ v` of length between 1 and `k`
+    /// exists. This is eqn. 1's `N_k(v)` neighbourhood-range
+    /// hyperparameter; the paper sets `k = ∞` ([`Reachability::compute`])
+    /// but evaluates the knob. `k = 0` leaves the relation empty, so
+    /// [`Reachability::connected`] holds only on the diagonal
+    /// (`N_0(v) = {v}`).
     ///
     /// Cost: `k` propagation rounds of `O(E · N/64)`.
     pub fn compute_within(g: &Graph, k: u32) -> Reachability {
         let n = g.len();
         let words = n.div_ceil(64);
-        // R_1 = direct predecessors
-        let mut bits = vec![0u64; n * words];
+        // direct predecessors, the seed of every round
+        let mut preds = vec![0u64; n * words];
         for v in 0..n {
             for &p in g.preds(NodeId(v as u32)) {
-                bits[v * words + p.index() / 64] |= 1u64 << (p.index() % 64);
+                preds[v * words + p.index() / 64] |= 1u64 << (p.index() % 64);
             }
         }
-        let mut cur = bits.clone();
-        for _ in 1..k {
+        // R_0 = ∅
+        let mut cur = vec![0u64; n * words];
+        for _ in 0..k {
             // R_{j+1}[v] = preds(v) ∪ ⋃_{p ∈ preds(v)} R_j[p]
-            let mut next = bits.clone();
+            let mut next = preds.clone();
             for v in 0..n {
                 for &p in g.preds(NodeId(v as u32)) {
                     let pi = p.index();
@@ -305,6 +309,20 @@ mod tests {
         }
     }
 
+    #[test]
+    fn zero_hops_connect_each_node_only_to_itself() {
+        let g = diamond();
+        let r0 = Reachability::compute_within(&g, 0);
+        for u in 0..g.len() {
+            assert_eq!(r0.ancestor_count(NodeId(u as u32)), 0);
+            for v in 0..g.len() {
+                let (u, v) = (NodeId(u as u32), NodeId(v as u32));
+                assert_eq!(r0.connected(u, v), u == v, "({u:?}, {v:?})");
+            }
+        }
+        assert!((r0.density() - 1.0 / g.len() as f64).abs() < 1e-12);
+    }
+
     fn arb_dag() -> impl Strategy<Value = Graph> {
         (3usize..60, any::<u64>()).prop_map(|(n, seed)| {
             use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -365,7 +383,7 @@ mod tests {
         }
 
         #[test]
-        fn prop_k_hop_monotone_in_k(g in arb_dag(), k in 1u32..6) {
+        fn prop_k_hop_monotone_in_k(g in arb_dag(), k in 0u32..6) {
             let rk = Reachability::compute_within(&g, k);
             let rk1 = Reachability::compute_within(&g, k + 1);
             let full = Reachability::compute(&g);

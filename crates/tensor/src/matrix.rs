@@ -26,6 +26,8 @@
 //! count. A kernel called from inside a pool worker runs on that worker
 //! alone (one untiled region), like every nested map.
 
+use std::ops::Range;
+
 use crate::kernel::{self, Variant};
 
 /// Minimum multiply-add count (`m·k·n`) before a kernel fans output
@@ -199,15 +201,26 @@ impl Matrix {
     /// remains one sequential dot product over `p`, so the result is
     /// bit-identical to [`Matrix::matmul_nt_ref`].
     pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
+        self.matmul_nt_rows_into(0..self.rows, other, out);
+    }
+
+    /// Rows `rows` of `self · otherᵀ` written into `out` (reshaped to
+    /// `rows.len() × other.rows()` and zeroed): every element is the
+    /// same sequential dot product [`Matrix::matmul_nt_into`] computes.
+    ///
+    /// # Panics
+    /// Panics if the column counts differ or `rows` runs past `self`.
+    pub(crate) fn matmul_nt_rows_into(&self, rows: Range<usize>, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.rows);
+        assert!(rows.end <= self.rows, "rows {rows:?} of {}", self.rows);
+        let (m, k, n) = (rows.len(), self.cols, other.rows);
         out.reset(m, n);
         if m == 0 || k == 0 || n == 0 {
             return;
         }
         kernel::gemm(
             Variant::Nt,
-            &self.data,
+            &self.data[rows.start * k..rows.end * k],
             &other.data,
             &mut out.data,
             m,

@@ -124,6 +124,11 @@ impl BufferPool {
     pub fn stats(&self) -> PoolStats {
         self.stats
     }
+
+    /// Floats currently parked across all buckets.
+    pub fn parked_floats(&self) -> usize {
+        self.parked
+    }
 }
 
 #[cfg(test)]
@@ -136,8 +141,10 @@ mod tests {
         let a = pool.alloc(4, 8);
         assert_eq!(pool.stats(), PoolStats { hits: 0, misses: 1 });
         pool.recycle(a);
+        assert_eq!(pool.parked_floats(), 32);
         let b = pool.alloc(4, 8);
         assert_eq!(pool.stats(), PoolStats { hits: 1, misses: 1 });
+        assert_eq!(pool.parked_floats(), 0);
         assert!(b.data().iter().all(|&x| x == 0.0));
         // a different shape with the same element count also hits
         pool.recycle(b);

@@ -54,9 +54,9 @@ enum Op {
     /// Row-wise `softmax(A + mask)`; the mask is a constant and gets no
     /// gradient.
     MaskedSoftmaxRows(Var, Var),
-    /// `softmax(scale · Q·Kᵀ + mask) · V` over allowed columns. Keeps the
-    /// dense `n × m` probabilities (a pooled buffer, recycled on
-    /// [`Tape::reset`]) for the backward pass.
+    /// `softmax(scale · Q·Kᵀ + mask) · V` over allowed columns. Keeps
+    /// only the compact probabilities, one per allowed entry (a pooled
+    /// buffer, recycled on [`Tape::reset`]), for the backward pass.
     MaskedAttention {
         /// Queries `Q`.
         q: Var,
@@ -66,8 +66,11 @@ enum Op {
         v: Var,
         /// Logit scale.
         scale: f32,
-        /// The softmax output.
+        /// The softmax output at the allowed entries (dense when
+        /// `allowed` is `None`).
         probs: Matrix,
+        /// The allowed columns (a shared handle); `None` allows all.
+        allowed: Option<AllowedColumns>,
     },
     /// Column-sum to a `1 × d` row (global add pool).
     SumRows(Var),
@@ -137,6 +140,12 @@ impl Tape {
     /// `bench_predictor`).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
+    }
+
+    /// Floats the buffer pool holds for reuse (after [`Tape::reset`],
+    /// every buffer the last pass used, up to the pool's cap).
+    pub fn pool_parked_floats(&self) -> usize {
+        self.pool.parked_floats()
     }
 
     fn push(&mut self, op: Op, value: Matrix) -> Var {
@@ -279,10 +288,13 @@ impl Tape {
     ///
     /// The value and the gradients of `q`, `k` and `v` are bit-identical
     /// to the chain `matmul_nt(q, k) → scale → masked_softmax_rows(·,
-    /// allowed's dense mask) → matmul(·, v)`, but the softmax and the
-    /// `attn · v` product visit only the allowed entries (see
-    /// [`crate::attention`] for why that changes no bit). The backward
-    /// pass runs the chain's four rules in the chain's order.
+    /// allowed's dense mask) → matmul(·, v)`, but no `n × m` buffer
+    /// lives through the forward: the logits come a row block at a time,
+    /// and the softmax and the `attn · v` product visit only the allowed
+    /// entries (see [`crate::attention`] for why that changes no bit).
+    /// The tape keeps the compact probabilities; the backward pass
+    /// scatters them into a dense buffer and runs the chain's four rules
+    /// in the chain's order.
     ///
     /// # Panics
     /// Panics if the shapes disagree: `q : n × d`, `k : m × d`,
@@ -302,12 +314,7 @@ impl Tape {
         if let Some(a) = allowed {
             assert_eq!((a.rows(), a.cols()), (n, m), "masked_attention mask shape");
         }
-        let mut logits = pool.scratch(n * m);
-        qv.matmul_nt_into(kv, &mut logits);
-        let mut probs = pool.alloc(n, m);
-        let mut ctx = pool.alloc(n, vv.cols());
-        attention::attend(&mut logits, scale, allowed, vv, &mut probs, &mut ctx);
-        pool.recycle(logits);
+        let (probs, ctx) = attention::forward(qv, kv, vv, allowed, scale, pool);
         self.push(
             Op::MaskedAttention {
                 q,
@@ -315,6 +322,7 @@ impl Tape {
                 v,
                 scale,
                 probs,
+                allowed: allowed.cloned(),
             },
             ctx,
         )
@@ -500,7 +508,10 @@ impl Tape {
                     v,
                     scale,
                     probs,
+                    allowed,
                 } => {
+                    let scattered = allowed.as_ref().map(|a| attention::scatter(probs, a, pool));
+                    let probs = scattered.as_ref().unwrap_or(probs);
                     // the chain's rules, last op first: matmul(probs, v),
                     // masked softmax, scale, then matmul_nt(q, k)
                     let mut dprobs = pool.scratch(probs.data().len());
@@ -519,6 +530,9 @@ impl Tape {
                     accumulate(&mut grads, *q, dq, pool);
                     accumulate(&mut grads, *k, dk, pool);
                     pool.recycle(dlogits);
+                    if let Some(dense) = scattered {
+                        pool.recycle(dense);
+                    }
                 }
                 Op::SumRows(a) => {
                     let av = &values[a.0];
@@ -903,20 +917,20 @@ mod tests {
         } else {
             let logits = tape.matmul_nt(qv, kv);
             let logits = tape.scale(logits, scale);
-            let mut mask = Matrix::zeros(q.rows(), k.rows());
-            if let Some(a) = allowed {
-                for i in 0..q.rows() {
-                    for j in 0..k.rows() {
-                        if !a.contains(i, j) {
-                            mask.set(i, j, f32::NEG_INFINITY);
-                        }
-                    }
-                }
-            }
+            let mask =
+                allowed.map_or_else(|| Matrix::zeros(q.rows(), k.rows()), AllowedColumns::mask);
             let mask = tape.constant(mask);
             let attn = tape.masked_softmax_rows(logits, mask);
             tape.matmul(attn, vv)
         };
+        if fused {
+            // the forward kept one probability per allowed entry
+            let Some(Op::MaskedAttention { probs, .. }) = tape.ops.last() else {
+                panic!("the fused head records one masked-attention op");
+            };
+            let compact = allowed.map_or(q.rows() * k.rows(), AllowedColumns::count);
+            assert_eq!(probs.data().len(), compact);
+        }
         let value = tape.value(out).clone();
         tape.backward(out, seed.clone(), &mut store);
         [
@@ -983,6 +997,68 @@ mod tests {
             let inputs = (&q, &k, &v);
             let fused = attention_head(true, shared, inputs, allowed, scale, &g);
             let chain = attention_head(false, shared, inputs, allowed, scale, &g);
+            for (what, (a, b)) in ["value", "dq", "dk", "dv"].iter().zip(fused.iter().zip(&chain)) {
+                proptest::prop_assert!(same_bits(a, b), "{} differs:\nfused {:?}\nchain {:?}", what, a, b);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+        /// The fused head equals the four-op chain bit for bit where
+        /// only masked logits overflow: some query rows and key rows
+        /// carry one entry near ±1e19 in a shared "hot" feature, so a
+        /// hot row's logit against a hot key overflows to ±inf. Hot rows
+        /// mask every hot key (with `leak`, a few stay allowed), cold
+        /// rows draw random masks including empty rows, and with
+        /// `masked` false every column is allowed.
+        #[test]
+        fn prop_masked_attention_with_overflowing_masked_logits_matches_the_chain(
+            n in 1usize..12,
+            m in 1usize..12,
+            d in 1usize..6,
+            seed in proptest::prelude::any::<u64>(),
+            masked in proptest::prelude::any::<bool>(),
+            leak in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let hot_feature = rng.gen_range(0..d);
+            let huge = |rng: &mut StdRng| {
+                let h = rng.gen_range(1e19f32..4e19);
+                if rng.gen_bool(0.5) { h } else { -h }
+            };
+            let hot_q: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
+            let hot_k: Vec<bool> = (0..m).map(|_| rng.gen_bool(0.5)).collect();
+            let mut q = rand_matrix(&mut rng, n, d);
+            let mut k = rand_matrix(&mut rng, m, d);
+            for i in (0..n).filter(|&i| hot_q[i]) {
+                q.set(i, hot_feature, huge(&mut rng));
+            }
+            for j in (0..m).filter(|&j| hot_k[j]) {
+                k.set(j, hot_feature, huge(&mut rng));
+            }
+            let v = rand_matrix(&mut rng, m, 3);
+            let g = rand_matrix(&mut rng, n, 3);
+            let pattern: Vec<bool> = (0..n)
+                .flat_map(|i| {
+                    let empty = rng.gen_bool(0.2);
+                    (0..m)
+                        .map(|j| {
+                            if hot_q[i] && hot_k[j] {
+                                leak && rng.gen_bool(0.2)
+                            } else {
+                                !empty && rng.gen_bool(0.6)
+                            }
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            let allowed = AllowedColumns::from_fn(n, m, |i, j| pattern[i * m + j]);
+            let allowed = masked.then_some(&allowed);
+            let scale = 1.0 / (d as f32).sqrt();
+            let inputs = (&q, &k, &v);
+            let fused = attention_head(true, false, inputs, allowed, scale, &g);
+            let chain = attention_head(false, false, inputs, allowed, scale, &g);
             for (what, (a, b)) in ["value", "dq", "dk", "dv"].iter().zip(fused.iter().zip(&chain)) {
                 proptest::prop_assert!(same_bits(a, b), "{} differs:\nfused {:?}\nchain {:?}", what, a, b);
             }
