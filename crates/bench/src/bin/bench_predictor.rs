@@ -24,10 +24,16 @@
 //!   rate means a tape op regressed to per-call allocation).
 //! * `attention[]` — one DAGRA attention head (head width 8, the plan
 //!   search use case's) on each scaled-GPT-3 window `[0, e)`: node
-//!   count, allowed entries, best-of-N forward and forward+backward
-//!   microseconds, forward nanoseconds per allowed entry, and whether
-//!   value and q/k/v gradients match the four-op chain
-//!   (`matmul_nt → scale → masked_softmax_rows → matmul`) bit for bit.
+//!   count, allowed entries, best-of-N forward, backward and
+//!   forward+backward microseconds, forward and backward nanoseconds
+//!   per allowed entry, and whether value and q/k/v gradients match the
+//!   four-op chain (`matmul_nt → scale → masked_softmax_rows → matmul`)
+//!   bit for bit.
+//! * `exp[]` — the softmax exponential: best-of-N nanoseconds per
+//!   element of the host's `f32::exp` (`libm`) and of the crate's port
+//!   at each available tier, over softmax-range inputs, and whether
+//!   each returns `f32::exp`'s bits on a strided sweep of all 2³²
+//!   inputs.
 //!
 //! ```sh
 //! cargo run --release --bin bench_predictor              # full protocol
@@ -49,6 +55,7 @@ use predtop_models::{sample_stages, ModelSpec, StageSpec};
 use predtop_parallel::{MeshShape, ParallelConfig, StageLatencyProvider};
 use predtop_runtime::configured_threads;
 use predtop_sim::SimProfiler;
+use predtop_tensor::exp::{exp_in_place_at, exp_isas};
 use predtop_tensor::{
     active_isa, available_isas, kernel_stats, reset_kernel_stats, AllowedColumns, Matrix,
     ParamStore, Tape,
@@ -215,7 +222,7 @@ fn usecase_gpt3() -> ModelSpec {
 
 /// One attention head on `tape` (reset first), fused or as the four-op
 /// chain with a dense 0/−inf mask: value and `(dq, dk, dv)`, plus the
-/// forward's and the forward+backward's seconds.
+/// forward's and the backward's seconds.
 fn attention_head(
     tape: &mut Tape,
     fused: bool,
@@ -240,11 +247,13 @@ fn attention_head(
         }
     };
     let forward_s = t.elapsed().as_secs_f64();
-    tape.backward(out, seed.clone(), &mut store);
-    let both_s = t.elapsed().as_secs_f64();
+    let seed = seed.clone();
+    let t = Instant::now();
+    tape.backward(out, seed, &mut store);
+    let backward_s = t.elapsed().as_secs_f64();
     let value = tape.value(out).clone();
     let [dq, dk, dv] = ids.map(|id| store.grad(id).clone());
-    ([value, dq, dk, dv], forward_s, both_s)
+    ([value, dq, dk, dv], forward_s, backward_s)
 }
 
 fn attention_section(smoke: bool, reps: usize, failures: &mut Vec<String>) -> Json {
@@ -266,10 +275,12 @@ fn attention_section(smoke: bool, reps: usize, failures: &mut Vec<String>) -> Js
         let qkv = [&qkv[0], &qkv[1], &qkv[2]];
         let (chain, _, _) = attention_head(&mut tape, false, qkv, allowed, &grad_seed);
         let mut fused = None;
-        let (mut forward_s, mut both_s) = (f64::INFINITY, f64::INFINITY);
+        let [mut forward_s, mut backward_s, mut both_s] = [f64::INFINITY; 3];
         for _ in 0..reps {
             let (out, f, b) = attention_head(&mut tape, true, qkv, allowed, &grad_seed);
-            (forward_s, both_s) = (forward_s.min(f), both_s.min(b));
+            forward_s = forward_s.min(f);
+            backward_s = backward_s.min(b);
+            both_s = both_s.min(f + b);
             fused = Some(out);
         }
         let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -283,12 +294,14 @@ fn attention_section(smoke: bool, reps: usize, failures: &mut Vec<String>) -> Js
                 "attention at n={n} diverged from the four-op chain"
             ));
         }
-        let ns_per_entry = forward_s * 1e9 / allowed.count().max(1) as f64;
+        let per_entry = |s: f64| s * 1e9 / allowed.count().max(1) as f64;
         eprintln!(
-            "[attention] [0, {end}) n={n:<5} allowed {:<8} forward {:8.1} µs  fwd+bwd {:8.1} µs  {ns_per_entry:5.2} ns/entry",
+            "[attention] [0, {end}) n={n:<5} allowed {:<8} forward {:8.1} µs ({:5.2} ns/entry)  backward {:8.1} µs ({:5.2} ns/entry)",
             allowed.count(),
             forward_s * 1e6,
-            both_s * 1e6,
+            per_entry(forward_s),
+            backward_s * 1e6,
+            per_entry(backward_s),
         );
         rows.push(
             Json::obj()
@@ -296,8 +309,65 @@ fn attention_section(smoke: bool, reps: usize, failures: &mut Vec<String>) -> Js
                 .field("n", n)
                 .field("allowed_entries", allowed.count())
                 .field("forward_us", forward_s * 1e6)
+                .field("backward_us", backward_s * 1e6)
                 .field("forward_backward_us", both_s * 1e6)
-                .field("ns_per_allowed_entry", ns_per_entry)
+                .field("forward_ns_per_allowed_entry", per_entry(forward_s))
+                .field("backward_ns_per_allowed_entry", per_entry(backward_s))
+                .field("exact_match", exact),
+        );
+    }
+    Json::Arr(rows)
+}
+
+/// The softmax exponential: `f32::exp` and the crate's port at every
+/// available tier, timed over softmax-range inputs (`x − max ∈ [−16,
+/// 0)`) and checked bit for bit against `f32::exp` on every 4093rd of
+/// the 2³² inputs.
+fn exp_section(reps: usize, failures: &mut Vec<String>) -> Json {
+    let sweep: Vec<f32> = (0..=u32::MAX).step_by(4093).map(f32::from_bits).collect();
+    let want: Vec<u32> = sweep.iter().map(|x| x.exp().to_bits()).collect();
+    let inputs: Vec<f32> = lcg_matrix(1, 4096, 7)
+        .data()
+        .iter()
+        .map(|&u| 8.0 * (u - 1.0))
+        .collect();
+    let rounds = 200;
+    let per_element = |s: f64| s * 1e9 / (rounds * inputs.len()) as f64;
+    let mut buf = inputs.clone();
+    let libm_s = time_best(reps, || {
+        for _ in 0..rounds {
+            for (o, &x) in buf.iter_mut().zip(&inputs) {
+                *o = std::hint::black_box(x).exp();
+            }
+        }
+    });
+    eprintln!("[exp] libm    {:5.2} ns/element", per_element(libm_s));
+    let mut rows = vec![Json::obj()
+        .field("tier", "libm")
+        .field("ns_per_element", per_element(libm_s))
+        .field("exact_match", true)];
+    for isa in exp_isas() {
+        let seconds = time_best(reps, || {
+            for _ in 0..rounds {
+                buf.copy_from_slice(&inputs);
+                exp_in_place_at(isa, std::hint::black_box(&mut buf));
+            }
+        });
+        let mut ys = sweep.clone();
+        exp_in_place_at(isa, &mut ys);
+        let exact = ys.iter().zip(&want).all(|(y, w)| y.to_bits() == *w);
+        if !exact {
+            failures.push(format!("{} exp differs from f32::exp", isa.name()));
+        }
+        eprintln!(
+            "[exp] {:<7} {:5.2} ns/element  exact {exact}",
+            isa.name(),
+            per_element(seconds)
+        );
+        rows.push(
+            Json::obj()
+                .field("tier", isa.name())
+                .field("ns_per_element", per_element(seconds))
                 .field("exact_match", exact),
         );
     }
@@ -448,10 +518,11 @@ fn main() {
 
     // --- attention: one DAGRA head per scaled-GPT-3 window -----------
     let attention = attention_section(args.smoke, reps, &mut failures);
+    let exp = exp_section(reps, &mut failures);
 
     // --- artifact ---------------------------------------------------
     let doc = Json::obj()
-        .field("schema_version", 3u64)
+        .field("schema_version", 4u64)
         .field("benchmark", "bench_predictor")
         .field("smoke", args.smoke)
         .field("threads", parallel_threads)
@@ -464,7 +535,8 @@ fn main() {
         .field("kernel_summary", kernel_summary)
         .field("training", training)
         .field("inference", inference)
-        .field("attention", attention);
+        .field("attention", attention)
+        .field("exp", exp);
     write_json_file(&args.out, &doc);
     println!("saved {}", args.out.display());
 
@@ -475,6 +547,6 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "determinism checks passed: kernels exact, weight checksums match, attention matches the chain"
+        "determinism checks passed: kernels exact, weight checksums match, attention matches the chain, every exp tier matches f32::exp"
     );
 }

@@ -74,9 +74,7 @@ impl GraphSample {
             edges: g.edges().collect(),
             dense: OnceLock::new(),
         });
-        let dag_allowed = AllowedColumns::from_fn(n, n, |i, j| {
-            reach.connected(NodeId(i as u32), NodeId(j as u32))
-        });
+        let dag_allowed = AllowedColumns::from_bits(n, n, &reach.connected_bits());
 
         let d = depths(g);
         let dagpe = sinusoidal_pe(&d, pe_dim);
@@ -431,6 +429,47 @@ mod tests {
         assert!(std::ptr::eq(c.dag_allowed.row(0), s.dag_allowed.row(0)));
     }
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The index read off the reachability bit rows equals the
+        /// `from_fn` oracle over `Reachability::connected` on random
+        /// DAGs (up to three 64-bit words a row), at `k` = 0..4 hops and
+        /// at the paper's `k = ∞` (`hops == 4`).
+        #[test]
+        fn prop_bit_row_index_matches_the_connected_predicate(
+            nodes in 2usize..200,
+            hops in 0u32..5,
+            seed in any::<u64>(),
+        ) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut b = GraphBuilder::new();
+            let mut ids = vec![b.input([2], DType::F32)];
+            for _ in 1..nodes {
+                if rng.gen_bool(0.1) {
+                    ids.push(b.input([2], DType::F32));
+                } else {
+                    let x = ids[rng.gen_range(0..ids.len())];
+                    let y = ids[rng.gen_range(ids.len().saturating_sub(8)..ids.len())];
+                    ids.push(b.binary(OpKind::Mul, x, y));
+                }
+            }
+            let g = b.finish(&[*ids.last().unwrap()]).unwrap();
+            let (pruned, _) = prune(&g);
+            let (sample, reach) = if hops == 4 {
+                (GraphSample::new(&g, 0.01, 8), Reachability::compute(&pruned))
+            } else {
+                (
+                    GraphSample::with_attention_range(&g, 0.01, 8, hops),
+                    Reachability::compute_within(&pruned, hops),
+                )
+            };
+            let n = pruned.len();
+            let oracle = AllowedColumns::from_fn(n, n, |i, j| {
+                reach.connected(NodeId(i as u32), NodeId(j as u32))
+            });
+            prop_assert_eq!(&sample.dag_allowed, &oracle);
+        }
+
         #[test]
         fn prop_scaler_inverse_is_monotone(a in 1e-5f64..10.0, b in 1e-5f64..10.0) {
             prop_assume!((a - b).abs() > 1e-9);

@@ -124,6 +124,30 @@ impl Reachability {
         u == v || self.ancestor(u, v) || self.ancestor(v, u)
     }
 
+    /// The DAGRA attention rows as a packed `n × n` bit matrix, row `u`
+    /// in words `u·w..(u+1)·w` with `w = n.div_ceil(64)`: bit `v % 64` of
+    /// word `v / 64` is set iff [`Reachability::connected`]`(u, v)`, so
+    /// row `u` is its ancestor row, OR its descendants (the transposed
+    /// relation), OR the diagonal. Costs a copy of the words plus one
+    /// step per related pair.
+    pub fn connected_bits(&self) -> Vec<u64> {
+        let words = self.words_per_row;
+        let mut rows = self.bits.clone();
+        for v in 0..self.n {
+            rows[v * words + v / 64] |= 1u64 << (v % 64);
+            for (w, &word) in self.bits[v * words..(v + 1) * words].iter().enumerate() {
+                let mut left = word;
+                while left != 0 {
+                    // u ⇝ v: v is one of u's descendants
+                    let u = w * 64 + left.trailing_zeros() as usize;
+                    left &= left - 1;
+                    rows[u * words + v / 64] |= 1u64 << (v % 64);
+                }
+            }
+        }
+        rows
+    }
+
     /// Number of ancestors of `v`.
     pub fn ancestor_count(&self, v: NodeId) -> usize {
         let row = &self.bits[v.index() * self.words_per_row..(v.index() + 1) * self.words_per_row];
@@ -246,6 +270,27 @@ mod tests {
                     "mask mismatch at ({u},{v})"
                 );
                 assert!(allowed || m[u * n + v] == f32::NEG_INFINITY);
+            }
+        }
+    }
+
+    #[test]
+    fn connected_bits_match_the_connected_predicate() {
+        let g = diamond();
+        for r in [
+            Reachability::compute(&g),
+            Reachability::compute_within(&g, 1),
+            Reachability::compute_within(&g, 0),
+        ] {
+            let bits = r.connected_bits();
+            let (n, words) = (g.len(), g.len().div_ceil(64));
+            assert_eq!(bits.len(), n * words);
+            for u in 0..n {
+                for v in 0..n {
+                    let set = bits[u * words + v / 64] >> (v % 64) & 1 == 1;
+                    let want = r.connected(NodeId(u as u32), NodeId(v as u32));
+                    assert_eq!(set, want, "({u}, {v})");
+                }
             }
         }
     }

@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod attention;
+pub mod exp;
 pub mod init;
 pub mod kernel;
 pub mod loss;

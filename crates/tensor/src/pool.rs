@@ -1,12 +1,14 @@
-//! A size-bucketed buffer pool for [`Matrix`] allocations.
+//! A best-fit buffer pool for [`Matrix`] allocations.
 //!
 //! Training a GNN runs the same forward/backward graph thousands of
 //! times (every sample × every epoch), so the set of matrix shapes the
 //! tape allocates is small and perfectly repetitive. The pool keeps
-//! retired backing `Vec<f32>`s bucketed by capacity and hands them back
-//! on the next request of the same size — after the first forward pass
+//! retired backing `Vec<f32>`s ordered by capacity and hands out the
+//! smallest one that holds a request — after the first forward pass
 //! through a sample, a reused [`crate::Tape`] performs no heap
-//! allocation for its values or adjoints.
+//! allocation for its values or adjoints, and a pass over a smaller
+//! graph of the same model reuses the larger one's buffers instead of
+//! parking a set of its own.
 //!
 //! The pool is purely a memory recycler: callers receive either a
 //! zero-filled matrix ([`BufferPool::alloc`]), an exact copy
@@ -14,7 +16,7 @@
 //! ([`BufferPool::scratch`]) — the arithmetic performed on them is
 //! unchanged, so pooling cannot affect any computed bit.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::matrix::Matrix;
 
@@ -41,12 +43,12 @@ impl PoolStats {
     }
 }
 
-/// Size-bucketed recycler of matrix backing buffers.
+/// Best-fit recycler of matrix backing buffers.
 #[derive(Debug, Default)]
 pub struct BufferPool {
-    /// Retired buffers keyed by capacity.
-    buckets: HashMap<usize, Vec<Vec<f32>>>,
-    /// Total floats currently parked across all buckets.
+    /// Retired buffers keyed by capacity (no empty buckets).
+    buckets: BTreeMap<usize, Vec<Vec<f32>>>,
+    /// Total capacity, in floats, currently parked across all buckets.
     parked: usize,
     stats: PoolStats,
 }
@@ -57,22 +59,41 @@ impl BufferPool {
         BufferPool::default()
     }
 
-    /// Pop a retired buffer of exactly `len` capacity, cleared to
-    /// length 0; `None` on a miss. Counters updated either way.
+    /// Pop the smallest retired buffer with capacity for `len` floats,
+    /// cleared to length 0; `None` on a miss (and for `len == 0`, which
+    /// needs no buffer). Counters updated either way.
+    ///
+    /// A miss drops the largest parked buffer, which is too small: the
+    /// caller's fresh allocation takes its place, so a pass over a larger
+    /// graph replaces the buffers of a smaller one instead of parking a
+    /// second set next to them.
     fn take(&mut self, len: usize) -> Option<Vec<f32>> {
-        let popped = self.buckets.get_mut(&len).and_then(Vec::pop);
-        match popped {
-            Some(mut v) => {
-                self.parked -= len;
-                self.stats.hits += 1;
-                v.clear();
-                Some(v)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+        if len == 0 {
+            self.stats.misses += 1;
+            return None;
         }
+        let Some(cap) = self.buckets.range(len..).next().map(|(&cap, _)| cap) else {
+            self.stats.misses += 1;
+            if let Some(cap) = self.buckets.last_key_value().map(|(&cap, _)| cap) {
+                self.pop(cap);
+            }
+            return None;
+        };
+        self.stats.hits += 1;
+        let mut v = self.pop(cap);
+        v.clear();
+        Some(v)
+    }
+
+    /// Unpark one buffer of capacity `cap` (a key of `buckets`).
+    fn pop(&mut self, cap: usize) -> Vec<f32> {
+        let bucket = self.buckets.get_mut(&cap).expect("a parked capacity");
+        let v = bucket.pop().expect("buckets are never empty");
+        if bucket.is_empty() {
+            self.buckets.remove(&cap);
+        }
+        self.parked -= cap;
+        v
     }
 
     /// An empty `0 × 0` matrix whose backing buffer has capacity for
@@ -125,7 +146,7 @@ impl BufferPool {
         self.stats
     }
 
-    /// Floats currently parked across all buckets.
+    /// Capacity, in floats, currently parked across all buckets.
     pub fn parked_floats(&self) -> usize {
         self.parked
     }
@@ -151,6 +172,33 @@ mod tests {
         let c = pool.alloc(8, 4);
         assert_eq!((c.rows(), c.cols()), (8, 4));
         assert_eq!(pool.stats().hits, 2);
+    }
+
+    #[test]
+    fn takes_the_smallest_buffer_that_fits() {
+        let mut pool = BufferPool::new();
+        for len in [8, 32, 16] {
+            pool.recycle(Matrix::zeros(1, len));
+        }
+        assert_eq!(pool.parked_floats(), 56);
+        // 10 floats fit the 16-float buffer best
+        let a = pool.alloc(2, 5);
+        assert_eq!((a.rows(), a.cols()), (2, 5));
+        assert!(a.data().iter().all(|&x| x == 0.0));
+        assert_eq!(pool.parked_floats(), 40, "the 16-float buffer left");
+        // recycling accounts the capacity, not the length
+        pool.recycle(a);
+        assert_eq!(pool.parked_floats(), 56);
+        // an empty request takes nothing
+        let _ = pool.scratch(0);
+        assert_eq!(pool.parked_floats(), 56);
+        // nothing parked holds 33 floats: a miss, and the largest parked
+        // buffer makes way for the fresh one
+        let big = pool.scratch(33);
+        assert_eq!(pool.stats(), PoolStats { hits: 1, misses: 2 });
+        assert_eq!(pool.parked_floats(), 24, "the 32-float buffer dropped");
+        pool.recycle(big);
+        assert_eq!(pool.parked_floats(), 57);
     }
 
     #[test]

@@ -289,12 +289,11 @@ impl Tape {
     /// The value and the gradients of `q`, `k` and `v` are bit-identical
     /// to the chain `matmul_nt(q, k) → scale → masked_softmax_rows(·,
     /// allowed's dense mask) → matmul(·, v)`, but no `n × m` buffer
-    /// lives through the forward: the logits come a row block at a time,
-    /// and the softmax and the `attn · v` product visit only the allowed
-    /// entries (see [`crate::attention`] for why that changes no bit).
-    /// The tape keeps the compact probabilities; the backward pass
-    /// scatters them into a dense buffer and runs the chain's four rules
-    /// in the chain's order.
+    /// lives through the forward or the backward: the logits and their
+    /// adjoints come a row block at a time, and the softmax, the
+    /// `attn · v` product and their backward rules visit only the
+    /// allowed entries (see [`crate::attention`] for why that changes no
+    /// bit). The tape keeps the compact probabilities.
     ///
     /// # Panics
     /// Panics if the shapes disagree: `q : n × d`, `k : m × d`,
@@ -510,29 +509,32 @@ impl Tape {
                     probs,
                     allowed,
                 } => {
-                    let scattered = allowed.as_ref().map(|a| attention::scatter(probs, a, pool));
-                    let probs = scattered.as_ref().unwrap_or(probs);
-                    // the chain's rules, last op first: matmul(probs, v),
-                    // masked softmax, scale, then matmul_nt(q, k)
-                    let mut dprobs = pool.scratch(probs.data().len());
-                    g.matmul_nt_into(&values[v.0], &mut dprobs);
-                    let mut dv = pool.scratch(values[v.0].data().len());
-                    probs.matmul_tn_into(&g, &mut dv);
-                    accumulate(&mut grads, *v, dv, pool);
+                    let (qv, kv, vv) = (&values[q.0], &values[k.0], &values[v.0]);
+                    let (dq, dk, dv) = match allowed {
+                        Some(a) => attention::backward(&g, qv, kv, vv, probs, a, *scale, pool),
+                        None => {
+                            // the chain's rules over the dense probabilities,
+                            // last op first: matmul(probs, v), masked
+                            // softmax, scale, then matmul_nt(q, k)
+                            let mut dprobs = pool.scratch(probs.data().len());
+                            g.matmul_nt_into(vv, &mut dprobs);
+                            let mut dv = pool.scratch(vv.data().len());
+                            probs.matmul_tn_into(&g, &mut dv);
+                            let mut dlogits = softmax_backward(probs, &dprobs, pool);
+                            pool.recycle(dprobs);
+                            dlogits.scale_assign(*scale);
+                            let mut dq = pool.scratch(qv.data().len());
+                            dlogits.matmul_into(kv, &mut dq);
+                            let mut dk = pool.scratch(kv.data().len());
+                            dlogits.matmul_tn_into(qv, &mut dk);
+                            pool.recycle(dlogits);
+                            (dq, dk, dv)
+                        }
+                    };
                     pool.recycle(g);
-                    let mut dlogits = softmax_backward(probs, &dprobs, pool);
-                    pool.recycle(dprobs);
-                    dlogits.scale_assign(*scale);
-                    let mut dq = pool.scratch(values[q.0].data().len());
-                    dlogits.matmul_into(&values[k.0], &mut dq);
-                    let mut dk = pool.scratch(values[k.0].data().len());
-                    dlogits.matmul_tn_into(&values[q.0], &mut dk);
+                    accumulate(&mut grads, *v, dv, pool);
                     accumulate(&mut grads, *q, dq, pool);
                     accumulate(&mut grads, *k, dk, pool);
-                    pool.recycle(dlogits);
-                    if let Some(dense) = scattered {
-                        pool.recycle(dense);
-                    }
                 }
                 Op::SumRows(a) => {
                     let av = &values[a.0];
@@ -1059,6 +1061,83 @@ mod tests {
             let inputs = (&q, &k, &v);
             let fused = attention_head(true, false, inputs, allowed, scale, &g);
             let chain = attention_head(false, false, inputs, allowed, scale, &g);
+            for (what, (a, b)) in ["value", "dq", "dk", "dv"].iter().zip(fused.iter().zip(&chain)) {
+                proptest::prop_assert!(same_bits(a, b), "{} differs:\nfused {:?}\nchain {:?}", what, a, b);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+        /// The fused head equals the four-op chain bit for bit on the
+        /// edges of the row-block kernels: head widths 1..=17 (lane
+        /// blocks of 8, 4, 2 and 1), at least 40 query rows (a partial
+        /// 32-row block and partial 4-row groups), rows the backward's
+        /// guard sends to the reference rules (adjoint rows or value
+        /// entries near `f32::MAX`, NaN adjoint rows, NaN probability
+        /// rows from a non-finite query), and shared `q = k = v`.
+        #[test]
+        fn prop_masked_attention_on_kernel_edges_matches_the_chain(
+            n in 40usize..90,
+            m in 1usize..90,
+            d in 1usize..18,
+            dv in 1usize..18,
+            seed in proptest::prelude::any::<u64>(),
+            hazard in 0usize..5,
+            shared in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (m, dv) = if shared { (n, d) } else { (m, dv) };
+            let mut q = rand_matrix(&mut rng, n, d);
+            let mut k = rand_matrix(&mut rng, m, d);
+            let mut v = rand_matrix(&mut rng, m, dv);
+            let mut g = rand_matrix(&mut rng, n, dv);
+            let rows: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.15)).collect();
+            match hazard {
+                // adjoint rows whose |g|₁ · max|v| passes f32::MAX / 4
+                1 => {
+                    for &i in &rows {
+                        g.set(i, rng.gen_range(0..dv), rng.gen_range(1e38f32..3e38));
+                    }
+                }
+                // one value entry near f32::MAX: every row fails the guard
+                2 => v.set(rng.gen_range(0..m), rng.gen_range(0..dv), -3e38),
+                3 => {
+                    for &i in &rows {
+                        g.set(i, rng.gen_range(0..dv), f32::NAN);
+                    }
+                }
+                // a non-finite query entry: that row's probabilities are
+                // NaN (or, with shared inputs, the key and value too)
+                4 => {
+                    for &i in &rows {
+                        q.set(i, rng.gen_range(0..d), [f32::NAN, f32::INFINITY][i % 2]);
+                    }
+                }
+                _ => {}
+            }
+            if shared {
+                k = q.clone();
+                v = q.clone();
+            }
+            let pattern: Vec<bool> = (0..n)
+                .flat_map(|_| {
+                    let mode = rng.gen_range(0u32..8);
+                    let density = rng.gen_range(0.0f64..1.0);
+                    (0..m)
+                        .map(|_| match mode {
+                            0 => false,
+                            1 => true,
+                            _ => rng.gen_bool(density),
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            let allowed = AllowedColumns::from_fn(n, m, |i, j| pattern[i * m + j]);
+            let scale = 1.0 / (d as f32).sqrt();
+            let inputs = (&q, &k, &v);
+            let fused = attention_head(true, shared, inputs, Some(&allowed), scale, &g);
+            let chain = attention_head(false, shared, inputs, Some(&allowed), scale, &g);
             for (what, (a, b)) in ["value", "dq", "dk", "dv"].iter().zip(fused.iter().zip(&chain)) {
                 proptest::prop_assert!(same_bits(a, b), "{} differs:\nfused {:?}\nchain {:?}", what, a, b);
             }
