@@ -32,10 +32,7 @@ pub mod plan_passes;
 pub mod registry;
 pub mod render;
 
-pub use dataflow::{
-    peak_resident_bytes, resident_sets, solve, BitSet, Direction, Fixpoint, FlowGraph, Lattice,
-    LiveBuffers, LivenessPass,
-};
+pub use dataflow::{peak_resident_bytes, resident_sets, LivenessPass};
 pub use diag::{
     has_errors, max_severity, sort_diagnostics, Code, Diagnostic, Fix, FixEdit, Severity, Span,
 };

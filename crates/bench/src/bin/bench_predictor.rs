@@ -238,7 +238,7 @@ fn attention_head(
     let mask = (!fused).then(|| tape.constant(allowed.mask()));
     let t = Instant::now();
     let out = match mask {
-        None => tape.masked_attention(q, k, v, Some(allowed), scale),
+        None => tape.masked_attention(q, k, v, allowed, scale),
         Some(mask) => {
             let logits = tape.matmul_nt(q, k);
             let logits = tape.scale(logits, scale);

@@ -5,13 +5,8 @@
 //! every store-addressable artifact the core layer produces:
 //!
 //! * **plans** ([`encode_plan`] / [`decode_plan`]) — a
-//!   [`PipelinePlan`] with its model spec, exact to the bit;
-//! * **search snapshots** ([`encode_outcome`] / [`decode_outcome`]) —
-//!   the deterministic slice of a [`SearchOutcome`] (plan, latencies as
-//!   raw `f64` bits, query/rejection counts). `search_seconds` and the
-//!   per-layer service accounting are deliberately *excluded*: they are
-//!   wall-clock facts of one run, not properties of the search problem,
-//!   and storing them would make byte-identity across runs impossible;
+//!   [`PipelinePlan`](predtop_parallel::PipelinePlan) with its model
+//!   spec, exact to the bit;
 //! * **predictor snapshots** ([`encode_predictor`] /
 //!   [`decode_predictor`]) — architecture, target scaler, and every
 //!   weight matrix, sealed with a hash of the encoded architecture and
@@ -30,8 +25,6 @@
 //! switches) change predictions without changing any weight shape.
 
 use predtop_gnn::{ModelKind as PredictorKind, TargetScaler, TrainedPredictor};
-use predtop_parallel::PipelinePlan;
-use predtop_service::api::{decode_plan_body, encode_plan_body};
 use predtop_store::hash::Fnv1a64;
 use predtop_store::{ByteReader, ByteWriter, DecodeError};
 use predtop_tensor::Matrix;
@@ -45,10 +38,7 @@ pub use predtop_service::api::{
 };
 
 use crate::predictor::ArchConfig;
-use crate::search::SearchOutcome;
 
-/// Version byte heading every search-snapshot encoding.
-pub const OUTCOME_ENCODING_VERSION: u8 = 1;
 /// Version byte heading every predictor-snapshot encoding. Version 2
 /// seals the architecture together with the weights.
 pub const PREDICTOR_ENCODING_VERSION: u8 = 2;
@@ -133,91 +123,6 @@ impl From<DecodeError> for ArtifactError {
     fn from(e: DecodeError) -> Self {
         ArtifactError::Decode(e)
     }
-}
-
-/// The deterministic slice of a [`SearchOutcome`]: everything that is a
-/// property of the search *problem* rather than of one run's wall
-/// clock. Two runs of the same search must decode byte-identical
-/// snapshots — that is the store's cold-vs-warm correctness bar.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SearchSnapshot {
-    /// The chosen plan.
-    pub plan: PipelinePlan,
-    /// Eqn. 4 latency as estimated during the search (exact bits).
-    pub estimated_latency: f64,
-    /// Ground-truth latency of the chosen plan (exact bits).
-    pub true_latency: f64,
-    /// Stage-latency queries the search issued.
-    pub num_queries: usize,
-    /// Candidates a static-legality filter rejected up front.
-    pub num_rejected: usize,
-    /// Rejections attributable to the memory-capacity rule.
-    pub num_rejected_memory: usize,
-}
-
-impl SearchSnapshot {
-    /// The snapshot a given outcome would persist.
-    pub fn of(out: &SearchOutcome) -> SearchSnapshot {
-        SearchSnapshot {
-            plan: out.plan.clone(),
-            estimated_latency: out.estimated_latency,
-            true_latency: out.true_latency,
-            num_queries: out.num_queries,
-            num_rejected: out.num_rejected,
-            num_rejected_memory: out.num_rejected_memory,
-        }
-    }
-
-    /// True when `out` reproduces this snapshot bit-for-bit (latencies
-    /// compared on raw bits, not tolerances).
-    pub fn matches(&self, out: &SearchOutcome) -> bool {
-        self.plan == out.plan
-            && self.estimated_latency.to_bits() == out.estimated_latency.to_bits()
-            && self.true_latency.to_bits() == out.true_latency.to_bits()
-            && self.num_queries == out.num_queries
-            && self.num_rejected == out.num_rejected
-            && self.num_rejected_memory == out.num_rejected_memory
-    }
-}
-
-/// Encode the deterministic slice of `out` as a store payload.
-pub fn encode_outcome(out: &SearchOutcome) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u8(OUTCOME_ENCODING_VERSION);
-    encode_plan_body(&mut w, &out.plan);
-    w.f64_bits(out.estimated_latency);
-    w.f64_bits(out.true_latency);
-    w.usize(out.num_queries);
-    w.usize(out.num_rejected);
-    w.usize(out.num_rejected_memory);
-    w.into_bytes()
-}
-
-/// Decode a payload written by [`encode_outcome`].
-pub fn decode_outcome(bytes: &[u8]) -> Result<SearchSnapshot, DecodeError> {
-    let mut r = ByteReader::new(bytes);
-    let version = r.u8("outcome version")?;
-    if version != OUTCOME_ENCODING_VERSION {
-        return Err(DecodeError::UnsupportedVersion {
-            what: "outcome",
-            version: version as u64,
-        });
-    }
-    let plan = decode_plan_body(&mut r)?;
-    let estimated_latency = r.f64_bits("outcome estimated latency")?;
-    let true_latency = r.f64_bits("outcome true latency")?;
-    let num_queries = r.usize("outcome num_queries")?;
-    let num_rejected = r.usize("outcome num_rejected")?;
-    let num_rejected_memory = r.usize("outcome num_rejected_memory")?;
-    r.finish()?;
-    Ok(SearchSnapshot {
-        plan,
-        estimated_latency,
-        true_latency,
-        num_queries,
-        num_rejected,
-        num_rejected_memory,
-    })
 }
 
 /// Append `arch`'s canonical encoding to `w`.
@@ -407,7 +312,7 @@ mod tests {
     use predtop_gnn::{Dataset, GraphSample};
     use predtop_ir::{DType, GraphBuilder, OpKind};
     use predtop_models::{ModelSpec, StageSpec};
-    use predtop_parallel::{MeshShape, ParallelConfig, PlannedStage};
+    use predtop_parallel::{MeshShape, ParallelConfig, PipelinePlan, PlannedStage};
     use proptest::prelude::*;
     use std::sync::OnceLock;
 
@@ -458,28 +363,6 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         assert_eq!(decode_model(&mut r).unwrap(), m);
         r.finish().unwrap();
-    }
-
-    #[test]
-    fn outcome_round_trip_preserves_latency_bits() {
-        let out = SearchOutcome {
-            plan: sample_plan(),
-            estimated_latency: 0.1 + 0.2, // a value with awkward bits
-            true_latency: f64::from_bits(0x3FB9_9999_9999_999A),
-            num_queries: 42,
-            num_rejected: 7,
-            num_rejected_memory: 3,
-            search_seconds: 123.456, // must NOT survive the round trip
-            service: None,
-        };
-        let snap = decode_outcome(&encode_outcome(&out)).unwrap();
-        assert!(snap.matches(&out));
-        assert_eq!(
-            snap.estimated_latency.to_bits(),
-            out.estimated_latency.to_bits()
-        );
-        assert_eq!(snap.true_latency.to_bits(), out.true_latency.to_bits());
-        assert_eq!(snap, SearchSnapshot::of(&out));
     }
 
     #[test]

@@ -19,8 +19,7 @@ use predtop_runtime::par_map;
 use predtop_service::api::{decode_config, decode_mesh};
 use predtop_service::{AsProvider, LatencyQuery, LatencyReply, LatencyService, ServiceError};
 use predtop_sim::SimProfiler;
-use predtop_store::{ByteReader, ByteWriter, DecodeError, ObjectKind, Store};
-use predtop_tensor::Loss;
+use predtop_store::{ByteReader, ByteWriter, DecodeError};
 
 use crate::artifacts::{self, ArtifactError};
 use crate::predictor::ArchConfig;
@@ -206,40 +205,6 @@ impl PredTop {
         }
     }
 
-    /// [`PredTop::fit`] with a store-backed fast path: look the fitted
-    /// snapshot up under [`graybox_snapshot_key`] first, and only run
-    /// the (expensive) profile-and-train phases on a miss — writing the
-    /// fresh fit behind for the next run. Returns the instance plus
-    /// whether it was restored from disk.
-    ///
-    /// A corrupt or undecodable snapshot (including one whose restored
-    /// weights fail the [`ParamStore`
-    /// fingerprint](predtop_tensor::ParamStore::fingerprint) seal) is
-    /// treated as a miss: the fit recomputes and rewrites the entry.
-    /// Restored instances predict bit-identically to the fit they
-    /// snapshot, but report zero `training_seconds` and carry no
-    /// per-scenario training reports — those describe work this run
-    /// did not do.
-    pub fn fit_stored(
-        model: ModelSpec,
-        cluster: MeshShape,
-        profiler: &SimProfiler,
-        cfg: &GrayBoxConfig,
-        store: &Store,
-        namespace: &str,
-    ) -> (PredTop, bool) {
-        let key = graybox_snapshot_key(namespace, model, cluster, cfg);
-        if let Ok(Some(bytes)) = store.get(ObjectKind::Model, &key) {
-            match decode_graybox(&bytes) {
-                Ok(pt) if pt.arch == cfg.arch => return (pt, true),
-                _ => {}
-            }
-        }
-        let pt = PredTop::fit(model, cluster, profiler, cfg);
-        let _ = store.put(ObjectKind::Model, &key, &encode_graybox(&pt));
-        (pt, false)
-    }
-
     /// Scenarios this instance can predict for.
     pub fn scenarios(&self) -> impl Iterator<Item = &(MeshShape, ParallelConfig)> {
         self.predictors.keys()
@@ -277,47 +242,6 @@ impl PredTop {
 
 /// Version byte heading every gray-box snapshot encoding.
 pub const GRAYBOX_ENCODING_VERSION: u8 = 1;
-
-/// Store key for a fitted gray-box snapshot: a pure function of the
-/// namespace and everything that determines the fit bit-for-bit — the
-/// model, the cluster, and the full [`GrayBoxConfig`] (sampling,
-/// architecture, training protocol, seeds). Two processes configured
-/// identically derive the same key; any config change misses cleanly.
-pub fn graybox_snapshot_key(
-    namespace: &str,
-    model: ModelSpec,
-    cluster: MeshShape,
-    cfg: &GrayBoxConfig,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.str(namespace);
-    w.str("graybox");
-    artifacts::encode_model(&mut w, &model);
-    w.usize(cluster.nodes);
-    w.usize(cluster.gpus_per_node);
-    w.usize(cfg.num_profile_stages);
-    w.usize(cfg.max_stage_layers);
-    artifacts::encode_arch(&mut w, &cfg.arch);
-    let t = &cfg.train;
-    w.usize(t.epochs);
-    w.usize(t.batch_size);
-    w.f32_bits(t.base_lr);
-    w.u8(match t.loss {
-        Loss::Mae => 1,
-        Loss::Mse => 2,
-    });
-    w.usize(t.patience);
-    match t.clip_norm {
-        None => w.u8(0),
-        Some(c) => {
-            w.u8(1);
-            w.f32_bits(c);
-        }
-    }
-    w.u64(t.seed);
-    w.u64(cfg.seed);
-    w.into_bytes()
-}
 
 /// Encode a fitted instance — a store payload, and the model file
 /// `predtop fit -o` writes: every per-scenario predictor (in a
@@ -721,55 +645,28 @@ mod tests {
         assert!(mre < 60.0, "in-sample MRE {mre:.1}% is way off");
     }
 
-    fn fresh_store(name: &str) -> Store {
-        let dir = std::env::temp_dir().join(format!(
-            "predtop-graybox-{name}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        Store::open(dir).unwrap()
-    }
-
     #[test]
-    fn fit_stored_restores_bit_identical_predictors() {
+    fn graybox_round_trip_predicts_identical_bits() {
+        // three scenarios: serial on 1x1, and 2-way data and model
+        // parallel on 1x2
         let profiler = SimProfiler::new(Platform::platform1(), 7);
-        let cluster = MeshShape::new(1, 2);
-        let cfg = tiny_cfg();
-        let store = fresh_store("fit-stored");
+        let pt = PredTop::fit(tiny_model(), MeshShape::new(1, 2), &profiler, &tiny_cfg());
+        assert_eq!(pt.scenarios().count(), 3);
 
-        // cold: fits and writes the snapshot behind
-        let (cold, restored) =
-            PredTop::fit_stored(tiny_model(), cluster, &profiler, &cfg, &store, "sim:p1:7");
-        assert!(!restored, "first fit cannot come from an empty store");
-        assert!(cold.training_seconds > 0.0);
+        let back = decode_graybox(&encode_graybox(&pt)).unwrap();
+        assert_eq!(back.arch, pt.arch);
+        assert_eq!(back.profiled_stage_count, pt.profiled_stage_count);
+        assert_eq!(back.scenarios().count(), pt.scenarios().count());
 
-        // warm: restored from disk without touching the profiler
-        let p2 = SimProfiler::new(Platform::platform1(), 7);
-        let before = p2.queries_issued();
-        let (warm, restored) =
-            PredTop::fit_stored(tiny_model(), cluster, &p2, &cfg, &store, "sim:p1:7");
-        assert!(restored, "second fit must restore the snapshot");
-        assert_eq!(p2.queries_issued(), before, "restore must not profile");
-        assert_eq!(warm.training_seconds, 0.0);
-        assert_eq!(warm.profiled_stage_count, cold.profiled_stage_count);
-        assert_eq!(warm.scenarios().count(), cold.scenarios().count());
-
-        // predictions are bit-identical across the round trip
+        // every scenario predicts bit-identically across the round trip
         let stage = StageSpec::new(tiny_model(), 0, 5);
-        for &(mesh, config) in cold.scenarios() {
+        for &(mesh, config) in pt.scenarios() {
             assert_eq!(
-                cold.stage_latency(&stage, mesh, config).to_bits(),
-                warm.stage_latency(&stage, mesh, config).to_bits(),
-                "scenario ({mesh:?}, {config:?}) diverged after restore"
+                pt.stage_latency(&stage, mesh, config).to_bits(),
+                back.stage_latency(&stage, mesh, config).to_bits(),
+                "scenario ({mesh:?}, {config:?}) diverged after the round trip"
             );
         }
-
-        // a different namespace misses and refits
-        let p3 = SimProfiler::new(Platform::platform1(), 7);
-        let (_, restored) =
-            PredTop::fit_stored(tiny_model(), cluster, &p3, &cfg, &store, "sim:p2:7");
-        assert!(!restored, "namespaces must not cross-contaminate");
     }
 
     #[test]

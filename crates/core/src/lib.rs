@@ -35,15 +35,11 @@ pub mod search;
 pub mod serve;
 
 pub use analytic::AnalyticBaseline;
-pub use artifacts::{
-    decode_outcome, decode_plan, decode_predictor, encode_outcome, encode_plan, encode_predictor,
-    ArtifactError, SearchSnapshot,
-};
-pub use graybox::{decode_graybox, encode_graybox, graybox_snapshot_key, GrayBoxConfig, PredTop};
+pub use artifacts::{decode_plan, decode_predictor, encode_plan, encode_predictor, ArtifactError};
+pub use graybox::{decode_graybox, encode_graybox, GrayBoxConfig, PredTop};
 pub use predictor::ArchConfig;
 pub use predtop_parallel::plan::pipeline_latency;
 pub use search::{
-    run_search, search_legality, search_plan_service, search_snapshot_key, SearchOutcome,
-    SearchRequest, ServiceReport,
+    run_search, search_legality, search_plan_service, SearchOutcome, SearchRequest, ServiceReport,
 };
 pub use serve::{load_model_service, EngineConfig, ServeEngine};

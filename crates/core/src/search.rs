@@ -23,9 +23,7 @@ use predtop_parallel::{
 use predtop_runtime::configured_threads;
 use predtop_service::{LatencyQuery, LatencyService, ServiceBuilder, ServiceError, ServiceStack};
 use predtop_sim::SimProfiler;
-use predtop_store::{ByteWriter, ObjectKind, Store};
-
-use crate::artifacts;
+use predtop_store::Store;
 
 // ServiceReport moved next to the stack handles it snapshots (and the
 // `Ledger` render trait the CLI and wire protocol share); re-exported
@@ -177,9 +175,9 @@ pub struct SearchRequest<'a> {
     /// Optional disk tier: the open store and the namespace its keys
     /// are scoped to (conventionally `"<source>:<platform>:<seed>"`).
     /// When set, the canonical store-backed stack (`Persist →
-    /// MemoizeStructural → Batched → Instrumented`) is assembled and
-    /// the finished search's plan/outcome snapshots are persisted under
-    /// [`search_snapshot_key`].
+    /// MemoizeStructural → Batched → Instrumented`) is assembled, so
+    /// the search's latency replies are served from and written behind
+    /// into the store.
     pub store: Option<(Arc<Store>, String)>,
     /// Optional static-legality filter (the `--checked` path).
     pub legality: Option<&'a StaticLegality>,
@@ -225,9 +223,8 @@ impl<'a> SearchRequest<'a> {
 ///
 /// Without a store the stack is `Batched` only; with one it is the
 /// canonical `Persist → MemoizeStructural → Batched → Instrumented`
-/// store-backed stack, and the plan/outcome snapshots are written
-/// behind under [`search_snapshot_key`] (best-effort: an unwritable
-/// store degrades persistence, never the search result). Errors as
+/// store-backed stack (best-effort: an unwritable store degrades
+/// persistence, never the search result). Errors as
 /// [`search_plan_service`] does.
 pub fn run_search<S: LatencyService>(
     req: &SearchRequest<'_>,
@@ -241,56 +238,14 @@ pub fn run_search<S: LatencyService>(
             .memoize_structural()
             .instrumented();
     }
-    let out = search_plan_service(
+    search_plan_service(
         req.model,
         req.cluster,
         &builder.finish(),
         profiler,
         req.opts,
         req.legality,
-    )?;
-    if let Some((store, namespace)) = &req.store {
-        let key = search_snapshot_key(
-            namespace,
-            req.model,
-            req.cluster,
-            req.opts,
-            req.legality.is_some(),
-        );
-        write_snapshots(store, &key, &out);
-    }
-    Ok(out)
-}
-
-/// Write `out`'s outcome and plan snapshots into `store` under `key`.
-/// Best-effort write-behind: an unwritable store degrades persistence,
-/// never the search result.
-pub(crate) fn write_snapshots(store: &Store, key: &[u8], out: &SearchOutcome) {
-    let _ = store.put(ObjectKind::Outcome, key, &artifacts::encode_outcome(out));
-    let _ = store.put(ObjectKind::Plan, key, &artifacts::encode_plan(&out.plan));
-}
-
-/// Store key for the outcome/plan snapshots one search writes: a pure
-/// function of the namespace and the search problem (model, cluster,
-/// options, checked-ness), so a re-run of the identical search finds —
-/// and must byte-match — the previous run's snapshot.
-pub fn search_snapshot_key(
-    namespace: &str,
-    model: ModelSpec,
-    cluster: MeshShape,
-    opts: InterStageOptions,
-    checked: bool,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.str(namespace);
-    w.str("search");
-    artifacts::encode_model(&mut w, &model);
-    w.usize(cluster.nodes);
-    w.usize(cluster.gpus_per_node);
-    w.usize(opts.microbatches);
-    w.opt_f64_bits(opts.imbalance_tolerance);
-    w.bool(checked);
-    w.into_bytes()
+    )
 }
 
 /// The static-legality filter the checked searches install: the
@@ -876,24 +831,6 @@ mod tests {
             p_warm.queries_issued(),
             p_cold.queries_issued()
         );
-
-        // the persisted snapshots match both runs bit-for-bit
-        let key = search_snapshot_key(namespace, tiny_model(), cluster, opts, false);
-        let snap_bytes = store
-            .get(ObjectKind::Outcome, &key)
-            .unwrap()
-            .expect("outcome snapshot persisted");
-        let snap = crate::artifacts::decode_outcome(&snap_bytes).unwrap();
-        assert!(snap.matches(&cold));
-        assert!(snap.matches(&warm));
-        let plan_bytes = store
-            .get(ObjectKind::Plan, &key)
-            .unwrap()
-            .expect("plan snapshot persisted");
-        assert_eq!(
-            crate::artifacts::decode_plan(&plan_bytes).unwrap(),
-            warm.plan
-        );
     }
 
     #[test]
@@ -937,7 +874,6 @@ mod tests {
             .expect("persist layer reports");
         assert!(persist.corrupt_recovered > 0, "damage must be observed");
         // the rewrite repaired the reply objects: they verify clean now
-        // (snapshot objects were re-put by the warm run too)
         assert!(store.verify().unwrap().is_clean());
     }
 

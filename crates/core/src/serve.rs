@@ -31,9 +31,8 @@ use predtop_service::api::{
     StatsReport,
 };
 use predtop_service::{
-    AdmissionControl, BreakerConfig, DeadlinePolicy, FaultConfig, LatencyQuery, LatencyService,
-    RetryPolicy, Retryability, ServiceBuilder, ServiceError, ServiceReport, ServiceStack,
-    Unavailable,
+    AdmissionControl, BreakerConfig, FaultConfig, LatencyQuery, LatencyService, RetryPolicy,
+    Retryability, ServiceBuilder, ServiceError, ServiceReport, ServiceStack, Unavailable,
 };
 use predtop_sim::SimProfiler;
 use predtop_store::hash::{digest_bytes, Digest};
@@ -41,7 +40,7 @@ use predtop_store::Store;
 
 use crate::analytic::AnalyticBaseline;
 use crate::graybox::decode_graybox;
-use crate::search::{search_legality, search_plan_service, search_snapshot_key, write_snapshots};
+use crate::search::{search_legality, search_plan_service};
 
 /// Everything that shapes one serving engine: the platform and seed the
 /// simulator runs, the stack knobs the `search` command exposes as
@@ -61,8 +60,8 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Evaluation worker threads for the `Batched` layer.
     pub threads: usize,
-    /// Optional disk tier: latency replies, plan snapshots, and outcome
-    /// snapshots persist into this content-addressed store.
+    /// Optional disk tier: latency replies persist into this
+    /// content-addressed store.
     pub store: Option<Arc<Store>>,
     /// Injected transient-fault rate in `[0, 1]` (0 = pass-through);
     /// [`ServeEngine::new`] refuses any other value.
@@ -171,10 +170,7 @@ impl ServeEngine {
         // instrumentation over the (now reliable) service
         let mut builder = ServiceBuilder::new(Arc::clone(&profiler))
             .inject_faults(FaultConfig::errors(config.fault_seed, config.fault_rate))
-            .deadline(DeadlinePolicy {
-                per_query_seconds: config.deadline,
-                per_batch_seconds: None,
-            })
+            .deadline(config.deadline)
             .retry(RetryPolicy::retries(config.retries))
             .memoize_structural()
             .batched(config.threads)
@@ -300,16 +296,6 @@ impl ServeEngine {
         match result {
             Ok(out) => {
                 self.served.fetch_add(1, Ordering::SeqCst);
-                if let Some(store) = &self.config.store {
-                    let key = search_snapshot_key(
-                        &self.config.sim_namespace(),
-                        spec.model,
-                        cluster,
-                        opts,
-                        spec.checked,
-                    );
-                    write_snapshots(store, &key, &out);
-                }
                 Response::Search(SearchResult {
                     plan: out.plan,
                     estimated_latency: out.estimated_latency,

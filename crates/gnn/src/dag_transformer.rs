@@ -10,12 +10,13 @@
 //!    path connects them (`k = ∞`, the paper's setting). Each head is one
 //!    fused [`Tape::masked_attention`] that visits only the reachable
 //!    entries of each row, bit-identical to adding a 0/−inf mask to the
-//!    logits;
+//!    logits. The ablation without DAGRA (`use_dagra: false`) runs the
+//!    same op over an index that allows every entry;
 //! 3. residual connections around attention and the position-wise FFN;
 //! 4. global add pool (eqn. 2) and the shared regression head.
 
 use predtop_ir::features::FEATURE_DIM;
-use predtop_tensor::{ParamStore, Tape, Var};
+use predtop_tensor::{AllowedColumns, ParamStore, Tape, Var};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::dataset::GraphSample;
@@ -133,7 +134,13 @@ impl GnnModel for DagTransformer {
         let dh = dim / heads;
         let scale = 1.0 / (dh as f32).sqrt();
 
-        let allowed = self.config.use_dagra.then_some(&sample.dag_allowed);
+        let full;
+        let allowed = if self.config.use_dagra {
+            &sample.dag_allowed
+        } else {
+            full = AllowedColumns::from_fn(n, n, |_, _| true);
+            &full
+        };
 
         // input projection + DAGPE
         let feats = tape.constant_ref(&sample.features);
@@ -197,7 +204,7 @@ impl GnnModel for DagTransformer {
 mod tests {
     use super::*;
     use predtop_ir::{DType, Graph, GraphBuilder, OpKind};
-    use predtop_tensor::{AllowedColumns, Matrix};
+    use predtop_tensor::Matrix;
 
     fn graph() -> Graph {
         let mut b = GraphBuilder::new();
@@ -304,7 +311,7 @@ mod tests {
         let [q, k, v] = ids.map(|id| tape.param(&store, id));
         let scale = 0.5;
         let out = if fused {
-            tape.masked_attention(q, k, v, Some(allowed), scale)
+            tape.masked_attention(q, k, v, allowed, scale)
         } else {
             let logits = tape.matmul_nt(q, k);
             let logits = tape.scale(logits, scale);

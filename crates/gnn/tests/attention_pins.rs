@@ -126,6 +126,22 @@ fn scaled_width_predictions_are_pinned() {
     );
 }
 
+/// One forward and backward pass on `s` with the MAE adjoint against a
+/// target of 0.5: the prediction and the gradient's fingerprint.
+fn forward_backward(net: &mut DagTransformer, s: &GraphSample) -> (f32, u64) {
+    let mut tape = Tape::new();
+    let out = net.forward(&mut tape, s);
+    let pred = tape.value(out).get(0, 0);
+    let seed = Matrix::full(1, 1, Loss::Mae.grad(pred, 0.5));
+    net.store_mut().zero_grads();
+    tape.backward(out, seed, net.store_mut());
+    let mut grads = ParamStore::new();
+    for p in 0..net.store().len() {
+        grads.add(net.store().grad(p).clone());
+    }
+    (pred, grads.fingerprint())
+}
+
 /// One training step on the 368-node window `[1, 4)`: the gradient's
 /// and the stepped weights' fingerprints at both widths.
 #[test]
@@ -135,23 +151,33 @@ fn one_training_step_at_368_nodes_is_pinned() {
         let mut net = transformer(layers, dim, heads);
         let s = sample(1, 4, dim);
         assert_eq!(s.num_nodes(), 368);
-        let mut tape = Tape::new();
-        let out = net.forward(&mut tape, &s);
-        let pred = tape.value(out).get(0, 0);
-        let seed = Matrix::full(1, 1, Loss::Mae.grad(pred, 0.5));
-        net.store_mut().zero_grads();
-        tape.backward(out, seed, net.store_mut());
-        let mut grads = ParamStore::new();
-        for p in 0..net.store().len() {
-            grads.add(net.store().grad(p).clone());
-        }
+        let (_, grads) = forward_backward(&mut net, &s);
         let mut adam = Adam::new(net.store());
         adam.step(net.store_mut(), 1e-3);
-        found.push((grads.fingerprint(), net.store().fingerprint()));
+        found.push((grads, net.store().fingerprint()));
     }
     let pinned = [
         (0xc5ab_8d4b_c3f1_68f2, 0xac8c_9b6d_5516_a17c),
         (0x768d_7a82_4958_5086, 0x843f_5722_d145_9a29),
     ];
     assert_eq!(found, pinned, "found {found:#x?}");
+}
+
+/// The DAGRA ablation (`use_dagra: false`, every node attends to every
+/// node) at the scaled width on `[1, 4)`: the prediction's bits and the
+/// gradient's fingerprint of one forward and backward pass.
+#[test]
+fn full_attention_forward_and_backward_are_pinned() {
+    let config = TransformerConfig {
+        use_dagra: false,
+        ..transformer(2, 32, 4).config()
+    };
+    let mut net = DagTransformer::new(config, 11);
+    let (pred, grads) = forward_backward(&mut net, &sample(1, 4, 32));
+    let found = (pred.to_bits(), grads);
+    assert_eq!(
+        found,
+        (0x3eb5_9a28, 0xe73b_672f_0f59_147f),
+        "found {found:#x?}"
+    );
 }

@@ -221,11 +221,6 @@ impl Graph {
             .sum()
     }
 
-    /// Sum of all node output sizes in bytes (rough memory-traffic proxy).
-    pub fn total_output_bytes(&self) -> u64 {
-        self.nodes.iter().map(|n| n.output_bytes()).sum()
-    }
-
     /// Content hash over the graph's structure and types: two graphs
     /// with identical node kinds, dtypes, shapes, attributes, and edge
     /// lists (in id order) hash equal. Interior transformer stages of

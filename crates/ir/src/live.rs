@@ -44,15 +44,6 @@ pub fn last_use(graph: &Graph, id: NodeId) -> NodeId {
         .unwrap_or(id)
 }
 
-/// [`last_use`] for every node, indexed by `NodeId`.
-pub fn last_uses(graph: &Graph) -> Vec<NodeId> {
-    graph
-        .nodes()
-        .iter()
-        .map(|n| last_use(graph, n.id))
-        .collect()
-}
-
 /// Ids of every retained buffer: the complement of the transient set.
 /// These are exactly the buffers live at the end of the forward pass —
 /// the boundary condition of a backward liveness analysis.
@@ -99,8 +90,9 @@ mod tests {
         let g = diamond();
         assert_eq!(last_use(&g, NodeId(1)), NodeId(3), "reshape feeds 2 and 3");
         assert_eq!(last_use(&g, NodeId(5)), NodeId(5), "sink has no consumer");
+        let every: Vec<NodeId> = g.nodes().iter().map(|n| last_use(&g, n.id)).collect();
         assert_eq!(
-            last_uses(&g),
+            every,
             vec![
                 NodeId(1),
                 NodeId(3),

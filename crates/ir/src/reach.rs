@@ -154,28 +154,6 @@ impl Reachability {
         row.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Materialize the symmetric DAGRA mask as a row-major `n × n` f32
-    /// matrix with `0.0` where attention is allowed and `-inf` where it is
-    /// masked (eqn. 1's `M`). This is the exact tensor added to `QKᵀ/√d`.
-    pub fn attention_mask(&self) -> Vec<f32> {
-        let n = self.n;
-        let mut m = vec![f32::NEG_INFINITY; n * n];
-        for v in 0..n {
-            m[v * n + v] = 0.0;
-            let row = &self.bits[v * self.words_per_row..(v + 1) * self.words_per_row];
-            for (w, &word) in row.iter().enumerate() {
-                let mut bitsleft = word;
-                while bitsleft != 0 {
-                    let u = w * 64 + bitsleft.trailing_zeros() as usize;
-                    bitsleft &= bitsleft - 1;
-                    m[v * n + u] = 0.0;
-                    m[u * n + v] = 0.0;
-                }
-            }
-        }
-        m
-    }
-
     /// Fraction of allowed (unmasked) entries in the DAGRA mask,
     /// diagnostics for how much sparsity the DAG bias provides.
     pub fn density(&self) -> f64 {
@@ -253,25 +231,6 @@ mod tests {
         let g = diamond();
         assert_eq!(depths(&g), vec![0, 1, 1, 2, 3]);
         assert_eq!(critical_path_len(&g), 4);
-    }
-
-    #[test]
-    fn mask_matches_connected_predicate() {
-        let g = diamond();
-        let r = Reachability::compute(&g);
-        let m = r.attention_mask();
-        let n = g.len();
-        for u in 0..n {
-            for v in 0..n {
-                let allowed = m[u * n + v] == 0.0;
-                assert_eq!(
-                    allowed,
-                    r.connected(NodeId(u as u32), NodeId(v as u32)),
-                    "mask mismatch at ({u},{v})"
-                );
-                assert!(allowed || m[u * n + v] == f32::NEG_INFINITY);
-            }
-        }
     }
 
     #[test]

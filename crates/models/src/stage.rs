@@ -55,11 +55,6 @@ impl StageSpec {
         self.end == self.model.num_layers
     }
 
-    /// Fraction of the model's layers contained in this stage.
-    pub fn size_fraction(&self) -> f64 {
-        self.num_layers() as f64 / self.model.num_layers as f64
-    }
-
     /// Stable identifier string, e.g. `"GPT-3[4..8)"`.
     pub fn label(&self) -> String {
         format!("{}[{}..{})", self.model.kind.name(), self.start, self.end)

@@ -272,9 +272,9 @@ pub enum Request {
     Shutdown,
 }
 
-/// The deterministic result of one plan search — the wire twin of the
-/// store's outcome snapshot (wall-clock seconds and per-run ledgers are
-/// deliberately absent so replies are bit-stable across runs).
+/// The deterministic result of one plan search (wall-clock seconds and
+/// per-run ledgers are deliberately absent so replies are bit-stable
+/// across runs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchResult {
     /// The chosen plan.

@@ -16,9 +16,9 @@
 //!   hit skips the reliability layers;
 //! * `Persist` sits directly under `Memoize`: memory absorbs in-run
 //!   repeats, disk absorbs across-run repeats;
-//! * `Deadline`, `Persist` and `Memoize` sit inside `Batched`, so
-//!   budgets meter one worker's slice, disk misses still fan out, and
-//!   the workers share one cache;
+//! * `Deadline`, `Persist` and `Memoize` sit inside `Batched`, so the
+//!   budget meters each query, disk misses still fan out, and the
+//!   workers share one cache;
 //! * `Instrumented` is outermost, so its counters see what the caller
 //!   sees.
 //!
@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use crate::batched::{BatchHandle, Batched};
 use crate::breaker::{BreakerConfig, BreakerHandle, CircuitBreaker};
-use crate::deadline::{Deadline, DeadlineHandle, DeadlinePolicy};
+use crate::deadline::{Deadline, DeadlineHandle};
 use crate::fallback::Fallback;
 use crate::fault::{FaultConfig, FaultHandle, FaultInject};
 use crate::instrument::Instrumented;
@@ -80,7 +80,8 @@ pub struct StackHandles {
 #[derive(Default)]
 struct Layers {
     fault: Option<FaultConfig>,
-    deadline: Option<DeadlinePolicy>,
+    /// `Some(budget)` installs the layer; an unbounded one is `Some(None)`.
+    deadline: Option<Option<f64>>,
     breaker: Option<BreakerConfig>,
     retry: Option<RetryPolicy>,
     persist: Option<(Arc<Store>, String)>,
@@ -173,10 +174,11 @@ impl<S: LatencyService> ServiceBuilder<S> {
         self
     }
 
-    /// Enforce wall-clock budgets, converting overruns into
+    /// Enforce a per-query wall-clock budget in seconds (`None` installs
+    /// the layer unbounded), converting overruns into
     /// [`ServiceError::DeadlineExceeded`].
-    pub fn deadline(mut self, policy: DeadlinePolicy) -> Self {
-        self.layers.deadline = Some(policy);
+    pub fn deadline(mut self, budget_seconds: Option<f64>) -> Self {
+        self.layers.deadline = Some(budget_seconds);
         self
     }
 
@@ -227,8 +229,8 @@ impl<S: LatencyService> ServiceBuilder<S> {
             handles.fault = Some(layer.handle());
             svc = Box::new(layer);
         }
-        if let Some(policy) = deadline {
-            let layer = Deadline::new(svc, policy);
+        if let Some(budget_seconds) = deadline {
+            let layer = Deadline::new(svc, budget_seconds);
             handles.deadline = Some(layer.handle());
             svc = Box::new(layer);
         }
@@ -515,12 +517,12 @@ mod tests {
                 .batched(4)
                 .memoize_structural()
                 .retry(RetryPolicy::retries(16))
-                .deadline(DeadlinePolicy::default())
+                .deadline(None)
                 .inject_faults(FaultConfig::errors(11, 0.3))
         } else {
             builder
                 .inject_faults(FaultConfig::errors(11, 0.3))
-                .deadline(DeadlinePolicy::default())
+                .deadline(None)
                 .retry(RetryPolicy::retries(16))
                 .memoize_structural()
                 .batched(4)

@@ -310,11 +310,7 @@ impl Ledger for DeadlineStats {
 
     fn fields(&self) -> Vec<LedgerField> {
         vec![
-            LedgerField::count(
-                "deadline_overruns",
-                self.query_overruns + self.batch_overruns,
-                true,
-            ),
+            LedgerField::count("deadline_overruns", self.query_overruns, true),
             LedgerField::count("deadline_served", self.served, false),
         ]
     }
@@ -322,8 +318,7 @@ impl Ledger for DeadlineStats {
     fn summary(&self) -> String {
         format!(
             "deadline: {} overruns / {} served",
-            self.query_overruns + self.batch_overruns,
-            self.served
+            self.query_overruns, self.served
         )
     }
 }
@@ -384,8 +379,7 @@ mod tests {
             .ends_with(", 2 corrupt recovered, 1 write errors"));
 
         let deadline = DeadlineStats {
-            query_overruns: 1,
-            batch_overruns: 2,
+            query_overruns: 3,
             served: 9,
         };
         assert_eq!(deadline.summary(), "deadline: 3 overruns / 9 served");

@@ -24,8 +24,8 @@
 //!   transient errors and latency spikes) for resilience drills;
 //! * [`Retry`] — bounded re-attempts of transient failures with
 //!   deterministic accounted exponential backoff;
-//! * [`Deadline`] — per-query and per-batch wall-clock budgets that
-//!   convert overruns into structured [`ServiceError::DeadlineExceeded`];
+//! * [`Deadline`] — a per-query wall-clock budget that
+//!   converts overruns into structured [`ServiceError::DeadlineExceeded`];
 //! * [`CircuitBreaker`] — a closed/open/half-open state machine over a
 //!   sliding failure window that sheds load off a failing source.
 //!
@@ -85,7 +85,7 @@ pub use breaker::{
 };
 pub use bridge::{AsProvider, ProviderService, Unavailable};
 pub use builder::{ServiceBuilder, ServiceStack, StackHandles};
-pub use deadline::{Deadline, DeadlineHandle, DeadlinePolicy, DeadlineStats};
+pub use deadline::{Deadline, DeadlineHandle, DeadlineStats};
 pub use fallback::{Fallback, FallbackHandle, FallbackStats};
 pub use fault::{FaultConfig, FaultHandle, FaultInject, FaultStats};
 pub use instrument::{Instrumented, MetricsHandle, ServiceMetrics};

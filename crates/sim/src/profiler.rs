@@ -82,12 +82,6 @@ impl SimProfiler {
         self
     }
 
-    /// Override the costing constants.
-    pub fn with_costing(mut self, costing: CostingModel) -> SimProfiler {
-        self.costing = costing;
-        self
-    }
-
     /// The platform this profiler simulates.
     pub fn platform(&self) -> &Platform {
         &self.platform

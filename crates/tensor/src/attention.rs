@@ -182,7 +182,7 @@ impl AllowedColumns {
     }
 
     /// Row `i`'s range in a compact buffer.
-    fn slot(&self, i: usize) -> std::ops::Range<usize> {
+    fn slot(&self, i: usize) -> Range<usize> {
         self.0.row_start[i]..self.0.row_start[i + 1]
     }
 
@@ -471,37 +471,6 @@ fn alone(row: Row) -> [Row; GROUP] {
     rows
 }
 
-/// Row `i`'s allowed columns and its slot in the probability buffer:
-/// `allowed`'s, or (without one) every column and row `i` of the dense
-/// `n × m` layout.
-struct Pattern<'a> {
-    allowed: Option<&'a AllowedColumns>,
-    /// `0..m`, the columns of a row that may read every one.
-    every: Vec<u32>,
-}
-
-impl<'a> Pattern<'a> {
-    fn new(allowed: Option<&'a AllowedColumns>, m: usize) -> Pattern<'a> {
-        Pattern {
-            allowed,
-            every: if allowed.is_some() {
-                Vec::new()
-            } else {
-                every(m)
-            },
-        }
-    }
-
-    fn cols(&self, i: usize) -> &[u32] {
-        self.allowed.map_or(&self.every, |a| a.row(i))
-    }
-
-    fn slot(&self, i: usize) -> Range<usize> {
-        let m = self.every.len();
-        self.allowed.map_or(i * m..(i + 1) * m, |a| a.slot(i))
-    }
-}
-
 /// The column list `0..m`.
 fn every(m: usize) -> Vec<u32> {
     (0..m).map(|j| j as u32).collect()
@@ -569,15 +538,14 @@ fn reference_row(
     }
 }
 
-/// The attention forward: the compact probabilities (`1 × count`, or
-/// the dense `n × m` when `allowed` is `None`, meaning every column) and
+/// The attention forward: the compact probabilities (`1 × count`) and
 /// the context `probs · v` (`n × dv`). Every buffer comes from `pool`.
 /// Bit-identical to the reference chain (see the module docs).
 pub(crate) fn forward(
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
-    allowed: Option<&AllowedColumns>,
+    allowed: &AllowedColumns,
     scale: f32,
     pool: &mut BufferPool,
 ) -> (Matrix, Matrix) {
@@ -589,16 +557,12 @@ fn forward_rows(
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
-    allowed: Option<&AllowedColumns>,
+    allowed: &AllowedColumns,
     scale: f32,
     pool: &mut BufferPool,
 ) -> (Matrix, Matrix) {
     let (n, m) = (q.rows(), k.rows());
-    let pattern = Pattern::new(allowed, m);
-    let mut probs = match allowed {
-        Some(a) => pool.alloc(1, a.count()),
-        None => pool.alloc(n, m),
-    };
+    let mut probs = pool.alloc(1, allowed.count());
     let mut ctx = pool.alloc(n, v.cols());
     let kmax = max_abs(k.data());
     let scale_bound = if scale.is_finite() {
@@ -617,7 +581,7 @@ fn forward_rows(
         let mut n_clear = 0;
         for i in r0..r1 {
             let x = block.row_mut(i - r0);
-            let (cols, p) = (pattern.cols(i), &mut probs.data_mut()[pattern.slot(i)]);
+            let (cols, p) = (allowed.row(i), &mut probs.data_mut()[allowed.slot(i)]);
             // a NaN bound (a non-finite input) fails the comparison too
             if l1(q.row(i)) * kmax * scale_bound <= LOGIT_LIMIT {
                 numerators(x, cols, scale, p);
@@ -631,7 +595,7 @@ fn forward_rows(
             }
         }
         for group in clear[..n_clear].chunks(GROUP) {
-            let slot = |r: usize| group.get(r).map_or(0..0, |&i| pattern.slot(i));
+            let slot = |r: usize| group.get(r).map_or(0..0, |&i| allowed.slot(i));
             let rows = std::array::from_fn(|r| {
                 let p = &probs.data()[slot(r)];
                 (p, p)
@@ -642,7 +606,7 @@ fn forward_rows(
                 }
             }
             let rows = std::array::from_fn(|r| {
-                let cols = group.get(r).map_or(&[][..], |&i| pattern.cols(i));
+                let cols = group.get(r).map_or(&[][..], |&i| allowed.row(i));
                 (&probs.data()[slot(r)], cols)
             });
             weighted(rows, v, &mut ctx, group);

@@ -66,11 +66,10 @@ enum Op {
         v: Var,
         /// Logit scale.
         scale: f32,
-        /// The softmax output at the allowed entries (dense when
-        /// `allowed` is `None`).
+        /// The softmax output at the allowed entries.
         probs: Matrix,
-        /// The allowed columns (a shared handle); `None` allows all.
-        allowed: Option<AllowedColumns>,
+        /// The allowed columns (a shared handle).
+        allowed: AllowedColumns,
     },
     /// Column-sum to a `1 × d` row (global add pool).
     SumRows(Var),
@@ -281,9 +280,9 @@ impl Tape {
     }
 
     /// One masked attention head, `softmax(scale · q·kᵀ + mask) · v`,
-    /// where row `i` of the mask allows exactly `allowed`'s row `i`
-    /// (every column when `allowed` is `None`). Rows with no allowed
-    /// column produce zero probabilities, as in
+    /// where row `i` of the mask allows exactly `allowed`'s row `i` (an
+    /// index that allows every column gives full attention). Rows with no
+    /// allowed column produce zero probabilities, as in
     /// [`Tape::masked_softmax_rows`].
     ///
     /// The value and the gradients of `q`, `k` and `v` are bit-identical
@@ -303,16 +302,18 @@ impl Tape {
         q: Var,
         k: Var,
         v: Var,
-        allowed: Option<&AllowedColumns>,
+        allowed: &AllowedColumns,
         scale: f32,
     ) -> Var {
         let Tape { values, pool, .. } = self;
         let (qv, kv, vv) = (&values[q.0], &values[k.0], &values[v.0]);
         let (n, m) = (qv.rows(), kv.rows());
         assert_eq!(vv.rows(), m, "masked_attention: one value row per key");
-        if let Some(a) = allowed {
-            assert_eq!((a.rows(), a.cols()), (n, m), "masked_attention mask shape");
-        }
+        assert_eq!(
+            (allowed.rows(), allowed.cols()),
+            (n, m),
+            "masked_attention mask shape"
+        );
         let (probs, ctx) = attention::forward(qv, kv, vv, allowed, scale, pool);
         self.push(
             Op::MaskedAttention {
@@ -321,7 +322,7 @@ impl Tape {
                 v,
                 scale,
                 probs,
-                allowed: allowed.cloned(),
+                allowed: allowed.clone(),
             },
             ctx,
         )
@@ -510,27 +511,8 @@ impl Tape {
                     allowed,
                 } => {
                     let (qv, kv, vv) = (&values[q.0], &values[k.0], &values[v.0]);
-                    let (dq, dk, dv) = match allowed {
-                        Some(a) => attention::backward(&g, qv, kv, vv, probs, a, *scale, pool),
-                        None => {
-                            // the chain's rules over the dense probabilities,
-                            // last op first: matmul(probs, v), masked
-                            // softmax, scale, then matmul_nt(q, k)
-                            let mut dprobs = pool.scratch(probs.data().len());
-                            g.matmul_nt_into(vv, &mut dprobs);
-                            let mut dv = pool.scratch(vv.data().len());
-                            probs.matmul_tn_into(&g, &mut dv);
-                            let mut dlogits = softmax_backward(probs, &dprobs, pool);
-                            pool.recycle(dprobs);
-                            dlogits.scale_assign(*scale);
-                            let mut dq = pool.scratch(qv.data().len());
-                            dlogits.matmul_into(kv, &mut dq);
-                            let mut dk = pool.scratch(kv.data().len());
-                            dlogits.matmul_tn_into(qv, &mut dk);
-                            pool.recycle(dlogits);
-                            (dq, dk, dv)
-                        }
-                    };
+                    let (dq, dk, dv) =
+                        attention::backward(&g, qv, kv, vv, probs, allowed, *scale, pool);
                     pool.recycle(g);
                     accumulate(&mut grads, *v, dv, pool);
                     accumulate(&mut grads, *q, dq, pool);
@@ -896,7 +878,7 @@ mod tests {
         fused: bool,
         shared: bool,
         (q, k, v): (&Matrix, &Matrix, &Matrix),
-        allowed: Option<&AllowedColumns>,
+        allowed: &AllowedColumns,
         scale: f32,
         seed: &Matrix,
     ) -> [Matrix; 4] {
@@ -919,9 +901,7 @@ mod tests {
         } else {
             let logits = tape.matmul_nt(qv, kv);
             let logits = tape.scale(logits, scale);
-            let mask =
-                allowed.map_or_else(|| Matrix::zeros(q.rows(), k.rows()), AllowedColumns::mask);
-            let mask = tape.constant(mask);
+            let mask = tape.constant(allowed.mask());
             let attn = tape.masked_softmax_rows(logits, mask);
             tape.matmul(attn, vv)
         };
@@ -930,8 +910,7 @@ mod tests {
             let Some(Op::MaskedAttention { probs, .. }) = tape.ops.last() else {
                 panic!("the fused head records one masked-attention op");
             };
-            let compact = allowed.map_or(q.rows() * k.rows(), AllowedColumns::count);
-            assert_eq!(probs.data().len(), compact);
+            assert_eq!(probs.data().len(), allowed.count());
         }
         let value = tape.value(out).clone();
         tape.backward(out, seed.clone(), &mut store);
@@ -993,12 +972,11 @@ mod tests {
                         .collect::<Vec<_>>()
                 })
                 .collect();
-            let allowed = AllowedColumns::from_fn(n, m, |i, j| pattern[i * m + j]);
-            let allowed = masked.then_some(&allowed);
+            let allowed = AllowedColumns::from_fn(n, m, |i, j| !masked || pattern[i * m + j]);
             let scale = 1.0 / (d as f32).sqrt();
             let inputs = (&q, &k, &v);
-            let fused = attention_head(true, shared, inputs, allowed, scale, &g);
-            let chain = attention_head(false, shared, inputs, allowed, scale, &g);
+            let fused = attention_head(true, shared, inputs, &allowed, scale, &g);
+            let chain = attention_head(false, shared, inputs, &allowed, scale, &g);
             for (what, (a, b)) in ["value", "dq", "dk", "dv"].iter().zip(fused.iter().zip(&chain)) {
                 proptest::prop_assert!(same_bits(a, b), "{} differs:\nfused {:?}\nchain {:?}", what, a, b);
             }
@@ -1055,12 +1033,11 @@ mod tests {
                         .collect::<Vec<_>>()
                 })
                 .collect();
-            let allowed = AllowedColumns::from_fn(n, m, |i, j| pattern[i * m + j]);
-            let allowed = masked.then_some(&allowed);
+            let allowed = AllowedColumns::from_fn(n, m, |i, j| !masked || pattern[i * m + j]);
             let scale = 1.0 / (d as f32).sqrt();
             let inputs = (&q, &k, &v);
-            let fused = attention_head(true, false, inputs, allowed, scale, &g);
-            let chain = attention_head(false, false, inputs, allowed, scale, &g);
+            let fused = attention_head(true, false, inputs, &allowed, scale, &g);
+            let chain = attention_head(false, false, inputs, &allowed, scale, &g);
             for (what, (a, b)) in ["value", "dq", "dk", "dv"].iter().zip(fused.iter().zip(&chain)) {
                 proptest::prop_assert!(same_bits(a, b), "{} differs:\nfused {:?}\nchain {:?}", what, a, b);
             }
@@ -1136,8 +1113,8 @@ mod tests {
             let allowed = AllowedColumns::from_fn(n, m, |i, j| pattern[i * m + j]);
             let scale = 1.0 / (d as f32).sqrt();
             let inputs = (&q, &k, &v);
-            let fused = attention_head(true, shared, inputs, Some(&allowed), scale, &g);
-            let chain = attention_head(false, shared, inputs, Some(&allowed), scale, &g);
+            let fused = attention_head(true, shared, inputs, &allowed, scale, &g);
+            let chain = attention_head(false, shared, inputs, &allowed, scale, &g);
             for (what, (a, b)) in ["value", "dq", "dk", "dv"].iter().zip(fused.iter().zip(&chain)) {
                 proptest::prop_assert!(same_bits(a, b), "{} differs:\nfused {:?}\nchain {:?}", what, a, b);
             }
@@ -1160,8 +1137,8 @@ mod tests {
         ];
         let allowed = AllowedColumns::from_fn(4, 3, |i, j| pattern[i][j]);
         let g = Matrix::full(4, 2, 1.0);
-        let fused = attention_head(true, false, (&q, &k, &v), Some(&allowed), 1.0, &g);
-        let chain = attention_head(false, false, (&q, &k, &v), Some(&allowed), 1.0, &g);
+        let fused = attention_head(true, false, (&q, &k, &v), &allowed, 1.0, &g);
+        let chain = attention_head(false, false, (&q, &k, &v), &allowed, 1.0, &g);
         for (a, b) in fused.iter().zip(&chain) {
             assert!(same_bits(a, b), "fused {a:?}\nchain {b:?}");
         }

@@ -73,10 +73,9 @@ pub mod prelude {
     pub use predtop_analyze::{has_errors, render_text, StaticLegality};
     pub use predtop_cluster::{GpuSpec, Link, Mesh, Platform};
     pub use predtop_core::{
-        encode_outcome, encode_plan, load_model_service, pipeline_latency, run_search,
-        search_legality, search_plan_service, search_snapshot_key, AnalyticBaseline, ArchConfig,
-        EngineConfig, GrayBoxConfig, PredTop, SearchOutcome, SearchRequest, ServeEngine,
-        ServiceReport,
+        encode_plan, load_model_service, pipeline_latency, run_search, search_legality,
+        search_plan_service, AnalyticBaseline, ArchConfig, EngineConfig, GrayBoxConfig, PredTop,
+        SearchOutcome, SearchRequest, ServeEngine, ServiceReport,
     };
     pub use predtop_gnn::{
         mean_relative_error, train, Dataset, GraphSample, ModelKind, TrainConfig, TrainedPredictor,
@@ -90,9 +89,9 @@ pub mod prelude {
     pub use predtop_runtime::configured_threads;
     pub use predtop_service::{
         api, flat_json_fields, wire, AdmissionControl, BatchStats, BreakerConfig, CacheStats,
-        DeadlinePolicy, FaultConfig, LatencyQuery, LatencyReply, LatencyService, Ledger,
-        LedgerField, LedgerValue, PersistStats, RetryPolicy, Retryability, ServiceBuilder,
-        ServiceError, ServiceStack, Unavailable,
+        FaultConfig, LatencyQuery, LatencyReply, LatencyService, Ledger, LedgerField, LedgerValue,
+        PersistStats, RetryPolicy, Retryability, ServiceBuilder, ServiceError, ServiceStack,
+        Unavailable,
     };
     pub use predtop_sim::{DeviceCostModel, SimProfiler};
     pub use predtop_store::{ObjectKind, Store, StoreError};

@@ -72,11 +72,10 @@ options:
   --format text|json         output format (default text)
   --plan-out FILE            (search) write the chosen plan file
                              (predtop-lint --plan reads it)
-  --store DIR                persist latency replies and plan/outcome
-                             snapshots in a content-addressed object
-                             store at DIR, so a second identical run
-                             is served from disk (profile/search/
-                             predict/serve)
+  --store DIR                persist latency replies in a
+                             content-addressed object store at DIR,
+                             so a second identical run is served from
+                             disk (profile/search/predict/serve)
   --checked                  (search) reject statically illegal
                              candidates (sharding divisibility + the
                              liveness-tight memory bound) before any

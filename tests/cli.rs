@@ -88,11 +88,10 @@ options:
   --format text|json         output format (default text)
   --plan-out FILE            (search) write the chosen plan file
                              (predtop-lint --plan reads it)
-  --store DIR                persist latency replies and plan/outcome
-                             snapshots in a content-addressed object
-                             store at DIR, so a second identical run
-                             is served from disk (profile/search/
-                             predict/serve)
+  --store DIR                persist latency replies in a
+                             content-addressed object store at DIR,
+                             so a second identical run is served from
+                             disk (profile/search/predict/serve)
   --checked                  (search) reject statically illegal
                              candidates (sharding divisibility + the
                              liveness-tight memory bound) before any
@@ -532,6 +531,23 @@ fn fresh_store_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
+/// The unsigned integer that follows the first `key` in `text`, after
+/// any spaces.
+fn number_after(text: &str, key: &str) -> u64 {
+    let at = text
+        .find(key)
+        .unwrap_or_else(|| panic!("no {key} in {text}"))
+        + key.len();
+    let digits: String = text[at..]
+        .trim_start()
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("no number after {key} in {text}"))
+}
+
 #[test]
 fn store_backed_search_serves_the_second_run_from_disk() {
     let dir = fresh_store_dir("warm-search");
@@ -562,6 +578,15 @@ fn store_backed_search_serves_the_second_run_from_disk() {
     // the cold run saw an empty store: every distinct structure missed
     assert!(cold.contains("\"store_disk_hits\":0,"), "{cold}");
     assert!(!cold.contains("\"store_disk_misses\":0,"), "{cold}");
+    // and the store holds exactly the replies it wrote, nothing else
+    let stats = predtop()
+        .args(["store", "stats", "--store", dir.to_str().unwrap()])
+        .output()
+        .expect("run predtop store stats");
+    assert!(stats.status.success());
+    let stats = String::from_utf8_lossy(&stats.stdout);
+    let writes = number_after(&cold, "\"store_writes\":");
+    assert_eq!(number_after(&stats, "loose:"), writes, "{stats}");
 
     let warm = run();
     assert!(
