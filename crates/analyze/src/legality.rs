@@ -2,19 +2,25 @@
 //!
 //! [`StaticLegality`] packages the plan-level divisibility and memory
 //! rules as a per-candidate predicate ([`StaticLegality::is_legal`]).
-//! `predtop-core`'s search engine runs it over the enumerated work-list,
-//! so statically illegal `(stage, mesh, config)` candidates are rejected
-//! *before* they ever reach the latency source. The memory rule reads
-//! stage graphs from the simulator's [`StageGraphs`] store, so the
-//! filter, the profiler and the ground-truth re-evaluation share one
-//! graph per stage structure.
+//! `predtop-core`'s search engine runs it over the enumerated work-list
+//! through [`StaticLegality::filter`], so statically illegal
+//! `(stage, mesh, config)` candidates are rejected *before* they ever
+//! reach the latency source. The memory rule reads stage graphs from
+//! the simulator's [`StageGraphs`] store, so the filter, the profiler
+//! and the ground-truth re-evaluation share one graph per stage
+//! structure, and it bounds each (stage structure, configuration) pair
+//! once.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use predtop_cluster::GpuSpec;
+use predtop_ir::Graph;
 use predtop_models::{ModelSpec, StageSpec};
-use predtop_parallel::{MeshShape, ParallelConfig, StageGraphs};
+use predtop_parallel::intern::SubProblem;
+use predtop_parallel::{MeshShape, ParallelConfig, StageGraphs, StageStructure};
+use predtop_runtime::par_map_with;
 
 use crate::diag::{has_errors, sort_diagnostics, Diagnostic, Span};
 use crate::plan_passes::{divisibility_diags, memory_fit_diag};
@@ -25,7 +31,10 @@ use crate::plan_passes::{divisibility_diags, memory_fit_diag};
 /// memory rule (`P1401`) takes each candidate's stage graph from a
 /// borrowed [`StageGraphs`] store, so an `n²`-range enumeration builds
 /// one graph per stage structure (`O(n)` of them for a dense decoder),
-/// and none the store already holds.
+/// and none the store already holds. The rule's verdict reads the graph
+/// and the configuration, never the mesh, so it is memoized per
+/// (stage structure, configuration): every later candidate of a pair
+/// reads the first one's verdict.
 pub struct StaticLegality {
     model: ModelSpec,
     microbatches: usize,
@@ -34,12 +43,41 @@ pub struct StaticLegality {
     rejected_memory: AtomicUsize,
 }
 
-/// The memory rule's device, its kept-free fraction, and the store its
-/// stage graphs come from.
+/// `memory_fit_diag`'s answer per (stage structure, configuration).
+type Verdicts = HashMap<(StageStructure, ParallelConfig), Option<Diagnostic>>;
+
+/// The memory rule's device, its kept-free fraction, the store its
+/// stage graphs come from, and its verdicts so far.
 struct MemoryCheck {
     gpu: GpuSpec,
     headroom_frac: f64,
     graphs: Arc<StageGraphs>,
+    /// Sound because equal structures build equal graphs, and the GPU
+    /// and headroom are fixed for the filter's lifetime.
+    verdicts: Mutex<Verdicts>,
+}
+
+impl MemoryCheck {
+    fn bound(&self, graph: &Graph, config: ParallelConfig) -> Option<Diagnostic> {
+        memory_fit_diag(graph, config, &self.gpu, self.headroom_frac, Span::Plan)
+    }
+
+    fn verdicts(&self) -> MutexGuard<'_, Verdicts> {
+        self.verdicts
+            .lock()
+            .expect("verdict lock never poisoned: no bound runs under it")
+    }
+
+    /// The memoized verdict for `stage` under `config`; a miss builds
+    /// (or borrows) the graph and bounds it outside the lock.
+    fn verdict(&self, stage: &StageSpec, config: ParallelConfig) -> Option<Diagnostic> {
+        let key = (StageStructure::of(stage), config);
+        if let Some(v) = self.verdicts().get(&key) {
+            return v.clone();
+        }
+        let v = self.bound(&self.graphs.get(stage), config);
+        self.verdicts().entry(key).or_insert(v).clone()
+    }
 }
 
 impl StaticLegality {
@@ -68,8 +106,13 @@ impl StaticLegality {
             gpu,
             headroom_frac,
             graphs,
+            verdicts: Mutex::new(HashMap::new()),
         });
         self
+    }
+
+    fn divisibility(&self, config: ParallelConfig) -> Vec<Diagnostic> {
+        divisibility_diags(&self.model, self.microbatches, config, Span::Plan, None)
     }
 
     /// Every `Error`-severity finding for one search candidate, in
@@ -80,16 +123,11 @@ impl StaticLegality {
         _mesh: MeshShape,
         config: ParallelConfig,
     ) -> Vec<Diagnostic> {
-        let mut out = divisibility_diags(&self.model, self.microbatches, config, Span::Plan, None);
+        let mut out = self.divisibility(config);
         // only pay for a graph build when the cheap rules pass
         if out.is_empty() {
-            if let Some(m) = &self.memory {
-                let graph = m.graphs.get(stage);
-                if let Some(d) =
-                    memory_fit_diag(&graph, config, &m.gpu, m.headroom_frac, Span::Plan)
-                {
-                    out.push(d);
-                }
+            if let Some(d) = self.memory.as_ref().and_then(|m| m.verdict(stage, config)) {
+                out.push(d);
             }
         }
         sort_diagnostics(&mut out);
@@ -110,6 +148,59 @@ impl StaticLegality {
         false
     }
 
+    /// The legal `candidates`, in their order: the same list, counters
+    /// and verdicts as calling [`Self::is_legal`] on each, with the
+    /// memory rule's graph builds and bounds spread over `threads`
+    /// workers first.
+    ///
+    /// Runs in three steps: the divisibility rules pick the candidates
+    /// the memory rule must judge; one pool task per distinct stage
+    /// structure among them takes its graph from the store once and
+    /// bounds each of its unjudged configurations into the memo; then
+    /// the serial [`Self::is_legal`] pass, every verdict now a memo
+    /// read, fixes the order and the counters. Each structure is one
+    /// task, so no graph is built twice, and no lock is held across a
+    /// build or a bound.
+    pub fn filter(&self, candidates: Vec<SubProblem>, threads: usize) -> Vec<SubProblem> {
+        if let Some(m) = &self.memory {
+            let mut tasks: Vec<(StageSpec, Vec<ParallelConfig>)> = Vec::new();
+            let mut task_of: HashMap<StageStructure, usize> = HashMap::new();
+            {
+                let judged = m.verdicts();
+                for (stage, _, config) in &candidates {
+                    if !self.divisibility(*config).is_empty() {
+                        continue;
+                    }
+                    let key = StageStructure::of(stage);
+                    if judged.contains_key(&(key, *config)) {
+                        continue;
+                    }
+                    let task = *task_of.entry(key).or_insert_with(|| {
+                        tasks.push((*stage, Vec::new()));
+                        tasks.len() - 1
+                    });
+                    let configs = &mut tasks[task].1;
+                    if !configs.contains(config) {
+                        configs.push(*config);
+                    }
+                }
+            }
+            let verdicts = par_map_with(tasks, threads, |(stage, configs)| {
+                let key = StageStructure::of(&stage);
+                let graph = m.graphs.get(&stage);
+                configs
+                    .into_iter()
+                    .map(|config| ((key, config), m.bound(&graph, config)))
+                    .collect::<Vec<_>>()
+            });
+            m.verdicts().extend(verdicts.into_iter().flatten());
+        }
+        candidates
+            .into_iter()
+            .filter(|(stage, mesh, config)| self.is_legal(stage, *mesh, *config))
+            .collect()
+    }
+
     /// How many candidates [`Self::is_legal`] has rejected so far.
     pub fn rejections(&self) -> usize {
         self.rejected.load(Ordering::Relaxed)
@@ -119,6 +210,13 @@ impl StaticLegality {
     /// memory-fit rule (as opposed to pure divisibility arithmetic).
     pub fn memory_rejections(&self) -> usize {
         self.rejected_memory.load(Ordering::Relaxed)
+    }
+
+    /// How many memory bounds the filter has computed: one per
+    /// (stage structure, configuration) pair the memory rule judged.
+    /// Always 0 without a memory check.
+    pub fn memory_checks(&self) -> usize {
+        self.memory.as_ref().map_or(0, |m| m.verdicts().len())
     }
 }
 
@@ -190,5 +288,112 @@ mod tests {
             }
         }
         assert_eq!(graphs.len(), 1);
+        assert_eq!(leg.memory_checks(), 3, "one bound per (structure, config)");
+    }
+
+    /// The benchmark's small MoE on Platform 2's 2×2 cluster with 4
+    /// micro-batches, and its candidate work-list.
+    fn moe_problem() -> (ModelSpec, Vec<SubProblem>) {
+        use predtop_parallel::{enumerate_candidates, InterStageOptions};
+        let mut model = ModelSpec::moe_2p6b(4);
+        model.seq_len = 32;
+        model.hidden = 32;
+        model.num_heads = 4;
+        model.vocab = 64;
+        model.num_layers = 16;
+        if let Some(moe) = model.moe.as_mut() {
+            moe.num_experts = 4;
+        }
+        let opts = InterStageOptions {
+            microbatches: 4,
+            imbalance_tolerance: None,
+        };
+        (
+            model,
+            enumerate_candidates(model, MeshShape::new(2, 2), opts),
+        )
+    }
+
+    /// A 0.045 GiB device: the `P1401` branch rejects 110 candidates.
+    fn tight_gpu() -> GpuSpec {
+        GpuSpec {
+            name: "tight-test-gpu",
+            memory_gib: 0.045,
+            ..GpuSpec::a40()
+        }
+    }
+
+    #[test]
+    fn filter_matches_the_serial_predicate_at_every_thread_count() {
+        let (model, work) = moe_problem();
+        let checked = || {
+            StaticLegality::new(model, 4).with_memory_check(
+                tight_gpu(),
+                0.1,
+                Arc::new(StageGraphs::new()),
+            )
+        };
+        let serial = checked();
+        let want: Vec<SubProblem> = work
+            .iter()
+            .filter(|(s, m, c)| serial.is_legal(s, *m, *c))
+            .copied()
+            .collect();
+        assert_eq!(serial.memory_rejections(), 110);
+        for threads in [1, 2, 4, 8] {
+            let leg = checked();
+            let got = leg.filter(work.clone(), threads);
+            assert_eq!(got, want, "{threads} threads");
+            assert_eq!(leg.rejections(), serial.rejections(), "{threads} threads");
+            assert_eq!(leg.memory_rejections(), 110, "{threads} threads");
+            assert_eq!(leg.memory_checks(), serial.memory_checks());
+        }
+
+        // every memoized verdict is the one a freshly built graph gives
+        let leg = checked();
+        leg.filter(work.clone(), 2);
+        let mut fresh: HashMap<(usize, usize), Graph> = HashMap::new();
+        for (stage, mesh, config) in &work {
+            let mut expected = leg.divisibility(*config);
+            if expected.is_empty() {
+                let graph = fresh
+                    .entry((stage.start, stage.end))
+                    .or_insert_with(|| stage.build_graph());
+                expected.extend(memory_fit_diag(
+                    graph,
+                    *config,
+                    &tight_gpu(),
+                    0.1,
+                    Span::Plan,
+                ));
+            }
+            sort_diagnostics(&mut expected);
+            assert_eq!(
+                leg.candidate_diagnostics(stage, *mesh, *config),
+                expected,
+                "{stage:?} on {mesh:?} under {config:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn filter_builds_no_graph_when_nothing_reaches_the_memory_rule() {
+        let (model, work) = moe_problem();
+        let graphs = Arc::new(StageGraphs::new());
+        let leg =
+            StaticLegality::new(model, 4).with_memory_check(tight_gpu(), 0.1, Arc::clone(&graphs));
+        assert!(leg.filter(Vec::new(), 4).is_empty());
+        assert_eq!(
+            (graphs.len(), leg.memory_checks(), leg.rejections()),
+            (0, 0, 0)
+        );
+
+        // 3 micro-batches do not divide batch 4: P1301 rejects all
+        let leg =
+            StaticLegality::new(model, 3).with_memory_check(tight_gpu(), 0.1, Arc::clone(&graphs));
+        assert!(leg.filter(work.clone(), 4).is_empty());
+        assert_eq!(leg.rejections(), work.len());
+        assert_eq!(leg.memory_rejections(), 0);
+        assert_eq!((graphs.len(), leg.memory_checks()), (0, 0));
     }
 }

@@ -7,7 +7,9 @@ use predtop_models::ModelSpec;
 use predtop_parallel::intra::IntraPlan;
 use predtop_parallel::sharding::Sharding;
 use predtop_parallel::{table3_configs, MeshShape, ParallelConfig, PlanRule};
-use predtop_sim::memory::{activation_profile, estimate_stage_memory, fits_on, MemoryEstimate};
+use predtop_sim::memory::{
+    activation_profile, estimate_stage_memory, estimate_with_profile, fits_on, MemoryEstimate,
+};
 
 use crate::dataflow::peak_resident_bytes;
 use crate::diag::{Diagnostic, FixEdit, Severity, Span};
@@ -337,8 +339,8 @@ fn all_sharded_plan(graph: &Graph, config: ParallelConfig) -> IntraPlan {
 /// `sim::memory`'s backward-pass model.
 pub fn stage_memory_liveness_bound(graph: &Graph, config: ParallelConfig) -> MemoryEstimate {
     let plan = all_sharded_plan(graph, config);
-    let legacy = estimate_stage_memory(graph, &plan);
     let weights = activation_profile(graph, &plan);
+    let legacy = estimate_with_profile(graph, &plan, &weights);
     let (peak, _) = peak_resident_bytes(graph, &weights);
     MemoryEstimate {
         activations: peak.min(legacy.activations),

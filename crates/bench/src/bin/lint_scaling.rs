@@ -1,11 +1,17 @@
-//! Wall-clock cost of the graph-lint engine over a plan search's worth
-//! of stage windows.
+//! Wall-clock cost of the graph-lint engine and of the checked search's
+//! legality filter over a plan search's worth of stage windows.
 //!
 //! Runs every analysis pass over every enumerated stage window of a
 //! deep dense decoder, each graph analyzed from scratch, and reports
-//! the sweep's wall time and finding count. Results are written as
-//! stable-schema JSON (default `BENCH_lint.json`; override with
-//! `--out PATH`) alongside `search_scaling`'s artifact.
+//! the sweep's wall time and finding count. Then runs the checked
+//! search's filter (`StaticLegality::filter`: divisibility, then the
+//! `P1401` memory bound once per stage structure and configuration)
+//! over the decoder's candidate work-list on Platform 2's 2×2 cluster
+//! with 2 micro-batches, each repetition with a fresh filter and
+//! profiler, once on one thread and once on every available one.
+//! Results are written as stable-schema JSON (default
+//! `BENCH_lint.json`; override with `--out PATH`) alongside
+//! `search_scaling`'s artifact.
 //!
 //! The default model is a 48-layer dense decoder with shrunk
 //! hyper-parameters (1176 layer windows); `--smoke` switches to 16
@@ -17,12 +23,17 @@
 //! cargo run --release --bin lint_scaling -- --out results/BENCH_lint.json
 //! ```
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use predtop_analyze::analyze_graph;
+use predtop_analyze::{analyze_graph, plan_passes::divisibility_diags, Span};
 use predtop_bench::jsonout::{write_json_file, Json};
+use predtop_cluster::Platform;
+use predtop_core::search_legality;
 use predtop_models::{enumerate_stages, ModelSpec};
+use predtop_parallel::{enumerate_candidates, InterStageOptions, MeshShape, StageStructure};
+use predtop_sim::SimProfiler;
 
 struct Cli {
     out: PathBuf,
@@ -94,8 +105,30 @@ fn main() {
         .field("seconds", seconds)
         .field("graphs", graphs.len())
         .field("findings", findings)];
+
+    let opts = InterStageOptions {
+        microbatches: 2,
+        imbalance_tolerance: None,
+    };
+    let work = enumerate_candidates(model, MeshShape::new(2, 2), opts);
+    // what the memory rule must judge: the distinct (structure, config)
+    // pairs among the candidates the divisibility rules pass
+    let structure_configs = work
+        .iter()
+        .filter(|(_, _, c)| {
+            divisibility_diags(&model, opts.microbatches, *c, Span::Plan, None).is_empty()
+        })
+        .map(|(s, _, c)| (StageStructure::of(s), *c))
+        .collect::<HashSet<_>>()
+        .len();
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let filter_rows: Vec<Json> = [1, available]
+        .into_iter()
+        .map(|threads| filter_row(model, opts, &work, threads))
+        .collect();
+
     let doc = Json::obj()
-        .field("schema_version", 3u64)
+        .field("schema_version", 4u64)
         .field("benchmark", "lint_scaling")
         .field("mode", if cli.smoke { "smoke" } else { "full" })
         .field(
@@ -105,7 +138,52 @@ fn main() {
         .field("kernel_isa", predtop_tensor::active_isa().name())
         .field("model_layers", model.num_layers)
         .field("graphs", graphs.len())
-        .field("rows", rows);
+        .field("rows", rows)
+        .field("filter_candidates", work.len())
+        .field("filter_structure_configs", structure_configs)
+        .field("filter_rows", filter_rows);
     write_json_file(&cli.out, &doc);
     println!("saved {}", cli.out.display());
+}
+
+/// The checked search's phase 1 over `work` on `threads` workers: best
+/// of three repetitions, each with a fresh filter and profiler (so
+/// every stage graph is built and every bound computed inside the
+/// timing). The counts repeat exactly; the last repetition's are kept.
+fn filter_row(
+    model: ModelSpec,
+    opts: InterStageOptions,
+    work: &[predtop_parallel::intern::SubProblem],
+    threads: usize,
+) -> Json {
+    let mut best = f64::INFINITY;
+    let mut counts = (0, 0, 0, 0);
+    for _ in 0..3 {
+        let profiler = SimProfiler::new(Platform::platform2(), 1);
+        let legality = search_legality(model, &profiler, opts);
+        let start = Instant::now();
+        let legal = legality.filter(work.to_vec(), threads);
+        best = best.min(start.elapsed().as_secs_f64());
+        assert_eq!(legal.len() + legality.rejections(), work.len());
+        counts = (
+            legality.rejections(),
+            legality.memory_rejections(),
+            profiler.graphs().len(),
+            legality.memory_checks(),
+        );
+    }
+    let (rejections, memory_rejections, graphs, bounds) = counts;
+    println!(
+        "checked filter, {threads} thread(s): {best:7.3}s wall, {} candidates, \
+         {rejections} rejected ({memory_rejections} by P1401), {graphs} graphs, {bounds} bounds",
+        work.len()
+    );
+    Json::obj()
+        .field("threads", threads)
+        .field("seconds", best)
+        .field("candidates", work.len())
+        .field("rejections", rejections)
+        .field("memory_rejections", memory_rejections)
+        .field("graphs", graphs)
+        .field("bounds", bounds)
 }

@@ -61,12 +61,14 @@ pub struct SearchOutcome {
 /// winning plan with the ground-truth `profiler`.
 ///
 /// Phase 1 enumerates and (via the optional `StaticLegality`) filters
-/// the candidate work-list; phase 2 resolves it as **one query batch**
-/// through the stack — a `Batched` layer fans it across the worker pool
-/// with results landing at fixed indices; phase 3 is the shared
-/// [`solve_pipeline`] DP. Identical work-lists and per-query values give
-/// bit-identical plans, so every transparent middleware combination
-/// chooses the same plan with the same latency bits.
+/// the candidate work-list, with the filter's graph builds and memory
+/// bounds spread over the stack's `Batched` width (the caller's thread
+/// when the stack has none); phase 2 resolves it as **one query
+/// batch** through the stack — a `Batched` layer fans it across the
+/// worker pool with results landing at fixed indices; phase 3 is the
+/// shared [`solve_pipeline`] DP. Identical work-lists and per-query
+/// values give bit-identical plans, so every transparent middleware
+/// combination chooses the same plan with the same latency bits.
 ///
 /// Errors if any candidate query fails after the whole stack (including
 /// any `Fallback` chain) has been consulted, and with
@@ -91,10 +93,10 @@ pub fn search_plan_service(
     // so delta-snapshot them around this search's phase 1
     let memory_before = legality.map_or(0, |l| l.memory_rejections());
     let worklist: Vec<(StageSpec, MeshShape, ParallelConfig)> = match legality {
-        Some(l) => full
-            .into_iter()
-            .filter(|(stage, mesh, config)| l.is_legal(stage, *mesh, *config))
-            .collect(),
+        Some(l) => {
+            let threads = stack.handles().batch.as_ref().map_or(1, |b| b.threads());
+            l.filter(full, threads)
+        }
         None => full,
     };
     let num_queries = worklist.len();
@@ -683,14 +685,9 @@ mod tests {
         assert_eq!(profiler.queries_issued(), 0);
     }
 
-    /// `checked-moe-warm`'s problem on a fixed 0.045 GiB device (at
-    /// 0.044 GiB no plan fits): the `P1401` branch rejects 110
-    /// candidates, where Platform 2's own devices reject none. Every figure
-    /// was recorded with the fixpoint-solved liveness peak.
-    #[test]
-    fn tight_memory_checked_search_is_pinned() {
-        use predtop_cluster::GpuSpec;
-
+    /// `checked-moe-warm`'s problem: a small-dimension MoE on Platform
+    /// 2's 2×2 cluster with 4 micro-batches.
+    fn moe_problem() -> (ModelSpec, MeshShape, InterStageOptions) {
         let mut model = ModelSpec::moe_2p6b(4);
         model.seq_len = 32;
         model.hidden = 32;
@@ -700,11 +697,45 @@ mod tests {
         if let Some(moe) = model.moe.as_mut() {
             moe.num_experts = 4;
         }
-        let cluster = MeshShape::new(2, 2);
         let opts = InterStageOptions {
             microbatches: 4,
             imbalance_tolerance: None,
         };
+        (model, MeshShape::new(2, 2), opts)
+    }
+
+    /// The checked search bounds each (stage structure, config) pair
+    /// once: the 408 candidates that pass divisibility share 58 graphs
+    /// under 3 configurations, at any batch width.
+    #[test]
+    fn checked_search_bounds_each_structure_and_config_once() {
+        let (model, cluster, opts) = moe_problem();
+        for threads in [1, 2] {
+            let profiler = SimProfiler::new(Platform::platform2(), 1);
+            let legality = search_legality(model, &profiler, opts);
+            let out = run_search(
+                &SearchRequest::new(model, cluster, opts)
+                    .threads(threads)
+                    .legality(&legality),
+                &profiler,
+                &profiler,
+            )
+            .expect("Platform 2's devices fit a plan");
+            assert_eq!((out.num_rejected, out.num_rejected_memory), (408, 0));
+            assert_eq!(legality.memory_checks(), 174, "{threads} threads");
+            assert_eq!(profiler.graphs().len(), 58, "{threads} threads");
+        }
+    }
+
+    /// `checked-moe-warm`'s problem on a fixed 0.045 GiB device (at
+    /// 0.044 GiB no plan fits): the `P1401` branch rejects 110
+    /// candidates, where Platform 2's own devices reject none. Every figure
+    /// was recorded with the fixpoint-solved liveness peak.
+    #[test]
+    fn tight_memory_checked_search_is_pinned() {
+        use predtop_cluster::GpuSpec;
+
+        let (model, cluster, opts) = moe_problem();
         let gpu = GpuSpec {
             name: "tight-test-gpu",
             memory_gib: 0.045,
@@ -742,8 +773,9 @@ mod tests {
         assert_eq!(out.num_queries, 298);
         // legality, profiling and the true-latency re-evaluation share
         // the profiler's store: one graph per stage structure of the
-        // 136 layer ranges
+        // 136 layer ranges, bounded once per configuration
         assert_eq!(profiler.graphs().len(), 58);
+        assert_eq!(legality.memory_checks(), 174);
         assert_eq!(
             stages,
             [

@@ -140,11 +140,27 @@ pub fn solve_pipeline(
     let mut tmax_set: Vec<f64> = cands.iter().map(|c| c.seconds).collect();
     tmax_set.sort_by(f64::total_cmp);
     tmax_set.dedup();
+    // the candidates ending at each layer, in ascending table order
+    let mut by_end: Vec<Vec<usize>> = vec![Vec::new(); layers + 1];
+    for (ci, c) in cands.iter().enumerate() {
+        if (1..=layers).contains(&c.stage.end) {
+            by_end[c.stage.end].push(ci);
+        }
+    }
+    // with no negative latency every sum is ≥ 0, so a total is never
+    // below its `(B − 1)·t_max` term, which only grows along the
+    // ascending set: once that term reaches the best total, no later
+    // `t_max` can beat it
+    let nonnegative = tmax_set.first().is_some_and(|&t| t >= 0.0);
+    let skew = microbatches as f64 - 1.0;
 
     let mut best: Option<(f64, PipelinePlan)> = None;
     for &tmax in &tmax_set {
-        if let Some((sum, plan)) = dp_min_sum(cands, layers, total_dev, tmax, microbatches) {
-            let total = sum + (microbatches as f64 - 1.0) * tmax;
+        if nonnegative && best.as_ref().is_some_and(|(b, _)| skew * tmax >= *b) {
+            break;
+        }
+        if let Some((sum, plan)) = dp_min_sum(cands, &by_end, total_dev, tmax, microbatches) {
+            let total = sum + skew * tmax;
             if best.as_ref().is_none_or(|(b, _)| total < *b) {
                 best = Some((total, plan));
             }
@@ -155,15 +171,18 @@ pub fn solve_pipeline(
 
 /// DP minimizing the stage-latency sum for a fixed bottleneck bound:
 /// `f[l][d]` = min Σ tᵢ covering layers `0..l` with exactly `d` devices,
-/// using only candidates with `t ≤ tmax`. Returns the best plan over all
+/// using only candidates with `t ≤ tmax`. `by_end[l]` lists the indices
+/// of the candidates ending at layer `l` in ascending order, so updates
+/// and ties run in table order. Returns the best plan over all
 /// `d ≤ total_dev`.
 fn dp_min_sum(
     cands: &[EvaluatedCandidate],
-    layers: usize,
+    by_end: &[Vec<usize>],
     total_dev: usize,
     tmax: f64,
     microbatches: usize,
 ) -> Option<(f64, PipelinePlan)> {
+    let layers = by_end.len() - 1;
     const INF: f64 = f64::INFINITY;
     let width = total_dev + 1;
     let mut f = vec![INF; (layers + 1) * width];
@@ -173,11 +192,11 @@ fn dp_min_sum(
     f[0] = 0.0;
 
     // Process in order of stage end so that f[start][*] is final before
-    // any candidate ending later reads it; iterate candidates grouped by
-    // `end` via simple filtering (candidate counts are small: ≤ ~2k).
-    for end in 1..=layers {
-        for (ci, c) in cands.iter().enumerate() {
-            if c.stage.end != end || c.seconds > tmax {
+    // any candidate ending later reads it.
+    for (end, group) in by_end.iter().enumerate().skip(1) {
+        for &ci in group {
+            let c = &cands[ci];
+            if c.seconds > tmax {
                 continue;
             }
             let dev = c.mesh.num_devices();
@@ -631,6 +650,171 @@ mod tests {
         };
         bf.go(0, cluster.num_devices(), 0.0, 0.0);
         bf.best
+    }
+
+    /// The DP as it stood before the per-end grouping and the early
+    /// exit: every `t_max` solved, every candidate scanned at every
+    /// stage end. The reference the grouped DP must match bit for bit.
+    fn scan_solve_pipeline(
+        cands: &[EvaluatedCandidate],
+        layers: usize,
+        total_dev: usize,
+        microbatches: usize,
+    ) -> Option<(f64, PipelinePlan)> {
+        let mut tmax_set: Vec<f64> = cands.iter().map(|c| c.seconds).collect();
+        tmax_set.sort_by(f64::total_cmp);
+        tmax_set.dedup();
+        let mut best: Option<(f64, PipelinePlan)> = None;
+        for &tmax in &tmax_set {
+            if let Some((sum, plan)) = scan_dp_min_sum(cands, layers, total_dev, tmax, microbatches)
+            {
+                let total = sum + (microbatches as f64 - 1.0) * tmax;
+                if best.as_ref().is_none_or(|(b, _)| total < *b) {
+                    best = Some((total, plan));
+                }
+            }
+        }
+        best
+    }
+
+    fn scan_dp_min_sum(
+        cands: &[EvaluatedCandidate],
+        layers: usize,
+        total_dev: usize,
+        tmax: f64,
+        microbatches: usize,
+    ) -> Option<(f64, PipelinePlan)> {
+        const INF: f64 = f64::INFINITY;
+        let width = total_dev + 1;
+        let mut f = vec![INF; (layers + 1) * width];
+        let mut parent: Vec<Option<(usize, usize)>> = vec![None; (layers + 1) * width];
+        let mut cand_at: Vec<usize> = vec![usize::MAX; (layers + 1) * width];
+        f[0] = 0.0;
+        for end in 1..=layers {
+            for (ci, c) in cands.iter().enumerate() {
+                if c.stage.end != end || c.seconds > tmax {
+                    continue;
+                }
+                let dev = c.mesh.num_devices();
+                for d_prev in 0..width - dev {
+                    let prev = f[c.stage.start * width + d_prev];
+                    if prev == INF {
+                        continue;
+                    }
+                    let idx = end * width + d_prev + dev;
+                    if prev + c.seconds < f[idx] {
+                        f[idx] = prev + c.seconds;
+                        parent[idx] = Some((c.stage.start, d_prev));
+                        cand_at[idx] = ci;
+                    }
+                }
+            }
+        }
+        let (mut best_d, mut best_sum) = (0, INF);
+        for d in 1..width {
+            let v = f[layers * width + d];
+            if v < best_sum {
+                best_sum = v;
+                best_d = d;
+            }
+        }
+        if best_sum == INF {
+            return None;
+        }
+        let mut stages_rev: Vec<PlannedStage> = Vec::new();
+        let (mut end, mut d) = (layers, best_d);
+        while end > 0 {
+            let idx = end * width + d;
+            let c = &cands[cand_at[idx]];
+            stages_rev.push(PlannedStage {
+                stage: c.stage,
+                mesh: c.mesh,
+                config: c.config,
+            });
+            let (pstart, pd) = parent[idx].expect("parent chain intact");
+            end = pstart;
+            d = pd;
+        }
+        stages_rev.reverse();
+        Some((
+            best_sum,
+            PipelinePlan {
+                stages: stages_rev,
+                microbatches,
+            },
+        ))
+    }
+
+    /// SplitMix64: a few independent draws per candidate from one seed.
+    fn mix(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49eb_11b8_5133);
+        z ^ (z >> 31)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The grouped DP with its early exit picks the plan the full
+        /// scan picks, with the same latency bits, on random tables
+        /// whose latencies tie often (a handful of levels, zeros and
+        /// infinities among them, negative ones in some tables) and
+        /// that miss random candidates. Some tables scale the level by
+        /// the stage's layer count and add a per-stage overhead, so
+        /// fewer, longer stages trade a lower sum for a higher `t_max`
+        /// and the optimum often lies past the first feasible `t_max`.
+        #[test]
+        fn grouped_dp_matches_the_full_scan(
+            layers in 1usize..=7,
+            cluster_idx in 0usize..4,
+            microbatches in 1usize..=8,
+            levels in 1u64..=5,
+            drop_one_in in 0u64..=4,
+            negative in 0u64..2,
+            per_layer in 0u64..2,
+            overhead in 0u64..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let clusters = [
+                MeshShape::new(1, 1),
+                MeshShape::new(1, 2),
+                MeshShape::new(1, 4),
+                MeshShape::new(2, 2),
+            ];
+            let cluster = clusters[cluster_idx];
+            let mut m = ModelSpec::gpt3_1p3b(2);
+            m.num_layers = layers;
+            let opts = InterStageOptions {
+                microbatches,
+                imbalance_tolerance: None,
+            };
+            let cands: Vec<EvaluatedCandidate> = enumerate_candidates(m, cluster, opts)
+                .into_iter()
+                .enumerate()
+                .filter_map(|(i, (stage, mesh, config))| {
+                    let h = mix(seed ^ mix(i as u64));
+                    if drop_one_in > 0 && h % 16 < drop_one_in {
+                        return None;
+                    }
+                    let level = match (h >> 8) % (levels + 2) {
+                        0 => 0.0,
+                        l if l == levels + 1 => f64::INFINITY,
+                        l => l as f64 * 0.1 - negative as f64 * 0.25,
+                    };
+                    let scale = if per_layer == 1 { stage.num_layers() } else { 1 };
+                    let seconds = level * scale as f64 + overhead as f64 * 0.1;
+                    Some(EvaluatedCandidate { stage, mesh, config, seconds })
+                })
+                .collect();
+            let total_dev = cluster.num_devices();
+            let grouped = solve_pipeline(&cands, layers, total_dev, microbatches);
+            let scanned = scan_solve_pipeline(&cands, layers, total_dev, microbatches);
+            prop_assert_eq!(
+                grouped.as_ref().map(|(t, p)| (t.to_bits(), p.clone())),
+                scanned.as_ref().map(|(t, p)| (t.to_bits(), p.clone()))
+            );
+        }
     }
 
     proptest! {

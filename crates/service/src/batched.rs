@@ -23,8 +23,9 @@ pub struct BatchStats {
     pub chunks: usize,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct BatchState {
+    threads: usize,
     batches: AtomicUsize,
     dispatched: AtomicUsize,
     inline: AtomicUsize,
@@ -32,6 +33,16 @@ pub(crate) struct BatchState {
 }
 
 impl BatchState {
+    fn new(threads: usize) -> BatchState {
+        BatchState {
+            threads: threads.max(1),
+            batches: AtomicUsize::new(0),
+            dispatched: AtomicUsize::new(0),
+            inline: AtomicUsize::new(0),
+            chunks: AtomicUsize::new(0),
+        }
+    }
+
     fn record(&self, queries: usize, dispatched: bool) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         if dispatched {
@@ -62,6 +73,12 @@ impl BatchHandle {
     pub fn stats(&self) -> BatchStats {
         self.0.stats()
     }
+
+    /// The worker-pool size the layer fans batches out over, so work
+    /// the search does beside the batch can run at the same width.
+    pub fn threads(&self) -> usize {
+        self.0.threads
+    }
 }
 
 /// Middleware that overrides [`LatencyService::query_batch`] with a
@@ -84,7 +101,6 @@ impl BatchHandle {
 /// queries pass straight through.
 pub struct Batched<S> {
     inner: S,
-    threads: usize,
     state: Arc<BatchState>,
 }
 
@@ -93,14 +109,13 @@ impl<S> Batched<S> {
     pub fn new(inner: S, threads: usize) -> Batched<S> {
         Batched {
             inner,
-            threads: threads.max(1),
-            state: Arc::new(BatchState::default()),
+            state: Arc::new(BatchState::new(threads)),
         }
     }
 
     /// The worker-pool size batches fan out over.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.state.threads
     }
 
     /// A shareable handle onto this layer's dispatch counters.
@@ -124,9 +139,9 @@ impl<S: LatencyService> LatencyService for Batched<S> {
     }
 
     fn query_batch(&self, qs: &[LatencyQuery]) -> Vec<Result<LatencyReply, ServiceError>> {
-        let dispatched = fans_out(qs.len(), self.threads);
-        self.state.record(qs.len(), dispatched);
-        par_map_with(qs.iter().collect(), self.threads, |q| self.inner.query(q))
+        let threads = self.state.threads;
+        self.state.record(qs.len(), fans_out(qs.len(), threads));
+        par_map_with(qs.iter().collect(), threads, |q| self.inner.query(q))
     }
 }
 
@@ -253,9 +268,12 @@ mod tests {
         batched.query_batch(&qs[..2]);
         let s = batched.stats();
         assert_eq!((s.batches, s.dispatched, s.inline, s.chunks), (3, 2, 1, 38));
-        // the handle observes the same counters after the layer moves
+        // the handle observes the same counters and width after the
+        // layer moves
         let handle = batched.handle();
         assert_eq!(handle.stats(), s);
+        assert_eq!(handle.threads(), 4);
+        assert_eq!(Batched::new(counting_service().0, 0).handle().threads(), 1);
     }
 
     #[test]

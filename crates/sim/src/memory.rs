@@ -89,6 +89,13 @@ pub fn activation_profile(graph: &Graph, plan: &IntraPlan) -> Vec<u64> {
 
 /// Estimate the per-device memory of `graph` under `plan`.
 pub fn estimate_stage_memory(graph: &Graph, plan: &IntraPlan) -> MemoryEstimate {
+    estimate_with_profile(graph, plan, &activation_profile(graph, plan))
+}
+
+/// [`estimate_stage_memory`] with `profile`, the graph's
+/// [`activation_profile`] under `plan`, already in hand: a caller that
+/// also weighs the profile's subsets computes it once.
+pub fn estimate_with_profile(graph: &Graph, plan: &IntraPlan, profile: &[u64]) -> MemoryEstimate {
     let mp = plan.config.mp as u64;
 
     let mut params = 0u64;
@@ -118,7 +125,7 @@ pub fn estimate_stage_memory(graph: &Graph, plan: &IntraPlan) -> MemoryEstimate 
             _ => {}
         }
     }
-    let activations = activation_profile(graph, plan).iter().sum();
+    let activations = profile.iter().sum();
 
     MemoryEstimate {
         params,
