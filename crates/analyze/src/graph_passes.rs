@@ -162,14 +162,15 @@ impl GraphPass for DTypePass {
             let NodeKind::Operator(op) = node.kind else {
                 continue;
             };
-            if node.inputs.is_empty() {
+            let operands = graph.preds(node.id);
+            if operands.is_empty() {
                 continue; // arity is the semantics pass's problem
             }
-            let in_dtype = |i: usize| graph.node(node.inputs[i]).dtype;
+            let in_dtype = |i: usize| graph.node(operands[i]).dtype;
             match op {
                 Add | Sub | Mul | Div | Max | Min | Pow | Neg | Exp | Log | Tanh | Erf
                 | Logistic | Sqrt | Rsqrt => {
-                    for (i, &p) in node.inputs.iter().enumerate() {
+                    for (i, &p) in operands.iter().enumerate() {
                         let pd = graph.node(p).dtype;
                         if pd != node.dtype {
                             out.push(Diagnostic::new(
@@ -190,7 +191,7 @@ impl GraphPass for DTypePass {
                             format!("compare must produce bool, found {}", node.dtype),
                         ));
                     }
-                    for (i, &p) in node.inputs.iter().enumerate().skip(1) {
+                    for (i, &p) in operands.iter().enumerate().skip(1) {
                         let pd = graph.node(p).dtype;
                         if pd != in_dtype(0) {
                             out.push(Diagnostic::new(
@@ -214,7 +215,7 @@ impl GraphPass for DTypePass {
                             format!("select predicate is {}, must be bool", in_dtype(0)),
                         ));
                     }
-                    for (i, &p) in node.inputs.iter().enumerate().skip(1) {
+                    for (i, &p) in operands.iter().enumerate().skip(1) {
                         let pd = graph.node(p).dtype;
                         if pd != node.dtype {
                             out.push(Diagnostic::new(
@@ -261,7 +262,7 @@ impl GraphPass for DTypePass {
                     ));
                 }
                 DotGeneral => {
-                    for (i, &p) in node.inputs.iter().enumerate() {
+                    for (i, &p) in operands.iter().enumerate() {
                         let pd = graph.node(p).dtype;
                         if pd != node.dtype {
                             out.push(Diagnostic::new(
@@ -314,12 +315,13 @@ impl GraphPass for ConstFoldPass {
                     if matches!(op, OpKind::RngUniform | OpKind::RngBitGenerator) {
                         continue; // random data is not a constant
                     }
-                    if node.inputs.is_empty() {
+                    let operands = graph.preds(node.id);
+                    if operands.is_empty() {
                         // iota: deterministic source, foldable on its own
                         foldable[i] = op == OpKind::Iota;
                         continue;
                     }
-                    foldable[i] = node.inputs.iter().all(|p| foldable[p.index()]);
+                    foldable[i] = operands.iter().all(|p| foldable[p.index()]);
                     if foldable[i] {
                         let own_compute = matches!(
                             op.compute_class(),
@@ -328,7 +330,7 @@ impl GraphPass for ConstFoldPass {
                                 | ComputeClass::Reduction
                         );
                         has_compute[i] =
-                            own_compute || node.inputs.iter().any(|p| has_compute[p.index()]);
+                            own_compute || operands.iter().any(|p| has_compute[p.index()]);
                     }
                 }
                 NodeKind::Input | NodeKind::Output => {}

@@ -1,9 +1,11 @@
 //! Wall-clock cost of the graph-lint engine and of the checked search's
 //! legality filter over a plan search's worth of stage windows.
 //!
-//! Runs every analysis pass over every enumerated stage window of a
-//! deep dense decoder, each graph analyzed from scratch, and reports
-//! the sweep's wall time and finding count. Then runs the checked
+//! Times building and dropping every enumerated stage window's graph of
+//! a deep dense decoder on one thread (best of three each), then runs
+//! every analysis pass over every window, each graph analyzed from
+//! scratch, and reports the sweep's wall time and finding count. Then
+//! runs the checked
 //! search's filter (`StaticLegality::filter`: divisibility, then the
 //! `P1401` memory bound once per stage structure and configuration)
 //! over the decoder's candidate work-list on Platform 2's 2×2 cluster
@@ -31,7 +33,8 @@ use predtop_analyze::{analyze_graph, plan_passes::divisibility_diags, Span};
 use predtop_bench::jsonout::{write_json_file, Json};
 use predtop_cluster::Platform;
 use predtop_core::search_legality;
-use predtop_models::{enumerate_stages, ModelSpec};
+use predtop_ir::Graph;
+use predtop_models::{enumerate_stages, ModelSpec, StageSpec};
 use predtop_parallel::{enumerate_candidates, InterStageOptions, MeshShape, StageStructure};
 use predtop_sim::SimProfiler;
 
@@ -78,6 +81,7 @@ fn main() {
     let cli = parse_cli();
     let model = bench_model(cli.smoke);
     let stages = enumerate_stages(model);
+    let graph_row = graph_row(&stages);
     let graphs: Vec<_> = stages.iter().map(|s| s.build_graph()).collect();
     println!(
         "linting {} layer-window graphs of a {}-layer decoder...",
@@ -128,7 +132,7 @@ fn main() {
         .collect();
 
     let doc = Json::obj()
-        .field("schema_version", 4u64)
+        .field("schema_version", 5u64)
         .field("benchmark", "lint_scaling")
         .field("mode", if cli.smoke { "smoke" } else { "full" })
         .field(
@@ -138,12 +142,42 @@ fn main() {
         .field("kernel_isa", predtop_tensor::active_isa().name())
         .field("model_layers", model.num_layers)
         .field("graphs", graphs.len())
+        .field("graph_row", graph_row)
         .field("rows", rows)
         .field("filter_candidates", work.len())
         .field("filter_structure_configs", structure_configs)
         .field("filter_rows", filter_rows);
     write_json_file(&cli.out, &doc);
     println!("saved {}", cli.out.display());
+}
+
+/// Building and dropping the graph of every window in `stages` on one
+/// thread: best of three repetitions for each phase.
+fn graph_row(stages: &[StageSpec]) -> Json {
+    let mut build_s = f64::INFINITY;
+    let mut drop_s = f64::INFINITY;
+    let (mut nodes, mut edges) = (0, 0);
+    for _ in 0..3 {
+        let start = Instant::now();
+        let graphs: Vec<Graph> = stages.iter().map(StageSpec::build_graph).collect();
+        build_s = build_s.min(start.elapsed().as_secs_f64());
+        nodes = graphs.iter().map(Graph::len).sum::<usize>();
+        edges = graphs.iter().map(Graph::num_edges).sum::<usize>();
+        let start = Instant::now();
+        drop(graphs);
+        drop_s = drop_s.min(start.elapsed().as_secs_f64());
+    }
+    println!(
+        "graphs: {} built in {build_s:7.4}s, dropped in {drop_s:7.4}s \
+         ({nodes} nodes, {edges} edges)",
+        stages.len()
+    );
+    Json::obj()
+        .field("graphs", stages.len())
+        .field("nodes", nodes)
+        .field("edges", edges)
+        .field("build_s", build_s)
+        .field("drop_s", drop_s)
 }
 
 /// The checked search's phase 1 over `work` on `threads` workers: best

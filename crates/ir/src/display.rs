@@ -19,10 +19,14 @@ pub fn to_jaxpr_text(g: &Graph) -> String {
             NodeKind::Input => out.push_str("input()"),
             NodeKind::Literal => out.push_str("literal()"),
             NodeKind::Output => {
-                let _ = write!(out, "output(%{})", node.inputs[0].0);
+                let _ = write!(out, "output(%{})", g.preds(node.id)[0].0);
             }
             NodeKind::Operator(op) => {
-                let args: Vec<String> = node.inputs.iter().map(|p| format!("%{}", p.0)).collect();
+                let args: Vec<String> = g
+                    .preds(node.id)
+                    .iter()
+                    .map(|p| format!("%{}", p.0))
+                    .collect();
                 let _ = write!(out, "{}({})", op.name(), args.join(", "));
                 if node.attrs.contracted > 0 {
                     let _ = write!(out, " {{contract={}}}", node.attrs.contracted);

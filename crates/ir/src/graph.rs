@@ -10,6 +10,12 @@
 //! 3. **Typed values** — every node carries the shape and dtype of its
 //!    output tensor; Table I node features are derivable from a node alone
 //!    plus its kind.
+//!
+//! Edges live in two flat arrays with per-node offsets, not in the
+//! nodes: the operands in operand order, and the successors ascending
+//! by consumer id with one entry per operand slot. A node owns no heap
+//! memory, so building a graph is a handful of vector pushes and
+//! dropping one is a few frees, whichever thread built it.
 
 use crate::dtype::DType;
 use crate::error::IrError;
@@ -85,8 +91,8 @@ pub struct Attrs {
     pub param: u64,
 }
 
-/// One node of the operator DAG.
-#[derive(Debug, Clone, PartialEq)]
+/// One node of the operator DAG. Its operands are [`Graph::preds`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Node {
     /// This node's id (equal to its index in [`Graph::nodes`]).
     pub id: NodeId,
@@ -96,8 +102,6 @@ pub struct Node {
     pub dtype: DType,
     /// Shape of the output tensor.
     pub shape: Shape,
-    /// Operand node ids (data-dependency predecessors), in operand order.
-    pub inputs: Vec<NodeId>,
     /// Cost-model attributes.
     pub attrs: Attrs,
 }
@@ -114,8 +118,18 @@ impl Node {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     nodes: Vec<Node>,
-    succs: Vec<Vec<NodeId>>,
-    num_edges: usize,
+    /// Node `i`'s operands are `operands[operand_start[i]..operand_start[i + 1]]`.
+    operand_start: Vec<u32>,
+    operands: Vec<NodeId>,
+    /// Node `i`'s consumers are `succs[succ_start[i]..succ_start[i + 1]]`.
+    succ_start: Vec<u32>,
+    succs: Vec<NodeId>,
+}
+
+/// Row `i` of a flat offset-indexed adjacency array.
+#[inline]
+fn row<'a>(start: &[u32], flat: &'a [NodeId], i: usize) -> &'a [NodeId] {
+    &flat[start[i] as usize..start[i + 1] as usize]
 }
 
 impl Graph {
@@ -134,7 +148,7 @@ impl Graph {
     /// Number of edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.operands.len()
     }
 
     /// All nodes in topological (= id) order.
@@ -152,23 +166,25 @@ impl Graph {
         &self.nodes[id.index()]
     }
 
-    /// Predecessors (operands) of `id`.
+    /// Predecessors (operands) of `id`, in operand order; an operand
+    /// read twice appears twice.
     #[inline]
     pub fn preds(&self, id: NodeId) -> &[NodeId] {
-        &self.nodes[id.index()].inputs
+        row(&self.operand_start, &self.operands, id.index())
     }
 
-    /// Successors (consumers) of `id`.
+    /// Successors (consumers) of `id`, ascending, one entry per operand
+    /// slot that reads `id`.
     #[inline]
     pub fn succs(&self, id: NodeId) -> &[NodeId] {
-        &self.succs[id.index()]
+        row(&self.succ_start, &self.succs, id.index())
     }
 
     /// Ids of all nodes with no predecessors (inputs and literals).
     pub fn roots(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes
             .iter()
-            .filter(|n| n.inputs.is_empty())
+            .filter(|n| self.preds(n.id).is_empty())
             .map(|n| n.id)
     }
 
@@ -180,11 +196,12 @@ impl Graph {
             .map(|n| n.id)
     }
 
-    /// Iterate over all edges as `(src, dst)` pairs.
+    /// Iterate over all edges as `(src, dst)` pairs, by consumer, then
+    /// in operand order.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.nodes
             .iter()
-            .flat_map(|n| n.inputs.iter().map(move |&p| (p, n.id)))
+            .flat_map(|n| self.preds(n.id).iter().map(move |&p| (p, n.id)))
     }
 
     /// Count of operator nodes of a given kind (diagnostics / tests).
@@ -251,8 +268,9 @@ impl Graph {
             }
             eat(n.attrs.contracted);
             eat(n.attrs.param);
-            eat(n.inputs.len() as u64);
-            for &p in &n.inputs {
+            let preds = self.preds(n.id);
+            eat(preds.len() as u64);
+            for &p in preds {
                 eat(p.0 as u64);
             }
         }
@@ -267,32 +285,51 @@ impl Graph {
             if n.id.index() != i {
                 return Err(IrError::UnknownNode(n.id));
             }
-            for &p in &n.inputs {
+            for &p in self.preds(n.id) {
                 if p.index() >= i {
                     return Err(IrError::UnknownNode(p));
                 }
             }
         }
-        let edge_count: usize = self.nodes.iter().map(|n| n.inputs.len()).sum();
-        debug_assert_eq!(edge_count, self.num_edges);
+        debug_assert_eq!(self.succs.len(), self.operands.len());
         Ok(())
     }
 
-    /// Rebuild successor lists from the nodes' input lists. Used by
-    /// transforms that edit `inputs` in bulk.
-    pub(crate) fn from_nodes(nodes: Vec<Node>) -> Graph {
-        let mut succs = vec![Vec::new(); nodes.len()];
-        let mut num_edges = 0;
-        for n in &nodes {
-            for &p in &n.inputs {
-                succs[p.index()].push(n.id);
-                num_edges += 1;
+    /// Assemble a graph from its nodes and flat operand array, building
+    /// the successor array with one counting pass.
+    pub(crate) fn from_parts(
+        nodes: Vec<Node>,
+        operand_start: Vec<u32>,
+        operands: Vec<NodeId>,
+    ) -> Graph {
+        let n = nodes.len();
+        debug_assert_eq!(operand_start.len(), n + 1);
+        // count each node's consumers, then turn the counts into run
+        // ends; filling every run back to front (consumers descending)
+        // leaves each start in place and each run ascending
+        let mut succ_start = vec![0u32; n + 1];
+        for p in &operands {
+            succ_start[p.index()] += 1;
+        }
+        let mut end = 0;
+        for s in &mut succ_start {
+            end += *s;
+            *s = end;
+        }
+        let mut succs = vec![NodeId(0); operands.len()];
+        for c in (0..n).rev() {
+            for &p in row(&operand_start, &operands, c) {
+                let slot = &mut succ_start[p.index()];
+                *slot -= 1;
+                succs[*slot as usize] = NodeId(c as u32);
             }
         }
         Graph {
             nodes,
+            operand_start,
+            operands,
+            succ_start,
             succs,
-            num_edges,
         }
     }
 }
@@ -302,9 +339,22 @@ impl Graph {
 /// Every `add_*` method returns the new node's [`NodeId`]; operands must
 /// be ids previously returned by this builder, which makes cycles
 /// unrepresentable.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct GraphBuilder {
     nodes: Vec<Node>,
+    /// As [`Graph`]'s: one offset per node plus the end.
+    operand_start: Vec<u32>,
+    operands: Vec<NodeId>,
+}
+
+impl Default for GraphBuilder {
+    fn default() -> GraphBuilder {
+        GraphBuilder {
+            nodes: Vec::new(),
+            operand_start: vec![0],
+            operands: Vec::new(),
+        }
+    }
 }
 
 impl GraphBuilder {
@@ -328,11 +378,11 @@ impl GraphBuilder {
         kind: NodeKind,
         dtype: DType,
         shape: Shape,
-        inputs: Vec<NodeId>,
+        inputs: &[NodeId],
         attrs: Attrs,
     ) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        for &p in &inputs {
+        for &p in inputs {
             assert!(
                 p.index() < self.nodes.len(),
                 "operand {p:?} does not exist yet (acyclicity violation)"
@@ -343,21 +393,17 @@ impl GraphBuilder {
             kind,
             dtype,
             shape,
-            inputs,
             attrs,
         });
+        self.operands.extend_from_slice(inputs);
+        let end = u32::try_from(self.operands.len()).expect("more than u32::MAX edges");
+        self.operand_start.push(end);
         id
     }
 
     /// Add a graph input of the given type.
     pub fn input(&mut self, shape: impl Into<Shape>, dtype: DType) -> NodeId {
-        self.push(
-            NodeKind::Input,
-            dtype,
-            shape.into(),
-            Vec::new(),
-            Attrs::default(),
-        )
+        self.push(NodeKind::Input, dtype, shape.into(), &[], Attrs::default())
     }
 
     /// Add a literal constant of the given type.
@@ -366,7 +412,7 @@ impl GraphBuilder {
             NodeKind::Literal,
             dtype,
             shape.into(),
-            Vec::new(),
+            &[],
             Attrs::default(),
         )
     }
@@ -391,13 +437,7 @@ impl GraphBuilder {
         dtype: DType,
         attrs: Attrs,
     ) -> NodeId {
-        self.push(
-            NodeKind::Operator(kind),
-            dtype,
-            shape.into(),
-            inputs.to_vec(),
-            attrs,
-        )
+        self.push(NodeKind::Operator(kind), dtype, shape.into(), inputs, attrs)
     }
 
     /// Convenience: a `dot_general` with contracted-dimension size `k`.
@@ -457,9 +497,9 @@ impl GraphBuilder {
                 let n = &self.nodes[v.index()];
                 (n.shape, n.dtype)
             };
-            self.push(NodeKind::Output, dtype, shape, vec![v], Attrs::default());
+            self.push(NodeKind::Output, dtype, shape, &[v], Attrs::default());
         }
-        let g = Graph::from_nodes(self.nodes);
+        let g = Graph::from_parts(self.nodes, self.operand_start, self.operands);
         g.validate()?;
         Ok(g)
     }
@@ -503,18 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn succs_are_inverse_of_preds() {
-        let g = tiny_mlp();
-        for n in g.nodes() {
-            for &p in &n.inputs {
-                assert!(g.succs(p).contains(&n.id));
-            }
-        }
-        let count_via_succ: usize = (0..g.len()).map(|i| g.succs(NodeId(i as u32)).len()).sum();
-        assert_eq!(count_via_succ, g.num_edges());
-    }
-
-    #[test]
     fn dot_flops_counted() {
         let g = tiny_mlp();
         // dot: 2 * 16 * (8*32) = 8192 plus 2 elementwise ops (add, max) and
@@ -545,33 +573,48 @@ mod tests {
         let _ = b.op(OpKind::Add, &[x, NodeId(5)], [2], DType::F32);
     }
 
-    /// Random DAG generation for property tests: each node picks operands
-    /// among earlier nodes, which is exactly what the builder enforces.
-    fn arb_graph() -> impl Strategy<Value = Graph> {
+    /// Random DAG generation for property tests: each node picks one to
+    /// three operands among earlier nodes, which is exactly what the
+    /// builder enforces, and a third of the operators read one operand
+    /// twice. Returns the graph and the operand list each node was built
+    /// with.
+    fn arb_graph() -> impl Strategy<Value = (Graph, Vec<Vec<NodeId>>)> {
         (2usize..40, any::<u64>()).prop_map(|(n, seed)| {
             use rand::{rngs::StdRng, Rng, SeedableRng};
             let mut rng = StdRng::seed_from_u64(seed);
             let mut b = GraphBuilder::new();
             let first = b.input([4, 4], DType::F32);
             let mut ids = vec![first];
+            let mut operands = vec![Vec::new()];
             for _ in 1..n {
-                let id = if rng.gen_bool(0.15) {
+                let args: Vec<NodeId> = if rng.gen_bool(0.15) {
+                    Vec::new()
+                } else {
+                    let mut args: Vec<NodeId> = (0..rng.gen_range(1..=3))
+                        .map(|_| ids[rng.gen_range(0..ids.len())])
+                        .collect();
+                    if rng.gen_bool(1.0 / 3.0) {
+                        args.push(args[rng.gen_range(0..args.len())]);
+                    }
+                    args
+                };
+                let id = if args.is_empty() {
                     b.input([4, 4], DType::F32)
                 } else {
-                    let a = ids[rng.gen_range(0..ids.len())];
-                    let c = ids[rng.gen_range(0..ids.len())];
-                    b.binary(OpKind::Add, a, c)
+                    b.op(OpKind::Add, &args, [4, 4], DType::F32)
                 };
                 ids.push(id);
+                operands.push(args);
             }
             let last = *ids.last().unwrap();
-            b.finish(&[last]).unwrap()
+            operands.push(vec![last]);
+            (b.finish(&[last]).unwrap(), operands)
         })
     }
 
     proptest! {
         #[test]
-        fn prop_random_graphs_validate(g in arb_graph()) {
+        fn prop_random_graphs_validate((g, _) in arb_graph()) {
             prop_assert!(g.validate().is_ok());
             for (s, d) in g.edges() {
                 prop_assert!(s < d);
@@ -579,8 +622,35 @@ mod tests {
         }
 
         #[test]
-        fn prop_edge_count_consistent(g in arb_graph()) {
+        fn prop_edge_count_consistent((g, _) in arb_graph()) {
             prop_assert_eq!(g.edges().count(), g.num_edges());
+        }
+
+        /// The flat layout's contract: `preds` is the builder's operand
+        /// slice, `succs` lists each consumer once per operand slot in
+        /// ascending order, and `edges` runs consumer by consumer in
+        /// operand order.
+        #[test]
+        fn succs_are_inverse_of_preds((g, operands) in arb_graph()) {
+            prop_assert_eq!(operands.len(), g.len());
+            let mut edges = Vec::new();
+            // pushed consumer by consumer, so each list ascends
+            let mut consumers = vec![Vec::new(); g.len()];
+            for (i, ops) in operands.iter().enumerate() {
+                let id = NodeId(i as u32);
+                prop_assert_eq!(g.preds(id), &ops[..]);
+                for &p in ops {
+                    edges.push((p, id));
+                    consumers[p.index()].push(id);
+                }
+            }
+            prop_assert_eq!(g.edges().collect::<Vec<_>>(), edges);
+            for (i, c) in consumers.iter().enumerate() {
+                prop_assert_eq!(g.succs(NodeId(i as u32)), &c[..]);
+            }
+            let ids = || (0..g.len() as u32).map(NodeId);
+            prop_assert_eq!(g.num_edges(), ids().map(|id| g.preds(id).len()).sum::<usize>());
+            prop_assert_eq!(g.num_edges(), ids().map(|id| g.succs(id).len()).sum::<usize>());
         }
     }
 }

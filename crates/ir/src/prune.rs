@@ -56,7 +56,7 @@ pub fn prune(g: &Graph) -> (Graph, PruneStats) {
             if op.is_prunable() {
                 // jaxpr relays have one data operand; defensively fall
                 // back to keeping the node if that assumption breaks.
-                if let [src] = node.inputs[..] {
+                if let [src] = g.preds(node.id) {
                     forward[node.id.index()] = forward[src.index()];
                     removed += 1;
                 }
@@ -64,27 +64,29 @@ pub fn prune(g: &Graph) -> (Graph, PruneStats) {
         }
     }
 
-    // Re-densify surviving nodes.
+    // Re-densify surviving nodes, appending each one's forwarded
+    // operands to the flat operand array.
     let mut new_id = vec![NodeId(u32::MAX); n];
     let mut survivors: Vec<Node> = Vec::with_capacity(n - removed);
+    let mut operand_start = Vec::with_capacity(n - removed + 1);
+    operand_start.push(0);
+    let mut operands = Vec::with_capacity(g.num_edges());
     for node in g.nodes() {
         if forward[node.id.index()] != node.id {
             continue; // pruned
         }
         let id = NodeId(survivors.len() as u32);
         new_id[node.id.index()] = id;
-        let mut rewired = node.clone();
-        rewired.id = id;
-        for input in &mut rewired.inputs {
-            let resolved = forward[input.index()];
-            let mapped = new_id[resolved.index()];
+        survivors.push(Node { id, ..*node });
+        for input in g.preds(node.id) {
+            let mapped = new_id[forward[input.index()].index()];
             debug_assert_ne!(mapped.0, u32::MAX, "operand resolved to a pruned node");
-            *input = mapped;
+            operands.push(mapped);
         }
-        survivors.push(rewired);
+        operand_start.push(operands.len() as u32);
     }
 
-    let pruned = Graph::from_nodes(survivors);
+    let pruned = Graph::from_parts(survivors, operand_start, operands);
     debug_assert!(pruned.validate().is_ok());
     let stats = PruneStats {
         nodes_before: n,
@@ -242,6 +244,32 @@ mod tests {
         fn prop_outputs_preserved(g in arb_prunable_graph()) {
             let (p, _) = prune(&g);
             prop_assert_eq!(g.outputs().count(), p.outputs().count());
+        }
+
+        /// Each survivor keeps its node data and reads, slot by slot, its
+        /// original operands with every relay chain walked back to the
+        /// value it forwards.
+        #[test]
+        fn prop_survivors_read_the_forwarded_originals(g in arb_prunable_graph()) {
+            let (p, _) = prune(&g);
+            let relay = |v: NodeId| {
+                matches!(g.node(v).kind, NodeKind::Operator(op) if op.is_prunable())
+                    && g.preds(v).len() == 1
+            };
+            let originals: Vec<NodeId> = g.nodes().iter().map(|n| n.id).filter(|&v| !relay(v)).collect();
+            prop_assert_eq!(originals.len(), p.len());
+            let new_id = |mut v: NodeId| {
+                while relay(v) {
+                    v = g.preds(v)[0];
+                }
+                NodeId(originals.binary_search(&v).unwrap() as u32)
+            };
+            for (i, &o) in originals.iter().enumerate() {
+                let id = NodeId(i as u32);
+                prop_assert_eq!(*p.node(id), Node { id, ..*g.node(o) });
+                let forwarded: Vec<NodeId> = g.preds(o).iter().map(|&v| new_id(v)).collect();
+                prop_assert_eq!(p.preds(id), &forwarded[..]);
+            }
         }
     }
 }

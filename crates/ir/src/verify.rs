@@ -130,9 +130,10 @@ pub fn verify(g: &Graph) -> Vec<Violation> {
 
     for node in g.nodes() {
         let id = node.id;
+        let operands = g.preds(id);
         match node.kind {
             NodeKind::Input | NodeKind::Literal => {
-                if !node.inputs.is_empty() {
+                if !operands.is_empty() {
                     complain(
                         id,
                         SemanticRule::SourceNoOperands,
@@ -141,15 +142,15 @@ pub fn verify(g: &Graph) -> Vec<Violation> {
                 }
             }
             NodeKind::Output => {
-                if node.inputs.len() != 1 {
+                if operands.len() != 1 {
                     complain(
                         id,
                         SemanticRule::OutputArity,
-                        format!("output node has {} operands", node.inputs.len()),
+                        format!("output node has {} operands", operands.len()),
                     );
                     continue;
                 }
-                let src = g.node(node.inputs[0]);
+                let src = g.node(operands[0]);
                 if src.shape != node.shape || src.dtype != node.dtype {
                     complain(
                         id,
@@ -177,11 +178,12 @@ fn verify_operator(
 ) {
     use OpKind::*;
     let id = node.id;
+    let operands = g.preds(id);
     let elems = node.shape.num_elements();
-    let in_shape = |i: usize| &g.node(node.inputs[i]).shape;
-    let in_elems = |i: usize| g.node(node.inputs[i]).shape.num_elements();
+    let in_shape = |i: usize| &g.node(operands[i]).shape;
+    let in_elems = |i: usize| g.node(operands[i]).shape.num_elements();
 
-    if node.inputs.is_empty() && !matches!(op, Iota | RngUniform | RngBitGenerator) {
+    if operands.is_empty() && !matches!(op, Iota | RngUniform | RngBitGenerator) {
         complain(
             id,
             SemanticRule::MissingOperands,
@@ -199,7 +201,7 @@ fn verify_operator(
                     "dot_general without contracted size".into(),
                 );
             }
-            if node.inputs.len() < 2 {
+            if operands.len() < 2 {
                 complain(
                     id,
                     SemanticRule::DotArity,
@@ -213,7 +215,7 @@ fn verify_operator(
         // could not see)
         Add | Sub | Mul | Div | Max | Min | Pow | Compare | Select | Neg | Exp | Log | Tanh
         | Erf | Logistic | Sqrt | Rsqrt => {
-            for (i, &p) in node.inputs.iter().enumerate() {
+            for (i, &p) in operands.iter().enumerate() {
                 let ps = &g.node(p).shape;
                 if *ps != node.shape {
                     complain(

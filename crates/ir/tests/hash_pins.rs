@@ -54,8 +54,9 @@ fn structural_hash_uses_the_shared_truncated_prime_hasher() {
         }
         h.write_word(n.attrs.contracted);
         h.write_word(n.attrs.param);
-        h.write_word(n.inputs.len() as u64);
-        for &p in &n.inputs {
+        let preds = g.preds(n.id);
+        h.write_word(preds.len() as u64);
+        for &p in preds {
             h.write_word(p.0 as u64);
         }
     }

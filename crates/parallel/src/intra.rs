@@ -22,16 +22,17 @@
 //! arrive through the [`OpCost`] trait, implemented by `predtop-sim`.
 
 use predtop_cluster::collective::Collective;
-use predtop_ir::{Graph, Node, NodeKind, OpKind};
+use predtop_ir::{Graph, Node, NodeId, NodeKind, OpKind};
 
 use crate::config::{MeshShape, ParallelConfig};
 use crate::sharding::Sharding;
 
 /// Hardware cost oracle consumed by the optimizer.
 pub trait OpCost {
-    /// Time (seconds) to execute `node` with its arithmetic divided
-    /// across `ways` devices (`ways == 1` means the full operator).
-    fn op_time(&self, node: &Node, ways: usize) -> f64;
+    /// Time (seconds) to execute node `id` of `graph` with its
+    /// arithmetic divided across `ways` devices (`ways == 1` means the
+    /// full operator).
+    fn op_time(&self, graph: &Graph, id: NodeId, ways: usize) -> f64;
 
     /// Time (seconds) for a collective moving `bytes` within a
     /// `group`-device group; `cross_node` selects the inter-node fabric.
@@ -172,7 +173,7 @@ pub fn optimize<C: OpCost>(
         let mut table = Vec::with_capacity(opts.len());
         for (strat, ways) in opts {
             // dp divides the batch dimension of every operator's work
-            let mut c = cost.op_time(node, ways * config.dp);
+            let mut c = cost.op_time(graph, node.id, ways * config.dp);
             let need = required_input(node, strat);
             for &p in graph.preds(node.id) {
                 let pred = graph.node(p);
@@ -250,7 +251,7 @@ pub fn optimize<C: OpCost>(
             .find(|&(s, _)| s == strat)
             .map(|(_, w)| w)
             .unwrap_or(1);
-        compute_time += cost.op_time(node, ways * config.dp);
+        compute_time += cost.op_time(graph, node.id, ways * config.dp);
         let need = required_input(node, strat);
         for &p in graph.preds(node.id) {
             let pred = graph.node(p);
@@ -295,7 +296,8 @@ mod tests {
     }
 
     impl OpCost for FakeCost {
-        fn op_time(&self, node: &Node, ways: usize) -> f64 {
+        fn op_time(&self, graph: &Graph, id: NodeId, ways: usize) -> f64 {
+            let node = graph.node(id);
             let flops = match node.kind {
                 NodeKind::Operator(OpKind::DotGeneral) => {
                     2.0 * node.attrs.contracted as f64 * node.shape.num_elements() as f64

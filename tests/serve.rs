@@ -7,7 +7,6 @@
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
 
 use predtop::prelude::*;
 
@@ -126,8 +125,13 @@ fn four_concurrent_clients_get_replies_bit_identical_to_direct_calls() {
 fn drain_finishes_in_flight_connections_and_refuses_new_ones() {
     let path = socket_path("drain");
     let engine = ServeEngine::new(engine_config()).expect("build engine");
-    let server =
-        wire::Server::bind(None, Some(&path), wire::ServerConfig::default()).expect("bind");
+    // the connection reads the drain flag when it takes the next frame,
+    // so it must not be closed as idle however long the client stalls
+    let config = wire::ServerConfig {
+        drain_grace_polls: u32::MAX,
+        ..wire::ServerConfig::default()
+    };
+    let server = wire::Server::bind(None, Some(&path), config).expect("bind");
     let drain = server.drain_handle();
 
     std::thread::scope(|scope| {
@@ -141,7 +145,6 @@ fn drain_finishes_in_flight_connections_and_refuses_new_ones() {
 
         // begin drain (as SIGTERM would) while the connection is live
         drain.store(true, Ordering::SeqCst);
-        std::thread::sleep(Duration::from_millis(200));
 
         // the in-flight connection still gets one full answer...
         match client.call(&api::Request::Profile(profile_spec(0))) {
