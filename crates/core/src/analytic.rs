@@ -66,7 +66,10 @@ impl StageLatencyProvider for AnalyticBaseline {
             let half = node.dtype.size_bytes() <= 2 && node.dtype.is_float();
             let t = match op.compute_class() {
                 ComputeClass::Contraction => node_flops(node) / (gpu.peak_flops(half) * self.mfu),
-                _ => node_bytes(&graph, node.id) / (gpu.mem_bandwidth_bps() * self.mem_eff),
+                _ => {
+                    node_bytes(node, graph.preds(node.id).len())
+                        / (gpu.mem_bandwidth_bps() * self.mem_eff)
+                }
             };
             compute += t / devices + self.launch_s;
         }

@@ -22,17 +22,17 @@
 //! arrive through the [`OpCost`] trait, implemented by `predtop-sim`.
 
 use predtop_cluster::collective::Collective;
-use predtop_ir::{Graph, Node, NodeId, NodeKind, OpKind};
+use predtop_ir::{Graph, Node, NodeKind, OpKind};
 
 use crate::config::{MeshShape, ParallelConfig};
 use crate::sharding::Sharding;
 
 /// Hardware cost oracle consumed by the optimizer.
 pub trait OpCost {
-    /// Time (seconds) to execute node `id` of `graph` with its
-    /// arithmetic divided across `ways` devices (`ways == 1` means the
-    /// full operator).
-    fn op_time(&self, graph: &Graph, id: NodeId, ways: usize) -> f64;
+    /// Time (seconds) to execute `node`, which reads `operands` operands
+    /// ([`Graph::preds`]), with its arithmetic divided across `ways`
+    /// devices (`ways == 1` means the full operator).
+    fn op_time(&self, node: &Node, operands: usize, ways: usize) -> f64;
 
     /// Time (seconds) for a collective moving `bytes` within a
     /// `group`-device group; `cross_node` selects the inter-node fabric.
@@ -169,13 +169,14 @@ pub fn optimize<C: OpCost>(
     // Separately track pure compute vs comm of the *chosen* plan by a
     // second backward pass; during the forward DP we track combined cost.
     for node in graph.nodes() {
+        let preds = graph.preds(node.id);
         let opts = strategies(node, mp);
         let mut table = Vec::with_capacity(opts.len());
         for (strat, ways) in opts {
             // dp divides the batch dimension of every operator's work
-            let mut c = cost.op_time(graph, node.id, ways * config.dp);
+            let mut c = cost.op_time(node, preds.len(), ways * config.dp);
             let need = required_input(node, strat);
-            for &p in graph.preds(node.id) {
+            for &p in preds {
                 let pred = graph.node(p);
                 let fan = graph.succs(p).len().max(1) as f64;
                 let mut best = f64::INFINITY;
@@ -251,9 +252,10 @@ pub fn optimize<C: OpCost>(
             .find(|&(s, _)| s == strat)
             .map(|(_, w)| w)
             .unwrap_or(1);
-        compute_time += cost.op_time(graph, node.id, ways * config.dp);
+        let preds = graph.preds(node.id);
+        compute_time += cost.op_time(node, preds.len(), ways * config.dp);
         let need = required_input(node, strat);
-        for &p in graph.preds(node.id) {
+        for &p in preds {
             let pred = graph.node(p);
             if let Some((coll, frac)) = sharding[p.index()].reshard_to(need) {
                 let bytes = (pred.output_bytes() as f64 * frac / config.dp as f64) as u64;
@@ -296,8 +298,7 @@ mod tests {
     }
 
     impl OpCost for FakeCost {
-        fn op_time(&self, graph: &Graph, id: NodeId, ways: usize) -> f64 {
-            let node = graph.node(id);
+        fn op_time(&self, node: &Node, _operands: usize, ways: usize) -> f64 {
             let flops = match node.kind {
                 NodeKind::Operator(OpKind::DotGeneral) => {
                     2.0 * node.attrs.contracted as f64 * node.shape.num_elements() as f64

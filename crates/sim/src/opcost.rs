@@ -18,7 +18,7 @@
 use predtop_cluster::collective::{Collective, CollectiveCost};
 use predtop_cluster::{GpuSpec, Link, Mesh};
 use predtop_ir::op::ComputeClass;
-use predtop_ir::{Graph, Node, NodeId, NodeKind, OpKind};
+use predtop_ir::{Node, NodeKind, OpKind};
 use predtop_parallel::intra::OpCost;
 
 /// Cost model for one GPU type inside one mesh.
@@ -48,12 +48,12 @@ pub fn node_flops(node: &Node) -> f64 {
     }
 }
 
-/// Bytes node `id` of `graph` moves through device memory (output write
-/// + an estimate of operand reads at the same width).
-pub fn node_bytes(graph: &Graph, id: NodeId) -> f64 {
-    let out = graph.node(id).output_bytes() as f64;
+/// Bytes a node with `operands` operands moves through device memory
+/// (output write + an estimate of operand reads at the same width).
+pub fn node_bytes(node: &Node, operands: usize) -> f64 {
+    let out = node.output_bytes() as f64;
     // operand reads: approximate by one input of output size per operand
-    let reads = graph.preds(id).len().max(1) as f64 * out;
+    let reads = operands.max(1) as f64 * out;
     out + reads
 }
 
@@ -116,8 +116,7 @@ impl DeviceCostModel {
 }
 
 impl OpCost for DeviceCostModel {
-    fn op_time(&self, graph: &Graph, id: NodeId, ways: usize) -> f64 {
-        let node = graph.node(id);
+    fn op_time(&self, node: &Node, operands: usize, ways: usize) -> f64 {
         let ways_f = ways.max(1) as f64;
         if matches!(
             node.kind,
@@ -130,7 +129,7 @@ impl OpCost for DeviceCostModel {
             _ => unreachable!(),
         };
         let flops = node_flops(node) / ways_f;
-        let bytes = node_bytes(graph, id) / ways_f;
+        let bytes = node_bytes(node, operands) / ways_f;
         let half = node.dtype.size_bytes() <= 2;
         let peak = self.gpu.peak_flops(half && node.dtype.is_float());
         let bw = self.gpu.mem_bandwidth_bps();
@@ -200,17 +199,17 @@ mod tests {
     fn source_nodes_are_free() {
         let g = dot_node(64, 64, 64);
         let c = model();
-        assert_eq!(c.op_time(&g, NodeId(0), 1), 0.0);
+        assert_eq!(c.op_time(&g.nodes()[0], 0, 1), 0.0);
         let out = g.outputs().next().unwrap();
-        assert_eq!(c.op_time(&g, out, 1), 0.0);
+        assert_eq!(c.op_time(g.node(out), 1, 1), 0.0);
     }
 
     #[test]
     fn big_matmul_approaches_roofline() {
         let g = dot_node(8192, 8192, 8192);
         let c = model();
-        let dot = NodeId(2);
-        let t = c.op_time(&g, dot, 1);
+        let dot = &g.nodes()[2];
+        let t = c.op_time(dot, 2, 1);
         let flops = 2.0 * 8192f64.powi(3);
         let ideal = flops / GpuSpec::a40().peak_flops(true);
         // within launch overhead + efficiency cap + perturbation bounds
@@ -222,8 +221,8 @@ mod tests {
     fn small_matmul_is_overhead_dominated() {
         let g = dot_node(8, 8, 8);
         let c = model();
-        let dot = NodeId(2);
-        let t = c.op_time(&g, dot, 1);
+        let dot = &g.nodes()[2];
+        let t = c.op_time(dot, 2, 1);
         // nothing beats launch overhead
         assert!(t >= GpuSpec::a40().kernel_launch_s() * 0.9);
         // efficiency collapse: time per flop far above roofline
@@ -235,9 +234,9 @@ mod tests {
     fn sharding_reduces_time_sublinearly() {
         let g = dot_node(2048, 2048, 2048);
         let c = model();
-        let dot = NodeId(2);
-        let t1 = c.op_time(&g, dot, 1);
-        let t4 = c.op_time(&g, dot, 4);
+        let dot = &g.nodes()[2];
+        let t1 = c.op_time(dot, 2, 1);
+        let t4 = c.op_time(dot, 2, 4);
         assert!(t4 < t1, "sharding must help large ops");
         assert!(
             t4 > t1 / 8.0,
@@ -251,18 +250,18 @@ mod tests {
         let c1 = DeviceCostModel::new(&Platform::platform1().mesh(1, 2), 7);
         let c2 = DeviceCostModel::new(&Platform::platform1().mesh(1, 2), 7);
         let c3 = DeviceCostModel::new(&Platform::platform1().mesh(1, 2), 8);
-        let dot = NodeId(2);
+        let dot = &g.nodes()[2];
         assert_eq!(
-            c1.op_time(&g, dot, 1),
-            c2.op_time(&g, dot, 1),
+            c1.op_time(dot, 2, 1),
+            c2.op_time(dot, 2, 1),
             "same seed, same time"
         );
         assert_ne!(
-            c1.op_time(&g, dot, 1),
-            c3.op_time(&g, dot, 1),
+            c1.op_time(dot, 2, 1),
+            c3.op_time(dot, 2, 1),
             "different seed differs"
         );
-        let p = c1.perturbation(g.node(dot), 1);
+        let p = c1.perturbation(dot, 1);
         assert!((0.92..1.12).contains(&p));
     }
 
@@ -283,8 +282,8 @@ mod tests {
             let c = model();
             let g_small = dot_node(m, k, 16);
             let g_big = dot_node(m * 4, k * 4, 64);
-            let t_small = c.op_time(&g_small, NodeId(2), 1);
-            let t_big = c.op_time(&g_big, NodeId(2), 1);
+            let t_small = c.op_time(&g_small.nodes()[2], 2, 1);
+            let t_big = c.op_time(&g_big.nodes()[2], 2, 1);
             prop_assert!(t_small > 0.0);
             // 16x the flops must not be faster (perturbation is ±10%)
             prop_assert!(t_big > t_small * 0.8);
