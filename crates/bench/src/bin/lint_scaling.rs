@@ -5,12 +5,12 @@
 //! a deep dense decoder on one thread (best of three each), then runs
 //! every analysis pass over every window, each graph analyzed from
 //! scratch, and reports the sweep's wall time and finding count. Then
-//! runs the checked
-//! search's filter (`StaticLegality::filter`: divisibility, then the
-//! `P1401` memory bound once per stage structure and configuration)
-//! over the decoder's candidate work-list on Platform 2's 2×2 cluster
-//! with 2 micro-batches, each repetition with a fresh filter and
-//! profiler, once on one thread and once on every available one.
+//! runs the checked search's filter (`StaticLegality::filter`:
+//! divisibility, then the `P1401` memory bound once per stage
+//! structure and configuration) over the decoder's candidate work-list
+//! on Platform 2's 2×2 cluster with 2 micro-batches, each repetition
+//! with a fresh filter and profiler, once on one thread and once on
+//! every available one.
 //! Results are written as stable-schema JSON (default
 //! `BENCH_lint.json`; override with `--out PATH`) alongside
 //! `search_scaling`'s artifact.

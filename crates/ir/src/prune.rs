@@ -256,7 +256,8 @@ mod tests {
                 matches!(g.node(v).kind, NodeKind::Operator(op) if op.is_prunable())
                     && g.preds(v).len() == 1
             };
-            let originals: Vec<NodeId> = g.nodes().iter().map(|n| n.id).filter(|&v| !relay(v)).collect();
+            let originals: Vec<NodeId> =
+                g.nodes().iter().map(|n| n.id).filter(|&v| !relay(v)).collect();
             prop_assert_eq!(originals.len(), p.len());
             let new_id = |mut v: NodeId| {
                 while relay(v) {
