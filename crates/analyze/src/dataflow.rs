@@ -1,17 +1,19 @@
 //! Buffer liveness over a stage's execution schedule, and the peak
-//! resident-memory bound built on it (DESIGN.md §12).
+//! resident-memory fact built on it (DESIGN.md §12).
 //!
 //! Node ids are a topological schedule, so liveness runs over the chain
 //! `0 → 1 → … → n−1`. [`resident_sets`] spells the analysis out: one
 //! backward scan from the retained set ([`predtop_ir::live`]) yields,
 //! for every program point, the set of activation buffers resident
-//! while that node executes. [`peak_resident_bytes`] computes the same
-//! sets' peak weight (`sim::memory::activation_profile` per buffer) in
-//! one forward sweep over live intervals instead, and [`resident_sets`]
-//! stays as the reference it is tested against. That peak replaces the
-//! retain-everything sum in the `P1401` memory-fit rule.
+//! while that node executes. `sim::memory::MemorySummary` computes the
+//! same sets' peak weight in one forward sweep over live intervals
+//! instead, and [`resident_sets`] stays as the reference it is tested
+//! against. That peak replaces the retain-everything sum in the `P1401`
+//! memory-fit rule and is what `P0501` reports.
 
 use predtop_ir::{live, Graph, NodeId};
+use predtop_parallel::ParallelConfig;
+use predtop_sim::memory::{ActivationSweep, MemorySummary};
 
 use crate::diag::{Diagnostic, Severity, Span};
 use crate::pass::GraphPass;
@@ -30,7 +32,7 @@ use crate::pass::GraphPass;
 /// drops out past its last use, which is exactly the slack the peak
 /// bound recovers.
 ///
-/// This is the reference for [`peak_resident_bytes`]: `n` sets of up to
+/// This is the reference for `MemorySummary`'s sweep: `n` sets of up to
 /// `n` members, so quadratic in the graph size. Production code takes
 /// the peak from the interval sweep.
 pub fn resident_sets(graph: &Graph) -> Vec<Vec<usize>> {
@@ -48,49 +50,6 @@ pub fn resident_sets(graph: &Graph) -> Vec<Vec<usize>> {
         sets[i] = (0..n).filter(|&j| live[j] || j == i).collect();
     }
     sets
-}
-
-/// The peak-over-live-sets memory bound: the maximum, over all program
-/// points, of the summed `weights` of the resident buffer set. Returns
-/// `(peak_bytes, argmax_point)` with the first point reaching the peak;
-/// `(0, 0)` for an empty graph.
-///
-/// Node ids are a topological schedule, so buffer `j` is resident on
-/// exactly the points `j..=end_j`: `end_j` is the last point for a
-/// retained buffer and [`live::last_use`] for a transient one. One
-/// sweep adds `weights[j]` at point `j` and drops it after `end_j`;
-/// the running sum at each point is that point's [`resident_sets`]
-/// total, bit for bit, in `O(n + edges)`.
-///
-/// With `weights = sim::memory::activation_profile(graph, plan)` this
-/// is a liveness-tight replacement for the retain-everything
-/// `activations` sum: every resident set is a subset of all nodes, so
-/// the peak is provably ≤ the sum, and it is still sound because the
-/// retained boundary keeps every backward-pass input in scope.
-pub fn peak_resident_bytes(graph: &Graph, weights: &[u64]) -> (u64, usize) {
-    assert_eq!(weights.len(), graph.len(), "one weight per node");
-    let last = graph.len().saturating_sub(1);
-    // freed[p]: the bytes whose buffers die right after point p
-    let mut freed = vec![0u64; graph.len()];
-    for (j, &w) in weights.iter().enumerate() {
-        let id = NodeId(j as u32);
-        let end = if live::is_transient(graph, id) {
-            live::last_use(graph, id).index()
-        } else {
-            last
-        };
-        freed[end] += w;
-    }
-    let mut resident = 0u64;
-    let mut best = (0u64, 0usize);
-    for (i, &w) in weights.iter().enumerate() {
-        resident += w;
-        if resident > best.0 {
-            best = (resident, i);
-        }
-        resident -= freed[i];
-    }
-    best
 }
 
 // ---------------------------------------------------------------------
@@ -115,12 +74,11 @@ impl GraphPass for LivenessPass {
     }
 
     fn run(&self, graph: &Graph) -> Vec<Diagnostic> {
-        let weights = serial_activation_weights(graph);
-        let sum: u64 = weights.iter().sum();
+        let ActivationSweep { peak, at, sum } =
+            MemorySummary::of(graph).sweep(ParallelConfig::SERIAL);
         if sum == 0 {
             return Vec::new();
         }
-        let (peak, at) = peak_resident_bytes(graph, &weights);
         let pct = 100.0 * peak as f64 / sum as f64;
         vec![Diagnostic::new(
             501,
@@ -133,27 +91,6 @@ impl GraphPass for LivenessPass {
             ),
         )]
     }
-}
-
-/// Serial (unsharded) activation weights: what each node's buffer
-/// occupies with `dp = mp = 1`. Mirrors `sim::memory`'s accounting —
-/// operator outputs and the stage's incoming activation count, weights
-/// and bookkeeping nodes do not — without needing an `IntraPlan`.
-pub fn serial_activation_weights(graph: &Graph) -> Vec<u64> {
-    use predtop_ir::NodeKind;
-    graph
-        .nodes()
-        .iter()
-        .map(|node| match node.kind {
-            NodeKind::Input
-                if node.dtype.is_float() && node.id.index() == 0 && node.shape.rank() == 2 =>
-            {
-                node.output_bytes()
-            }
-            NodeKind::Operator(_) => node.output_bytes(),
-            _ => 0,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -189,9 +126,7 @@ mod tests {
     #[test]
     fn peak_is_below_sum_when_transients_die() {
         let g = diamond();
-        let weights = serial_activation_weights(&g);
-        let sum: u64 = weights.iter().sum();
-        let (peak, _) = peak_resident_bytes(&g, &weights);
+        let ActivationSweep { peak, sum, .. } = MemorySummary::of(&g).sweep(ParallelConfig::SERIAL);
         assert!(peak > 0);
         assert!(
             peak < sum,

@@ -8,19 +8,19 @@
 //! reach the latency source. The memory rule reads stage graphs from
 //! the simulator's [`StageGraphs`] store, so the filter, the profiler
 //! and the ground-truth re-evaluation share one graph per stage
-//! structure, and it bounds each (stage structure, configuration) pair
-//! once.
+//! structure, and it judges each (stage structure, configuration) pair
+//! once, from one memory summary per graph.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use predtop_cluster::GpuSpec;
-use predtop_ir::Graph;
 use predtop_models::{ModelSpec, StageSpec};
 use predtop_parallel::intern::SubProblem;
 use predtop_parallel::{MeshShape, ParallelConfig, StageGraphs, StageStructure};
 use predtop_runtime::par_map_with;
+use predtop_sim::memory::MemorySummary;
 
 use crate::diag::{has_errors, sort_diagnostics, Diagnostic, Span};
 use crate::plan_passes::{divisibility_diags, memory_fit_diag};
@@ -47,7 +47,8 @@ pub struct StaticLegality {
 type Verdicts = HashMap<(StageStructure, ParallelConfig), Option<Diagnostic>>;
 
 /// The memory rule's device, its kept-free fraction, the store its
-/// stage graphs come from, and its verdicts so far.
+/// stage graphs come from, its verdicts so far, and how many of them
+/// took the exact sweep.
 struct MemoryCheck {
     gpu: GpuSpec,
     headroom_frac: f64,
@@ -55,27 +56,38 @@ struct MemoryCheck {
     /// Sound because equal structures build equal graphs, and the GPU
     /// and headroom are fixed for the filter's lifetime.
     verdicts: Mutex<Verdicts>,
+    sweeps: AtomicUsize,
 }
 
 impl MemoryCheck {
-    fn bound(&self, graph: &Graph, config: ParallelConfig) -> Option<Diagnostic> {
-        memory_fit_diag(graph, config, &self.gpu, self.headroom_frac, Span::Plan)
+    /// The verdict for each of `configs`, in order, on `stage`'s graph:
+    /// one summary of the graph answers them all.
+    fn judge(&self, stage: &StageSpec, configs: &[ParallelConfig]) -> Vec<Option<Diagnostic>> {
+        let summary = MemorySummary::of(&self.graphs.get(stage));
+        let verdicts = configs
+            .iter()
+            .map(|&config| {
+                memory_fit_diag(&summary, config, &self.gpu, self.headroom_frac, Span::Plan)
+            })
+            .collect();
+        self.sweeps.fetch_add(summary.sweeps(), Ordering::Relaxed);
+        verdicts
     }
 
     fn verdicts(&self) -> MutexGuard<'_, Verdicts> {
         self.verdicts
             .lock()
-            .expect("verdict lock never poisoned: no bound runs under it")
+            .expect("verdict lock never poisoned: no verdict is reached under it")
     }
 
     /// The memoized verdict for `stage` under `config`; a miss builds
-    /// (or borrows) the graph and bounds it outside the lock.
+    /// (or borrows) the graph and judges it outside the lock.
     fn verdict(&self, stage: &StageSpec, config: ParallelConfig) -> Option<Diagnostic> {
         let key = (StageStructure::of(stage), config);
         if let Some(v) = self.verdicts().get(&key) {
             return v.clone();
         }
-        let v = self.bound(&self.graphs.get(stage), config);
+        let v = self.judge(stage, &[config]).swap_remove(0);
         self.verdicts().entry(key).or_insert(v).clone()
     }
 }
@@ -107,6 +119,7 @@ impl StaticLegality {
             headroom_frac,
             graphs,
             verdicts: Mutex::new(HashMap::new()),
+            sweeps: AtomicUsize::new(0),
         });
         self
     }
@@ -150,17 +163,17 @@ impl StaticLegality {
 
     /// The legal `candidates`, in their order: the same list, counters
     /// and verdicts as calling [`Self::is_legal`] on each, with the
-    /// memory rule's graph builds and bounds spread over `threads`
+    /// memory rule's graph builds and verdicts spread over `threads`
     /// workers first.
     ///
     /// Runs in three steps: the divisibility rules pick the candidates
     /// the memory rule must judge; one pool task per distinct stage
-    /// structure among them takes its graph from the store once and
-    /// bounds each of its unjudged configurations into the memo; then
-    /// the serial [`Self::is_legal`] pass, every verdict now a memo
-    /// read, fixes the order and the counters. Each structure is one
-    /// task, so no graph is built twice, and no lock is held across a
-    /// build or a bound.
+    /// structure among them takes its graph from the store once,
+    /// summarizes it, and judges each of its unjudged configurations
+    /// into the memo; then the serial [`Self::is_legal`] pass, every
+    /// verdict now a memo read, fixes the order and the counters. Each
+    /// structure is one task, so no graph is built twice, and no lock is
+    /// held across a build or a verdict.
     pub fn filter(&self, candidates: Vec<SubProblem>, threads: usize) -> Vec<SubProblem> {
         if let Some(m) = &self.memory {
             let mut tasks: Vec<(StageSpec, Vec<ParallelConfig>)> = Vec::new();
@@ -187,10 +200,11 @@ impl StaticLegality {
             }
             let verdicts = par_map_with(tasks, threads, |(stage, configs)| {
                 let key = StageStructure::of(&stage);
-                let graph = m.graphs.get(&stage);
+                let verdicts = m.judge(&stage, &configs);
                 configs
                     .into_iter()
-                    .map(|config| ((key, config), m.bound(&graph, config)))
+                    .map(|config| (key, config))
+                    .zip(verdicts)
                     .collect::<Vec<_>>()
             });
             m.verdicts().extend(verdicts.into_iter().flatten());
@@ -212,11 +226,20 @@ impl StaticLegality {
         self.rejected_memory.load(Ordering::Relaxed)
     }
 
-    /// How many memory bounds the filter has computed: one per
-    /// (stage structure, configuration) pair the memory rule judged.
-    /// Always 0 without a memory check.
+    /// How many memory verdicts the filter holds: one per (stage
+    /// structure, configuration) pair the memory rule judged. Always 0
+    /// without a memory check.
     pub fn memory_checks(&self) -> usize {
         self.memory.as_ref().map_or(0, |m| m.verdicts().len())
+    }
+
+    /// How many exact liveness sweeps those verdicts took: a verdict
+    /// whose retain-everything ceiling fits the device takes none.
+    /// Always 0 without a memory check.
+    pub fn memory_sweeps(&self) -> usize {
+        self.memory
+            .as_ref()
+            .map_or(0, |m| m.sweeps.load(Ordering::Relaxed))
     }
 }
 
@@ -340,6 +363,8 @@ mod tests {
             .copied()
             .collect();
         assert_eq!(serial.memory_rejections(), 110);
+        // 105 of the 174 verdicts fit under the retain-everything ceiling
+        assert_eq!((serial.memory_checks(), serial.memory_sweeps()), (174, 69));
         for threads in [1, 2, 4, 8] {
             let leg = checked();
             let got = leg.filter(work.clone(), threads);
@@ -347,20 +372,21 @@ mod tests {
             assert_eq!(leg.rejections(), serial.rejections(), "{threads} threads");
             assert_eq!(leg.memory_rejections(), 110, "{threads} threads");
             assert_eq!(leg.memory_checks(), serial.memory_checks());
+            assert_eq!(leg.memory_sweeps(), 69, "{threads} threads");
         }
 
         // every memoized verdict is the one a freshly built graph gives
         let leg = checked();
         leg.filter(work.clone(), 2);
-        let mut fresh: HashMap<(usize, usize), Graph> = HashMap::new();
+        let mut fresh: HashMap<(usize, usize), MemorySummary> = HashMap::new();
         for (stage, mesh, config) in &work {
             let mut expected = leg.divisibility(*config);
             if expected.is_empty() {
-                let graph = fresh
+                let summary = fresh
                     .entry((stage.start, stage.end))
-                    .or_insert_with(|| stage.build_graph());
+                    .or_insert_with(|| MemorySummary::of(&stage.build_graph()));
                 expected.extend(memory_fit_diag(
-                    graph,
+                    summary,
                     *config,
                     &tight_gpu(),
                     0.1,
@@ -387,6 +413,7 @@ mod tests {
             (graphs.len(), leg.memory_checks(), leg.rejections()),
             (0, 0, 0)
         );
+        assert_eq!(leg.memory_sweeps(), 0);
 
         // 3 micro-batches do not divide batch 4: P1301 rejects all
         let leg =

@@ -32,7 +32,7 @@ pub mod plan_passes;
 pub mod registry;
 pub mod render;
 
-pub use dataflow::{peak_resident_bytes, resident_sets, LivenessPass};
+pub use dataflow::{resident_sets, LivenessPass};
 pub use diag::{
     has_errors, max_severity, sort_diagnostics, Code, Diagnostic, Fix, FixEdit, Severity, Span,
 };

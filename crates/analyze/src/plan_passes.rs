@@ -7,11 +7,8 @@ use predtop_models::ModelSpec;
 use predtop_parallel::intra::IntraPlan;
 use predtop_parallel::sharding::Sharding;
 use predtop_parallel::{table3_configs, MeshShape, ParallelConfig, PlanRule};
-use predtop_sim::memory::{
-    activation_profile, estimate_stage_memory, estimate_with_profile, fits_on, MemoryEstimate,
-};
+use predtop_sim::memory::{estimate_stage_memory, fits_on, MemoryEstimate, MemorySummary};
 
-use crate::dataflow::peak_resident_bytes;
 use crate::diag::{Diagnostic, FixEdit, Severity, Span};
 use crate::pass::{PlanContext, PlanPass};
 
@@ -311,7 +308,10 @@ impl PlanPass for DivisibilityPass {
 /// (activations stored `1/(mp·dp)`) and every contraction's weights
 /// sharded `1/mp`. An assignment chosen by the real optimizer can only
 /// use **more** memory, so rejecting on this bound never rejects a
-/// feasible candidate.
+/// feasible candidate. `P1401` charges the liveness-tight refinement
+/// below; this retain-everything form, built through the plan-general
+/// `sim::memory::estimate_stage_memory`, is the reference it is tested
+/// against.
 pub fn stage_memory_lower_bound(graph: &Graph, config: ParallelConfig) -> MemoryEstimate {
     estimate_stage_memory(graph, &all_sharded_plan(graph, config))
 }
@@ -329,37 +329,35 @@ fn all_sharded_plan(graph: &Graph, config: ParallelConfig) -> IntraPlan {
 
 /// The liveness-tight refinement of [`stage_memory_lower_bound`]: same
 /// parameter/gradient/optimizer terms, but activations are the **peak
-/// resident set** over the execution schedule
-/// ([`crate::dataflow::peak_resident_bytes`] with
-/// `sim::memory::activation_profile` weights) instead of the
-/// retain-everything sum. Transient buffers (prunable-op outputs) only
-/// count while live, so this bound is provably ≤ the legacy bound —
-/// every resident set is a subset of all buffers and the weights are
-/// the same addends — while retained buffers keep it sound w.r.t.
-/// `sim::memory`'s backward-pass model.
+/// resident set** over the execution schedule instead of the
+/// retain-everything sum ([`MemorySummary::estimate`]). Transient
+/// buffers (prunable-op outputs) only count while live, so this bound
+/// is provably ≤ the legacy bound — every resident set is a subset of
+/// all buffers and the weights are the same addends — while retained
+/// buffers keep it sound w.r.t. `sim::memory`'s backward-pass model.
 pub fn stage_memory_liveness_bound(graph: &Graph, config: ParallelConfig) -> MemoryEstimate {
-    let plan = all_sharded_plan(graph, config);
-    let weights = activation_profile(graph, &plan);
-    let legacy = estimate_with_profile(graph, &plan, &weights);
-    let (peak, _) = peak_resident_bytes(graph, &weights);
-    MemoryEstimate {
-        activations: peak.min(legacy.activations),
-        ..legacy
-    }
+    MemorySummary::of(graph).estimate(config)
 }
 
 /// One memory-fit diagnostic (`P1401`) if even the liveness-tight
-/// lower-bound estimate overflows `gpu`, else `None`. Shared by the
-/// [`MemoryFitPass`] and the checked search's [`crate::StaticLegality`]
-/// filter.
+/// lower bound of `summary`'s graph under `config` overflows `gpu`,
+/// else `None`. Shared by the [`MemoryFitPass`] and the checked
+/// search's [`crate::StaticLegality`] filter.
+///
+/// The summary's retain-everything ceiling is never below the exact
+/// bound, so when the ceiling fits, the verdict is "fits" and the
+/// exact sweep never runs.
 pub fn memory_fit_diag(
-    graph: &Graph,
+    summary: &MemorySummary,
     config: ParallelConfig,
     gpu: &GpuSpec,
     headroom_frac: f64,
     span: Span,
 ) -> Option<Diagnostic> {
-    let est = stage_memory_liveness_bound(graph, config);
+    if fits_on(gpu, &summary.upper_estimate(config), headroom_frac) {
+        return None;
+    }
+    let est = summary.estimate(config);
     if fits_on(gpu, &est, headroom_frac) {
         return None;
     }
@@ -401,9 +399,9 @@ impl PlanPass for MemoryFitPass {
         };
         let mut out = Vec::new();
         for (i, ps) in ctx.plan.stages.iter().enumerate() {
-            let graph = ps.stage.build_graph();
+            let summary = MemorySummary::of(&ps.stage.build_graph());
             if let Some(d) = memory_fit_diag(
-                &graph,
+                &summary,
                 ps.config,
                 gpu,
                 ctx.options.headroom_frac,
@@ -444,6 +442,40 @@ mod tests {
                     live.activations,
                     legacy.activations
                 );
+            }
+        }
+    }
+
+    /// `P1401` flips at the exact byte: at 0% headroom a device of the
+    /// bound's total holds the stage and one byte less does not, each
+    /// verdict after one sweep; a device of exactly the summary's
+    /// ceiling `U` holds it with no sweep at all.
+    #[test]
+    fn memory_fit_flips_at_the_exact_byte() {
+        // exact in f64: every byte count here is far below 2^53
+        let device = |bytes: u64| GpuSpec {
+            name: "edge-test-gpu",
+            memory_gib: bytes as f64 / (1u64 << 30) as f64,
+            ..GpuSpec::a40()
+        };
+        for model in [ModelSpec::gpt3_1p3b(8), ModelSpec::moe_2p6b(8)] {
+            let summary = MemorySummary::of(&StageSpec::new(model, 1, 3).build_graph());
+            for (dp, mp) in [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2)] {
+                let config = ParallelConfig::new(dp, mp);
+                let fit =
+                    |bytes| memory_fit_diag(&summary, config, &device(bytes), 0.0, Span::Plan);
+                let total = summary.estimate(config).total();
+                let upper = summary.upper_estimate(config).total();
+                assert!(total < upper, "{config:?}: transient buffers leave slack");
+
+                let sweeps = summary.sweeps();
+                assert_eq!(fit(upper), None, "{config:?}");
+                assert_eq!(summary.sweeps(), sweeps, "{config:?}: U fits, no sweep");
+                assert_eq!(fit(total), None, "{config:?}");
+                assert_eq!(summary.sweeps(), sweeps + 1, "{config:?}");
+                let d = fit(total - 1).expect("one byte short of the bound");
+                assert_eq!(d.code.0, 1401, "{config:?}");
+                assert_eq!(summary.sweeps(), sweeps + 2, "{config:?}");
             }
         }
     }

@@ -5,18 +5,17 @@
 
 use proptest::prelude::*;
 
-use predtop_analyze::dataflow::serial_activation_weights;
 use predtop_analyze::plan_passes::{stage_memory_liveness_bound, stage_memory_lower_bound};
 use predtop_analyze::{
-    analyze_graph, analyze_graph_with_threads, analyze_plan_with_threads, has_errors,
-    peak_resident_bytes, render_json, resident_sets, sort_diagnostics, PlanCheckOptions, Severity,
+    analyze_graph, analyze_graph_with_threads, analyze_plan_with_threads, has_errors, render_json,
+    resident_sets, sort_diagnostics, PlanCheckOptions, Severity,
 };
 use predtop_cluster::GpuSpec;
-use predtop_ir::{live, DType, Graph, GraphBuilder, OpKind, Shape};
+use predtop_ir::{live, DType, Graph, GraphBuilder, NodeId, NodeKind, OpKind, Shape};
 use predtop_models::{ModelSpec, StageSpec};
 use predtop_parallel::{MeshShape, ParallelConfig, PipelinePlan, PlannedStage};
 use predtop_service::api::{decode_plan, encode_plan};
-use predtop_sim::memory::fits_on;
+use predtop_sim::memory::{fits_on, MemoryEstimate, MemorySummary};
 
 // ---- property: valid builder graphs have zero Error findings --------
 
@@ -131,16 +130,17 @@ fn fixpoint_peak(g: &Graph, weights: &[u64]) -> (u64, usize) {
 }
 
 proptest! {
-    /// `peak_resident_bytes` sweeps live intervals; it must return the
-    /// fixpoint reference's `(bytes, point)`, tie-break included.
+    /// `MemorySummary`'s sweep runs over live intervals; it must return
+    /// the fixpoint reference's `(bytes, point)`, tie-break included.
     #[test]
     fn prop_peak_sweep_matches_the_fixpoint((g, weights) in arb_liveness_graph()) {
-        prop_assert_eq!(peak_resident_bytes(&g, &weights), fixpoint_peak(&g, &weights));
+        prop_assert_eq!(MemorySummary::of(&g).peak(&weights), fixpoint_peak(&g, &weights));
     }
 }
 
 /// The same parity on real stage graphs: a few hundred nodes each, and
-/// every prunable op the model builders emit.
+/// every prunable op the model builders emit, under the serial weights
+/// `P0501` sweeps.
 #[test]
 fn peak_sweep_matches_the_fixpoint_on_benchmark_stages() {
     for model in [ModelSpec::gpt3_1p3b(8), ModelSpec::moe_2p6b(8)] {
@@ -149,11 +149,130 @@ fn peak_sweep_matches_the_fixpoint_on_benchmark_stages() {
             g.nodes().iter().any(|n| live::is_transient(&g, n.id)),
             "benchmark stages must free buffers"
         );
-        let weights = serial_activation_weights(&g);
-        assert_eq!(
-            peak_resident_bytes(&g, &weights),
-            fixpoint_peak(&g, &weights)
-        );
+        let weights = all_sharded_profile(&g, ParallelConfig::SERIAL);
+        let summary = MemorySummary::of(&g);
+        let want = fixpoint_peak(&g, &weights);
+        assert_eq!(summary.peak(&weights), want);
+        let serial = summary.sweep(ParallelConfig::SERIAL);
+        assert_eq!((serial.peak, serial.at), want);
+        assert_eq!(serial.sum, weights.iter().sum::<u64>());
+    }
+}
+
+// ---- property: one summary gives the three-walk bound ---------------
+
+/// `sim::memory::activation_profile` under the all-sharded plan, as the
+/// `P1401` bound computed it before `MemorySummary`: the incoming
+/// activation split `dp` ways, every operator output `mp·dp` ways,
+/// everything else 0.
+fn all_sharded_profile(g: &Graph, config: ParallelConfig) -> Vec<u64> {
+    let (mp, dp) = (config.mp as u64, config.dp as u64);
+    g.nodes()
+        .iter()
+        .map(|node| match node.kind {
+            NodeKind::Input
+                if node.dtype.is_float() && node.id.index() == 0 && node.shape.rank() == 2 =>
+            {
+                node.output_bytes() / dp
+            }
+            NodeKind::Operator(_) => node.output_bytes() / mp / dp,
+            _ => 0,
+        })
+        .collect()
+}
+
+/// The `P1401` bound as three walks over the graph, a reference copy of
+/// the code `MemorySummary` replaced: the all-sharded profile, the
+/// retain-everything estimate (a weight some contraction reads is
+/// sharded `1/mp`), then the interval sweep over the profile.
+fn three_walk_bound(g: &Graph, config: ParallelConfig) -> MemoryEstimate {
+    let mp = config.mp as u64;
+    let weights = all_sharded_profile(g, config);
+    let mut params = 0u64;
+    for node in g.nodes() {
+        if node.kind == NodeKind::Input && node.dtype.is_float() {
+            if node.id.index() == 0 && node.shape.rank() == 2 {
+                continue;
+            }
+            let sharded = g
+                .succs(node.id)
+                .iter()
+                .any(|&s| g.node(s).kind == NodeKind::Operator(OpKind::DotGeneral));
+            params += if sharded {
+                node.output_bytes() / mp
+            } else {
+                node.output_bytes()
+            };
+        }
+    }
+    let sum: u64 = weights.iter().sum();
+    let last = g.len().saturating_sub(1);
+    let mut freed = vec![0u64; g.len()];
+    for (j, &w) in weights.iter().enumerate() {
+        let id = NodeId(j as u32);
+        let end = if live::is_transient(g, id) {
+            live::last_use(g, id).index()
+        } else {
+            last
+        };
+        freed[end] += w;
+    }
+    let (mut resident, mut peak) = (0u64, 0u64);
+    for (i, &w) in weights.iter().enumerate() {
+        resident += w;
+        peak = peak.max(resident);
+        resident -= freed[i];
+    }
+    MemoryEstimate {
+        params,
+        grads: params,
+        optimizer: 6 * params,
+        activations: peak.min(sum),
+    }
+}
+
+/// `arb_stage`'s windows, over MoE with 2 or 4 experts in two draws of
+/// three.
+fn arb_gpt3_or_moe_stage() -> impl Strategy<Value = StageSpec> {
+    (arb_stage(), 0usize..3).prop_map(|(stage, kind)| {
+        if kind == 0 {
+            return stage;
+        }
+        let dense = stage.model;
+        let mut m = ModelSpec::moe_2p6b(dense.batch);
+        m.seq_len = dense.seq_len;
+        m.hidden = dense.hidden;
+        m.num_heads = dense.num_heads;
+        m.vocab = dense.vocab;
+        m.num_layers = dense.num_layers;
+        if let Some(moe) = m.moe.as_mut() {
+            moe.num_experts = [2, 4][kind - 1];
+            moe.expert_hidden = 2 * dense.hidden;
+        }
+        StageSpec::new(m, stage.start, stage.end)
+    })
+}
+
+/// Degrees 1–4 on both axes: 3 takes the division branch of the
+/// summary's split, the powers of two its shift.
+fn arb_any_degree_config() -> impl Strategy<Value = ParallelConfig> {
+    (1usize..=4, 1usize..=4).prop_map(|(dp, mp)| ParallelConfig::new(dp, mp))
+}
+
+proptest! {
+    /// The summary's exact estimate equals the three-walk bound field
+    /// for field, and its retain-everything ceiling is never below it.
+    #[test]
+    fn prop_summary_estimate_equals_the_three_walk_bound(
+        stage in arb_gpt3_or_moe_stage(),
+        config in arb_any_degree_config(),
+    ) {
+        let g = stage.build_graph();
+        let want = three_walk_bound(&g, config);
+        let summary = MemorySummary::of(&g);
+        prop_assert_eq!(summary.estimate(config), want);
+        prop_assert!(summary.upper_estimate(config).total() >= want.total());
+        prop_assert_eq!(stage_memory_liveness_bound(&g, config), want);
     }
 }
 

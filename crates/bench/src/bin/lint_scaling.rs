@@ -6,11 +6,14 @@
 //! every analysis pass over every window, each graph analyzed from
 //! scratch, and reports the sweep's wall time and finding count. Then
 //! runs the checked search's filter (`StaticLegality::filter`:
-//! divisibility, then the `P1401` memory bound once per stage
+//! divisibility, then the `P1401` memory verdict once per stage
 //! structure and configuration) over the decoder's candidate work-list
 //! on Platform 2's 2×2 cluster with 2 micro-batches, each repetition
 //! with a fresh filter and profiler, once on one thread and once on
-//! every available one.
+//! every available one: first with Platform 2's own devices, where every
+//! verdict fits under the memory summary's retain-everything ceiling,
+//! then with a 0.01 GiB device, where most verdicts take the exact
+//! liveness sweep and many reject.
 //! Results are written as stable-schema JSON (default
 //! `BENCH_lint.json`; override with `--out PATH`) alongside
 //! `search_scaling`'s artifact.
@@ -29,10 +32,9 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use predtop_analyze::{analyze_graph, plan_passes::divisibility_diags, Span};
+use predtop_analyze::{analyze_graph, plan_passes::divisibility_diags, Span, StaticLegality};
 use predtop_bench::jsonout::{write_json_file, Json};
-use predtop_cluster::Platform;
-use predtop_core::search_legality;
+use predtop_cluster::{GpuSpec, Platform};
 use predtop_ir::Graph;
 use predtop_models::{enumerate_stages, ModelSpec, StageSpec};
 use predtop_parallel::{enumerate_candidates, InterStageOptions, MeshShape, StageStructure};
@@ -126,13 +128,20 @@ fn main() {
         .collect::<HashSet<_>>()
         .len();
     let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let filter_rows: Vec<Json> = [1, available]
-        .into_iter()
-        .map(|threads| filter_row(model, opts, &work, threads))
+    let platform_gpu = Platform::platform2().gpu;
+    let tight_gpu = GpuSpec {
+        name: "tight-lint-gpu",
+        memory_gib: 0.01,
+        ..platform_gpu.clone()
+    };
+    let filter_rows: Vec<Json> = [platform_gpu, tight_gpu]
+        .iter()
+        .flat_map(|gpu| [1, available].map(|threads| (gpu, threads)))
+        .map(|(gpu, threads)| filter_row(model, opts, &work, gpu, threads))
         .collect();
 
     let doc = Json::obj()
-        .field("schema_version", 5u64)
+        .field("schema_version", 6u64)
         .field("benchmark", "lint_scaling")
         .field("mode", if cli.smoke { "smoke" } else { "full" })
         .field(
@@ -180,21 +189,27 @@ fn graph_row(stages: &[StageSpec]) -> Json {
         .field("drop_s", drop_s)
 }
 
-/// The checked search's phase 1 over `work` on `threads` workers: best
-/// of three repetitions, each with a fresh filter and profiler (so
-/// every stage graph is built and every bound computed inside the
-/// timing). The counts repeat exactly; the last repetition's are kept.
+/// The checked search's phase 1 over `work` on `threads` workers, its
+/// memory rule sized for `gpu` with the search's 10% headroom: best of
+/// three repetitions, each with a fresh filter and profiler (so every
+/// stage graph is built and every verdict reached inside the timing).
+/// The counts repeat exactly; the last repetition's are kept.
 fn filter_row(
     model: ModelSpec,
     opts: InterStageOptions,
     work: &[predtop_parallel::intern::SubProblem],
+    gpu: &GpuSpec,
     threads: usize,
 ) -> Json {
     let mut best = f64::INFINITY;
-    let mut counts = (0, 0, 0, 0);
+    let mut counts = (0, 0, 0, 0, 0);
     for _ in 0..3 {
         let profiler = SimProfiler::new(Platform::platform2(), 1);
-        let legality = search_legality(model, &profiler, opts);
+        let legality = StaticLegality::new(model, opts.microbatches).with_memory_check(
+            gpu.clone(),
+            0.1,
+            profiler.graphs(),
+        );
         let start = Instant::now();
         let legal = legality.filter(work.to_vec(), threads);
         best = best.min(start.elapsed().as_secs_f64());
@@ -204,20 +219,28 @@ fn filter_row(
             legality.memory_rejections(),
             profiler.graphs().len(),
             legality.memory_checks(),
+            legality.memory_sweeps(),
         );
     }
-    let (rejections, memory_rejections, graphs, bounds) = counts;
+    let (rejections, memory_rejections, graphs, verdicts, sweeps) = counts;
     println!(
-        "checked filter, {threads} thread(s): {best:7.3}s wall, {} candidates, \
-         {rejections} rejected ({memory_rejections} by P1401), {graphs} graphs, {bounds} bounds",
-        work.len()
+        "checked filter, {} GiB, {threads} thread(s): {best:7.3}s wall, {} candidates, \
+         {rejections} rejected ({memory_rejections} by P1401), {graphs} graphs, \
+         {verdicts} verdicts ({} early exits, {sweeps} sweeps)",
+        gpu.memory_gib,
+        work.len(),
+        verdicts - sweeps
     );
     Json::obj()
+        .field("device", gpu.name)
+        .field("memory_gib", gpu.memory_gib)
         .field("threads", threads)
         .field("seconds", best)
         .field("candidates", work.len())
         .field("rejections", rejections)
         .field("memory_rejections", memory_rejections)
         .field("graphs", graphs)
-        .field("bounds", bounds)
+        .field("verdicts", verdicts)
+        .field("early_exits", verdicts - sweeps)
+        .field("sweeps", sweeps)
 }

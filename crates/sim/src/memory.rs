@@ -18,12 +18,18 @@
 //!   batch split.
 //!
 //! The estimate feeds [`fits_on`] so plan search can reject
-//! out-of-memory configurations.
+//! out-of-memory configurations. [`MemorySummary`] applies the same
+//! rules to the all-sharded assignment, the least memory any
+//! assignment reaches, under every configuration of one graph: the
+//! checked search's `P1401` lower bound (DESIGN.md §12).
+
+use std::cell::Cell;
 
 use predtop_cluster::GpuSpec;
-use predtop_ir::{Graph, NodeKind, OpKind};
+use predtop_ir::{live, Graph, Node, NodeId, NodeKind, OpKind};
 use predtop_parallel::intra::IntraPlan;
 use predtop_parallel::sharding::Sharding;
+use predtop_parallel::ParallelConfig;
 
 /// Byte breakdown of one device's memory for a stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,38 +49,76 @@ impl MemoryEstimate {
     pub fn total(&self) -> u64 {
         self.params + self.grads + self.optimizer + self.activations
     }
+
+    /// Gradients laid out as the `params`, and the optimizer state
+    /// [`OPTIMIZER_FACTOR`] times them.
+    fn new(params: u64, activations: u64) -> MemoryEstimate {
+        MemoryEstimate {
+            params,
+            grads: params,
+            optimizer: OPTIMIZER_FACTOR * params,
+            activations,
+        }
+    }
 }
 
 /// Ratio of optimizer-state bytes to parameter bytes under
 /// mixed-precision Adam (fp32 master + m + v over bf16 storage).
 pub const OPTIMIZER_FACTOR: u64 = 6;
 
+/// Which term of the estimate a node's output buffer counts toward.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// The stage's incoming activation (a non-embedding stage's float
+    /// rank-2 node 0, mirroring `intra::param_bytes`): split `dp` ways.
+    Incoming,
+    /// An operator output: stored at its layout's fraction, split `dp`
+    /// ways.
+    Output,
+    /// Any other float input: parameters, gradients and optimizer state.
+    Weight,
+    /// Non-float inputs, literals and output markers.
+    Uncounted,
+}
+
+fn role(node: &Node) -> Role {
+    match node.kind {
+        NodeKind::Input if node.dtype.is_float() => {
+            if node.id.index() == 0 && node.shape.rank() == 2 {
+                Role::Incoming
+            } else {
+                Role::Weight
+            }
+        }
+        NodeKind::Operator(_) => Role::Output,
+        _ => Role::Uncounted,
+    }
+}
+
+/// Is the weight `id` read by a contraction that `sharded` accepts? A
+/// weight is sharded `1/mp` iff some consuming contraction runs column-
+/// or row-parallel.
+fn dot_reads(graph: &Graph, id: NodeId, sharded: impl Fn(NodeId) -> bool) -> bool {
+    graph
+        .succs(id)
+        .iter()
+        .any(|&s| graph.node(s).kind == NodeKind::Operator(OpKind::DotGeneral) && sharded(s))
+}
+
 /// Per-node activation bytes of `graph` under `plan`, indexed by
-/// `NodeId`: the exact per-buffer terms whose sum is
+/// `NodeId`: the per-buffer terms whose sum is
 /// [`estimate_stage_memory`]'s `activations` field. Parameter inputs
 /// (and non-float bookkeeping nodes) contribute `0` — their bytes are
 /// accounted in the `params`/`grads`/`optimizer` fields instead.
-///
-/// Exposing the addends (rather than only their sum) lets a liveness
-/// analysis weigh *subsets* of buffers — the peak resident set — with
-/// byte-exact agreement against this module's retain-everything model,
-/// which is what keeps a peak-over-live-sets bound provably ≤ the sum
-/// bound.
 pub fn activation_profile(graph: &Graph, plan: &IntraPlan) -> Vec<u64> {
     let mp = plan.config.mp as u64;
     let dp = plan.config.dp as u64;
     graph
         .nodes()
         .iter()
-        .map(|node| match node.kind {
-            // the incoming activation of a non-embedding stage (mirrors
-            // `param_bytes`); weight inputs are not activations
-            NodeKind::Input
-                if node.dtype.is_float() && node.id.index() == 0 && node.shape.rank() == 2 =>
-            {
-                node.output_bytes() / dp
-            }
-            NodeKind::Operator(_) => {
+        .map(|node| match role(node) {
+            Role::Incoming => node.output_bytes() / dp,
+            Role::Output => {
                 let frac_num = match plan.sharding[node.id.index()] {
                     Sharding::Replicated | Sharding::PartialSum => mp,
                     Sharding::BatchSharded | Sharding::ColSharded => 1,
@@ -82,56 +126,203 @@ pub fn activation_profile(graph: &Graph, plan: &IntraPlan) -> Vec<u64> {
                 // storage_fraction = frac_num / mp; batch axis / dp
                 node.output_bytes() * frac_num / mp / dp
             }
-            _ => 0,
+            Role::Weight | Role::Uncounted => 0,
         })
         .collect()
 }
 
 /// Estimate the per-device memory of `graph` under `plan`.
 pub fn estimate_stage_memory(graph: &Graph, plan: &IntraPlan) -> MemoryEstimate {
-    estimate_with_profile(graph, plan, &activation_profile(graph, plan))
+    let mp = plan.config.mp as u64;
+    let sharded = |s: NodeId| {
+        matches!(
+            plan.sharding[s.index()],
+            Sharding::ColSharded | Sharding::PartialSum
+        )
+    };
+    let params = graph
+        .nodes()
+        .iter()
+        .filter(|node| role(node) == Role::Weight)
+        .map(|node| {
+            if dot_reads(graph, node.id, sharded) {
+                node.output_bytes() / mp
+            } else {
+                node.output_bytes()
+            }
+        })
+        .sum();
+    MemoryEstimate::new(params, activation_profile(graph, plan).iter().sum())
 }
 
-/// [`estimate_stage_memory`] with `profile`, the graph's
-/// [`activation_profile`] under `plan`, already in hand: a caller that
-/// also weighs the profile's subsets computes it once.
-pub fn estimate_with_profile(graph: &Graph, plan: &IntraPlan, profile: &[u64]) -> MemoryEstimate {
-    let mp = plan.config.mp as u64;
+/// One buffer of a [`MemorySummary`]: its full-size bytes, its role,
+/// and the last schedule point it is resident at.
+#[derive(Debug, Clone, Copy)]
+struct Buffer {
+    bytes: u64,
+    end: u32,
+    role: Role,
+}
 
-    let mut params = 0u64;
-    for node in graph.nodes() {
-        match node.kind {
-            NodeKind::Input if node.dtype.is_float() => {
-                // the stage's incoming activation is not a parameter
-                if node.id.index() == 0 && node.shape.rank() == 2 {
-                    continue;
+/// One walk's worth of a stage graph's memory facts: enough to bound
+/// the graph under any configuration without walking it again.
+///
+/// The bound is [`estimate_stage_memory`] under the all-sharded
+/// assignment (every operator column-sharded, so activations stored
+/// `1/(mp·dp)` and every weight a contraction reads sharded `1/mp`),
+/// the least memory any assignment reaches, with activations charged
+/// at their peak resident set instead of their sum. Node ids are a
+/// topological schedule, so buffer `j` is resident on exactly the
+/// points `j..=end_j`: [`live::last_use`] for a transient buffer, the
+/// last point for a retained one (it feeds the backward pass).
+///
+/// [`Self::estimate`] is the exact bound, one sweep per configuration;
+/// [`Self::upper_estimate`] is a retain-everything ceiling on it from
+/// four sums, which decides "fits" without the sweep whenever the
+/// ceiling fits.
+#[derive(Debug)]
+pub struct MemorySummary {
+    /// One per node, in schedule order.
+    buffers: Vec<Buffer>,
+    /// The bytes of each float weight input a `DotGeneral` reads.
+    dot_weights: Vec<u64>,
+    /// Their sum.
+    w_dot: u64,
+    /// All other weight bytes.
+    w_rest: u64,
+    /// Operator output bytes.
+    s_op: u64,
+    /// The incoming activation's bytes.
+    s_in: u64,
+    /// Exact sweeps run so far.
+    sweeps: Cell<usize>,
+}
+
+/// One sweep's activation figures: the peak resident bytes, the first
+/// point reaching it (0 when nothing is resident), and the
+/// retain-everything sum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ActivationSweep {
+    /// Peak resident bytes.
+    pub peak: u64,
+    /// First schedule point at the peak.
+    pub at: usize,
+    /// The sum over all buffers.
+    pub sum: u64,
+}
+
+impl MemorySummary {
+    /// Summarize `graph` in one walk.
+    pub fn of(graph: &Graph) -> MemorySummary {
+        let last = graph.len().saturating_sub(1);
+        let mut summary = MemorySummary {
+            buffers: Vec::with_capacity(graph.len()),
+            dot_weights: Vec::new(),
+            w_dot: 0,
+            w_rest: 0,
+            s_op: 0,
+            s_in: 0,
+            sweeps: Cell::new(0),
+        };
+        for node in graph.nodes() {
+            let bytes = node.output_bytes();
+            let role = role(node);
+            match role {
+                Role::Incoming => summary.s_in += bytes,
+                Role::Output => summary.s_op += bytes,
+                // all-sharded: every contraction is column-sharded
+                Role::Weight if dot_reads(graph, node.id, |_| true) => {
+                    summary.w_dot += bytes;
+                    summary.dot_weights.push(bytes);
                 }
-                // a weight is sharded iff some consuming contraction runs
-                // column- or row-parallel
-                let sharded = graph.succs(node.id).iter().any(|&s| {
-                    let consumer = graph.node(s);
-                    consumer.kind == NodeKind::Operator(OpKind::DotGeneral)
-                        && matches!(
-                            plan.sharding[s.index()],
-                            Sharding::ColSharded | Sharding::PartialSum
-                        )
-                });
-                params += if sharded {
-                    node.output_bytes() / mp
-                } else {
-                    node.output_bytes()
-                };
+                Role::Weight => summary.w_rest += bytes,
+                Role::Uncounted => {}
             }
-            _ => {}
+            let end = if live::is_transient(graph, node.id) {
+                live::last_use(graph, node.id).index()
+            } else {
+                last
+            };
+            summary.buffers.push(Buffer {
+                bytes,
+                end: end as u32,
+                role,
+            });
         }
+        summary
     }
-    let activations = profile.iter().sum();
 
-    MemoryEstimate {
-        params,
-        grads: params,
-        optimizer: OPTIMIZER_FACTOR * params,
-        activations,
+    /// `U = 8·(⌊W_dot/mp⌋ + W_rest) + ⌊S_op/(mp·dp)⌋ + ⌊S_in/dp⌋` as an
+    /// estimate: never below [`Self::estimate`]'s total, because a floor
+    /// of a sum is at least the sum of the floors, `⌊⌊b/mp⌋/dp⌋ =
+    /// ⌊b/(mp·dp)⌋`, and the peak never exceeds the sum.
+    pub fn upper_estimate(&self, config: ParallelConfig) -> MemoryEstimate {
+        let (mp, dp) = (config.mp as u64, config.dp as u64);
+        MemoryEstimate::new(
+            self.w_dot / mp + self.w_rest,
+            self.s_op / (mp * dp) + self.s_in / dp,
+        )
+    }
+
+    /// The exact bound under `config`: all-sharded parameters,
+    /// gradients and optimizer state, and activations at their peak
+    /// resident set.
+    pub fn estimate(&self, config: ParallelConfig) -> MemoryEstimate {
+        let mp = config.mp as u64;
+        let sharded: u64 = self.dot_weights.iter().map(|&bytes| bytes / mp).sum();
+        MemoryEstimate::new(sharded + self.w_rest, self.sweep(config).peak)
+    }
+
+    /// The all-sharded activation sweep under `config`, one pass over
+    /// the schedule that divides each buffer's bytes once (a shift when
+    /// `mp·dp` is a power of two).
+    pub fn sweep(&self, config: ParallelConfig) -> ActivationSweep {
+        self.sweeps.set(self.sweeps.get() + 1);
+        let dp = config.dp as u64;
+        let split = config.mp as u64 * dp;
+        let shift = split.is_power_of_two().then(|| split.trailing_zeros());
+        self.run(self.buffers.iter().map(|b| match b.role {
+            Role::Incoming => b.bytes / dp,
+            Role::Output => match shift {
+                Some(s) => b.bytes >> s,
+                None => b.bytes / split,
+            },
+            Role::Weight | Role::Uncounted => 0,
+        }))
+    }
+
+    /// The same sweep under caller-given per-node `weights`: the peak
+    /// and the first point reaching it.
+    pub fn peak(&self, weights: &[u64]) -> (u64, usize) {
+        assert_eq!(weights.len(), self.buffers.len(), "one weight per node");
+        let sweep = self.run(weights.iter().copied());
+        (sweep.peak, sweep.at)
+    }
+
+    /// How many exact sweeps [`Self::sweep`] (and so
+    /// [`Self::estimate`]) has run on this summary.
+    pub fn sweeps(&self) -> usize {
+        self.sweeps.get()
+    }
+
+    /// Add each buffer's weight at its definition and free it after its
+    /// end point; the running sum at each point is that point's
+    /// resident bytes. A buffer's end is never before its definition, so
+    /// its weight reaches `freed` before the point that frees it.
+    fn run(&self, weights: impl Iterator<Item = u64>) -> ActivationSweep {
+        let mut freed = vec![0u64; self.buffers.len()];
+        let (mut resident, mut sum) = (0u64, 0u64);
+        let (mut peak, mut at) = (0u64, 0usize);
+        for (i, (buffer, w)) in self.buffers.iter().zip(weights).enumerate() {
+            sum += w;
+            resident += w;
+            freed[buffer.end as usize] += w;
+            if resident > peak {
+                (peak, at) = (resident, i);
+            }
+            resident -= freed[i];
+        }
+        ActivationSweep { peak, at, sum }
     }
 }
 
