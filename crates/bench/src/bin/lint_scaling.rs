@@ -12,8 +12,8 @@
 //! with a fresh filter and profiler, once on one thread and once on
 //! every available one: first with Platform 2's own devices, where every
 //! verdict fits under the memory summary's retain-everything ceiling,
-//! then with a 0.01 GiB device, where most verdicts take the exact
-//! liveness sweep and many reject.
+//! then with a 0.01 GiB device, where many verdicts take the exact
+//! liveness sweep and `P1401` rejects.
 //! Results are written as stable-schema JSON (default
 //! `BENCH_lint.json`; override with `--out PATH`) alongside
 //! `search_scaling`'s artifact.
