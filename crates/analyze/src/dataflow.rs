@@ -60,8 +60,9 @@ pub fn resident_sets(graph: &Graph) -> Vec<Vec<usize>> {
 /// graph's schedule versus the retain-everything sum (`P0501`, info).
 ///
 /// The serial, unsharded footprint is a property of the graph alone, so
-/// this runs as a graph pass; the plan-aware variant of the same bound
-/// feeds the `P1401` memory-fit rule via `stage_memory_liveness_bound`.
+/// this runs as a graph pass; the plan-aware variant of the same bound,
+/// from the same `sim::memory::MemorySummary`, feeds the `P1401`
+/// memory-fit rule via `plan_passes::memory_fit_diag` (DESIGN.md §12).
 pub struct LivenessPass;
 
 impl GraphPass for LivenessPass {

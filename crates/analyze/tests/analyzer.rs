@@ -161,7 +161,7 @@ fn peak_sweep_matches_the_fixpoint_on_benchmark_stages() {
 
 // ---- property: one summary gives the three-walk bound ---------------
 
-/// `sim::memory::activation_profile` under the all-sharded plan, as the
+/// `sim::memory`'s activation profile under the all-sharded plan, as the
 /// `P1401` bound computed it before `MemorySummary`: the incoming
 /// activation split `dp` ways, every operator output `mp·dp` ways,
 /// everything else 0.
@@ -253,8 +253,8 @@ fn arb_gpt3_or_moe_stage() -> impl Strategy<Value = StageSpec> {
     })
 }
 
-/// Degrees 1–4 on both axes: 3 takes the division branch of the
-/// summary's split, the powers of two its shift.
+/// Degrees 1–4 on both axes, so the summary's `mp·dp` split is also
+/// taken at sizes that are not powers of two.
 fn arb_any_degree_config() -> impl Strategy<Value = ParallelConfig> {
     (1usize..=4, 1usize..=4).prop_map(|(dp, mp)| ParallelConfig::new(dp, mp))
 }

@@ -32,9 +32,10 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use predtop_analyze::{analyze_graph, plan_passes::divisibility_diags, Span, StaticLegality};
+use predtop_analyze::{analyze_graph, plan_passes::divisibility_diags, Span};
 use predtop_bench::jsonout::{write_json_file, Json};
 use predtop_cluster::{GpuSpec, Platform};
+use predtop_core::search_legality;
 use predtop_ir::Graph;
 use predtop_models::{enumerate_stages, ModelSpec, StageSpec};
 use predtop_parallel::{enumerate_candidates, InterStageOptions, MeshShape, StageStructure};
@@ -190,10 +191,10 @@ fn graph_row(stages: &[StageSpec]) -> Json {
 }
 
 /// The checked search's phase 1 over `work` on `threads` workers, its
-/// memory rule sized for `gpu` with the search's 10% headroom: best of
-/// three repetitions, each with a fresh filter and profiler (so every
-/// stage graph is built and every verdict reached inside the timing).
-/// The counts repeat exactly; the last repetition's are kept.
+/// filter built by `search_legality` for Platform 2 fitted with `gpu`:
+/// best of three repetitions, each with a fresh filter and profiler (so
+/// every stage graph is built and every verdict reached inside the
+/// timing). The counts repeat exactly; the last repetition's are kept.
 fn filter_row(
     model: ModelSpec,
     opts: InterStageOptions,
@@ -204,12 +205,12 @@ fn filter_row(
     let mut best = f64::INFINITY;
     let mut counts = (0, 0, 0, 0, 0);
     for _ in 0..3 {
-        let profiler = SimProfiler::new(Platform::platform2(), 1);
-        let legality = StaticLegality::new(model, opts.microbatches).with_memory_check(
-            gpu.clone(),
-            0.1,
-            profiler.graphs(),
-        );
+        let platform = Platform {
+            gpu: gpu.clone(),
+            ..Platform::platform2()
+        };
+        let profiler = SimProfiler::new(platform, 1);
+        let legality = search_legality(model, &profiler, opts);
         let start = Instant::now();
         let legal = legality.filter(work.to_vec(), threads);
         best = best.min(start.elapsed().as_secs_f64());

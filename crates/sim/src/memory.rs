@@ -110,7 +110,7 @@ fn dot_reads(graph: &Graph, id: NodeId, sharded: impl Fn(NodeId) -> bool) -> boo
 /// [`estimate_stage_memory`]'s `activations` field. Parameter inputs
 /// (and non-float bookkeeping nodes) contribute `0` — their bytes are
 /// accounted in the `params`/`grads`/`optimizer` fields instead.
-pub fn activation_profile(graph: &Graph, plan: &IntraPlan) -> Vec<u64> {
+fn activation_profile(graph: &Graph, plan: &IntraPlan) -> Vec<u64> {
     let mp = plan.config.mp as u64;
     let dp = plan.config.dp as u64;
     graph
@@ -274,19 +274,14 @@ impl MemorySummary {
     }
 
     /// The all-sharded activation sweep under `config`, one pass over
-    /// the schedule that divides each buffer's bytes once (a shift when
-    /// `mp·dp` is a power of two).
+    /// the schedule that divides each buffer's bytes once.
     pub fn sweep(&self, config: ParallelConfig) -> ActivationSweep {
         self.sweeps.set(self.sweeps.get() + 1);
         let dp = config.dp as u64;
         let split = config.mp as u64 * dp;
-        let shift = split.is_power_of_two().then(|| split.trailing_zeros());
         self.run(self.buffers.iter().map(|b| match b.role {
             Role::Incoming => b.bytes / dp,
-            Role::Output => match shift {
-                Some(s) => b.bytes >> s,
-                None => b.bytes / split,
-            },
+            Role::Output => b.bytes / split,
             Role::Weight | Role::Uncounted => 0,
         }))
     }
