@@ -5,11 +5,13 @@
 //! `predtop-core`'s search engine runs it over the enumerated work-list
 //! through [`StaticLegality::filter`], so statically illegal
 //! `(stage, mesh, config)` candidates are rejected *before* they ever
-//! reach the latency source. The memory rule reads stage graphs from
-//! the simulator's [`StageGraphs`] store, so the filter, the profiler
-//! and the ground-truth re-evaluation share one graph per stage
-//! structure, and it judges each (stage structure, configuration) pair
-//! once, from one memory summary per graph.
+//! reach the latency source. The memory rule judges each (stage
+//! structure, configuration) pair once. It first reads the pair's
+//! retain-everything ceiling from the filter model's part sums
+//! ([`PartSums`]), with no stage graph; only a ceiling that overflows
+//! takes the stage's graph from the simulator's [`StageGraphs`] store
+//! (shared with the profiler and the ground-truth re-evaluation) and
+//! judges it from one memory summary per graph.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,21 +22,22 @@ use predtop_models::{ModelSpec, StageSpec};
 use predtop_parallel::intern::SubProblem;
 use predtop_parallel::{MeshShape, ParallelConfig, StageGraphs, StageStructure};
 use predtop_runtime::par_map_with;
-use predtop_sim::memory::MemorySummary;
+use predtop_sim::memory::{MemorySummary, PartSums};
 
 use crate::diag::{has_errors, sort_diagnostics, Diagnostic, Span};
 use crate::plan_passes::{divisibility_diags, memory_fit_diag};
 
 /// Per-candidate static legality checks for the plan search.
 ///
-/// The divisibility rules (`P13xx`) are pure arithmetic; the optional
-/// memory rule (`P1401`) takes each candidate's stage graph from a
-/// borrowed [`StageGraphs`] store, so an `n²`-range enumeration builds
-/// one graph per stage structure (`O(n)` of them for a dense decoder),
-/// and none the store already holds. The rule's verdict reads the graph
-/// and the configuration, never the mesh, so it is memoized per
-/// (stage structure, configuration): every later candidate of a pair
-/// reads the first one's verdict.
+/// The divisibility rules (`P13xx`) are pure arithmetic. The optional
+/// memory rule (`P1401`) settles every pair whose ceiling fits from the
+/// part sums of the filter's model, and takes a stage graph from a
+/// borrowed [`StageGraphs`] store only for a pair whose ceiling
+/// overflows: at most one graph per stage structure, and none the store
+/// already holds. The rule's verdict reads the stage and the
+/// configuration, never the mesh, so it is memoized per (stage
+/// structure, configuration): every later candidate of a pair reads the
+/// first one's verdict.
 pub struct StaticLegality {
     model: ModelSpec,
     microbatches: usize,
@@ -46,12 +49,13 @@ pub struct StaticLegality {
 /// `memory_fit_diag`'s answer per (stage structure, configuration).
 type Verdicts = HashMap<(StageStructure, ParallelConfig), Option<Diagnostic>>;
 
-/// The memory rule's device, its kept-free fraction, the store its
-/// stage graphs come from, its verdicts so far, and how many of them
-/// took the exact sweep.
+/// The memory rule's device, its kept-free fraction, the part sums of
+/// the filter's model, the store its stage graphs come from, its
+/// verdicts so far, and how many of them took the exact sweep.
 struct MemoryCheck {
     gpu: GpuSpec,
     headroom_frac: f64,
+    parts: PartSums,
     graphs: Arc<StageGraphs>,
     /// Sound because equal structures build equal graphs, and the GPU
     /// and headroom are fixed for the filter's lifetime.
@@ -80,14 +84,23 @@ impl MemoryCheck {
             .expect("verdict lock never poisoned: no verdict is reached under it")
     }
 
-    /// The memoized verdict for `stage` under `config`; a miss builds
-    /// (or borrows) the graph and judges it outside the lock.
+    /// The memoized verdict for `stage` under `config`. A miss reads
+    /// the ceiling, and only when it overflows builds (or borrows) the
+    /// graph and judges it, outside the lock.
     fn verdict(&self, stage: &StageSpec, config: ParallelConfig) -> Option<Diagnostic> {
         let key = (StageStructure::of(stage), config);
         if let Some(v) = self.verdicts().get(&key) {
             return v.clone();
         }
-        let v = self.judge(stage, &[config]).swap_remove(0);
+        let fits = self
+            .parts
+            .sums(stage)
+            .ceiling_fits(config, &self.gpu, self.headroom_frac);
+        let v = if fits {
+            None
+        } else {
+            self.judge(stage, &[config]).swap_remove(0)
+        };
         self.verdicts().entry(key).or_insert(v).clone()
     }
 }
@@ -105,9 +118,10 @@ impl StaticLegality {
     }
 
     /// Additionally reject candidates whose per-device memory lower
-    /// bound cannot fit `gpu` with `headroom_frac` kept free, reading
-    /// stage graphs from `graphs` (the simulator's store, so the search
-    /// builds each structure once).
+    /// bound cannot fit `gpu` with `headroom_frac` kept free. Emits the
+    /// model's parts once, for every ceiling, and reads the stage graphs
+    /// an overflowing ceiling needs from `graphs` (the simulator's
+    /// store, so the search builds each structure once).
     pub fn with_memory_check(
         mut self,
         gpu: GpuSpec,
@@ -117,6 +131,7 @@ impl StaticLegality {
         self.memory = Some(MemoryCheck {
             gpu,
             headroom_frac,
+            parts: PartSums::of(self.model),
             graphs,
             verdicts: Mutex::new(HashMap::new()),
             sweeps: AtomicUsize::new(0),
@@ -163,20 +178,23 @@ impl StaticLegality {
 
     /// The legal `candidates`, in their order: the same list, counters
     /// and verdicts as calling [`Self::is_legal`] on each, with the
-    /// memory rule's graph builds and verdicts spread over `threads`
-    /// workers first.
+    /// memory rule's graph builds and exact verdicts spread over
+    /// `threads` workers first.
     ///
-    /// Runs in three steps: the divisibility rules pick the candidates
-    /// the memory rule must judge; one pool task per distinct stage
-    /// structure among them takes its graph from the store once,
-    /// summarizes it, and judges each of its unjudged configurations
-    /// into the memo; then the serial [`Self::is_legal`] pass, every
-    /// verdict now a memo read, fixes the order and the counters. Each
-    /// structure is one task, so no graph is built twice, and no lock is
-    /// held across a build or a verdict.
+    /// Runs in three steps. A serial pre-pass lets the divisibility
+    /// rules pick the candidates the memory rule must judge, groups
+    /// their unjudged (structure, configuration) pairs by structure, and
+    /// settles each pair whose ceiling fits as "fits" from the
+    /// structure's part sums, added up once. One pool task per structure
+    /// with a pair left takes its graph from the store once, summarizes
+    /// it, and judges each of those configurations into the memo. Then
+    /// the serial [`Self::is_legal`] pass, every verdict now a memo
+    /// read, fixes the order and the counters. Each structure is one
+    /// task, so no graph is built twice, and no lock is held across a
+    /// graph build or a verdict.
     pub fn filter(&self, candidates: Vec<SubProblem>, threads: usize) -> Vec<SubProblem> {
         if let Some(m) = &self.memory {
-            let mut tasks: Vec<(StageSpec, Vec<ParallelConfig>)> = Vec::new();
+            let mut tasks: Vec<(StageStructure, StageSpec, Vec<ParallelConfig>)> = Vec::new();
             let mut task_of: HashMap<StageStructure, usize> = HashMap::new();
             {
                 let judged = m.verdicts();
@@ -189,17 +207,28 @@ impl StaticLegality {
                         continue;
                     }
                     let task = *task_of.entry(key).or_insert_with(|| {
-                        tasks.push((*stage, Vec::new()));
+                        tasks.push((key, *stage, Vec::new()));
                         tasks.len() - 1
                     });
-                    let configs = &mut tasks[task].1;
+                    let configs = &mut tasks[task].2;
                     if !configs.contains(config) {
                         configs.push(*config);
                     }
                 }
             }
-            let verdicts = par_map_with(tasks, threads, |(stage, configs)| {
-                let key = StageStructure::of(&stage);
+            let mut settled = Vec::new();
+            for (key, stage, configs) in &mut tasks {
+                let sums = m.parts.sums(stage);
+                configs.retain(|&config| {
+                    let fits = sums.ceiling_fits(config, &m.gpu, m.headroom_frac);
+                    if fits {
+                        settled.push(((*key, config), None));
+                    }
+                    !fits
+                });
+            }
+            tasks.retain(|(_, _, configs)| !configs.is_empty());
+            let verdicts = par_map_with(tasks, threads, |(key, stage, configs)| {
                 let verdicts = m.judge(&stage, &configs);
                 configs
                     .into_iter()
@@ -207,7 +236,8 @@ impl StaticLegality {
                     .zip(verdicts)
                     .collect::<Vec<_>>()
             });
-            m.verdicts().extend(verdicts.into_iter().flatten());
+            m.verdicts()
+                .extend(settled.into_iter().chain(verdicts.into_iter().flatten()));
         }
         candidates
             .into_iter()
@@ -296,22 +326,40 @@ mod tests {
         assert!(!leg.is_legal(&s, MeshShape::new(1, 1), ParallelConfig::SERIAL));
     }
 
-    #[test]
-    fn stage_graphs_are_cached_by_layer_range() {
-        // the filter borrows the store: three interior windows of one
-        // structure, each under three configs, leave one graph in it
+    /// Three interior windows of one structure, each under three
+    /// configs, judged by a filter on `gpu`: how many graphs the store
+    /// holds after, and how many verdicts the filter reached.
+    fn judge_two_layer_windows(gpu: GpuSpec) -> (usize, usize) {
         let m = ModelSpec::gpt3_1p3b(8);
         let graphs = Arc::new(StageGraphs::new());
-        let leg =
-            StaticLegality::new(m, 1).with_memory_check(GpuSpec::a40(), 0.1, Arc::clone(&graphs));
+        let leg = StaticLegality::new(m, 1).with_memory_check(gpu, 0.1, Arc::clone(&graphs));
         for start in [1, 2, 3] {
             let s = StageSpec::new(m, start, start + 2);
             for mp in [1, 2, 4] {
                 let _ = leg.is_legal(&s, MeshShape::new(1, 4), ParallelConfig::new(1, mp));
             }
         }
-        assert_eq!(graphs.len(), 1);
-        assert_eq!(leg.memory_checks(), 3, "one bound per (structure, config)");
+        (graphs.len(), leg.memory_checks())
+    }
+
+    #[test]
+    fn fitting_ceilings_need_no_stage_graph() {
+        // an A40 holds every two-layer ceiling: the part sums settle all
+        // three (structure, config) pairs and no graph is built
+        assert_eq!(judge_two_layer_windows(GpuSpec::a40()), (0, 3));
+    }
+
+    #[test]
+    fn stage_graphs_are_cached_by_layer_range() {
+        // on a 1 GiB device the two-layer window overflows its ceiling,
+        // so the filter borrows the store: the three windows share one
+        // graph, judged once per (structure, config)
+        let small = GpuSpec {
+            name: "small-test-gpu",
+            memory_gib: 1.0,
+            ..GpuSpec::a40()
+        };
+        assert_eq!(judge_two_layer_windows(small), (1, 3));
     }
 
     /// The benchmark's small MoE on Platform 2's 2×2 cluster with 4
@@ -399,6 +447,40 @@ mod tests {
                 expected,
                 "{stage:?} on {mesh:?} under {config:?}"
             );
+        }
+    }
+
+    /// The filter builds a stage graph only for a structure with a
+    /// pair whose ceiling overflows, at any width. Platform 2's devices
+    /// hold every ceiling, so its 174 verdicts need no graph and no
+    /// sweep; on the 0.045 GiB device 43 of the 58 structures overflow
+    /// some ceiling, and 69 verdicts take the sweep.
+    #[test]
+    fn filter_builds_graphs_only_for_overflowing_ceilings() {
+        let (model, work) = moe_problem();
+        let platform2 = predtop_cluster::Platform::platform2().gpu;
+        for (gpu, graphs, sweeps, rejected) in [(platform2, 0, 0, 0), (tight_gpu(), 43, 69, 110)] {
+            for threads in [1, 2, 4, 8] {
+                let store = Arc::new(StageGraphs::new());
+                let leg = StaticLegality::new(model, 4).with_memory_check(
+                    gpu.clone(),
+                    0.1,
+                    Arc::clone(&store),
+                );
+                leg.filter(work.clone(), threads);
+                let counts = (
+                    store.len(),
+                    leg.memory_checks(),
+                    leg.memory_sweeps(),
+                    leg.memory_rejections(),
+                );
+                assert_eq!(
+                    counts,
+                    (graphs, 174, sweeps, rejected),
+                    "{} at {threads} threads",
+                    gpu.name
+                );
+            }
         }
     }
 

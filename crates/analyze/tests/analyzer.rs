@@ -271,7 +271,7 @@ proptest! {
         let want = three_walk_bound(&g, config);
         let summary = MemorySummary::of(&g);
         prop_assert_eq!(summary.estimate(config), want);
-        prop_assert!(summary.upper_estimate(config).total() >= want.total());
+        prop_assert!(summary.sums().upper_estimate(config).total() >= want.total());
         prop_assert_eq!(stage_memory_liveness_bound(&g, config), want);
     }
 }

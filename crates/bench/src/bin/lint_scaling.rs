@@ -11,9 +11,11 @@
 //! on Platform 2's 2×2 cluster with 2 micro-batches, each repetition
 //! with a fresh filter and profiler, once on one thread and once on
 //! every available one: first with Platform 2's own devices, where every
-//! verdict fits under the memory summary's retain-everything ceiling,
-//! then with a 0.01 GiB device, where many verdicts take the exact
-//! liveness sweep and `P1401` rejects.
+//! verdict fits under the retain-everything ceiling the filter reads
+//! from part sums, so no stage graph is built, then with a 0.01 GiB
+//! device, where many ceilings overflow, their structures' graphs are
+//! built, verdicts take the exact liveness sweep and `P1401` rejects.
+//! Each filter row counts the graphs its filter built.
 //! Results are written as stable-schema JSON (default
 //! `BENCH_lint.json`; override with `--out PATH`) alongside
 //! `search_scaling`'s artifact.
@@ -119,15 +121,16 @@ fn main() {
     };
     let work = enumerate_candidates(model, MeshShape::new(2, 2), opts);
     // what the memory rule must judge: the distinct (structure, config)
-    // pairs among the candidates the divisibility rules pass
-    let structure_configs = work
+    // pairs among the candidates the divisibility rules pass, and the
+    // structures among them (the most graphs a filter can build)
+    let pairs: HashSet<_> = work
         .iter()
         .filter(|(_, _, c)| {
             divisibility_diags(&model, opts.microbatches, *c, Span::Plan, None).is_empty()
         })
         .map(|(s, _, c)| (StageStructure::of(s), *c))
-        .collect::<HashSet<_>>()
-        .len();
+        .collect();
+    let structures = pairs.iter().map(|(s, _)| s).collect::<HashSet<_>>().len();
     let available = std::thread::available_parallelism().map_or(1, |n| n.get());
     let platform_gpu = Platform::platform2().gpu;
     let tight_gpu = GpuSpec {
@@ -142,7 +145,7 @@ fn main() {
         .collect();
 
     let doc = Json::obj()
-        .field("schema_version", 6u64)
+        .field("schema_version", 7u64)
         .field("benchmark", "lint_scaling")
         .field("mode", if cli.smoke { "smoke" } else { "full" })
         .field(
@@ -155,7 +158,8 @@ fn main() {
         .field("graph_row", graph_row)
         .field("rows", rows)
         .field("filter_candidates", work.len())
-        .field("filter_structure_configs", structure_configs)
+        .field("filter_structures", structures)
+        .field("filter_structure_configs", pairs.len())
         .field("filter_rows", filter_rows);
     write_json_file(&cli.out, &doc);
     println!("saved {}", cli.out.display());
@@ -193,8 +197,9 @@ fn graph_row(stages: &[StageSpec]) -> Json {
 /// The checked search's phase 1 over `work` on `threads` workers, its
 /// filter built by `search_legality` for Platform 2 fitted with `gpu`:
 /// best of three repetitions, each with a fresh filter and profiler (so
-/// every stage graph is built and every verdict reached inside the
-/// timing). The counts repeat exactly; the last repetition's are kept.
+/// the filter's set-up, every graph it needs and every verdict are
+/// inside the timing). The counts repeat exactly; the last
+/// repetition's are kept.
 fn filter_row(
     model: ModelSpec,
     opts: InterStageOptions,
@@ -210,8 +215,9 @@ fn filter_row(
             ..Platform::platform2()
         };
         let profiler = SimProfiler::new(platform, 1);
-        let legality = search_legality(model, &profiler, opts);
+        // the filter's set-up emits its model's parts: time it too
         let start = Instant::now();
+        let legality = search_legality(model, &profiler, opts);
         let legal = legality.filter(work.to_vec(), threads);
         best = best.min(start.elapsed().as_secs_f64());
         assert_eq!(legal.len() + legality.rejections(), work.len());

@@ -705,10 +705,11 @@ mod tests {
     }
 
     /// The checked search judges each (stage structure, config) pair
-    /// once: the 408 candidates that pass divisibility share 58 graphs
-    /// under 3 configurations, at any batch width. Platform 2's devices
-    /// hold every pair's retain-everything ceiling, so no verdict takes
-    /// the exact sweep.
+    /// once: the 408 candidates that pass divisibility span 58 stage
+    /// structures under 3 configurations, at any batch width. Platform
+    /// 2's devices hold every pair's retain-everything ceiling, so no
+    /// verdict takes the exact sweep or builds a graph; the 58 graphs
+    /// are the profiler's, the search's latency source.
     #[test]
     fn checked_search_bounds_each_structure_and_config_once() {
         let (model, cluster, opts) = moe_problem();
@@ -868,6 +869,56 @@ mod tests {
             p_warm.queries_issued(),
             p_cold.queries_issued()
         );
+    }
+
+    /// A warm checked search on Platform 2 builds stage graphs only to
+    /// re-evaluate the chosen plan: every candidate latency is a disk
+    /// read, and the filter settles every memory verdict from part sums.
+    #[test]
+    fn warm_checked_search_builds_only_the_plan_graphs() {
+        use predtop_parallel::StageStructure;
+        use std::collections::HashSet;
+
+        let (model, cluster, opts) = moe_problem();
+        let store = store_dir("checked-warm");
+        let search = || {
+            let profiler = SimProfiler::new(Platform::platform2(), 1);
+            let legality = search_legality(model, &profiler, opts);
+            let req = SearchRequest::new(model, cluster, opts)
+                .threads(2)
+                .stored(Arc::clone(&store), "sim:2:1".to_string())
+                .legality(&legality);
+            let out = run_search(&req, &profiler, &profiler).expect("Platform 2 fits a plan");
+            (out, profiler)
+        };
+        let (cold, _) = search();
+        let (warm, profiler) = search();
+        let persist = |out: &SearchOutcome| {
+            out.service
+                .as_ref()
+                .and_then(|r| r.persist)
+                .expect("persist layer reports")
+        };
+        assert!(persist(&cold).disk_misses > 0);
+        assert_eq!(persist(&warm).disk_misses, 0);
+        assert_eq!(warm.plan, cold.plan);
+        assert_eq!(
+            warm.estimated_latency.to_bits(),
+            cold.estimated_latency.to_bits()
+        );
+        assert_eq!(warm.true_latency.to_bits(), cold.true_latency.to_bits());
+        let plan_structures: HashSet<StageStructure> = warm
+            .plan
+            .stages
+            .iter()
+            .map(|ps| StageStructure::of(&ps.stage))
+            .collect();
+        assert_eq!(profiler.graphs().len(), plan_structures.len());
+        // and they are the plan's: reading them back builds nothing
+        for ps in &warm.plan.stages {
+            profiler.graphs().get(&ps.stage);
+        }
+        assert_eq!(profiler.graphs().len(), plan_structures.len());
     }
 
     #[test]

@@ -29,4 +29,4 @@ pub mod spec;
 pub mod stage;
 
 pub use spec::{ModelKind, ModelSpec, MoeSpec};
-pub use stage::{enumerate_stages, sample_stages, StageSpec};
+pub use stage::{enumerate_stages, sample_stages, StagePart, StageSpec};

@@ -10,10 +10,47 @@
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
 
-use predtop_ir::Graph;
+use predtop_ir::{Graph, NodeId};
 
 use crate::layers::{Emitter, ACT};
 use crate::spec::ModelSpec;
+
+/// One part of a stage graph. [`StageSpec::build_graph`] emits a
+/// stage's [`StageSpec::parts`] in order, each reading the previous
+/// part's output, so every node of the graph belongs to exactly one
+/// part.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StagePart {
+    /// The token and positional embedding: the first stage's entry.
+    Embedding,
+    /// The activation a later stage receives: one input node, its entry.
+    Incoming,
+    /// Transformer layer `i`: dense or MoE by
+    /// [`ModelSpec::is_moe_layer`].
+    Layer(usize),
+    /// The LM head and loss: the last stage's exit.
+    Head,
+}
+
+impl StagePart {
+    /// Emit this part into `e` after `x`, the previous part's output
+    /// (`None` for an entry part, which reads none).
+    ///
+    /// # Panics
+    /// Panics when a layer or the head has no `x` to read.
+    pub fn emit(self, e: &mut Emitter, x: Option<NodeId>) -> NodeId {
+        let x = || x.expect("a layer or the head follows an entry part");
+        match self {
+            StagePart::Embedding => e.embedding(),
+            StagePart::Incoming => {
+                let s = *e.spec();
+                e.b.input([s.tokens(), s.hidden], ACT)
+            }
+            StagePart::Layer(layer) => e.transformer_layer(x(), layer),
+            StagePart::Head => e.lm_head(x()),
+        }
+    }
+}
 
 /// A pipeline-stage candidate: layers `start..end` of `model`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,19 +97,29 @@ impl StageSpec {
         format!("{}[{}..{})", self.model.kind.name(), self.start, self.end)
     }
 
+    /// The parts of this stage's graph, in emission order: the
+    /// embedding or the incoming activation, one block per layer, and
+    /// the head when the stage carries it.
+    pub fn parts(&self) -> impl Iterator<Item = StagePart> {
+        let entry = if self.has_embedding() {
+            StagePart::Embedding
+        } else {
+            StagePart::Incoming
+        };
+        std::iter::once(entry)
+            .chain((self.start..self.end).map(StagePart::Layer))
+            .chain(self.has_head().then_some(StagePart::Head))
+    }
+
     /// Emit the tensor-level operator graph of this stage (un-pruned; run
-    /// [`predtop_ir::prune::prune`] before feeding predictors).
+    /// [`predtop_ir::prune::prune`] before feeding predictors): its
+    /// [`Self::parts`] in order, the last one's output declared.
     pub fn build_graph(&self) -> Graph {
         let mut e = Emitter::new(self.model);
-        let mut x = if self.has_embedding() {
-            e.embedding()
-        } else {
-            e.b.input([self.model.tokens(), self.model.hidden], ACT)
-        };
-        for layer in self.start..self.end {
-            x = e.transformer_layer(x, layer);
-        }
-        let out = if self.has_head() { e.lm_head(x) } else { x };
+        let out = self
+            .parts()
+            .fold(None, |x, part| Some(part.emit(&mut e, x)))
+            .expect("a stage starts with an entry part");
         e.finish(&[out])
     }
 }

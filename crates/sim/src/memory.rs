@@ -21,12 +21,19 @@
 //! out-of-memory configurations. [`MemorySummary`] applies the same
 //! rules to the all-sharded assignment, the least memory any
 //! assignment reaches, under every configuration of one graph: the
-//! checked search's `P1401` lower bound (DESIGN.md §12).
+//! checked search's `P1401` lower bound (DESIGN.md §12). Its ceiling
+//! reads only four byte sums ([`MemorySums`]), and [`PartSums`] adds
+//! those up for any stage from its parts, so a ceiling that fits needs
+//! no stage graph at all.
 
 use std::cell::Cell;
+use std::iter::Sum;
+use std::ops::Add;
 
 use predtop_cluster::GpuSpec;
 use predtop_ir::{live, Graph, Node, NodeId, NodeKind, OpKind};
+use predtop_models::layers::Emitter;
+use predtop_models::{ModelSpec, StagePart, StageSpec};
 use predtop_parallel::intra::IntraPlan;
 use predtop_parallel::sharding::Sharding;
 use predtop_parallel::ParallelConfig;
@@ -177,23 +184,17 @@ struct Buffer {
 /// last point for a retained one (it feeds the backward pass).
 ///
 /// [`Self::estimate`] is the exact bound, one sweep per configuration;
-/// [`Self::upper_estimate`] is a retain-everything ceiling on it from
-/// four sums, which decides "fits" without the sweep whenever the
-/// ceiling fits.
+/// [`MemorySums::upper_estimate`] on [`Self::sums`] is a
+/// retain-everything ceiling on it, which decides "fits" without the
+/// sweep whenever the ceiling fits.
 #[derive(Debug)]
 pub struct MemorySummary {
     /// One per node, in schedule order.
     buffers: Vec<Buffer>,
     /// The bytes of each float weight input a `DotGeneral` reads.
     dot_weights: Vec<u64>,
-    /// Their sum.
-    w_dot: u64,
-    /// All other weight bytes.
-    w_rest: u64,
-    /// Operator output bytes.
-    s_op: u64,
-    /// The incoming activation's bytes.
-    s_in: u64,
+    /// The graph's four byte sums.
+    sums: MemorySums,
     /// Exact sweeps run so far.
     sweeps: Cell<usize>,
 }
@@ -218,25 +219,14 @@ impl MemorySummary {
         let mut summary = MemorySummary {
             buffers: Vec::with_capacity(graph.len()),
             dot_weights: Vec::new(),
-            w_dot: 0,
-            w_rest: 0,
-            s_op: 0,
-            s_in: 0,
+            sums: MemorySums::default(),
             sweeps: Cell::new(0),
         };
         for node in graph.nodes() {
             let bytes = node.output_bytes();
             let role = role(node);
-            match role {
-                Role::Incoming => summary.s_in += bytes,
-                Role::Output => summary.s_op += bytes,
-                // all-sharded: every contraction is column-sharded
-                Role::Weight if dot_reads(graph, node.id, |_| true) => {
-                    summary.w_dot += bytes;
-                    summary.dot_weights.push(bytes);
-                }
-                Role::Weight => summary.w_rest += bytes,
-                Role::Uncounted => {}
+            if summary.sums.count(graph, node, role, bytes) {
+                summary.dot_weights.push(bytes);
             }
             let end = if live::is_transient(graph, node.id) {
                 live::last_use(graph, node.id).index()
@@ -252,16 +242,10 @@ impl MemorySummary {
         summary
     }
 
-    /// `U = 8·(⌊W_dot/mp⌋ + W_rest) + ⌊S_op/(mp·dp)⌋ + ⌊S_in/dp⌋` as an
-    /// estimate: never below [`Self::estimate`]'s total, because a floor
-    /// of a sum is at least the sum of the floors, `⌊⌊b/mp⌋/dp⌋ =
-    /// ⌊b/(mp·dp)⌋`, and the peak never exceeds the sum.
-    pub fn upper_estimate(&self, config: ParallelConfig) -> MemoryEstimate {
-        let (mp, dp) = (config.mp as u64, config.dp as u64);
-        MemoryEstimate::new(
-            self.w_dot / mp + self.w_rest,
-            self.s_op / (mp * dp) + self.s_in / dp,
-        )
+    /// The graph's four byte sums, which bound it from above under any
+    /// configuration.
+    pub fn sums(&self) -> &MemorySums {
+        &self.sums
     }
 
     /// The exact bound under `config`: all-sharded parameters,
@@ -270,7 +254,7 @@ impl MemorySummary {
     pub fn estimate(&self, config: ParallelConfig) -> MemoryEstimate {
         let mp = config.mp as u64;
         let sharded: u64 = self.dot_weights.iter().map(|&bytes| bytes / mp).sum();
-        MemoryEstimate::new(sharded + self.w_rest, self.sweep(config).peak)
+        MemoryEstimate::new(sharded + self.sums.w_rest, self.sweep(config).peak)
     }
 
     /// The all-sharded activation sweep under `config`, one pass over
@@ -319,6 +303,161 @@ impl MemorySummary {
         }
         ActivationSweep { peak, at, sum }
     }
+}
+
+/// A stage graph's four byte sums, which bound its memory under any
+/// configuration: the weight bytes a `DotGeneral` reads (`W_dot`), all
+/// other weight bytes (`W_rest`), the operator output bytes (`S_op`)
+/// and the incoming activation's bytes (`S_in`). Each node counts
+/// toward at most one of them, so sums over disjoint node sets add up.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemorySums {
+    w_dot: u64,
+    w_rest: u64,
+    s_op: u64,
+    s_in: u64,
+}
+
+impl MemorySums {
+    /// Count `node` of `graph`, whose role is `role` and size `bytes`,
+    /// toward its sum; `true` when it is a weight a contraction reads.
+    #[inline]
+    fn count(&mut self, graph: &Graph, node: &Node, role: Role, bytes: u64) -> bool {
+        match role {
+            Role::Incoming => self.s_in += bytes,
+            Role::Output => self.s_op += bytes,
+            // all-sharded: every contraction is column-sharded
+            Role::Weight if dot_reads(graph, node.id, |_| true) => {
+                self.w_dot += bytes;
+                return true;
+            }
+            Role::Weight => self.w_rest += bytes,
+            Role::Uncounted => {}
+        }
+        false
+    }
+
+    /// `U = 8·(⌊W_dot/mp⌋ + W_rest) + ⌊S_op/(mp·dp)⌋ + ⌊S_in/dp⌋` as an
+    /// estimate: never below [`MemorySummary::estimate`]'s total,
+    /// because a floor of a sum is at least the sum of the floors,
+    /// `⌊⌊b/mp⌋/dp⌋ = ⌊b/(mp·dp)⌋`, and the peak never exceeds the sum.
+    pub fn upper_estimate(&self, config: ParallelConfig) -> MemoryEstimate {
+        let (mp, dp) = (config.mp as u64, config.dp as u64);
+        MemoryEstimate::new(
+            self.w_dot / mp + self.w_rest,
+            self.s_op / (mp * dp) + self.s_in / dp,
+        )
+    }
+
+    /// Does the ceiling under `config` fit `gpu` with `headroom_frac`
+    /// kept free? When it does, so does the exact bound, and the
+    /// verdict is "fits" with no graph walked; when it does not, only
+    /// the exact bound can decide.
+    pub fn ceiling_fits(&self, config: ParallelConfig, gpu: &GpuSpec, headroom_frac: f64) -> bool {
+        fits_on(gpu, &self.upper_estimate(config), headroom_frac)
+    }
+}
+
+impl Add for MemorySums {
+    type Output = MemorySums;
+
+    fn add(self, other: MemorySums) -> MemorySums {
+        MemorySums {
+            w_dot: self.w_dot + other.w_dot,
+            w_rest: self.w_rest + other.w_rest,
+            s_op: self.s_op + other.s_op,
+            s_in: self.s_in + other.s_in,
+        }
+    }
+}
+
+impl Sum for MemorySums {
+    fn sum<I: Iterator<Item = MemorySums>>(iter: I) -> MemorySums {
+        iter.fold(MemorySums::default(), Add::add)
+    }
+}
+
+/// The [`MemorySums`] of each part a model's stage graphs are built
+/// from ([`StageSpec::parts`]), each part emitted once, so any stage's
+/// sums are a sum of table entries with no stage graph built.
+///
+/// The sums add up exactly: `StageSpec::build_graph` concatenates its
+/// parts, every weight is read only inside its own part, and the output
+/// marker `finish` adds counts toward no sum. A layer or the head is
+/// emitted after a one-node incoming input that is left out of its
+/// sums, and a layer's part depends on its index only through
+/// [`ModelSpec::is_moe_layer`], so one dense and one MoE entry serve
+/// every layer.
+#[derive(Debug)]
+pub struct PartSums {
+    model: ModelSpec,
+    embedding: MemorySums,
+    incoming: MemorySums,
+    /// The dense and the MoE layer's sums, each when a layer of the
+    /// model is of that kind.
+    layers: [Option<MemorySums>; 2],
+    head: MemorySums,
+}
+
+impl PartSums {
+    /// Emit and tally every part of `model`'s stages.
+    pub fn of(model: ModelSpec) -> PartSums {
+        let layer = |moe: bool| {
+            (0..model.num_layers)
+                .find(|&i| model.is_moe_layer(i) == moe)
+                .map(|i| part_sums(model, StagePart::Layer(i)))
+        };
+        PartSums {
+            model,
+            embedding: part_sums(model, StagePart::Embedding),
+            incoming: part_sums(model, StagePart::Incoming),
+            layers: [layer(false), layer(true)],
+            head: part_sums(model, StagePart::Head),
+        }
+    }
+
+    /// The model whose parts the table holds.
+    pub fn model(&self) -> &ModelSpec {
+        &self.model
+    }
+
+    /// The sums of `stage`'s graph: those of its parts, added up.
+    ///
+    /// # Panics
+    /// Panics when `stage` slices a model other than the table's.
+    pub fn sums(&self, stage: &StageSpec) -> MemorySums {
+        assert_eq!(
+            stage.model, self.model,
+            "a part table sums its own model's stages"
+        );
+        stage
+            .parts()
+            .map(|part| match part {
+                StagePart::Embedding => self.embedding,
+                StagePart::Incoming => self.incoming,
+                StagePart::Layer(i) => self.layers[usize::from(self.model.is_moe_layer(i))]
+                    .expect("the table holds every layer kind of its model"),
+                StagePart::Head => self.head,
+            })
+            .sum()
+    }
+}
+
+/// `part` of `model`, emitted alone and tallied with the summary's
+/// rules: a layer or the head reads a one-node incoming input, emitted
+/// first and left out of the tally.
+fn part_sums(model: ModelSpec, part: StagePart) -> MemorySums {
+    let mut e = Emitter::new(model);
+    let x = matches!(part, StagePart::Layer(_) | StagePart::Head)
+        .then(|| StagePart::Incoming.emit(&mut e, None));
+    let first = e.b.len();
+    let out = part.emit(&mut e, x);
+    let graph = e.finish(&[out]);
+    let mut sums = MemorySums::default();
+    for node in &graph.nodes()[first..] {
+        sums.count(&graph, node, role(node), node.output_bytes());
+    }
+    sums
 }
 
 /// Does the estimate fit in one `gpu`, leaving `headroom_frac` of the
