@@ -22,7 +22,7 @@ use predtop_models::{ModelSpec, StageSpec};
 use predtop_parallel::intern::SubProblem;
 use predtop_parallel::{MeshShape, ParallelConfig, StageGraphs, StageStructure};
 use predtop_runtime::par_map_with;
-use predtop_sim::memory::{MemorySummary, PartSums};
+use predtop_sim::memory::{MemorySummary, MemorySums, PartSums};
 
 use crate::diag::{has_errors, sort_diagnostics, Diagnostic, Span};
 use crate::plan_passes::{divisibility_diags, memory_fit_diag};
@@ -64,17 +64,27 @@ struct MemoryCheck {
 }
 
 impl MemoryCheck {
-    /// The verdict for each of `configs`, in order, on `stage`'s graph:
-    /// one summary of the graph answers them all.
+    /// The verdict for each of `configs`, in order, on `stage`: "fits"
+    /// wherever the ceiling read from the part sums fits, and otherwise
+    /// the exact bound from one summary of the stage's graph, which is
+    /// taken from the store only when some ceiling overflows.
     fn judge(&self, stage: &StageSpec, configs: &[ParallelConfig]) -> Vec<Option<Diagnostic>> {
-        let summary = MemorySummary::of(&self.graphs.get(stage));
+        let sums = self.parts.sums(stage);
+        let mut summary = None;
         let verdicts = configs
             .iter()
             .map(|&config| {
-                memory_fit_diag(&summary, config, &self.gpu, self.headroom_frac, Span::Plan)
+                if sums.ceiling_fits(config, &self.gpu, self.headroom_frac) {
+                    return None;
+                }
+                let summary =
+                    summary.get_or_insert_with(|| MemorySummary::of(&self.graphs.get(stage)));
+                memory_fit_diag(summary, config, &self.gpu, self.headroom_frac, Span::Plan)
             })
             .collect();
-        self.sweeps.fetch_add(summary.sweeps(), Ordering::Relaxed);
+        if let Some(summary) = summary {
+            self.sweeps.fetch_add(summary.sweeps(), Ordering::Relaxed);
+        }
         verdicts
     }
 
@@ -84,23 +94,14 @@ impl MemoryCheck {
             .expect("verdict lock never poisoned: no verdict is reached under it")
     }
 
-    /// The memoized verdict for `stage` under `config`. A miss reads
-    /// the ceiling, and only when it overflows builds (or borrows) the
-    /// graph and judges it, outside the lock.
+    /// The memoized verdict for `stage` under `config`; a miss is
+    /// judged outside the lock.
     fn verdict(&self, stage: &StageSpec, config: ParallelConfig) -> Option<Diagnostic> {
         let key = (StageStructure::of(stage), config);
         if let Some(v) = self.verdicts().get(&key) {
             return v.clone();
         }
-        let fits = self
-            .parts
-            .sums(stage)
-            .ceiling_fits(config, &self.gpu, self.headroom_frac);
-        let v = if fits {
-            None
-        } else {
-            self.judge(stage, &[config]).swap_remove(0)
-        };
+        let v = self.judge(stage, &[config]).swap_remove(0);
         self.verdicts().entry(key).or_insert(v).clone()
     }
 }
@@ -182,53 +183,45 @@ impl StaticLegality {
     /// `threads` workers first.
     ///
     /// Runs in three steps. A serial pre-pass lets the divisibility
-    /// rules pick the candidates the memory rule must judge, groups
-    /// their unjudged (structure, configuration) pairs by structure, and
-    /// settles each pair whose ceiling fits as "fits" from the
-    /// structure's part sums, added up once. One pool task per structure
-    /// with a pair left takes its graph from the store once, summarizes
-    /// it, and judges each of those configurations into the memo. Then
-    /// the serial [`Self::is_legal`] pass, every verdict now a memo
-    /// read, fixes the order and the counters. Each structure is one
-    /// task, so no graph is built twice, and no lock is held across a
-    /// graph build or a verdict.
+    /// rules pick the candidates the memory rule must judge, adds up
+    /// each of their structures' part sums once, settles every
+    /// unjudged (structure, configuration) pair whose ceiling fits as
+    /// "fits" into the memo, and groups the rest by structure. One pool
+    /// task per structure with a pair left takes its graph from the
+    /// store once, summarizes it, and judges each of those
+    /// configurations into the memo. Then the serial [`Self::is_legal`]
+    /// pass, every verdict now a memo read, fixes the order and the
+    /// counters. Each structure is one task, so no graph is built
+    /// twice, and no lock is held across a graph build or a verdict.
     pub fn filter(&self, candidates: Vec<SubProblem>, threads: usize) -> Vec<SubProblem> {
         if let Some(m) = &self.memory {
-            let mut tasks: Vec<(StageStructure, StageSpec, Vec<ParallelConfig>)> = Vec::new();
+            let mut tasks: Vec<(StageSpec, MemorySums, Vec<ParallelConfig>)> = Vec::new();
             let mut task_of: HashMap<StageStructure, usize> = HashMap::new();
             {
-                let judged = m.verdicts();
+                let mut judged = m.verdicts();
                 for (stage, _, config) in &candidates {
                     if !self.divisibility(*config).is_empty() {
                         continue;
                     }
-                    let key = StageStructure::of(stage);
-                    if judged.contains_key(&(key, *config)) {
+                    let key = (StageStructure::of(stage), *config);
+                    if judged.contains_key(&key) {
                         continue;
                     }
-                    let task = *task_of.entry(key).or_insert_with(|| {
-                        tasks.push((key, *stage, Vec::new()));
+                    let task = *task_of.entry(key.0).or_insert_with(|| {
+                        tasks.push((*stage, m.parts.sums(stage), Vec::new()));
                         tasks.len() - 1
                     });
-                    let configs = &mut tasks[task].2;
-                    if !configs.contains(config) {
+                    let (_, sums, configs) = &mut tasks[task];
+                    if sums.ceiling_fits(*config, &m.gpu, m.headroom_frac) {
+                        judged.insert(key, None);
+                    } else if !configs.contains(config) {
                         configs.push(*config);
                     }
                 }
             }
-            let mut settled = Vec::new();
-            for (key, stage, configs) in &mut tasks {
-                let sums = m.parts.sums(stage);
-                configs.retain(|&config| {
-                    let fits = sums.ceiling_fits(config, &m.gpu, m.headroom_frac);
-                    if fits {
-                        settled.push(((*key, config), None));
-                    }
-                    !fits
-                });
-            }
             tasks.retain(|(_, _, configs)| !configs.is_empty());
-            let verdicts = par_map_with(tasks, threads, |(key, stage, configs)| {
+            let verdicts = par_map_with(tasks, threads, |(stage, _, configs)| {
+                let key = StageStructure::of(&stage);
                 let verdicts = m.judge(&stage, &configs);
                 configs
                     .into_iter()
@@ -236,8 +229,7 @@ impl StaticLegality {
                     .zip(verdicts)
                     .collect::<Vec<_>>()
             });
-            m.verdicts()
-                .extend(settled.into_iter().chain(verdicts.into_iter().flatten()));
+            m.verdicts().extend(verdicts.into_iter().flatten());
         }
         candidates
             .into_iter()
@@ -394,90 +386,69 @@ mod tests {
         }
     }
 
+    /// On the tight device 43 of the 58 structures overflow some
+    /// ceiling, and 105 of the 174 verdicts fit under it; Platform 2's
+    /// devices hold every ceiling, so its verdicts need no graph and no
+    /// sweep.
     #[test]
     fn filter_matches_the_serial_predicate_at_every_thread_count() {
         let (model, work) = moe_problem();
-        let checked = || {
-            StaticLegality::new(model, 4).with_memory_check(
-                tight_gpu(),
-                0.1,
-                Arc::new(StageGraphs::new()),
-            )
-        };
-        let serial = checked();
-        let want: Vec<SubProblem> = work
-            .iter()
-            .filter(|(s, m, c)| serial.is_legal(s, *m, *c))
-            .copied()
-            .collect();
-        assert_eq!(serial.memory_rejections(), 110);
-        // 105 of the 174 verdicts fit under the retain-everything ceiling
-        assert_eq!((serial.memory_checks(), serial.memory_sweeps()), (174, 69));
-        for threads in [1, 2, 4, 8] {
-            let leg = checked();
-            let got = leg.filter(work.clone(), threads);
-            assert_eq!(got, want, "{threads} threads");
-            assert_eq!(leg.rejections(), serial.rejections(), "{threads} threads");
-            assert_eq!(leg.memory_rejections(), 110, "{threads} threads");
-            assert_eq!(leg.memory_checks(), serial.memory_checks());
-            assert_eq!(leg.memory_sweeps(), 69, "{threads} threads");
-        }
-
-        // every memoized verdict is the one a freshly built graph gives
-        let leg = checked();
-        leg.filter(work.clone(), 2);
-        let mut fresh: HashMap<(usize, usize), MemorySummary> = HashMap::new();
-        for (stage, mesh, config) in &work {
-            let mut expected = leg.divisibility(*config);
-            if expected.is_empty() {
-                let summary = fresh
-                    .entry((stage.start, stage.end))
-                    .or_insert_with(|| MemorySummary::of(&stage.build_graph()));
-                expected.extend(memory_fit_diag(
-                    summary,
-                    *config,
-                    &tight_gpu(),
-                    0.1,
-                    Span::Plan,
-                ));
-            }
-            sort_diagnostics(&mut expected);
-            assert_eq!(
-                leg.candidate_diagnostics(stage, *mesh, *config),
-                expected,
-                "{stage:?} on {mesh:?} under {config:?}"
-            );
-        }
-    }
-
-    /// The filter builds a stage graph only for a structure with a
-    /// pair whose ceiling overflows, at any width. Platform 2's devices
-    /// hold every ceiling, so its 174 verdicts need no graph and no
-    /// sweep; on the 0.045 GiB device 43 of the 58 structures overflow
-    /// some ceiling, and 69 verdicts take the sweep.
-    #[test]
-    fn filter_builds_graphs_only_for_overflowing_ceilings() {
-        let (model, work) = moe_problem();
         let platform2 = predtop_cluster::Platform::platform2().gpu;
-        for (gpu, graphs, sweeps, rejected) in [(platform2, 0, 0, 0), (tight_gpu(), 43, 69, 110)] {
-            for threads in [1, 2, 4, 8] {
-                let store = Arc::new(StageGraphs::new());
-                let leg = StaticLegality::new(model, 4).with_memory_check(
+        // (device, graphs the filter builds, sweeps, P1401 rejections)
+        for (gpu, built, sweeps, rejected) in [(tight_gpu(), 43, 69, 110), (platform2, 0, 0, 0)] {
+            let checked = |graphs: &Arc<StageGraphs>| {
+                StaticLegality::new(model, 4).with_memory_check(
                     gpu.clone(),
                     0.1,
-                    Arc::clone(&store),
-                );
-                leg.filter(work.clone(), threads);
+                    Arc::clone(graphs),
+                )
+            };
+            let serial = checked(&Arc::new(StageGraphs::new()));
+            let want: Vec<SubProblem> = work
+                .iter()
+                .filter(|(s, m, c)| serial.is_legal(s, *m, *c))
+                .copied()
+                .collect();
+            assert_eq!(serial.memory_rejections(), rejected, "{}", gpu.name);
+            assert_eq!(
+                (serial.memory_checks(), serial.memory_sweeps()),
+                (174, sweeps),
+                "{}",
+                gpu.name
+            );
+            for threads in [1, 2, 4, 8] {
+                let store = Arc::new(StageGraphs::new());
+                let leg = checked(&store);
+                let got = leg.filter(work.clone(), threads);
+                let at = format!("{} at {threads} threads", gpu.name);
+                assert_eq!(got, want, "{at}");
+                assert_eq!(leg.rejections(), serial.rejections(), "{at}");
                 let counts = (
                     store.len(),
                     leg.memory_checks(),
                     leg.memory_sweeps(),
                     leg.memory_rejections(),
                 );
+                assert_eq!(counts, (built, 174, sweeps, rejected), "{at}");
+            }
+
+            // every memoized verdict is the one a freshly built graph gives
+            let leg = checked(&Arc::new(StageGraphs::new()));
+            leg.filter(work.clone(), 2);
+            let mut fresh: HashMap<(usize, usize), MemorySummary> = HashMap::new();
+            for (stage, mesh, config) in &work {
+                let mut expected = leg.divisibility(*config);
+                if expected.is_empty() {
+                    let summary = fresh
+                        .entry((stage.start, stage.end))
+                        .or_insert_with(|| MemorySummary::of(&stage.build_graph()));
+                    expected.extend(memory_fit_diag(summary, *config, &gpu, 0.1, Span::Plan));
+                }
+                sort_diagnostics(&mut expected);
                 assert_eq!(
-                    counts,
-                    (graphs, 174, sweeps, rejected),
-                    "{} at {threads} threads",
+                    leg.candidate_diagnostics(stage, *mesh, *config),
+                    expected,
+                    "{stage:?} on {mesh:?} under {config:?} on {}",
                     gpu.name
                 );
             }

@@ -7,9 +7,7 @@ use predtop_models::ModelSpec;
 use predtop_parallel::intra::IntraPlan;
 use predtop_parallel::sharding::Sharding;
 use predtop_parallel::{table3_configs, MeshShape, ParallelConfig, PlanRule};
-use predtop_sim::memory::{
-    estimate_stage_memory, fits_on, MemoryEstimate, MemorySummary, PartSums,
-};
+use predtop_sim::memory::{estimate_stage_memory, fits_on, MemoryEstimate, MemorySummary};
 
 use crate::diag::{Diagnostic, FixEdit, Severity, Span};
 use crate::pass::{PlanContext, PlanPass};
@@ -348,9 +346,9 @@ pub fn stage_memory_liveness_bound(graph: &Graph, config: ParallelConfig) -> Mem
 ///
 /// The summary's retain-everything ceiling is never below the exact
 /// bound, so when the ceiling fits, the verdict is "fits" and the
-/// exact sweep never runs. Callers holding a stage's part sums read the
-/// same ceiling from them first, and summarize the graph only when it
-/// overflows.
+/// exact sweep never runs. The checked search's filter reads the same
+/// ceiling from the stage's part sums first, and summarizes the graph
+/// only when it overflows.
 pub fn memory_fit_diag(
     summary: &MemorySummary,
     config: ParallelConfig,
@@ -385,8 +383,7 @@ pub fn memory_fit_diag(
 
 /// `memory-fit` — each stage's liveness-tight memory lower bound must
 /// fit the target device. Skipped when [`crate::PlanCheckOptions::gpu`]
-/// is `None`. A stage whose ceiling fits, read from its model's part
-/// sums, is never built.
+/// is `None`.
 pub struct MemoryFitPass;
 
 impl PlanPass for MemoryFitPass {
@@ -403,20 +400,7 @@ impl PlanPass for MemoryFitPass {
             return Vec::new();
         };
         let mut out = Vec::new();
-        // one part table per model the plan's stages slice
-        let mut tables: Vec<PartSums> = Vec::new();
         for (i, ps) in ctx.plan.stages.iter().enumerate() {
-            let parts = match tables.iter().position(|t| t.model() == &ps.stage.model) {
-                Some(t) => &tables[t],
-                None => {
-                    tables.push(PartSums::of(ps.stage.model));
-                    &tables[tables.len() - 1]
-                }
-            };
-            let sums = parts.sums(&ps.stage);
-            if sums.ceiling_fits(ps.config, gpu, ctx.options.headroom_frac) {
-                continue;
-            }
             let summary = MemorySummary::of(&ps.stage.build_graph());
             if let Some(d) = memory_fit_diag(
                 &summary,

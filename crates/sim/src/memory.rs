@@ -416,11 +416,6 @@ impl PartSums {
         }
     }
 
-    /// The model whose parts the table holds.
-    pub fn model(&self) -> &ModelSpec {
-        &self.model
-    }
-
     /// The sums of `stage`'s graph: those of its parts, added up.
     ///
     /// # Panics
