@@ -22,7 +22,7 @@ use predtop_models::{ModelSpec, StageSpec};
 use predtop_parallel::intern::SubProblem;
 use predtop_parallel::{MeshShape, ParallelConfig, StageGraphs, StageStructure};
 use predtop_runtime::par_map_with;
-use predtop_sim::memory::{MemorySummary, MemorySums, PartSums};
+use predtop_sim::memory::{MemorySummary, PartSums};
 
 use crate::diag::{has_errors, sort_diagnostics, Diagnostic, Span};
 use crate::plan_passes::{divisibility_diags, memory_fit_diag};
@@ -183,19 +183,19 @@ impl StaticLegality {
     /// `threads` workers first.
     ///
     /// Runs in three steps. A serial pre-pass lets the divisibility
-    /// rules pick the candidates the memory rule must judge, adds up
-    /// each of their structures' part sums once, settles every
-    /// unjudged (structure, configuration) pair whose ceiling fits as
-    /// "fits" into the memo, and groups the rest by structure. One pool
-    /// task per structure with a pair left takes its graph from the
-    /// store once, summarizes it, and judges each of those
-    /// configurations into the memo. Then the serial [`Self::is_legal`]
-    /// pass, every verdict now a memo read, fixes the order and the
-    /// counters. Each structure is one task, so no graph is built
-    /// twice, and no lock is held across a graph build or a verdict.
+    /// rules pick the candidates the memory rule must judge, groups
+    /// their unjudged (structure, configuration) pairs by structure,
+    /// adds up each structure's part sums once, and settles every pair
+    /// whose ceiling fits as "fits" into the memo. One pool task per
+    /// structure with a pair left takes its graph from the store once,
+    /// summarizes it, and judges each of those configurations into the
+    /// memo. Then the serial [`Self::is_legal`] pass, every verdict now
+    /// a memo read, fixes the order and the counters. Each structure is
+    /// one task, so no graph is built twice, and no lock is held across
+    /// a graph build or a verdict.
     pub fn filter(&self, candidates: Vec<SubProblem>, threads: usize) -> Vec<SubProblem> {
         if let Some(m) = &self.memory {
-            let mut tasks: Vec<(StageSpec, MemorySums, Vec<ParallelConfig>)> = Vec::new();
+            let mut tasks: Vec<(StageSpec, Vec<ParallelConfig>)> = Vec::new();
             let mut task_of: HashMap<StageStructure, usize> = HashMap::new();
             {
                 let mut judged = m.verdicts();
@@ -203,24 +203,34 @@ impl StaticLegality {
                     if !self.divisibility(*config).is_empty() {
                         continue;
                     }
-                    let key = (StageStructure::of(stage), *config);
-                    if judged.contains_key(&key) {
+                    let key = StageStructure::of(stage);
+                    if judged.contains_key(&(key, *config)) {
                         continue;
                     }
-                    let task = *task_of.entry(key.0).or_insert_with(|| {
-                        tasks.push((*stage, m.parts.sums(stage), Vec::new()));
+                    let task = *task_of.entry(key).or_insert_with(|| {
+                        tasks.push((*stage, Vec::new()));
                         tasks.len() - 1
                     });
-                    let (_, sums, configs) = &mut tasks[task];
-                    if sums.ceiling_fits(*config, &m.gpu, m.headroom_frac) {
-                        judged.insert(key, None);
-                    } else if !configs.contains(config) {
+                    let configs = &mut tasks[task].1;
+                    if !configs.contains(config) {
                         configs.push(*config);
                     }
                 }
+                // settled only now: a memo that is still empty answers
+                // the lookups above without hashing
+                for (stage, configs) in &mut tasks {
+                    let (key, sums) = (StageStructure::of(stage), m.parts.sums(stage));
+                    configs.retain(|&config| {
+                        let fits = sums.ceiling_fits(config, &m.gpu, m.headroom_frac);
+                        if fits {
+                            judged.insert((key, config), None);
+                        }
+                        !fits
+                    });
+                }
             }
-            tasks.retain(|(_, _, configs)| !configs.is_empty());
-            let verdicts = par_map_with(tasks, threads, |(stage, _, configs)| {
+            tasks.retain(|(_, configs)| !configs.is_empty());
+            let verdicts = par_map_with(tasks, threads, |(stage, configs)| {
                 let key = StageStructure::of(&stage);
                 let verdicts = m.judge(&stage, &configs);
                 configs
