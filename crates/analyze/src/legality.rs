@@ -216,8 +216,9 @@ impl StaticLegality {
                         configs.push(*config);
                     }
                 }
-                // settled only now: a memo that is still empty answers
-                // the lookups above without hashing
+                // settled only now, into a memo grown once: while it is
+                // empty, the lookups above return without hashing
+                judged.reserve(tasks.iter().map(|(_, configs)| configs.len()).sum());
                 for (stage, configs) in &mut tasks {
                     let (key, sums) = (StageStructure::of(stage), m.parts.sums(stage));
                     configs.retain(|&config| {
