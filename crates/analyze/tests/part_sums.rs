@@ -1,17 +1,17 @@
 //! The memory rule's ceiling from part sums: any stage's four byte sums
 //! are the sums of its parts, and the checked filter, which reads its
 //! ceilings from them, reaches every `P1401` verdict the stage graph
-//! gives.
+//! gives, as does the `memory-fit` plan pass.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use predtop_analyze::plan_passes::memory_fit_diag;
-use predtop_analyze::{Span, StaticLegality};
+use predtop_analyze::plan_passes::{memory_fit_diag, MemoryFitPass};
+use predtop_analyze::{PlanCheckOptions, PlanContext, PlanPass, Span, StaticLegality};
 use predtop_cluster::GpuSpec;
 use predtop_models::{enumerate_stages, ModelSpec};
-use predtop_parallel::{MeshShape, ParallelConfig, StageGraphs};
+use predtop_parallel::{MeshShape, ParallelConfig, PipelinePlan, PlannedStage, StageGraphs};
 use predtop_sim::memory::{MemorySummary, PartSums};
 
 /// Random GPT-3 and MoE models of small dimensions: 1–12 layers, so
@@ -68,7 +68,8 @@ proptest! {
     /// For every window of the model: the part table's sums equal the
     /// stage graph's field for field, and on a device of exactly the
     /// window's ceiling, and on one a byte smaller, the filter's verdict
-    /// is the graph path's. The first device settles "fits" with no graph
+    /// and the `memory-fit` pass's finding on a one-stage plan are the
+    /// graph path's. The first device settles "fits" with no graph
     /// built; the second overflows the ceiling, so the filter builds the
     /// one graph and lets the exact bound decide.
     #[test]
@@ -86,8 +87,11 @@ proptest! {
             for (bytes, built) in [(ceiling, 0), (ceiling - 1, 1)] {
                 let gpu = device(bytes);
                 let graphs = Arc::new(StageGraphs::new());
-                let legality =
-                    StaticLegality::new(model, 1).with_memory_check(gpu.clone(), 0.0, Arc::clone(&graphs));
+                let legality = StaticLegality::new(model, 1).with_memory_check(
+                    gpu.clone(),
+                    0.0,
+                    Arc::clone(&graphs),
+                );
                 let want: Vec<_> = memory_fit_diag(&summary, config, &gpu, 0.0, Span::Plan)
                     .into_iter()
                     .collect();
@@ -99,6 +103,27 @@ proptest! {
                     bytes
                 );
                 prop_assert_eq!(graphs.len(), built, "{} on {} bytes", stage.label(), bytes);
+
+                let plan = PipelinePlan {
+                    stages: vec![PlannedStage { stage, mesh, config }],
+                    microbatches: 1,
+                };
+                let options = PlanCheckOptions {
+                    cluster: None,
+                    gpu: Some(gpu.clone()),
+                    headroom_frac: 0.0,
+                };
+                let ctx = PlanContext { plan: &plan, model: &model, options: &options };
+                let want: Vec<_> = memory_fit_diag(&summary, config, &gpu, 0.0, Span::Stage(0))
+                    .into_iter()
+                    .collect();
+                prop_assert_eq!(
+                    MemoryFitPass.run(&ctx),
+                    want,
+                    "{} on {} bytes",
+                    stage.label(),
+                    bytes
+                );
             }
         }
     }
