@@ -14,7 +14,7 @@
 //! judges it from one memory summary per graph.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use predtop_cluster::GpuSpec;
@@ -24,23 +24,28 @@ use predtop_parallel::{MeshShape, ParallelConfig, StageGraphs, StageStructure};
 use predtop_runtime::par_map_with;
 use predtop_sim::memory::{MemorySummary, PartSums};
 
-use crate::diag::{has_errors, sort_diagnostics, Diagnostic, Span};
+use crate::diag::{sort_diagnostics, Diagnostic, Span};
 use crate::plan_passes::{divisibility_diags, memory_fit_diag};
 
 /// Per-candidate static legality checks for the plan search.
 ///
-/// The divisibility rules (`P13xx`) are pure arithmetic. The optional
-/// memory rule (`P1401`) settles every pair whose ceiling fits from the
-/// part sums of the filter's model, and takes a stage graph from a
-/// borrowed [`StageGraphs`] store only for a pair whose ceiling
-/// overflows: at most one graph per stage structure, and none the store
-/// already holds. The rule's verdict reads the stage and the
-/// configuration, never the mesh, so it is memoized per (stage
-/// structure, configuration): every later candidate of a pair reads the
-/// first one's verdict.
+/// The divisibility rules (`P13xx`) read only the configuration, so
+/// their verdict is kept per configuration, judged the first time one is
+/// seen (a search sees at most six); [`Self::is_legal`] reads it and
+/// builds no diagnostic. The optional memory rule (`P1401`) settles
+/// every pair whose ceiling fits from the part sums of the filter's
+/// model, and takes a stage graph from a borrowed [`StageGraphs`] store
+/// only for a pair whose ceiling overflows: at most one graph per stage
+/// structure, and none the store already holds. The rule's verdict reads
+/// the stage and the configuration, never the mesh, so it is memoized
+/// per (stage structure, configuration): every later candidate of a
+/// pair reads the first one's verdict.
 pub struct StaticLegality {
     model: ModelSpec,
     microbatches: usize,
+    /// `divisibility_diags(..).is_empty()` per configuration seen, one
+    /// slot each: `dp << 33 | mp << 1 | verdict`, 0 while empty.
+    divisible: [AtomicU64; 8],
     memory: Option<MemoryCheck>,
     rejected: AtomicUsize,
     rejected_memory: AtomicUsize,
@@ -94,15 +99,20 @@ impl MemoryCheck {
             .expect("verdict lock never poisoned: no verdict is reached under it")
     }
 
-    /// The memoized verdict for `stage` under `config`; a miss is
-    /// judged outside the lock.
-    fn verdict(&self, stage: &StageSpec, config: ParallelConfig) -> Option<Diagnostic> {
+    /// `read` of the memoized verdict for `stage` under `config`; a miss
+    /// is judged outside the lock.
+    fn verdict<T>(
+        &self,
+        stage: &StageSpec,
+        config: ParallelConfig,
+        read: impl FnOnce(&Option<Diagnostic>) -> T,
+    ) -> T {
         let key = (StageStructure::of(stage), config);
         if let Some(v) = self.verdicts().get(&key) {
-            return v.clone();
+            return read(v);
         }
         let v = self.judge(stage, &[config]).swap_remove(0);
-        self.verdicts().entry(key).or_insert(v).clone()
+        read(self.verdicts().entry(key).or_insert(v))
     }
 }
 
@@ -112,6 +122,7 @@ impl StaticLegality {
         StaticLegality {
             model,
             microbatches,
+            divisible: Default::default(),
             memory: None,
             rejected: AtomicUsize::new(0),
             rejected_memory: AtomicUsize::new(0),
@@ -144,6 +155,35 @@ impl StaticLegality {
         divisibility_diags(&self.model, self.microbatches, config, Span::Plan, None)
     }
 
+    /// Whether `config` passes the divisibility rules: judged (and its
+    /// diagnostics dropped) the first time `config` is seen, then read
+    /// from its slot. A configuration too large to pack, or seen when
+    /// every slot is taken, is judged each time.
+    fn divisible(&self, config: ParallelConfig) -> bool {
+        let judge = || self.divisibility(config).is_empty();
+        let (dp, mp) = (config.dp as u64, config.mp as u64);
+        if dp >= 1 << 31 || mp >= 1 << 32 {
+            return judge();
+        }
+        let tag = dp << 33 | mp << 1;
+        for slot in &self.divisible {
+            match slot.load(Ordering::Relaxed) {
+                0 => {
+                    let ok = judge();
+                    // a racing first sighting may take the slot; the
+                    // verdict is the same whoever stores it, and `Relaxed`
+                    // suffices: a slot publishes nothing but its own word
+                    let packed = tag | u64::from(ok);
+                    let _ = slot.compare_exchange(0, packed, Ordering::Relaxed, Ordering::Relaxed);
+                    return ok;
+                }
+                v if v & !1 == tag => return v & 1 == 1,
+                _ => {}
+            }
+        }
+        judge()
+    }
+
     /// Every `Error`-severity finding for one search candidate, in
     /// canonical order. Empty means the candidate is statically legal.
     pub fn candidate_diagnostics(
@@ -155,8 +195,8 @@ impl StaticLegality {
         let mut out = self.divisibility(config);
         // only pay for a graph build when the cheap rules pass
         if out.is_empty() {
-            if let Some(d) = self.memory.as_ref().and_then(|m| m.verdict(stage, config)) {
-                out.push(d);
+            if let Some(m) = &self.memory {
+                out.extend(m.verdict(stage, config, Option::clone));
             }
         }
         sort_diagnostics(&mut out);
@@ -164,17 +204,22 @@ impl StaticLegality {
     }
 
     /// The search-engine predicate: `true` iff the candidate has no
-    /// `Error`-severity finding.
-    pub fn is_legal(&self, stage: &StageSpec, mesh: MeshShape, config: ParallelConfig) -> bool {
-        let diags = self.candidate_diagnostics(stage, mesh, config);
-        if !has_errors(&diags) {
-            return true;
+    /// `Error`-severity finding, read from the verdicts alone: it
+    /// formats no message.
+    pub fn is_legal(&self, stage: &StageSpec, _mesh: MeshShape, config: ParallelConfig) -> bool {
+        if !self.divisible(config) {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+            return false;
         }
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        if diags.iter().any(|d| d.code.0 == 1401) {
+        let over = self
+            .memory
+            .as_ref()
+            .is_some_and(|m| m.verdict(stage, config, Option::is_some));
+        if over {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
             self.rejected_memory.fetch_add(1, Ordering::Relaxed);
         }
-        false
+        !over
     }
 
     /// The legal `candidates`, in their order: the same list, counters
@@ -183,7 +228,7 @@ impl StaticLegality {
     /// `threads` workers first.
     ///
     /// Runs in three steps. A serial pre-pass lets the divisibility
-    /// rules pick the candidates the memory rule must judge, groups
+    /// verdicts pick the candidates the memory rule must judge, groups
     /// their unjudged (structure, configuration) pairs by structure,
     /// adds up each structure's part sums once, and settles every pair
     /// whose ceiling fits as "fits" into the memo. One pool task per
@@ -200,7 +245,7 @@ impl StaticLegality {
             {
                 let mut judged = m.verdicts();
                 for (stage, _, config) in &candidates {
-                    if !self.divisibility(*config).is_empty() {
+                    if !self.divisible(*config) {
                         continue;
                     }
                     let key = StageStructure::of(stage);
@@ -486,5 +531,69 @@ mod tests {
         assert_eq!(leg.rejections(), work.len());
         assert_eq!(leg.memory_rejections(), 0);
         assert_eq!((graphs.len(), leg.memory_checks()), (0, 0));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `is_legal`, which reads the per-config verdicts and formats no
+        /// message, answers what `candidate_diagnostics` reports, and the
+        /// counters count what the diagnostics imply: over random batches,
+        /// micro-batch counts (0 and non-dividing ones give `P1301`),
+        /// head and hidden sizes, configurations (each may repeat, and
+        /// there may be more than the verdict slots hold), and
+        /// devices from one that rejects most stages by `P1401` to one
+        /// that holds them all.
+        #[test]
+        fn prop_is_legal_agrees_with_the_diagnostics(
+            batch in 0usize..6,
+            microbatches in 0usize..6,
+            heads in 0usize..3,
+            hidden in 0usize..3,
+            device in 0usize..4,
+            configs in proptest::collection::vec((0usize..6, 0usize..4), 1..=12),
+        ) {
+            let batch = [1, 2, 4, 6, 8, 12][batch];
+            // mostly a dividing count; 0 and 5 never divide
+            let microbatches = [0, 1, 1, 2, batch, 5][microbatches];
+            let mut m = ModelSpec::gpt3_1p3b(batch);
+            m.seq_len = 8;
+            m.vocab = 32;
+            m.num_layers = 3;
+            m.num_heads = [2, 4, 6][heads];
+            m.hidden = [24, 32, 48][hidden];
+            let leg = StaticLegality::new(m, microbatches);
+            let leg = match [None, Some(0.0005), Some(0.002), Some(0.05)][device] {
+                None => leg,
+                Some(memory_gib) => {
+                    let gpu = GpuSpec { name: "prop-gpu", memory_gib, ..GpuSpec::a40() };
+                    leg.with_memory_check(gpu, 0.1, Arc::new(StageGraphs::new()))
+                }
+            };
+            let mesh = MeshShape::new(1, 1);
+            let (mut rejected, mut memory) = (0, 0);
+            for (i, &(dp, mp)) in configs.iter().enumerate() {
+                // up to 12 distinct configs, more than the slots hold,
+                // and one too large to pack
+                let config = ParallelConfig::new([1, 1, 2, 3, 4, 1 << 31][dp], [1, 1, 2, 4][mp]);
+                let stage = StageSpec::new(m, i % 3, 3);
+                // the predicate first on even steps, so a config's first
+                // sighting reaches either path
+                let (legal, diags) = if i % 2 == 0 {
+                    let legal = leg.is_legal(&stage, mesh, config);
+                    (legal, leg.candidate_diagnostics(&stage, mesh, config))
+                } else {
+                    let diags = leg.candidate_diagnostics(&stage, mesh, config);
+                    (leg.is_legal(&stage, mesh, config), diags)
+                };
+                proptest::prop_assert_eq!(legal, diags.is_empty());
+                rejected += usize::from(!legal);
+                memory += usize::from(diags.iter().any(|d| d.code.0 == 1401));
+                proptest::prop_assert_eq!(
+                    (leg.rejections(), leg.memory_rejections()),
+                    (rejected, memory)
+                );
+            }
+        }
     }
 }

@@ -8,14 +8,15 @@
 //! runs the checked search's filter (`StaticLegality::filter`:
 //! divisibility, then the `P1401` memory verdict once per stage
 //! structure and configuration) over the decoder's candidate work-list
-//! on Platform 2's 2×2 cluster with 2 micro-batches, each repetition
-//! with a fresh filter and profiler, once on one thread and once on
+//! on Platform 2's 2×2 cluster with 2 micro-batches, 21 repetitions
+//! each with a fresh filter and profiler, once on one thread and once on
 //! every available one: first with Platform 2's own devices, where every
 //! verdict fits under the retain-everything ceiling the filter reads
 //! from part sums, so no stage graph is built, then with a 0.01 GiB
 //! device, where many ceilings overflow, their structures' graphs are
 //! built, verdicts take the exact liveness sweep and `P1401` rejects.
-//! Each filter row counts the graphs its filter built.
+//! Each filter row reports the median of its repetitions and their
+//! count, and counts the graphs its filter built.
 //! Results are written as stable-schema JSON (default
 //! `BENCH_lint.json`; override with `--out PATH`) alongside
 //! `search_scaling`'s artifact.
@@ -145,7 +146,7 @@ fn main() {
         .collect();
 
     let doc = Json::obj()
-        .field("schema_version", 7u64)
+        .field("schema_version", 8u64)
         .field("benchmark", "lint_scaling")
         .field("mode", if cli.smoke { "smoke" } else { "full" })
         .field(
@@ -194,12 +195,15 @@ fn graph_row(stages: &[StageSpec]) -> Json {
         .field("drop_s", drop_s)
 }
 
+/// Fresh filters a filter row times; its figure is their median.
+const FILTER_SAMPLES: usize = 21;
+
 /// The checked search's phase 1 over `work` on `threads` workers, its
 /// filter built by `search_legality` for Platform 2 fitted with `gpu`:
-/// best of three repetitions, each with a fresh filter and profiler (so
-/// the filter's set-up, every graph it needs and every verdict are
-/// inside the timing). The counts repeat exactly; the last
-/// repetition's are kept.
+/// the median of [`FILTER_SAMPLES`] repetitions, each with a fresh
+/// filter and profiler (so the filter's set-up, every graph it needs
+/// and every verdict are inside the timing). The counts repeat exactly;
+/// the last repetition's are kept.
 fn filter_row(
     model: ModelSpec,
     opts: InterStageOptions,
@@ -207,9 +211,9 @@ fn filter_row(
     gpu: &GpuSpec,
     threads: usize,
 ) -> Json {
-    let mut best = f64::INFINITY;
+    let mut samples = Vec::with_capacity(FILTER_SAMPLES);
     let mut counts = (0, 0, 0, 0, 0);
-    for _ in 0..3 {
+    for _ in 0..FILTER_SAMPLES {
         let platform = Platform {
             gpu: gpu.clone(),
             ..Platform::platform2()
@@ -219,7 +223,7 @@ fn filter_row(
         let start = Instant::now();
         let legality = search_legality(model, &profiler, opts);
         let legal = legality.filter(work.to_vec(), threads);
-        best = best.min(start.elapsed().as_secs_f64());
+        samples.push(start.elapsed().as_secs_f64());
         assert_eq!(legal.len() + legality.rejections(), work.len());
         counts = (
             legality.rejections(),
@@ -229,9 +233,12 @@ fn filter_row(
             legality.memory_sweeps(),
         );
     }
+    samples.sort_by(f64::total_cmp);
+    let median = samples[FILTER_SAMPLES / 2];
     let (rejections, memory_rejections, graphs, verdicts, sweeps) = counts;
     println!(
-        "checked filter, {} GiB, {threads} thread(s): {best:7.3}s wall, {} candidates, \
+        "checked filter, {} GiB, {threads} thread(s): {median:9.5}s wall (median of \
+         {FILTER_SAMPLES}), {} candidates, \
          {rejections} rejected ({memory_rejections} by P1401), {graphs} graphs, \
          {verdicts} verdicts ({} early exits, {sweeps} sweeps)",
         gpu.memory_gib,
@@ -242,7 +249,8 @@ fn filter_row(
         .field("device", gpu.name)
         .field("memory_gib", gpu.memory_gib)
         .field("threads", threads)
-        .field("seconds", best)
+        .field("seconds", median)
+        .field("samples", FILTER_SAMPLES)
         .field("candidates", work.len())
         .field("rejections", rejections)
         .field("memory_rejections", memory_rejections)

@@ -325,46 +325,54 @@ mod tests {
 
     #[test]
     fn corrupt_object_recovers_by_recompute_and_rewrite() {
-        let store = store_dir("corrupt");
-        let qs = queries(1);
-        let (svc, _) = counting_service();
-        let layer = Persist::new(svc, store.clone(), "ns");
-        let original = layer.query(&qs[0]).unwrap();
+        // cut mid-file, or followed by bytes the header does not count
+        for trailing in [false, true] {
+            let store = store_dir(&format!("corrupt-{trailing}"));
+            let qs = queries(1);
+            let (svc, _) = counting_service();
+            let layer = Persist::new(svc, store.clone(), "ns");
+            let original = layer.query(&qs[0]).unwrap();
 
-        // Truncate every loose object mid-file.
-        let objects = store.root().join("objects");
-        let mut mangled = 0;
-        for fan in std::fs::read_dir(&objects).unwrap() {
-            let fan = fan.unwrap().path();
-            if !fan.is_dir() {
-                continue;
+            // Damage every loose object.
+            let objects = store.root().join("objects");
+            let mut mangled = 0;
+            for fan in std::fs::read_dir(&objects).unwrap() {
+                let fan = fan.unwrap().path();
+                if !fan.is_dir() {
+                    continue;
+                }
+                for f in std::fs::read_dir(&fan).unwrap() {
+                    let p = f.unwrap().path();
+                    let bytes = std::fs::read(&p).unwrap();
+                    let damaged = if trailing {
+                        [&bytes[..], b"trailing"].concat()
+                    } else {
+                        bytes[..bytes.len() / 2].to_vec()
+                    };
+                    std::fs::write(&p, damaged).unwrap();
+                    mangled += 1;
+                }
             }
-            for f in std::fs::read_dir(&fan).unwrap() {
-                let p = f.unwrap().path();
-                let bytes = std::fs::read(&p).unwrap();
-                std::fs::write(&p, &bytes[..bytes.len() / 2]).unwrap();
-                mangled += 1;
-            }
+            assert!(mangled > 0);
+
+            // A fresh layer re-queries: the damage is detected, the value
+            // recomputed bit-identically, and the object rewritten.
+            let (svc2, _) = counting_service();
+            let repaired = Persist::new(svc2, store.clone(), "ns");
+            let reply = repaired.query(&qs[0]).unwrap();
+            assert_eq!(reply.seconds.to_bits(), original.seconds.to_bits());
+            let stats = repaired.handle().stats();
+            assert_eq!(stats.corrupt_recovered, 1, "trailing bytes: {trailing}");
+            assert_eq!(stats.writes, 1);
+            assert!(store.verify().unwrap().is_clean());
+
+            // And the rewrite really stuck: next layer hits disk.
+            let (svc3, calls3) = counting_service();
+            let warm = Persist::new(svc3, store, "ns");
+            warm.query(&qs[0]).unwrap();
+            assert_eq!(warm.handle().stats().disk_hits, 1);
+            assert_eq!(calls3.load(AtomicOrdering::Relaxed), 0);
         }
-        assert!(mangled > 0);
-
-        // A fresh layer re-queries: the damage is detected, the value
-        // recomputed bit-identically, and the object rewritten.
-        let (svc2, _) = counting_service();
-        let repaired = Persist::new(svc2, store.clone(), "ns");
-        let reply = repaired.query(&qs[0]).unwrap();
-        assert_eq!(reply.seconds.to_bits(), original.seconds.to_bits());
-        let stats = repaired.handle().stats();
-        assert_eq!(stats.corrupt_recovered, 1);
-        assert_eq!(stats.writes, 1);
-        assert!(store.verify().unwrap().is_clean());
-
-        // And the rewrite really stuck: next layer hits disk.
-        let (svc3, calls3) = counting_service();
-        let warm = Persist::new(svc3, store, "ns");
-        warm.query(&qs[0]).unwrap();
-        assert_eq!(warm.handle().stats().disk_hits, 1);
-        assert_eq!(calls3.load(AtomicOrdering::Relaxed), 0);
     }
 
     #[test]

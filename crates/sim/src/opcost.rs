@@ -19,7 +19,8 @@ use predtop_cluster::collective::{Collective, CollectiveCost};
 use predtop_cluster::{GpuSpec, Link, Mesh};
 use predtop_ir::op::ComputeClass;
 use predtop_ir::{Node, NodeKind, OpKind};
-use predtop_parallel::intra::OpCost;
+/// The oracle trait [`DeviceCostModel`] implements.
+pub use predtop_parallel::intra::OpCost;
 
 /// Cost model for one GPU type inside one mesh.
 #[derive(Debug, Clone)]

@@ -24,6 +24,9 @@ const LOOSE_HEADER_LEN: usize = 48;
 const PACK_HEADER_LEN: usize = 20;
 /// Pack index entry: digest(16) kind(1) offset(8) len(8) payload_digest(16).
 const PACK_ENTRY_LEN: usize = 49;
+/// Bytes a loose read takes in its first `read`: an object file this
+/// small or smaller is read whole by that one call.
+const LOOSE_READ_BUF: usize = 4096;
 /// A gc lock untouched for this long is presumed abandoned.
 const GC_LOCK_STALE: Duration = Duration::from_secs(300);
 
@@ -370,9 +373,9 @@ impl Store {
         let digest = Store::key_digest(kind, key);
         // Loose first: anything written after the last gc shadows packs.
         let path = self.loose_path(digest);
-        match fs::read(&path) {
-            Ok(bytes) => {
-                let (found_kind, payload) = parse_loose(&bytes, digest)?;
+        match read_loose(&path, |bytes| parse_loose(bytes, digest)) {
+            Ok(parsed) => {
+                let (found_kind, payload) = parsed?;
                 if found_kind != kind.as_u8() {
                     return Err(StoreError::KindMismatch {
                         digest,
@@ -561,6 +564,29 @@ impl Store {
         report.bytes_after = after.loose_bytes + after.pack_bytes;
         Ok(report)
     }
+}
+
+/// `parse` applied to the whole of the loose object file at `path`:
+/// open, one `read` into a stack buffer, close, for a file smaller than
+/// the buffer. A read that fills the buffer goes on with `read_to_end`.
+/// This skips the `statx` and the end-of-file probe of `fs::read`. A
+/// short read that is not the end of the file shows as a truncated
+/// object, a corruption the caller repairs by rewriting.
+fn read_loose<T>(path: &Path, parse: impl FnOnce(&[u8]) -> T) -> io::Result<T> {
+    let mut file = fs::File::open(path)?;
+    let mut buf = [0u8; LOOSE_READ_BUF];
+    let n = loop {
+        match file.read(&mut buf) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            read => break read?,
+        }
+    };
+    if n < buf.len() {
+        return Ok(parse(&buf[..n]));
+    }
+    let mut bytes = buf.to_vec();
+    file.read_to_end(&mut bytes)?;
+    Ok(parse(&bytes))
 }
 
 /// Parse and fully verify a loose object file.

@@ -63,24 +63,52 @@ fn put_get_round_trip_and_overwrite() {
 
 #[test]
 fn truncated_object_is_a_short_read() {
-    let store = Store::open(fresh_dir("truncate")).unwrap();
-    store
-        .put(ObjectKind::Outcome, b"key", &vec![7u8; 256])
-        .unwrap();
-    let path = sole_loose_object(&store);
-    let bytes = fs::read(&path).unwrap();
-    fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-    match store.get(ObjectKind::Outcome, b"key") {
-        Err(e @ StoreError::ShortRead { .. }) => assert!(e.is_corruption()),
-        other => panic!("expected ShortRead, got {other:?}"),
+    // cut in half, or followed by bytes the header does not count
+    for trailing in [false, true] {
+        let store = Store::open(fresh_dir(&format!("truncate-{trailing}"))).unwrap();
+        store
+            .put(ObjectKind::Outcome, b"key", &vec![7u8; 256])
+            .unwrap();
+        let path = sole_loose_object(&store);
+        let bytes = fs::read(&path).unwrap();
+        let damaged = if trailing {
+            [&bytes[..], b"trailing"].concat()
+        } else {
+            bytes[..bytes.len() / 2].to_vec()
+        };
+        fs::write(&path, damaged).unwrap();
+        match store.get(ObjectKind::Outcome, b"key") {
+            Err(e @ StoreError::ShortRead { .. }) => assert!(e.is_corruption()),
+            other => panic!("trailing bytes {trailing}: expected ShortRead, got {other:?}"),
+        }
+        // verify reports it instead of failing.
+        let report = store.verify().unwrap();
+        assert_eq!(report.corrupt.len(), 1);
+        // Recompute-and-rewrite repairs it.
+        store
+            .put(ObjectKind::Outcome, b"key", &vec![7u8; 256])
+            .unwrap();
+        assert!(store.verify().unwrap().is_clean());
     }
-    // verify reports it instead of failing.
-    let report = store.verify().unwrap();
-    assert_eq!(report.corrupt.len(), 1);
-    // Recompute-and-rewrite repairs it.
-    store
-        .put(ObjectKind::Outcome, b"key", &vec![7u8; 256])
-        .unwrap();
+}
+
+#[test]
+fn objects_around_the_read_buffer_round_trip() {
+    // a loose read takes 4096 bytes at first; the header is 48, so these
+    // files end one byte short of it, on it, one past it, and pages on
+    let store = Store::open(fresh_dir("buffer")).unwrap();
+    for len in [4047, 4048, 4049, 3 * 4096 + 5] {
+        let key = format!("model-{len}");
+        let payload: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+        store
+            .put(ObjectKind::Model, key.as_bytes(), &payload)
+            .unwrap();
+        assert_eq!(
+            store.get(ObjectKind::Model, key.as_bytes()).unwrap(),
+            Some(payload),
+            "{len}-byte payload"
+        );
+    }
     assert!(store.verify().unwrap().is_clean());
 }
 
