@@ -14,7 +14,7 @@
 //! judges it from one memory summary per graph.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use predtop_cluster::GpuSpec;
@@ -25,14 +25,13 @@ use predtop_runtime::par_map_with;
 use predtop_sim::memory::{MemorySummary, PartSums};
 
 use crate::diag::{sort_diagnostics, Diagnostic, Span};
-use crate::plan_passes::{divisibility_diags, memory_fit_diag};
+use crate::plan_passes::{divisibility_diags, divisible, memory_fit_diag};
 
 /// Per-candidate static legality checks for the plan search.
 ///
-/// The divisibility rules (`P13xx`) read only the configuration, so
-/// their verdict is kept per configuration, judged the first time one is
-/// seen (a search sees at most six); [`Self::is_legal`] reads it and
-/// builds no diagnostic. The optional memory rule (`P1401`) settles
+/// The divisibility rules (`P13xx`) are a few integer remainders of the
+/// configuration; [`Self::is_legal`] evaluates them and builds no
+/// diagnostic. The optional memory rule (`P1401`) settles
 /// every pair whose ceiling fits from the part sums of the filter's
 /// model, and takes a stage graph from a borrowed [`StageGraphs`] store
 /// only for a pair whose ceiling overflows: at most one graph per stage
@@ -43,9 +42,6 @@ use crate::plan_passes::{divisibility_diags, memory_fit_diag};
 pub struct StaticLegality {
     model: ModelSpec,
     microbatches: usize,
-    /// `divisibility_diags(..).is_empty()` per configuration seen, one
-    /// slot each: `dp << 33 | mp << 1 | verdict`, 0 while empty.
-    divisible: [AtomicU64; 8],
     memory: Option<MemoryCheck>,
     rejected: AtomicUsize,
     rejected_memory: AtomicUsize,
@@ -122,7 +118,6 @@ impl StaticLegality {
         StaticLegality {
             model,
             microbatches,
-            divisible: Default::default(),
             memory: None,
             rejected: AtomicUsize::new(0),
             rejected_memory: AtomicUsize::new(0),
@@ -155,35 +150,6 @@ impl StaticLegality {
         divisibility_diags(&self.model, self.microbatches, config, Span::Plan, None)
     }
 
-    /// Whether `config` passes the divisibility rules: judged (and its
-    /// diagnostics dropped) the first time `config` is seen, then read
-    /// from its slot. A configuration too large to pack, or seen when
-    /// every slot is taken, is judged each time.
-    fn divisible(&self, config: ParallelConfig) -> bool {
-        let judge = || self.divisibility(config).is_empty();
-        let (dp, mp) = (config.dp as u64, config.mp as u64);
-        if dp >= 1 << 31 || mp >= 1 << 32 {
-            return judge();
-        }
-        let tag = dp << 33 | mp << 1;
-        for slot in &self.divisible {
-            match slot.load(Ordering::Relaxed) {
-                0 => {
-                    let ok = judge();
-                    // a racing first sighting may take the slot; the
-                    // verdict is the same whoever stores it, and `Relaxed`
-                    // suffices: a slot publishes nothing but its own word
-                    let packed = tag | u64::from(ok);
-                    let _ = slot.compare_exchange(0, packed, Ordering::Relaxed, Ordering::Relaxed);
-                    return ok;
-                }
-                v if v & !1 == tag => return v & 1 == 1,
-                _ => {}
-            }
-        }
-        judge()
-    }
-
     /// Every `Error`-severity finding for one search candidate, in
     /// canonical order. Empty means the candidate is statically legal.
     pub fn candidate_diagnostics(
@@ -207,7 +173,7 @@ impl StaticLegality {
     /// `Error`-severity finding, read from the verdicts alone: it
     /// formats no message.
     pub fn is_legal(&self, stage: &StageSpec, _mesh: MeshShape, config: ParallelConfig) -> bool {
-        if !self.divisible(config) {
+        if !divisible(&self.model, self.microbatches, config) {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return false;
         }
@@ -245,7 +211,7 @@ impl StaticLegality {
             {
                 let mut judged = m.verdicts();
                 for (stage, _, config) in &candidates {
-                    if !self.divisible(*config) {
+                    if !divisible(&self.model, self.microbatches, *config) {
                         continue;
                     }
                     let key = StageStructure::of(stage);

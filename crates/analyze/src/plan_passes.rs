@@ -141,17 +141,9 @@ pub fn nearest_legal_config(
     mesh: MeshShape,
     current: ParallelConfig,
 ) -> Option<ParallelConfig> {
-    if microbatches == 0 || !model.batch.is_multiple_of(microbatches) {
-        return None;
-    }
-    let per_mb = model.batch / microbatches;
     table3_configs(mesh)
         .into_iter()
-        .filter(|c| {
-            (c.dp <= 1 || per_mb.is_multiple_of(c.dp))
-                && (c.mp <= 1
-                    || (model.hidden.is_multiple_of(c.mp) && model.num_heads.is_multiple_of(c.mp)))
-        })
+        .filter(|&c| divisible(model, microbatches, c))
         .min_by_key(|c| {
             (
                 c.dp.abs_diff(current.dp) + c.mp.abs_diff(current.mp),
@@ -159,6 +151,19 @@ pub fn nearest_legal_config(
                 c.dp,
             )
         })
+}
+
+/// Whether `config` passes every divisibility rule: exactly when
+/// [`divisibility_diags`] finds nothing, without building a diagnostic.
+pub fn divisible(model: &ModelSpec, microbatches: usize, config: ParallelConfig) -> bool {
+    if microbatches == 0 || !model.batch.is_multiple_of(microbatches) {
+        return false;
+    }
+    let per_mb = model.batch / microbatches;
+    (config.dp <= 1 || per_mb.is_multiple_of(config.dp))
+        && (config.mp <= 1
+            || (model.hidden.is_multiple_of(config.mp)
+                && model.num_heads.is_multiple_of(config.mp)))
 }
 
 /// The sharding/microbatch divisibility rules for one candidate

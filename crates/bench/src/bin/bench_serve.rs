@@ -427,9 +427,14 @@ fn main() {
     );
 
     let doc = Json::obj()
-        .field("schema_version", 1u64)
+        .field("schema_version", 2u64)
         .field("benchmark", "bench_serve")
         .field("mode", if cli.smoke { "smoke" } else { "full" })
+        .field(
+            "available_threads",
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
+        )
+        .field("kernel_isa", predtop_tensor::active_isa().name())
         .field("transport", transport)
         .field("clients", cli.clients)
         .field("requests_per_client", cli.requests)

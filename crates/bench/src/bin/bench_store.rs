@@ -227,9 +227,14 @@ fn main() {
     println!("all four runs chose bit-identical plans — determinism holds");
 
     let doc = Json::obj()
-        .field("schema_version", 1u64)
+        .field("schema_version", 2u64)
         .field("benchmark", "bench_store")
         .field("mode", if cli.smoke { "smoke" } else { "full" })
+        .field(
+            "available_threads",
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
+        )
+        .field("kernel_isa", predtop_tensor::active_isa().name())
         .field("model_layers", model.num_layers)
         .field("threads", THREADS)
         .field("num_queries", plain.num_queries)

@@ -1,5 +1,6 @@
 //! Eqn. 4 / Fig. 6 validation — the white-box pipeline formula against
-//! the discrete-event 1F1B simulator, including a stress test of the
+//! the discrete-event forward-only pipeline simulator (`sim::pipeline`:
+//! one time per stage per micro-batch), including a stress test of the
 //! paper's "inter-stage communication is negligible" assumption.
 //!
 //! With zero communication the formula is exact (also property-tested in
@@ -36,7 +37,7 @@ fn main() {
     let act_bytes = (model.tokens() * model.hidden * 2) as f64; // bf16
 
     let mut table = TableWriter::new(
-        "Eqn. 4 validation — formula vs event-driven 1F1B simulation (GPT-3, 4 stages, 8 microbatches)",
+        "Eqn. 4 validation — formula vs event-driven forward-only pipeline simulation (GPT-3, 4 stages, 8 microbatches)",
         &["link", "comm per hop (s)", "formula (s)", "simulated (s)", "gap (%)"],
     );
 

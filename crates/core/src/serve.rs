@@ -12,13 +12,13 @@
 //! construction rather than by convention.
 //!
 //! Admission control sits in front of every *work* request (`Profile`,
-//! `Search`, `Predict`): the [`AdmissionControl`] handle runs the exact
-//! closed/open/half-open machine of the in-stack `CircuitBreaker`, fed
-//! by request outcomes, so a failing latency source trips the breaker
-//! and subsequent requests are shed with [`ErrorKind::Shed`] instead of
-//! queuing behind a source that cannot answer. `Stats` and `Shutdown`
-//! are admission-exempt: observability and drain must keep working
-//! while the server sheds load.
+//! `Search`, `Predict`): the [`AdmissionControl`] handle runs a
+//! closed/open/half-open breaker fed by request outcomes, so a failing
+//! latency source trips the breaker and subsequent requests are shed
+//! with [`ErrorKind::Shed`] instead of queuing behind a source that
+//! cannot answer. `Stats` and `Shutdown` are admission-exempt:
+//! observability and drain must keep working while the server sheds
+//! load.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -412,7 +412,6 @@ fn error_body(e: &ServiceError) -> ErrorBody {
         ServiceError::ScenarioUnsupported { .. } => ErrorKind::Unsupported,
         ServiceError::InjectedFault { .. } => ErrorKind::Fault,
         ServiceError::DeadlineExceeded { .. } => ErrorKind::Deadline,
-        ServiceError::CircuitOpen { .. } => ErrorKind::Shed,
         ServiceError::NoLegalPlan { .. } => ErrorKind::BadRequest,
     };
     ErrorBody {

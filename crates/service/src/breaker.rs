@@ -1,64 +1,47 @@
-//! The circuit-breaker layer: stop hammering a source that keeps
+//! Admission control: stop sending work to a source that keeps
 //! failing.
 //!
-//! [`CircuitBreaker`] runs the classic three-state machine over a
-//! sliding window of recent outcomes:
+//! [`AdmissionControl`] is the gate the `predtop serve` engine asks
+//! before it dispatches each work request, and feeds each admitted
+//! request's outcome back into. It runs the classic three-state breaker
+//! over a sliding window of recent outcomes, all sized by one trip count
+//! `n` ([`BreakerConfig::tripping_after`]):
 //!
-//! * **Closed** — queries pass through; outcomes are recorded into a
-//!   sliding window of the last [`BreakerConfig::window`] attempts.
-//!   When the window holds at least
-//!   [`BreakerConfig::failure_threshold`] failures, the breaker trips.
-//! * **Open** — the next [`BreakerConfig::cooldown_rejections`] queries
-//!   are rejected with [`ServiceError::CircuitOpen`] *without*
-//!   consulting the inner service, giving it room to recover.
-//! * **Half-open** — once the cooldown is spent, admitted queries are
+//! * **Closed** — requests are admitted; outcomes are recorded into a
+//!   sliding window of the last `2n` of them. When the window holds `n`
+//!   failures, the breaker trips.
+//! * **Open** — the next `n` requests are shed, each told how many
+//!   cooldown rejections are left, so the caller never consults the
+//!   failing source.
+//! * **Half-open** — once the cooldown is spent, admitted requests are
 //!   probes: the first recorded success closes the breaker (with a
 //!   fresh window); the first recorded failure re-opens it.
 //!
-//! The cooldown is counted in *rejections*, not wall time — the same
-//! deterministic simulated-time style as the retry layer's accounted
-//! backoff. A count-based cooldown makes the state machine a pure
-//! function of the outcome sequence it observes, which keeps
-//! single-threaded chaos runs exactly reproducible. (Under a
-//! multi-threaded [`crate::Batched`] fan-out the *interleaving* of
-//! outcomes is scheduling-dependent, so breaker trips may differ run to
-//! run — the layer-ordering rules in DESIGN.md §10 spell out when that
-//! matters.)
-//!
-//! [`ServiceError::CircuitOpen`] is classified `Transient`: the breaker
-//! half-opens after its cooldown, so a [`crate::Retry`] layer *outside*
-//! the breaker can ride through an open period — each rejected retry
-//! burns one cooldown step until a probe is admitted.
+//! The cooldown is counted in *rejections*, not wall time, so the state
+//! machine is a pure function of the admissions and outcomes it
+//! observes. Concurrent requests interleave those in completion order,
+//! so *which* requests a multi-client daemon sheds is
+//! schedule-dependent; no reply value ever is.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::{LatencyQuery, LatencyReply, LatencyService, ServiceError};
-
-/// Trip and recovery thresholds of a [`CircuitBreaker`] layer.
+/// The trip count of an [`AdmissionControl`]: `n` failures within the
+/// last `2n` outcomes trip it, and it then sheds the next `n` requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
-    /// Size of the sliding outcome window consulted while closed.
-    pub window: usize,
-    /// Number of failures within the window that trips the breaker.
-    pub failure_threshold: usize,
-    /// Number of queries rejected while open before a half-open probe
-    /// is admitted.
-    pub cooldown_rejections: usize,
+    /// At least 1, so the window is never empty.
+    failure_threshold: usize,
 }
 
 impl BreakerConfig {
-    /// Trip after `failure_threshold` failures in a window of twice
-    /// that size, with a cooldown of the same length.
+    /// Trip after `failure_threshold` failures (at least one) in a window
+    /// of twice that size, with a cooldown of the same length.
     pub fn tripping_after(failure_threshold: usize) -> BreakerConfig {
-        let t = failure_threshold.max(1);
         BreakerConfig {
-            window: 2 * t,
-            failure_threshold: t,
-            cooldown_rejections: t,
+            failure_threshold: failure_threshold.max(1),
         }
     }
 }
@@ -72,11 +55,11 @@ impl Default for BreakerConfig {
 /// The observable position of a breaker's state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CircuitState {
-    /// Queries pass through; outcomes feed the sliding window.
+    /// Requests are admitted; outcomes feed the sliding window.
     Closed,
-    /// Queries are rejected until the cooldown is spent.
+    /// Requests are shed until the cooldown is spent.
     Open,
-    /// Cooldown spent; admitted queries are recovery probes.
+    /// Cooldown spent; admitted requests are recovery probes.
     HalfOpen,
 }
 
@@ -90,7 +73,7 @@ impl std::fmt::Display for CircuitState {
     }
 }
 
-/// A snapshot of a [`CircuitBreaker`] layer's counters.
+/// A snapshot of an [`AdmissionControl`]'s counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerStats {
     /// Current position of the state machine.
@@ -101,7 +84,7 @@ pub struct BreakerStats {
     pub half_opened: usize,
     /// HalfOpen→Closed transitions (successful probes).
     pub closed: usize,
-    /// Queries rejected with [`ServiceError::CircuitOpen`].
+    /// Requests shed while open.
     pub rejected: usize,
 }
 
@@ -117,146 +100,58 @@ impl Default for BreakerStats {
     }
 }
 
-/// The lock-guarded half of the machine: state plus the sliding window.
+/// The machine's position, with what that position needs to move on.
 #[derive(Debug)]
 enum Mode {
-    Closed { window: VecDeque<bool> },
-    Open { rejections_left: usize },
+    /// `true` marks a failure among the last `2n` outcomes.
+    Closed {
+        window: VecDeque<bool>,
+    },
+    Open {
+        rejections_left: usize,
+    },
     HalfOpen,
 }
 
+/// The lock-guarded machine: its position plus the transition counts.
 #[derive(Debug)]
-pub(crate) struct BreakerState {
-    config: BreakerConfig,
-    mode: Mutex<Mode>,
-    opened: AtomicUsize,
-    half_opened: AtomicUsize,
-    closed: AtomicUsize,
-    rejected: AtomicUsize,
+struct Machine {
+    mode: Mode,
+    stats: BreakerStats,
 }
 
-impl BreakerState {
-    fn new(config: BreakerConfig) -> BreakerState {
-        assert!(config.window >= 1, "breaker window must be non-empty");
-        assert!(
-            (1..=config.window).contains(&config.failure_threshold),
-            "failure threshold must fit inside the window"
-        );
-        BreakerState {
-            config,
-            mode: Mutex::new(Mode::Closed {
-                window: VecDeque::with_capacity(config.window),
-            }),
-            opened: AtomicUsize::new(0),
-            half_opened: AtomicUsize::new(0),
-            closed: AtomicUsize::new(0),
-            rejected: AtomicUsize::new(0),
-        }
-    }
-
-    fn snapshot(&self) -> BreakerStats {
-        let state = match &*self.mode.lock() {
+impl Machine {
+    fn enter(&mut self, mode: Mode) {
+        self.stats.state = match mode {
             Mode::Closed { .. } => CircuitState::Closed,
             Mode::Open { .. } => CircuitState::Open,
             Mode::HalfOpen => CircuitState::HalfOpen,
         };
-        BreakerStats {
-            state,
-            opened: self.opened.load(Ordering::Relaxed),
-            half_opened: self.half_opened.load(Ordering::Relaxed),
-            closed: self.closed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Admission decision: `Ok(())` admits the query, `Err(n)` rejects
-    /// it with `n` cooldown rejections remaining. The inner call itself
-    /// happens outside this lock.
-    fn admit(&self) -> Result<(), u64> {
-        let mut mode = self.mode.lock();
-        match &mut *mode {
-            Mode::Closed { .. } | Mode::HalfOpen => Ok(()),
-            Mode::Open { rejections_left } => {
-                if *rejections_left > 0 {
-                    *rejections_left -= 1;
-                    let remaining = *rejections_left as u64;
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
-                    Err(remaining)
-                } else {
-                    *mode = Mode::HalfOpen;
-                    self.half_opened.fetch_add(1, Ordering::Relaxed);
-                    Ok(())
-                }
-            }
-        }
-    }
-
-    /// Feed one observed outcome back into the state machine.
-    fn record(&self, ok: bool) {
-        let mut mode = self.mode.lock();
-        match &mut *mode {
-            Mode::Closed { window } => {
-                if window.len() == self.config.window {
-                    window.pop_front();
-                }
-                window.push_back(!ok);
-                let failures = window.iter().filter(|&&f| f).count();
-                if failures >= self.config.failure_threshold {
-                    *mode = Mode::Open {
-                        rejections_left: self.config.cooldown_rejections,
-                    };
-                    self.opened.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Mode::HalfOpen => {
-                if ok {
-                    *mode = Mode::Closed {
-                        window: VecDeque::with_capacity(self.config.window),
-                    };
-                    self.closed.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    *mode = Mode::Open {
-                        rejections_left: self.config.cooldown_rejections,
-                    };
-                    self.opened.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            // the breaker tripped while this call was already in
-            // flight; its outcome no longer moves the machine
-            Mode::Open { .. } => {}
-        }
+        self.mode = mode;
     }
 }
 
-/// Shared view of a [`CircuitBreaker`] layer's counters, usable after
-/// the layer has been consumed by outer layers of the stack.
-#[derive(Debug, Clone)]
-pub struct BreakerHandle(pub(crate) Arc<BreakerState>);
-
-impl BreakerHandle {
-    /// Counters (and current state) accumulated since the layer was
-    /// built.
-    pub fn stats(&self) -> BreakerStats {
-        self.0.snapshot()
-    }
-}
-
-/// The breaker's state machine as a standalone admission controller,
-/// for gatekeepers that sit *in front of* a service rather than inside
-/// its stack — the `predtop serve` daemon asks it before dispatching
-/// each request and feeds the outcome back after. Same machine, same
-/// counters, same determinism contract as the [`CircuitBreaker`]
-/// middleware; the only difference is who calls the inner service.
+/// The breaker's state machine as a gate in front of a service — see the
+/// module docs. Clones share one machine.
 #[derive(Debug, Clone)]
 pub struct AdmissionControl {
-    state: Arc<BreakerState>,
+    /// Failures in the window that trip the machine; the window holds
+    /// twice as many outcomes and the cooldown sheds as many requests.
+    threshold: usize,
+    machine: Arc<Mutex<Machine>>,
 }
 
 impl AdmissionControl {
-    /// A fresh controller with the given thresholds, starting closed.
+    /// A fresh controller with the given trip count, starting closed.
     pub fn new(config: BreakerConfig) -> AdmissionControl {
         AdmissionControl {
-            state: Arc::new(BreakerState::new(config)),
+            threshold: config.failure_threshold,
+            machine: Arc::new(Mutex::new(Machine {
+                mode: Mode::Closed {
+                    window: VecDeque::new(),
+                },
+                stats: BreakerStats::default(),
+            })),
         }
     }
 
@@ -265,118 +160,79 @@ impl AdmissionControl {
     /// outcome), `Err(n)` sheds it with `n` cooldown rejections left
     /// before a half-open probe is admitted.
     pub fn try_admit(&self) -> Result<(), u64> {
-        self.state.admit()
+        let mut m = self.machine.lock();
+        match &mut m.mode {
+            Mode::Closed { .. } | Mode::HalfOpen => Ok(()),
+            Mode::Open { rejections_left: 0 } => {
+                m.enter(Mode::HalfOpen);
+                m.stats.half_opened += 1;
+                Ok(())
+            }
+            Mode::Open { rejections_left } => {
+                *rejections_left -= 1;
+                let left = *rejections_left as u64;
+                m.stats.rejected += 1;
+                Err(left)
+            }
+        }
     }
 
     /// Feed one admitted request's outcome back into the machine.
     pub fn record(&self, ok: bool) {
-        self.state.record(ok);
-    }
-
-    /// Counters (and current state) accumulated since construction.
-    pub fn stats(&self) -> BreakerStats {
-        self.state.snapshot()
-    }
-}
-
-/// Middleware that sheds load off a persistently failing service — see
-/// the module docs for the state machine.
-pub struct CircuitBreaker<S> {
-    inner: S,
-    state: Arc<BreakerState>,
-}
-
-impl<S> CircuitBreaker<S> {
-    /// Wrap `inner` with the given thresholds, starting closed.
-    pub fn new(inner: S, config: BreakerConfig) -> CircuitBreaker<S> {
-        CircuitBreaker {
-            inner,
-            state: Arc::new(BreakerState::new(config)),
-        }
-    }
-
-    /// A shareable handle onto this layer's counters.
-    pub fn handle(&self) -> BreakerHandle {
-        BreakerHandle(self.state.clone())
-    }
-
-    /// Counters (and current state) accumulated since construction.
-    pub fn stats(&self) -> BreakerStats {
-        self.state.snapshot()
-    }
-}
-
-impl<S: LatencyService> LatencyService for CircuitBreaker<S> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn query(&self, q: &LatencyQuery) -> Result<LatencyReply, ServiceError> {
-        if let Err(cooldown_remaining) = self.state.admit() {
-            return Err(ServiceError::CircuitOpen {
-                source: self.inner.name(),
-                cooldown_remaining,
+        let mut m = self.machine.lock();
+        let trip = match &mut m.mode {
+            Mode::Closed { window } => {
+                if window.len() == 2 * self.threshold {
+                    window.pop_front();
+                }
+                window.push_back(!ok);
+                window.iter().filter(|&&failed| failed).count() >= self.threshold
+            }
+            Mode::HalfOpen if ok => {
+                m.enter(Mode::Closed {
+                    window: VecDeque::new(),
+                });
+                m.stats.closed += 1;
+                false
+            }
+            Mode::HalfOpen => true,
+            // the breaker tripped while this request was in flight; its
+            // outcome no longer moves the machine
+            Mode::Open { .. } => false,
+        };
+        if trip {
+            m.enter(Mode::Open {
+                rejections_left: self.threshold,
             });
+            m.stats.opened += 1;
         }
-        let r = self.inner.query(q);
-        self.state.record(r.is_ok());
-        r
+    }
+
+    /// Counters (and current state) accumulated since construction.
+    pub fn stats(&self) -> BreakerStats {
+        self.machine.lock().stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bridge::tests::{counting_service, failing_service};
-    use predtop_models::{ModelSpec, StageSpec};
-    use predtop_parallel::{MeshShape, ParallelConfig};
 
-    fn q(i: usize) -> LatencyQuery {
-        let mut m = ModelSpec::gpt3_1p3b(2);
-        m.num_layers = 8;
-        LatencyQuery::new(
-            StageSpec::new(m, i, i + 1),
-            MeshShape::new(1, 1),
-            ParallelConfig::SERIAL,
-        )
-    }
-
-    /// A service whose per-call outcomes follow a script.
-    struct Scripted(Mutex<VecDeque<bool>>);
-
-    impl Scripted {
-        fn new(outcomes: &[bool]) -> Scripted {
-            Scripted(Mutex::new(outcomes.iter().copied().collect()))
-        }
-    }
-
-    impl LatencyService for Scripted {
-        fn name(&self) -> &'static str {
-            "scripted"
-        }
-        fn query(&self, _q: &LatencyQuery) -> Result<LatencyReply, ServiceError> {
-            if self.0.lock().pop_front().unwrap_or(true) {
-                Ok(LatencyReply {
-                    seconds: 1.0,
-                    source: "scripted",
-                })
-            } else {
-                Err(ServiceError::Unavailable {
-                    source: "scripted",
-                    reason: "scripted failure".into(),
-                })
-            }
-        }
+    /// One request through the gate: shed with the cooldown left, or
+    /// admitted with its outcome `ok` recorded.
+    fn request(ac: &AdmissionControl, ok: bool) -> Result<(), u64> {
+        ac.try_admit()?;
+        ac.record(ok);
+        Ok(())
     }
 
     #[test]
     fn healthy_traffic_never_trips_the_breaker() {
-        let (svc, _) = counting_service();
-        let breaker = CircuitBreaker::new(svc, BreakerConfig::tripping_after(2));
-        for i in 0..32 {
-            assert!(breaker.query(&q(i % 8)).is_ok());
+        let ac = AdmissionControl::new(BreakerConfig::tripping_after(2));
+        for _ in 0..32 {
+            assert_eq!(request(&ac, true), Ok(()));
         }
-        let s = breaker.stats();
+        let s = ac.stats();
         assert_eq!(s.state, CircuitState::Closed);
         assert_eq!(s.opened, 0);
         assert_eq!(s.rejected, 0);
@@ -384,57 +240,49 @@ mod tests {
 
     #[test]
     fn threshold_failures_trip_the_breaker_open() {
-        let breaker =
-            CircuitBreaker::new(failing_service("dead"), BreakerConfig::tripping_after(3));
-        for i in 0..3 {
-            assert!(matches!(
-                breaker.query(&q(i)),
-                Err(ServiceError::Unavailable { .. })
-            ));
+        // three failures in a window of six trip it; a failure that has
+        // slid out of the window no longer counts
+        let ac = AdmissionControl::new(BreakerConfig::tripping_after(3));
+        for ok in [false, true, true, true, true, true, false, false] {
+            request(&ac, ok).unwrap();
         }
-        let s = breaker.stats();
+        assert_eq!(ac.stats().state, CircuitState::Closed, "two in the window");
+        request(&ac, false).unwrap();
+        let s = ac.stats();
         assert_eq!(s.state, CircuitState::Open);
         assert_eq!(s.opened, 1);
     }
 
     #[test]
     fn open_breaker_rejects_without_consulting_inner() {
-        let cfg = BreakerConfig {
-            window: 2,
-            failure_threshold: 1,
-            cooldown_rejections: 4,
+        let ac = AdmissionControl::new(BreakerConfig::tripping_after(4));
+        let mut calls = 0;
+        let mut serve = |ok| {
+            ac.try_admit()?;
+            calls += 1;
+            ac.record(ok);
+            Ok::<(), u64>(())
         };
-        let breaker = CircuitBreaker::new(failing_service("dead"), cfg);
-        breaker.query(&q(0)).unwrap_err(); // trips
-        for k in 0..4 {
-            match breaker.query(&q(0)).unwrap_err() {
-                ServiceError::CircuitOpen {
-                    cooldown_remaining, ..
-                } => {
-                    assert_eq!(cooldown_remaining, 3 - k as u64);
-                }
-                other => panic!("expected CircuitOpen, got {other}"),
-            }
+        for _ in 0..4 {
+            serve(false).unwrap(); // the fourth trips it
         }
-        assert_eq!(breaker.stats().rejected, 4);
+        // the cooldown counts its rejections down, reporting what is left
+        for left in (0..4).rev() {
+            assert_eq!(serve(true), Err(left));
+        }
+        assert_eq!(calls, 4, "a shed request never reaches the source");
+        assert_eq!(ac.stats().rejected, 4);
     }
 
     #[test]
     fn successful_probe_closes_the_breaker() {
-        // fail once (trips, threshold 1), then recover
-        let svc = Scripted::new(&[false]);
-        let cfg = BreakerConfig {
-            window: 2,
-            failure_threshold: 1,
-            cooldown_rejections: 2,
-        };
-        let breaker = CircuitBreaker::new(svc, cfg);
-        breaker.query(&q(0)).unwrap_err(); // Closed → Open
-        breaker.query(&q(0)).unwrap_err(); // rejected (1 left)
-        breaker.query(&q(0)).unwrap_err(); // rejected (0 left)
-        let r = breaker.query(&q(0)); // half-open probe, script says ok
-        assert!(r.is_ok());
-        let s = breaker.stats();
+        let ac = AdmissionControl::new(BreakerConfig::tripping_after(2));
+        request(&ac, false).unwrap();
+        request(&ac, false).unwrap(); // Closed → Open
+        assert_eq!(request(&ac, true), Err(1));
+        assert_eq!(request(&ac, true), Err(0));
+        request(&ac, true).unwrap(); // half-open probe succeeds
+        let s = ac.stats();
         assert_eq!(s.state, CircuitState::Closed);
         assert_eq!(s.opened, 1);
         assert_eq!(s.half_opened, 1);
@@ -444,16 +292,11 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens_the_breaker() {
-        let cfg = BreakerConfig {
-            window: 2,
-            failure_threshold: 1,
-            cooldown_rejections: 1,
-        };
-        let breaker = CircuitBreaker::new(failing_service("dead"), cfg);
-        breaker.query(&q(0)).unwrap_err(); // trips
-        breaker.query(&q(0)).unwrap_err(); // rejected
-        breaker.query(&q(0)).unwrap_err(); // probe fails → reopen
-        let s = breaker.stats();
+        let ac = AdmissionControl::new(BreakerConfig::tripping_after(1));
+        request(&ac, false).unwrap(); // trips
+        assert_eq!(request(&ac, false), Err(0));
+        request(&ac, false).unwrap(); // probe fails → reopen
+        let s = ac.stats();
         assert_eq!(s.state, CircuitState::Open);
         assert_eq!(s.opened, 2);
         assert_eq!(s.half_opened, 1);
@@ -461,47 +304,23 @@ mod tests {
     }
 
     #[test]
-    fn breaker_rejections_are_transient_for_the_retry_layer() {
-        let cfg = BreakerConfig {
-            window: 2,
-            failure_threshold: 1,
-            cooldown_rejections: 3,
-        };
-        let breaker = CircuitBreaker::new(failing_service("dead"), cfg);
-        breaker.query(&q(0)).unwrap_err();
-        let err = breaker.query(&q(0)).unwrap_err();
-        assert!(matches!(err, ServiceError::CircuitOpen { .. }));
-        assert!(err.is_transient(), "retry can ride through an open period");
-    }
-
-    #[test]
     fn closing_resets_the_sliding_window() {
-        // threshold 2 in a window of 3: fail, fail (trip), cooldown 1,
-        // probe ok (close + fresh window), then one failure must NOT
-        // re-trip because the old failures were discarded
-        let svc = Scripted::new(&[false, false, true, false, true, true]);
-        let cfg = BreakerConfig {
-            window: 3,
-            failure_threshold: 2,
-            cooldown_rejections: 1,
-        };
-        let breaker = CircuitBreaker::new(svc, cfg);
-        breaker.query(&q(0)).unwrap_err(); // fail 1
-        breaker.query(&q(0)).unwrap_err(); // fail 2 → Open
-        breaker.query(&q(0)).unwrap_err(); // rejected
-        assert!(breaker.query(&q(0)).is_ok()); // probe ok → Closed, window reset
-        breaker.query(&q(0)).unwrap_err(); // one fresh failure
-        assert_eq!(breaker.stats().state, CircuitState::Closed);
-        assert!(breaker.query(&q(0)).is_ok());
+        // two failures trip it; after a successful probe, one fresh
+        // failure must NOT re-trip, because the old ones were discarded
+        let ac = AdmissionControl::new(BreakerConfig::tripping_after(2));
+        request(&ac, false).unwrap();
+        request(&ac, false).unwrap(); // Open
+        assert!(request(&ac, true).is_err());
+        assert!(request(&ac, true).is_err());
+        request(&ac, true).unwrap(); // probe ok → Closed, window reset
+        request(&ac, false).unwrap(); // one fresh failure
+        assert_eq!(ac.stats().state, CircuitState::Closed);
+        assert_eq!(request(&ac, true), Ok(()));
     }
 
     #[test]
     fn admission_control_runs_the_same_machine_without_a_stack() {
-        let ac = AdmissionControl::new(BreakerConfig {
-            window: 2,
-            failure_threshold: 2,
-            cooldown_rejections: 2,
-        });
+        let ac = AdmissionControl::new(BreakerConfig::tripping_after(2));
         // healthy traffic passes
         ac.try_admit().unwrap();
         ac.record(true);
@@ -516,6 +335,7 @@ mod tests {
         assert_eq!(ac.try_admit(), Err(0));
         // then a probe is admitted; success closes the machine
         ac.try_admit().unwrap();
+        assert_eq!(ac.stats().state, CircuitState::HalfOpen);
         ac.record(true);
         let s = ac.stats();
         assert_eq!(s.state, CircuitState::Closed);
@@ -527,11 +347,7 @@ mod tests {
 
     #[test]
     fn admission_control_clones_share_one_machine() {
-        let ac = AdmissionControl::new(BreakerConfig {
-            window: 2,
-            failure_threshold: 1,
-            cooldown_rejections: 8,
-        });
+        let ac = AdmissionControl::new(BreakerConfig::tripping_after(1));
         let other = ac.clone();
         ac.try_admit().unwrap();
         ac.record(false); // trips

@@ -7,11 +7,11 @@
 //! §10, innermost first:
 //!
 //! ```text
-//! FaultInject → Deadline → CircuitBreaker → Retry → Persist → Memoize → Batched → Instrumented
+//! FaultInject → Deadline → Retry → Persist → Memoize → Batched → Instrumented
 //! ```
 //!
-//! * `Retry` wraps `FaultInject` and `CircuitBreaker`, so transient
-//!   failures reach the retry loop;
+//! * `Retry` wraps `FaultInject`, so transient failures reach the retry
+//!   loop;
 //! * `Memoize` wraps `Retry`, so only settled successes are cached and a
 //!   hit skips the reliability layers;
 //! * `Persist` sits directly under `Memoize`: memory absorbs in-run
@@ -27,7 +27,6 @@
 use std::sync::Arc;
 
 use crate::batched::{BatchHandle, Batched};
-use crate::breaker::{BreakerConfig, BreakerHandle, CircuitBreaker};
 use crate::deadline::{Deadline, DeadlineHandle};
 use crate::fallback::Fallback;
 use crate::fault::{FaultConfig, FaultHandle, FaultInject};
@@ -67,9 +66,6 @@ pub struct StackHandles {
     pub retry: Option<RetryHandle>,
     /// Overrun counters of the [`Deadline`] layer, if one was installed.
     pub deadline: Option<DeadlineHandle>,
-    /// State-transition counters of the [`CircuitBreaker`] layer, if one
-    /// was installed.
-    pub breaker: Option<BreakerHandle>,
     /// Disk hit/miss/write accounting of the [`crate::Persist`] layer,
     /// if one was installed.
     pub persist: Option<PersistHandle>,
@@ -82,7 +78,6 @@ struct Layers {
     fault: Option<FaultConfig>,
     /// `Some(budget)` installs the layer; an unbounded one is `Some(None)`.
     deadline: Option<Option<f64>>,
-    breaker: Option<BreakerConfig>,
     retry: Option<RetryPolicy>,
     persist: Option<(Arc<Store>, String)>,
     memoize: bool,
@@ -166,9 +161,8 @@ impl<S: LatencyService> ServiceBuilder<S> {
         self
     }
 
-    /// Inject deterministic hash-seeded faults (errors and latency
-    /// spikes) directly over the base source, so every resilience layer
-    /// gets exercised.
+    /// Inject deterministic hash-seeded transient errors directly over
+    /// the base source, so every resilience layer gets exercised.
     pub fn inject_faults(mut self, config: FaultConfig) -> Self {
         self.layers.fault = Some(config);
         self
@@ -179,13 +173,6 @@ impl<S: LatencyService> ServiceBuilder<S> {
     /// [`ServiceError::DeadlineExceeded`].
     pub fn deadline(mut self, budget_seconds: Option<f64>) -> Self {
         self.layers.deadline = Some(budget_seconds);
-        self
-    }
-
-    /// Shed load off the source when it keeps failing, via a
-    /// closed/open/half-open breaker over a sliding outcome window.
-    pub fn circuit_breaker(mut self, config: BreakerConfig) -> Self {
-        self.layers.breaker = Some(config);
         self
     }
 
@@ -212,7 +199,6 @@ impl<S: LatencyService> ServiceBuilder<S> {
         let Layers {
             fault,
             deadline,
-            breaker,
             retry,
             persist,
             memoize,
@@ -232,11 +218,6 @@ impl<S: LatencyService> ServiceBuilder<S> {
         if let Some(budget_seconds) = deadline {
             let layer = Deadline::new(svc, budget_seconds);
             handles.deadline = Some(layer.handle());
-            svc = Box::new(layer);
-        }
-        if let Some(config) = breaker {
-            let layer = CircuitBreaker::new(svc, config);
-            handles.breaker = Some(layer.handle());
             svc = Box::new(layer);
         }
         if let Some(policy) = retry {
@@ -403,7 +384,6 @@ mod tests {
         assert!(stack.handles().fault.is_none());
         assert!(stack.handles().retry.is_none());
         assert!(stack.handles().deadline.is_none());
-        assert!(stack.handles().breaker.is_none());
         assert!(stack.handles().persist.is_none());
         // batched itself was installed, so its handle is present
         assert!(stack.handles().batch.is_some());

@@ -2,13 +2,9 @@
 //!
 //! [`FaultInject`] sits in front of a healthy service and makes it
 //! unreliable on purpose — the precondition for testing every other
-//! fault-tolerance layer. Two failure modes are injected:
-//!
-//! * **transient errors** ([`ServiceError::InjectedFault`]), which a
-//!   [`crate::Retry`] layer above can absorb, and
-//! * **latency spikes** (a real stall of the serving thread), which a
-//!   [`crate::Deadline`] layer above can convert into structured
-//!   overruns.
+//! fault-tolerance layer. It injects transient errors
+//! ([`ServiceError::InjectedFault`]), which a [`crate::Retry`] layer
+//! above can absorb.
 //!
 //! Determinism: the injection decision for a query is a SplitMix64-style
 //! hash of `(seed, query, attempt)` — the same style as `predtop-sim`'s
@@ -31,8 +27,8 @@ use crate::{LatencyQuery, LatencyReply, LatencyService, ServiceError};
 /// Number of attempt-counter shards (power of two, mask-selected).
 const SHARDS: usize = 16;
 
-/// Injection rates and determinism seed for a [`FaultInject`] layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Injection rate and determinism seed for a [`FaultInject`] layer.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultConfig {
     /// Seed of the injection hash. Two layers with the same seed inject
     /// identically; changing the seed re-rolls every decision.
@@ -40,48 +36,22 @@ pub struct FaultConfig {
     /// Probability in `[0, 1]` that an attempt fails with
     /// [`ServiceError::InjectedFault`].
     pub error_rate: f64,
-    /// Probability in `[0, 1]` that an attempt that was not failed is
-    /// served with an injected latency spike (a real stall).
-    pub spike_rate: f64,
-    /// Duration of one injected spike, in seconds of real wall time.
-    pub spike_seconds: f64,
 }
 
 impl FaultConfig {
-    /// Error-only injection: fail `error_rate` of attempts under `seed`,
-    /// never spike.
+    /// Fail `error_rate` of attempts under `seed`.
     pub fn errors(seed: u64, error_rate: f64) -> FaultConfig {
-        FaultConfig {
-            seed,
-            error_rate,
-            spike_rate: 0.0,
-            spike_seconds: 0.0,
-        }
-    }
-}
-
-impl Default for FaultConfig {
-    fn default() -> FaultConfig {
-        FaultConfig {
-            seed: 0,
-            error_rate: 0.0,
-            spike_rate: 0.0,
-            spike_seconds: 0.0,
-        }
+        FaultConfig { seed, error_rate }
     }
 }
 
 /// A snapshot of a [`FaultInject`] layer's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Attempts that were failed with an injected error.
     pub injected_errors: usize,
-    /// Attempts that were served through an injected latency spike.
-    pub injected_spikes: usize,
     /// Attempts that passed through untouched.
     pub passed: usize,
-    /// Total real seconds of injected stall time.
-    pub spike_seconds: f64,
 }
 
 #[derive(Debug)]
@@ -89,33 +59,27 @@ pub(crate) struct FaultState {
     config: FaultConfig,
     attempts: Vec<Mutex<HashMap<LatencyQuery, u64>>>,
     injected_errors: AtomicUsize,
-    injected_spikes: AtomicUsize,
     passed: AtomicUsize,
-    spike_seconds: Mutex<f64>,
 }
 
 impl FaultState {
     fn new(config: FaultConfig) -> FaultState {
         assert!(
-            (0.0..=1.0).contains(&config.error_rate) && (0.0..=1.0).contains(&config.spike_rate),
-            "fault rates must be probabilities"
+            (0.0..=1.0).contains(&config.error_rate),
+            "the fault rate must be a probability"
         );
         FaultState {
             config,
             attempts: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             injected_errors: AtomicUsize::new(0),
-            injected_spikes: AtomicUsize::new(0),
             passed: AtomicUsize::new(0),
-            spike_seconds: Mutex::new(0.0),
         }
     }
 
     fn snapshot(&self) -> FaultStats {
         FaultStats {
             injected_errors: self.injected_errors.load(Ordering::Relaxed),
-            injected_spikes: self.injected_spikes.load(Ordering::Relaxed),
             passed: self.passed.load(Ordering::Relaxed),
-            spike_seconds: *self.spike_seconds.lock(),
         }
     }
 
@@ -134,19 +98,20 @@ impl FaultState {
         attempt
     }
 
-    /// SplitMix64-style hash of (seed, query, attempt, stream) to a unit
-    /// float in `[0, 1)` — `stream` separates the error roll from the
-    /// spike roll so the two rates are independent.
-    fn roll(&self, q: &LatencyQuery, attempt: u64, stream: u64) -> f64 {
+    /// SplitMix64-style hash of (seed, query, attempt) to a unit float
+    /// in `[0, 1)`.
+    fn roll(&self, q: &LatencyQuery, attempt: u64) -> f64 {
         let mut qh = std::collections::hash_map::DefaultHasher::new();
         q.hash(&mut qh);
         // The mixer lives in predtop-store's shared hash module (its
         // constants are pinned there); fault schedules for a given
-        // (seed, query, attempt, stream) are bit-stable across releases.
+        // (seed, query, attempt) are bit-stable across releases.
         let mut h = predtop_store::hash::SplitMix64::new(self.config.seed);
         h.mix(qh.finish());
         h.mix(attempt);
-        h.mix(stream);
+        // the error roll's stream word: mixing it keeps every decision
+        // where `fault_schedules_are_pinned` records it
+        h.mix(0);
         h.unit_f64()
     }
 }
@@ -168,8 +133,7 @@ impl FaultHandle {
 ///
 /// Value-determinism contract: an attempt either fails with
 /// [`ServiceError::InjectedFault`] or returns the inner service's reply
-/// *unchanged* (a spike stalls the serving thread but never perturbs the
-/// value). Whatever succeeds is therefore bit-identical to the
+/// *unchanged*. Whatever succeeds is therefore bit-identical to the
 /// fault-free service.
 pub struct FaultInject<S> {
     inner: S,
@@ -204,22 +168,14 @@ impl<S: LatencyService> LatencyService for FaultInject<S> {
     fn query(&self, q: &LatencyQuery) -> Result<LatencyReply, ServiceError> {
         let cfg = &self.state.config;
         let attempt = self.state.next_attempt(q);
-        if cfg.error_rate > 0.0 && self.state.roll(q, attempt, 0) < cfg.error_rate {
+        if cfg.error_rate > 0.0 && self.state.roll(q, attempt) < cfg.error_rate {
             self.state.injected_errors.fetch_add(1, Ordering::Relaxed);
             return Err(ServiceError::InjectedFault {
                 source: self.inner.name(),
                 attempt,
             });
         }
-        if cfg.spike_rate > 0.0 && self.state.roll(q, attempt, 1) < cfg.spike_rate {
-            self.state.injected_spikes.fetch_add(1, Ordering::Relaxed);
-            *self.state.spike_seconds.lock() += cfg.spike_seconds;
-            if cfg.spike_seconds > 0.0 {
-                std::thread::sleep(std::time::Duration::from_secs_f64(cfg.spike_seconds));
-            }
-        } else {
-            self.state.passed.fetch_add(1, Ordering::Relaxed);
-        }
+        self.state.passed.fetch_add(1, Ordering::Relaxed);
         self.inner.query(q)
     }
 }
@@ -255,7 +211,6 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 8);
         let s = layer.stats();
         assert_eq!(s.injected_errors, 0);
-        assert_eq!(s.injected_spikes, 0);
         assert_eq!(s.passed, 8);
     }
 
@@ -308,26 +263,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn spikes_stall_but_do_not_perturb() {
-        let qs = queries(3);
-        let (clean, _) = counting_service();
-        let expected: Vec<f64> = qs.iter().map(|q| clean.query(q).unwrap().seconds).collect();
+    /// Over twelve one-layer queries, which of each query's first four
+    /// attempts fail: bit `k` of its mask is attempt `k`.
+    fn failure_masks(seed: u64, error_rate: f64) -> Vec<u8> {
         let (svc, _) = counting_service();
-        let layer = FaultInject::new(
-            svc,
-            FaultConfig {
-                seed: 1,
-                error_rate: 0.0,
-                spike_rate: 1.0,
-                spike_seconds: 0.001,
-            },
+        let layer = FaultInject::new(svc, FaultConfig::errors(seed, error_rate));
+        queries(12)
+            .iter()
+            .map(|q| (0..4).fold(0, |mask, k| mask | (u8::from(layer.query(q).is_err()) << k)))
+            .collect()
+    }
+
+    #[test]
+    fn fault_schedules_are_pinned() {
+        // a change to the decision hash re-rolls these; the chaos gate
+        // (seed 1 at 0.2 behind 3 retries) relies on its schedule
+        assert_eq!(
+            failure_masks(1, 0.2),
+            [0b1000, 0b0011, 0, 0, 0, 0b0011, 0, 0b0101, 0b0001, 0b0011, 0, 0b1000]
         );
-        for (q, want) in qs.iter().zip(&expected) {
-            assert_eq!(layer.query(q).unwrap().seconds.to_bits(), want.to_bits());
-        }
-        let s = layer.stats();
-        assert_eq!(s.injected_spikes, 3);
-        assert!((s.spike_seconds - 0.003).abs() < 1e-12);
+        assert_eq!(
+            failure_masks(3, 0.4),
+            [
+                0b1000, 0, 0b0001, 0b0110, 0b1000, 0b0101, 0b0101, 0b1000, 0b1111, 0b1101, 0b1101,
+                0
+            ]
+        );
     }
 }

@@ -265,9 +265,7 @@ impl Ledger for FaultStats {
     fn fields(&self) -> Vec<LedgerField> {
         vec![
             LedgerField::count("injected_faults", self.injected_errors, true),
-            LedgerField::count("injected_spikes", self.injected_spikes, false),
             LedgerField::count("fault_passed", self.passed, false),
-            LedgerField::seconds("spike_seconds", self.spike_seconds),
         ]
     }
 

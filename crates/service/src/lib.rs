@@ -21,13 +21,11 @@
 //!   analytic → simulator), with the source that actually answered
 //!   recorded on every [`LatencyReply`];
 //! * [`FaultInject`] — deterministic hash-seeded chaos (injected
-//!   transient errors and latency spikes) for resilience drills;
+//!   transient errors) for resilience drills;
 //! * [`Retry`] — bounded re-attempts of transient failures with
 //!   deterministic accounted exponential backoff;
 //! * [`Deadline`] — a per-query wall-clock budget that
-//!   converts overruns into structured [`ServiceError::DeadlineExceeded`];
-//! * [`CircuitBreaker`] — a closed/open/half-open state machine over a
-//!   sliding failure window that sheds load off a failing source.
+//!   converts overruns into structured [`ServiceError::DeadlineExceeded`].
 //!
 //! Failures speak one structured vocabulary: every [`ServiceError`]
 //! variant carries the source it is attributed to and a fixed
@@ -54,8 +52,9 @@
 //! The serving surface sits on top: [`api`] is the versioned
 //! request/response vocabulary every frontend (CLI, wire protocol,
 //! tests) shares; [`wire`] frames it over TCP and Unix sockets for the
-//! `predtop serve` daemon, with [`AdmissionControl`] exposing the
-//! breaker's machine as a standalone gatekeeper; [`ServiceReport`]
+//! `predtop serve` daemon, with [`AdmissionControl`] — a
+//! closed/open/half-open breaker over a sliding failure window — shedding
+//! requests at the door while the source keeps failing; [`ServiceReport`]
 //! snapshots a stack's installed layers, each rendered exactly once
 //! through the shared [`Ledger`] trait for the CLI text summary, the
 //! flat JSON object, and the wire `Stats` reply alike.
@@ -80,9 +79,7 @@ pub mod retry;
 pub mod wire;
 
 pub use batched::{BatchHandle, BatchStats, Batched};
-pub use breaker::{
-    AdmissionControl, BreakerConfig, BreakerHandle, BreakerStats, CircuitBreaker, CircuitState,
-};
+pub use breaker::{AdmissionControl, BreakerConfig, BreakerStats, CircuitState};
 pub use bridge::{AsProvider, ProviderService, Unavailable};
 pub use builder::{ServiceBuilder, ServiceStack, StackHandles};
 pub use deadline::{Deadline, DeadlineHandle, DeadlineStats};

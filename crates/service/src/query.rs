@@ -51,13 +51,11 @@ pub struct LatencyReply {
 ///
 /// Every [`ServiceError`] variant has a fixed classification (see
 /// [`ServiceError::retryability`]); the [`crate::Retry`] layer retries
-/// only `Transient` errors, and a [`crate::CircuitBreaker`] counts both
-/// kinds toward its failure window (a failure is a failure, however it
-/// classifies).
+/// only `Transient` errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Retryability {
-    /// The failure is momentary — an injected fault, a tripped breaker
-    /// mid-cooldown. The same query may succeed on the next attempt.
+    /// The failure is momentary — an injected fault. The same query may
+    /// succeed on the next attempt.
     Transient,
     /// The failure is structural — a missing model file, an unfitted
     /// scenario, an exhausted deadline budget. Retrying the same query
@@ -117,15 +115,6 @@ pub enum ServiceError {
         /// Time actually consumed when the overrun was detected.
         elapsed_seconds: f64,
     },
-    /// A [`crate::CircuitBreaker`] layer is open and rejected the query
-    /// without consulting the inner service. Transient: the breaker
-    /// half-opens after its cooldown, so a later attempt passes through.
-    CircuitOpen {
-        /// Name of the source the breaker protects.
-        source: &'static str,
-        /// Consecutive rejections left before the breaker half-opens.
-        cooldown_remaining: u64,
-    },
     /// A checked plan search's static-legality filter left no covering
     /// partition: every plan needs a candidate it rejected. No source
     /// failed; the problem (model, cluster, device memory) has no legal
@@ -148,7 +137,6 @@ impl ServiceError {
             ServiceError::ScenarioUnsupported { source, .. } => source,
             ServiceError::InjectedFault { source, .. } => source,
             ServiceError::DeadlineExceeded { source, .. } => source,
-            ServiceError::CircuitOpen { source, .. } => source,
             ServiceError::NoLegalPlan { .. } => "static-legality",
         }
     }
@@ -161,7 +149,6 @@ impl ServiceError {
             ServiceError::ScenarioUnsupported { .. } => Retryability::Permanent,
             ServiceError::InjectedFault { .. } => Retryability::Transient,
             ServiceError::DeadlineExceeded { .. } => Retryability::Permanent,
-            ServiceError::CircuitOpen { .. } => Retryability::Transient,
             ServiceError::NoLegalPlan { .. } => Retryability::Permanent,
         }
     }
@@ -198,14 +185,6 @@ impl std::fmt::Display for ServiceError {
                 f,
                 "deadline exceeded querying `{source}`: {elapsed_seconds:.6}s elapsed \
                  against a {budget_seconds:.6}s budget"
-            ),
-            ServiceError::CircuitOpen {
-                source,
-                cooldown_remaining,
-            } => write!(
-                f,
-                "circuit breaker open for `{source}` ({cooldown_remaining} rejections \
-                 until half-open probe)"
             ),
             ServiceError::NoLegalPlan {
                 candidates,
@@ -261,13 +240,6 @@ mod tests {
                     elapsed_seconds: 0.1,
                 },
                 Retryability::Permanent,
-            ),
-            (
-                ServiceError::CircuitOpen {
-                    source: "simulator",
-                    cooldown_remaining: 3,
-                },
-                Retryability::Transient,
             ),
             (
                 ServiceError::NoLegalPlan {

@@ -9,7 +9,6 @@
 //! via [`ServiceReport::ledgers`].
 
 use crate::batched::BatchStats;
-use crate::breaker::BreakerStats;
 use crate::builder::StackHandles;
 use crate::deadline::DeadlineStats;
 use crate::fallback::FallbackStats;
@@ -49,9 +48,6 @@ pub struct ServiceReport {
     pub retry: Option<RetryStats>,
     /// Overrun counters of the `Deadline` layer, if installed.
     pub deadline: Option<DeadlineStats>,
-    /// State-transition counters of the `CircuitBreaker` layer, if
-    /// installed.
-    pub breaker: Option<BreakerStats>,
     /// Disk hit/miss/write accounting of the `Persist` layer, if
     /// installed: how much of the memoize tier's miss traffic the
     /// on-disk store absorbed, and what was written behind for the next
@@ -71,7 +67,6 @@ impl ServiceReport {
             fault: h.fault.as_ref().map(|f| f.stats()),
             retry: h.retry.as_ref().map(|r| r.stats()),
             deadline: h.deadline.as_ref().map(|d| d.stats()),
-            breaker: h.breaker.as_ref().map(|b| b.stats()),
             persist: h.persist.as_ref().map(|p| p.stats()),
         }
     }
@@ -86,14 +81,13 @@ impl ServiceReport {
             || self.fault.is_some()
             || self.retry.is_some()
             || self.deadline.is_some()
-            || self.breaker.is_some()
             || self.persist.is_some()
     }
 
     /// Every installed ledger as its shared render surface, in the
     /// report's canonical display order (cache, interner, persist,
-    /// dispatch, service metrics, fallback, fault, retry, deadline,
-    /// breaker). The CLI prints `summary()` of each; the wire `Stats`
+    /// dispatch, service metrics, fallback, fault, retry, deadline). The
+    /// CLI prints `summary()` of each; the wire `Stats`
     /// reply ships `fields()` of each.
     pub fn ledgers(&self) -> Vec<&dyn Ledger> {
         let mut out: Vec<&dyn Ledger> = Vec::new();
@@ -124,9 +118,6 @@ impl ServiceReport {
         if let Some(d) = &self.deadline {
             out.push(d);
         }
-        if let Some(b) = &self.breaker {
-            out.push(b);
-        }
         out
     }
 }
@@ -147,11 +138,11 @@ mod tests {
         let r = ServiceReport {
             cache: Some(CacheStats { hits: 1, misses: 2 }),
             persist: Some(PersistStats::default()),
-            breaker: Some(BreakerStats::default()),
+            deadline: Some(DeadlineStats::default()),
             ..ServiceReport::default()
         };
         assert!(r.any_installed());
         let names: Vec<&str> = r.ledgers().iter().map(|l| l.ledger_name()).collect();
-        assert_eq!(names, vec!["memoize", "store", "breaker"]);
+        assert_eq!(names, vec!["memoize", "store", "deadline"]);
     }
 }

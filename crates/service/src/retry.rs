@@ -3,15 +3,14 @@
 //!
 //! [`Retry`] consults [`ServiceError::retryability`] — the structured
 //! classification every error variant carries — and re-attempts only
-//! `Transient` failures ([`ServiceError::InjectedFault`],
-//! [`ServiceError::CircuitOpen`]). Permanent failures (a missing model,
-//! an unfitted scenario, a spent deadline budget) are returned
-//! immediately so a [`crate::Fallback`] above can move to the next
-//! source without burning attempts.
+//! `Transient` failures ([`ServiceError::InjectedFault`]). Permanent
+//! failures (a missing model, an unfitted scenario, a spent deadline
+//! budget) are returned immediately so a [`crate::Fallback`] above can
+//! move to the next source without burning attempts.
 //!
 //! Backoff is *accounted, not slept*: each re-attempt charges
-//! `base · 2^attempt` seconds to [`RetryStats::backoff_seconds`], the
-//! same deterministic simulated-time style as the cost ledger and the
+//! `0.05 s · 2^attempt` to [`RetryStats::backoff_seconds`], the same
+//! deterministic simulated-time style as the cost ledger and the
 //! instrument layer's `served_seconds`. Sleeping for real would make
 //! chaos searches slow and their wall clocks noisy without changing any
 //! value the stack resolves; the accounting preserves what a production
@@ -24,30 +23,22 @@ use std::sync::Arc;
 
 use crate::{LatencyQuery, LatencyReply, LatencyService, ServiceError};
 
-/// Attempt budget and backoff constants of a [`Retry`] layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Backoff charged before re-attempt `k` (zero-based) is
+/// `BACKOFF_BASE_SECONDS · 2^k`.
+const BACKOFF_BASE_SECONDS: f64 = 0.05;
+
+/// Attempt budget of a [`Retry`] layer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Re-attempts after the first try (so a query is attempted at most
     /// `max_retries + 1` times).
     pub max_retries: usize,
-    /// Backoff charged before re-attempt `k` (zero-based) is
-    /// `backoff_base_seconds · 2^k`.
-    pub backoff_base_seconds: f64,
 }
 
 impl RetryPolicy {
-    /// `n` retries with the default 50 ms backoff base.
+    /// `n` retries.
     pub fn retries(n: usize) -> RetryPolicy {
-        RetryPolicy {
-            max_retries: n,
-            backoff_base_seconds: 0.05,
-        }
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy::retries(3)
+        RetryPolicy { max_retries: n }
     }
 }
 
@@ -72,9 +63,8 @@ pub(crate) struct RetryState {
     recovered: AtomicUsize,
     exhausted: AtomicUsize,
     permanent: AtomicUsize,
-    /// Accounted backoff in units of `backoff_base_seconds`.
+    /// Accounted backoff in units of `BACKOFF_BASE_SECONDS`.
     backoff_units: AtomicU64,
-    backoff_base_seconds: f64,
 }
 
 impl RetryState {
@@ -85,7 +75,7 @@ impl RetryState {
             exhausted: self.exhausted.load(Ordering::Relaxed),
             permanent_failures: self.permanent.load(Ordering::Relaxed),
             backoff_seconds: self.backoff_units.load(Ordering::Relaxed) as f64
-                * self.backoff_base_seconds,
+                * BACKOFF_BASE_SECONDS,
         }
     }
 }
@@ -120,16 +110,8 @@ impl<S> Retry<S> {
         Retry {
             inner,
             policy,
-            state: Arc::new(RetryState {
-                backoff_base_seconds: policy.backoff_base_seconds,
-                ..RetryState::default()
-            }),
+            state: Arc::new(RetryState::default()),
         }
-    }
-
-    /// The attempt budget this layer enforces.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
     }
 
     /// A shareable handle onto this layer's counters.

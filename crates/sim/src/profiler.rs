@@ -14,8 +14,8 @@
 //! As a `LatencyService` the profiler is **infallible**: it can answer
 //! any (stage, mesh, config) scenario, so a stack rooted at a
 //! `SimProfiler` only ever errors through the fault-tolerance layers
-//! wrapped around it (`FaultInject`, `Deadline`, `CircuitBreaker` — see
-//! `DESIGN.md` §10). That makes it the canonical base service for chaos
+//! wrapped around it (`FaultInject`, `Deadline` — see `DESIGN.md`
+//! §10). That makes it the canonical base service for chaos
 //! tests: every failure is injected, so recovery can be asserted to
 //! reproduce the profiler's bit-exact ground truth. Its memoization is
 //! also what makes re-asking safe — a retried query replays the cached

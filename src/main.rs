@@ -471,7 +471,10 @@ fn die_api_error(e: &api::ErrorBody) -> ! {
         }
         api::ErrorKind::Fault => "raise --retry so every query can outlive the injected faults",
         api::ErrorKind::Deadline => "raise --deadline-ms or drop the budget",
-        api::ErrorKind::Shed => "raise --retry so re-attempts outlast the breaker cooldown",
+        api::ErrorKind::Shed => {
+            "the source kept failing; send the request again after the admission \
+             cooldown, or raise --breaker-trip"
+        }
         api::ErrorKind::Internal => "this is a bug: the request handler panicked",
     };
     eprintln!("search failed ({class}): {}", e.message);

@@ -1,8 +1,8 @@
 //! Chaos contract of the fault-tolerant search path: injected transient
-//! faults, retries, and a tripping circuit breaker are *reliability*
-//! knobs — none may change the plan a search chooses, its reported
-//! latencies, or its query accounting. The stacks here mirror the CLI's
-//! `--inject-fault-rate/--retry` wiring end to end.
+//! faults and retries are *reliability* knobs — neither may change the
+//! plan a search chooses, its reported latencies, or its query
+//! accounting. The stacks here mirror the CLI's `--inject-fault-rate` /
+//! `--retry` wiring end to end.
 
 use predtop::prelude::*;
 
@@ -81,43 +81,6 @@ fn faulty_search_recovers_to_the_fault_free_outcome() {
         assert_eq!(retry.retries, fault.injected_errors);
         assert!(retry.backoff_seconds > 0.0, "backoff was never accounted");
     }
-}
-
-/// Same contract under a circuit breaker that actually trips: a high
-/// fault rate drives the breaker through open/half-open/closed while the
-/// outer retry loop burns the cooldown, and the search still lands on
-/// the fault-free plan. Single-threaded so the trip schedule — and hence
-/// the breaker counters — are deterministic.
-#[test]
-fn a_tripping_breaker_still_converges_on_the_fault_free_plan() {
-    let m = tiny_model();
-    let cluster = MeshShape::new(2, 2);
-    let clean = clean_search(m, cluster, 1);
-
-    let profiler2 = SimProfiler::new(Platform::platform2(), 6);
-    let stack = ServiceBuilder::new(&profiler2)
-        .inject_faults(FaultConfig::errors(3, 0.4))
-        .circuit_breaker(BreakerConfig::tripping_after(2))
-        .retry(RetryPolicy::retries(32))
-        .memoize_structural()
-        .batched(1)
-        .finish();
-    let chaos = search_plan_service(m, cluster, &stack, &profiler2, opts(), None)
-        .expect("the retry budget outlasts every breaker cooldown");
-
-    assert_same_outcome(&chaos, &clean, "seeded breaker");
-    let report = chaos.service.expect("chaos search reports its layers");
-    let fault = report.fault.expect("fault layer installed");
-    let breaker = report.breaker.expect("breaker layer installed");
-    let retry = report.retry.expect("retry layer installed");
-    assert!(fault.injected_errors > 0, "no fault was ever injected");
-    assert!(breaker.opened > 0, "the breaker never tripped");
-    assert!(breaker.rejected > 0, "the open breaker never shed a query");
-    assert!(
-        breaker.closed > 0,
-        "no half-open probe ever closed the breaker"
-    );
-    assert_eq!(retry.exhausted, 0, "a query ran out of retries");
 }
 
 /// The CLI builds the full chaos-capable stack unconditionally and
